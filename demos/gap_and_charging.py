@@ -22,4 +22,4 @@ scan = charge_scan(spec, np.linspace(0.0, 4.0, 17))
 print("\ncharging staircase, 2 sites at kappa = 1:")
 for mu, q in zip(scan.mu_values, scan.ground_charge):
     print(f"  mu = {mu:5.2f}:  Q = {q:+d}")
-print(f"refined critical chemical potential: {scan.critical_mu:.9f}")
+print(f"critical chemical potential: {scan.critical_mu:.9f}")

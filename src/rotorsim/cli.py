@@ -179,8 +179,8 @@ def _chain_spec(args) -> ChainSpec:
         raise CliError(EXIT_INVALID, "sites and lmax are required (flags or config)")
     try:
         return ChainSpec(
-            n_sites=int(params["sites"]),
-            l_max=int(params["lmax"]),
+            n_sites=params["sites"],
+            l_max=params["lmax"],
             kappa=float(params["kappa"]),
             boundary=str(params["boundary"]),
             mu_tilde=float(params["mu"]),

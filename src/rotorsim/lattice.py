@@ -13,6 +13,7 @@ conserved Noether charge Q.
 
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -72,6 +73,14 @@ class ChainSpec:
     charge_axis: tuple = (0.0, 0.0, 1.0)
 
     def __post_init__(self):
+        for name in ("n_sites", "l_max"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise InvalidSpecError(f"{name} must be an integer, got {value!r}")
+        for name in ("kappa", "mu_tilde"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise InvalidSpecError(f"{name} must be a finite number, got {value!r}")
         if self.n_sites < 1:
             raise InvalidSpecError(f"n_sites must be >= 1, got {self.n_sites}")
         if self.l_max < 1:
@@ -146,7 +155,6 @@ class SparseOperator:
 
     dimension: int
     matrix: sp.csr_matrix
-    sector_label: int | None = None
 
     def entries(self):
         """Yield (row, col, value) in row-major order, no explicit zeros."""

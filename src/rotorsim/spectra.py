@@ -6,7 +6,7 @@ iterative (Lanczos) path above it; the crossover is frozen so the
 """
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -14,7 +14,6 @@ import scipy.sparse.linalg as spla
 from .lattice import (
     ChainSpec,
     SparseOperator,
-    build_charge,
     build_grand_canonical,
     build_hamiltonian,
     direction_matrices,
@@ -101,9 +100,11 @@ def lowest_eigenpairs(op: SparseOperator, k: int, tol: float = 0.0,
     method defaults to "dense" for dimension <= DENSE_CUTOFF and
     "iterative" (implicitly restarted Lanczos with reorthogonalization,
     deterministic start vector) above; pass it explicitly to override.
+    Only an explicit "dense" may take k = dimension. A residual norm
+    above RESIDUAL_TOL raises NonConvergenceError.
     """
     dim = op.dimension
-    if not 1 <= k < dim:
+    if not 1 <= k <= dim or (k == dim and method != "dense"):
         raise ValueError(f"need 1 <= k < dimension, got k={k}, dimension={dim}")
     if method is None:
         method = "dense" if dim <= DENSE_CUTOFF else "iterative"
@@ -114,7 +115,6 @@ def lowest_eigenpairs(op: SparseOperator, k: int, tol: float = 0.0,
             dense = dense.real
         vals, vecs = np.linalg.eigh(dense)
         vals, vecs = vals[:k], vecs[:, :k]
-        converged = True
     elif method == "iterative":
         try:
             vals, vecs = spla.eigsh(
@@ -127,7 +127,6 @@ def lowest_eigenpairs(op: SparseOperator, k: int, tol: float = 0.0,
             ) from exc
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
-        converged = True
     else:
         raise ValueError(f"unknown method {method!r}")
 
@@ -135,19 +134,35 @@ def lowest_eigenpairs(op: SparseOperator, k: int, tol: float = 0.0,
         np.linalg.norm(op.matrix @ vecs[:, i] - vals[i] * vecs[:, i])
         for i in range(k)
     ])
+    # written so that a NaN residual fails the gate too
+    if not np.all(residuals <= RESIDUAL_TOL):
+        raise NonConvergenceError(
+            f"{method} eigenpair residual {residuals.max():.3g} exceeds "
+            f"RESIDUAL_TOL = {RESIDUAL_TOL:g} for k={k}, dim={dim}"
+        )
     return SpectrumResult(
         eigenvalues=np.asarray(vals, dtype=float),
         eigenvectors=vecs,
         residual_norms=residuals,
         method=method,
-        converged=converged,
+        converged=True,
     )
 
 
-def _sector_operators(spec: ChainSpec):
-    h = build_grand_canonical(spec)
-    sectors = sector_decompose(spec)
-    return h, sectors
+def _solve_sector(h: SparseOperator, indices, k: int) -> SpectrumResult:
+    """Lowest min(k, block dimension) eigenpairs of h on one sector."""
+    block = h.restrict(indices)
+    k = min(k, block.dimension)
+    return lowest_eigenpairs(block, k, method="dense" if k == block.dimension else None)
+
+
+def _hamiltonian_sectors(spec: ChainSpec):
+    """H and its total-M sectors, for any mu_tilde and charge axis.
+
+    H contains neither, and it is rotation invariant.
+    """
+    z_spec = replace(spec, mu_tilde=0.0, charge_axis=(0.0, 0.0, 1.0))
+    return build_hamiltonian(z_spec), sector_decompose(z_spec)
 
 
 def spectrum(spec: ChainSpec, k: int) -> SpectrumResult:
@@ -155,50 +170,45 @@ def spectrum(spec: ChainSpec, k: int) -> SpectrumResult:
 
     Solved per charge sector, so degenerate levels carry exact integer
     labels rather than whatever mixture a blind eigensolver returns.
+    method is "dense" only if every sector was solved densely.
     """
-    h, sectors = _sector_operators(spec)
+    h = build_grand_canonical(spec)
     levels = []  # (energy, M, vector-in-sector, indices, residual)
-    for m, indices in sectors.items():
-        if len(indices) == 0:
-            continue
-        block = h.restrict(indices)
-        block.sector_label = m
-        if block.dimension <= DENSE_CUTOFF:
-            # dense path: take the whole block so degenerate multiplets
-            # straddling the window are never clipped
-            dense = block.matrix.toarray()
-            if np.iscomplexobj(dense):
-                dense = dense.real if np.abs(dense.imag).max() == 0.0 else dense
-            vals, vecs = np.linalg.eigh(dense)
-            take = min(k, len(vals))
-            for i in range(take):
-                resid = float(np.linalg.norm(block.matrix @ vecs[:, i] - vals[i] * vecs[:, i]))
-                levels.append((float(vals[i]), m, vecs[:, i], indices, resid))
-        else:
-            kb = min(k, block.dimension - 1)
-            res = lowest_eigenpairs(block, kb, method="iterative")
-            for i in range(kb):
-                levels.append((res.eigenvalues[i], m, res.eigenvectors[:, i],
-                               indices, res.residual_norms[i]))
+    methods = set()
+    for m, indices in sector_decompose(spec).items():
+        res = _solve_sector(h, indices, k)
+        methods.add(res.method)
+        levels += [(e, m, v, indices, r) for e, v, r in
+                   zip(res.eigenvalues, res.eigenvectors.T, res.residual_norms)]
     levels.sort(key=lambda item: (item[0], item[1]))
     levels = levels[:k]
 
-    dim = h.dimension
-    vecs = np.zeros((dim, len(levels)), dtype=complex)
+    vecs = np.zeros((h.dimension, len(levels)), dtype=complex)
     for col, (_, _, v, indices, _) in enumerate(levels):
         vecs[indices, col] = v
     return SpectrumResult(
         eigenvalues=np.array([e for e, *_ in levels]),
         eigenvectors=vecs,
         residual_norms=np.array([r for *_, r in levels]),
-        method="dense" if dim <= DENSE_CUTOFF else "iterative",
+        method="dense" if methods == {"dense"} else "iterative",
         converged=True,
         sector_labels=np.array([m for _, m, *_ in levels]),
     )
 
 
 def ground_state(spec: ChainSpec):
-    """Ground eigenpair (energy, vector) of the grand-canonical chain."""
+    """Ground eigenpair (energy, vector) of the grand-canonical chain.
+
+    At mu_tilde = 0 the ground multiplet of the SU(2)-invariant H has an
+    M = 0 member, so only that sector is solved. Otherwise every sector
+    is solved for the z axis, and the full space for any other.
+    """
+    if spec.mu_tilde == 0.0:
+        h, sectors = _hamiltonian_sectors(spec)
+        res = _solve_sector(h, sectors[0], k=1)
+        vec = np.zeros(h.dimension, dtype=complex)
+        vec[sectors[0]] = res.eigenvectors[:, 0]
+        return float(res.eigenvalues[0]), vec
     if spec.axis_is_z:
         res = spectrum(spec, k=1)
     else:
@@ -207,92 +217,82 @@ def ground_state(spec: ChainSpec):
 
 
 def mass_gap(spec: ChainSpec):
-    """(E1 - E0, degeneracy of E1) over the full spectrum, mu_tilde = 0.
+    """(E1 - E0, degeneracy of E1) at mu_tilde = 0.
 
-    Degeneracy counts levels within DEGENERACY_TOL of E1.
+    Under SU(2) a multiplet of total L has one member in each sector
+    |M| <= L, so E0 and E1 are the lowest distinct levels of sector 0.
+    With c_M the levels of sector M within DEGENERACY_TOL of E1, the
+    degeneracy is c_0 + 2 (c_1 + c_2 + ...) up to the first c_M = 0.
     """
     if spec.mu_tilde != 0.0:
         raise ValueError("mass_gap is defined at mu_tilde = 0")
-    # enough levels to cover the first excited multiplet (3 per site at
-    # kappa = 0) plus the ground state, growing if the multiplet is larger
-    k = min(spec.dimension, 3 * spec.n_sites + 5)
-    while True:
-        res = spectrum(spec, k=k)
-        e0 = res.eigenvalues[0]
-        above = res.eigenvalues[res.eigenvalues > e0 + DEGENERACY_TOL]
-        if len(above) == 0:
-            if k >= spec.dimension:
-                raise NonConvergenceError("no level above the ground multiplet found")
-            k = min(spec.dimension, 2 * k)
-            continue
-        e1 = above[0]
-        degeneracy = int(np.sum(np.abs(res.eigenvalues - e1) < DEGENERACY_TOL))
-        # if the multiplet may be clipped at the end of the window, widen it
-        if abs(res.eigenvalues[-1] - e1) < DEGENERACY_TOL and k < spec.dimension:
-            k = min(spec.dimension, 2 * k)
-            continue
-        return float(e1 - e0), degeneracy
+    h, sectors = _hamiltonian_sectors(spec)
 
+    def window(m, k, e1_of):
+        # the window is closed once a level lies clearly above E1
+        while True:
+            vals = _solve_sector(h, sectors[m], k).eigenvalues
+            e = e1_of(vals)
+            if (e is not None and vals[-1] - e >= DEGENERACY_TOL) or len(vals) == len(sectors[m]):
+                return vals
+            k *= 2
 
-def _ground_energy_and_charge(spec: ChainSpec, mu: float):
-    gc = ChainSpec(n_sites=spec.n_sites, l_max=spec.l_max, kappa=spec.kappa,
-                   boundary=spec.boundary, mu_tilde=mu, charge_axis=spec.charge_axis)
-    energy, vec = ground_state(gc)
-    q = build_charge(gc).matrix
-    charge = float(np.real(np.vdot(vec, q @ vec)))
-    return energy, int(round(charge))
+    def first_excited(vals):
+        above = vals[vals > vals[0] + DEGENERACY_TOL]
+        return above[0] if len(above) else None
+
+    # the ground level, one member of the E1 multiplet and a level above it
+    vals = window(0, 3, first_excited)
+    e0, e1 = vals[0], first_excited(vals)
+    if e1 is None:
+        raise NonConvergenceError("no level above the ground multiplet found")
+    degeneracy = 0
+    for m in range(spec.n_sites * spec.l_max + 1):
+        if m > 0:
+            # sector m holds no more levels up to E1 than sector m - 1
+            k = int(np.sum(vals < e1 + DEGENERACY_TOL)) + 1
+            vals = window(m, k, lambda v: e1)
+        count = int(np.sum(np.abs(vals - e1) < DEGENERACY_TOL))
+        if count == 0:
+            break
+        degeneracy += count if m == 0 else 2 * count
+    return float(e1 - e0), degeneracy
 
 
 def charge_scan(spec: ChainSpec, mu_grid) -> ChargeScan:
     """Ground-state charge along an ascending grid of mu_tilde >= 0.
 
-    critical_mu is the smallest mu with ground charge >= 1, refined by
-    bisection to 1e-10 (the crossing of the two linear-in-mu levels is
-    exact, so bisection converges cleanly).
+    Q commutes with H, so with E_M the lowest level of sector M >= 0 at
+    mu = 0, the ground energy is min_M (E_M - mu M) and the ground charge
+    the smallest M attaining it. critical_mu = min_{M>=1} (E_M - E_0) / M,
+    None when no grid point is charged. spec.mu_tilde is ignored, and so
+    is the charge axis: H is rotation invariant.
     """
     mu_grid = np.asarray(mu_grid, dtype=float)
     if mu_grid.ndim != 1 or len(mu_grid) < 1:
         raise ValueError("mu_grid must be a non-empty 1-d grid")
+    if not np.all(np.isfinite(mu_grid)):
+        raise ValueError("mu_grid must be finite")
     if np.any(np.diff(mu_grid) <= 0):
         raise ValueError("mu_grid must be strictly ascending")
     if mu_grid[0] < 0:
         raise ValueError("mu_grid must be non-negative")
 
-    energies, charges = [], []
-    for mu in mu_grid:
-        energy, charge = _ground_energy_and_charge(spec, float(mu))
-        energies.append(energy)
-        charges.append(charge)
-    charges = np.array(charges, dtype=int)
+    h, sectors = _hamiltonian_sectors(spec)
+    charges = np.arange(spec.n_sites * spec.l_max + 1)
+    lowest = np.array([_solve_sector(h, sectors[m], k=1).eigenvalues[0] for m in charges])
+    energies = lowest[None, :] - mu_grid[:, None] * charges[None, :]
+    ground = np.argmin(energies, axis=1)
 
     critical = None
-    charged = np.flatnonzero(charges >= 1)
-    if len(charged) > 0:
-        hi = mu_grid[charged[0]]
-        lo = mu_grid[charged[0] - 1] if charged[0] > 0 else 0.0
-        critical = _refine_crossing(spec, lo, hi)
+    if np.any(ground >= 1):
+        critical = float(np.min((lowest[1:] - lowest[0]) / charges[1:]))
     return ChargeScan(
         mu_values=mu_grid,
-        ground_charge=charges,
-        ground_energy=np.array(energies),
+        ground_charge=ground,
+        ground_energy=energies.min(axis=1),
         critical_mu=critical,
     )
-
-
-def _refine_crossing(spec: ChainSpec, lo: float, hi: float, tol: float = 2e-11) -> float:
-    # the crossing lies in (lo, hi]; the midpoint of the final bracket is
-    # within tol/2 of it, comfortably inside the 1e-10 contract
-    _, charge_lo = _ground_energy_and_charge(spec, lo)
-    if charge_lo >= 1:
-        return lo
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        _, charge = _ground_energy_and_charge(spec, mid)
-        if charge >= 1:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
 
 
 def _dot_operator(spec: ChainSpec, i: int, j: int):

@@ -198,3 +198,23 @@ class TestSim:
         monkeypatch.setenv("ROTORSIM_MAX_ITER", "1")
         assert run(["sim", "spectrum", "--sites", "7", "--lmax", "1",
                     "--kappa", "0.7", "--k", "2", "--out", tmp_path / "out"]) == 4
+
+    def test_residual_gate_exit_4(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("rotorsim.spectra.RESIDUAL_TOL", 1e-30)
+        assert run(["sim", "gap", "--sites", "2", "--lmax", "1",
+                    "--kappa", "1", "--out", tmp_path / "out"]) == 4
+
+    @pytest.mark.parametrize("flags", [
+        ["--mu-stop", "nan"], ["--mu-stop", "inf"], ["--kappa", "nan"],
+    ])
+    def test_non_finite_input_exit_2(self, tmp_path, flags):
+        out = tmp_path / "out"
+        assert run(["sim", "charge-scan", "--sites", "2", "--lmax", "1",
+                    "--out", out] + flags) == 2
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_non_integral_sites_in_config_exit_2(self, tmp_path):
+        cfg = write_config(tmp_path / "chain.json", {"sites": 2.5, "lmax": 1})
+        out = tmp_path / "out"
+        assert run(["sim", "gap", "--config", cfg, "--out", out]) == 2
+        assert not out.exists()

@@ -39,6 +39,15 @@ class TestChainSpec:
             ChainSpec(n_sites=2, l_max=1, boundary="periodic")
         assert len(ChainSpec(n_sites=3, l_max=1, boundary="periodic").bonds) == 3
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_sites", 2.5), ("n_sites", True), ("n_sites", 2.0), ("l_max", False),
+        ("kappa", math.nan), ("kappa", math.inf), ("mu_tilde", math.nan),
+        ("mu_tilde", -math.inf),
+    ])
+    def test_rejects_non_integral_or_non_finite(self, field, value):
+        with pytest.raises(InvalidSpecError):
+            ChainSpec(**{"n_sites": 2, "l_max": 1, field: value})
+
     def test_rejects_non_unit_axis(self):
         with pytest.raises(InvalidSpecError):
             ChainSpec(n_sites=2, l_max=1, charge_axis=(0.0, 0.0, 2.0))

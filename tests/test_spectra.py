@@ -1,8 +1,18 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from rotorsim.lattice import ChainSpec, build_grand_canonical, build_hamiltonian, sector_decompose
+import rotorsim.spectra
+from rotorsim.lattice import (
+    ChainSpec,
+    build_charge,
+    build_grand_canonical,
+    build_hamiltonian,
+    sector_decompose,
+)
 from rotorsim.spectra import (
+    DEGENERACY_TOL,
     ChargeScan,
     charge_scan,
     correlation,
@@ -19,6 +29,25 @@ def sector_minimum(spec, m):
     h = build_hamiltonian(spec)
     indices = sector_decompose(spec)[m]
     return float(np.linalg.eigvalsh(h.restrict(indices).matrix.toarray().real)[0])
+
+
+def dense_gap(spec):
+    """Independent oracle: gap and degeneracy read off every sector's dense spectrum."""
+    h = build_hamiltonian(spec)
+    levels = np.sort(np.concatenate([
+        np.linalg.eigvalsh(h.restrict(indices).matrix.toarray().real)
+        for indices in sector_decompose(spec).values()
+    ]))
+    e1 = levels[levels > levels[0] + DEGENERACY_TOL][0]
+    return e1 - levels[0], int(np.sum(np.abs(levels - e1) < DEGENERACY_TOL))
+
+
+def grand_canonical_ground(spec, mu):
+    """Independent oracle: ground energy and <Q> of the dense H - mu Q."""
+    gc = replace(spec, mu_tilde=mu)
+    vals, vecs = np.linalg.eigh(build_grand_canonical(gc).matrix.toarray())
+    charge = np.vdot(vecs[:, 0], build_charge(gc).matrix @ vecs[:, 0])
+    return vals[0], charge.real
 
 
 class TestLowestEigenpairs:
@@ -43,6 +72,10 @@ class TestLowestEigenpairs:
         res = lowest_eigenpairs(build_hamiltonian(ChainSpec(3, 1, kappa=1.0)), k=4)
         assert res.residual_norms.max() < 1e-8
         assert res.converged
+
+    def test_explicit_dense_returns_whole_spectrum(self):
+        res = lowest_eigenpairs(build_hamiltonian(ChainSpec(1, 1)), k=4, method="dense")
+        assert np.allclose(res.eigenvalues, [0, 2, 2, 2], atol=1e-12)
 
     def test_rejects_bad_k(self):
         op = build_hamiltonian(ChainSpec(1, 1))
@@ -72,6 +105,11 @@ class TestSpectrum:
         energies = [spectrum(ChainSpec(2, l_max, kappa=1.0), k=1).eigenvalues[0]
                     for l_max in (1, 2, 3)]
         assert energies[0] >= energies[1] >= energies[2]
+
+    @pytest.mark.parametrize("n_sites, method", [(6, "dense"), (7, "iterative")])
+    def test_method_label_says_what_ran(self, n_sites, method):
+        # 6x1 has dimension 4096 but no sector above 924 states
+        assert spectrum(ChainSpec(n_sites, 1, kappa=0.5), k=2).method == method
 
     def test_global_ground_equals_sector_minimum(self):
         spec = ChainSpec(3, 1, kappa=0.9)
@@ -109,6 +147,32 @@ class TestMassGap:
         with pytest.raises(ValueError):
             mass_gap(ChainSpec(2, 1, kappa=0.5, mu_tilde=0.3))
 
+    @pytest.mark.parametrize("spec", [
+        ChainSpec(4, 1, kappa=0.0),
+        ChainSpec(3, 2, kappa=0.0),
+        ChainSpec(2, 3, kappa=0.0),
+        ChainSpec(4, 1, kappa=0.7, boundary="periodic"),
+        ChainSpec(3, 2, kappa=1.3, boundary="periodic"),
+        ChainSpec(3, 2, kappa=0.4),
+        ChainSpec(2, 3, kappa=2.0),
+    ])
+    def test_matches_dense_spectrum_of_every_sector(self, spec):
+        gap, degeneracy = mass_gap(spec)
+        oracle_gap, oracle_degeneracy = dense_gap(spec)
+        assert gap == pytest.approx(oracle_gap, abs=1e-10)
+        assert degeneracy == oracle_degeneracy
+
+    @pytest.mark.parametrize("spec", [
+        ChainSpec(4, 1, kappa=0.7, boundary="periodic"),
+        ChainSpec(3, 2, kappa=1.3),
+    ])
+    def test_iterative_sectors_match_dense_oracle(self, spec, monkeypatch):
+        monkeypatch.setattr(rotorsim.spectra, "DENSE_CUTOFF", 8)
+        gap, degeneracy = mass_gap(spec)
+        oracle_gap, oracle_degeneracy = dense_gap(spec)
+        assert gap == pytest.approx(oracle_gap, abs=1e-10)
+        assert degeneracy == oracle_degeneracy
+
 
 class TestChargeScan:
     def test_below_gap_stays_neutral(self):
@@ -138,6 +202,37 @@ class TestChargeScan:
         assert np.all(steps >= 0)
         first_jump = steps[steps > 0][0]
         assert first_jump == 1
+
+    @pytest.mark.parametrize("spec", [
+        ChainSpec(2, 1, kappa=0.5),
+        ChainSpec(3, 1, kappa=1.0, boundary="periodic"),
+        ChainSpec(2, 2, kappa=1.0, charge_axis=(0.0, 0.6, 0.8)),
+    ])
+    def test_matches_grand_canonical_diagonalization(self, spec):
+        # no grid point lies within 0.1 of a level crossing of these specs
+        grid = np.linspace(0.2, 4.0, 9)
+        result = charge_scan(spec, grid)
+        for mu, charge, energy in zip(grid, result.ground_charge, result.ground_energy):
+            oracle_energy, oracle_charge = grand_canonical_ground(spec, float(mu))
+            assert energy == pytest.approx(oracle_energy, abs=1e-10)
+            assert charge == pytest.approx(oracle_charge, abs=1e-8)
+        first = np.flatnonzero(result.ground_charge >= 1)[0]
+        assert grid[first - 1] < result.critical_mu <= grid[first]
+
+    def test_builds_hamiltonian_once(self, monkeypatch):
+        calls = []
+        for name in ("build_hamiltonian", "build_grand_canonical"):
+            def counted(spec, _build=getattr(rotorsim.spectra, name), _name=name):
+                calls.append(_name)
+                return _build(spec)
+            monkeypatch.setattr(rotorsim.spectra, name, counted)
+        charge_scan(ChainSpec(3, 1, kappa=1.0), np.linspace(0.0, 4.0, 9))
+        assert calls == ["build_hamiltonian"]
+
+    @pytest.mark.parametrize("grid", [[0.0, np.nan], [0.0, np.inf], [np.nan]])
+    def test_rejects_non_finite_grid(self, grid):
+        with pytest.raises(ValueError):
+            charge_scan(ChainSpec(1, 1), grid)
 
     def test_rejects_bad_grid(self):
         spec = ChainSpec(1, 1)
