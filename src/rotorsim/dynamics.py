@@ -3,16 +3,20 @@
 Time is measured in units of hbar/E0. The Hamiltonian along the ramp is
 H(t) = sum_i L_i^2 + kappa(t) * B with B the bond operator, so only a
 single scalar varies and dH/dt = kappa'(t) * B.
+
+H(t) conserves total M and the ramp starts in the M = 0 ground state, so
+everything is computed in that sector, whose size DYNAMICS_DIM_CAP bounds.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .constants import CODATA2018, Constants
 from .design import Geometry, rotational_quantum
-from .lattice import ChainSpec, DimensionCapError, build_interaction, build_kinetic
+from .lattice import (ChainSpec, DimensionCapError, build_interaction, build_kinetic,
+                      sector_decompose)
 
 __all__ = [
     "DYNAMICS_DIM_CAP",
@@ -23,7 +27,8 @@ __all__ = [
     "physical_ramp_time",
 ]
 
-DYNAMICS_DIM_CAP = 2**16
+# M = 0 sector states; K and B are held dense, 134 MB each at the cap
+DYNAMICS_DIM_CAP = 4096
 STEP_ERROR_TOL = 1e-8
 DEGENERATE_GAP = 1e-9
 
@@ -38,6 +43,9 @@ class RampSchedule:
     shape: str = "linear"
 
     def __post_init__(self):
+        for name in ("kappa_start", "kappa_end", "duration"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.duration <= 0:
             raise ValueError(f"duration must be positive, got {self.duration}")
         if self.kappa_start < 0 or self.kappa_end < 0:
@@ -74,115 +82,110 @@ class EvolutionResult:
     trace: list | None = None  # (t, fidelity_to_instantaneous_gs, norm, kappa)
 
 
-def _dense_parts(spec: ChainSpec):
+def _sector_parts(spec: ChainSpec):
+    """K = sum_i L_i^2 and B, dense on the M = 0 sector; the cap is checked first."""
     if spec.mu_tilde != 0.0:
         raise ValueError("ramp dynamics model the interaction switch-on at mu_tilde = 0")
-    if spec.dimension > DYNAMICS_DIM_CAP:
+    # neither K nor B depends on the charge axis
+    z_spec = replace(spec, charge_axis=(0.0, 0.0, 1.0))
+    indices = sector_decompose(z_spec)[0]
+    if len(indices) > DYNAMICS_DIM_CAP:
         raise DimensionCapError(
-            f"dimension {spec.dimension} exceeds the dynamics cap {DYNAMICS_DIM_CAP}"
+            f"M = 0 sector dimension {len(indices)} exceeds the dynamics cap {DYNAMICS_DIM_CAP}"
         )
-    kinetic = build_kinetic(spec).matrix.toarray().real
-    bond = build_interaction(spec).matrix.toarray().real
+    kinetic = build_kinetic(z_spec).restrict(indices).matrix.toarray()
+    bond = build_interaction(z_spec).restrict(indices).matrix.toarray()
     return kinetic, bond
-
-
-def _hamiltonian(kinetic, bond, kappa):
-    return kinetic + kappa * bond
 
 
 def _step(kinetic, bond, schedule, psi, t, dt):
     """Midpoint-exponential step: exactly unitary for any dt."""
-    h = _hamiltonian(kinetic, bond, schedule.kappa(t + 0.5 * dt))
+    h = kinetic + schedule.kappa(t + 0.5 * dt) * bond
     vals, vecs = np.linalg.eigh(h)
     phases = np.exp(-1j * vals * dt)
     return vecs @ (phases * (vecs.conj().T @ psi))
-
-
-def _ground_of(matrix):
-    vals, vecs = np.linalg.eigh(matrix)
-    return vals, vecs
 
 
 def propagate(spec: ChainSpec, schedule: RampSchedule, dt: float,
               record_trace: bool = False, trace_stride: int = 50) -> EvolutionResult:
     """Evolve from the ground state at kappa_start through the ramp.
 
-    Fixed-step unitary stepping with an embedded half-step error
-    estimate; if a step's full/half discrepancy exceeds STEP_ERROR_TOL
-    the step size is halved (globally, to stay deterministic) and the
-    run restarts. The accepted state of each step is the two-half-step
-    result. Fidelity is measured against the exact ground state at
-    kappa_end.
+    Fixed-step unitary stepping in the M = 0 sector with an embedded
+    half-step error estimate; if a step's full/half discrepancy exceeds
+    STEP_ERROR_TOL the step size is halved (globally, to stay
+    deterministic) and the run restarts. The accepted state of each step
+    is the two-half-step result. Fidelity is measured against the exact
+    ground state at kappa_end.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    kinetic, bond = _dense_parts(spec)
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    kinetic, bond = _sector_parts(spec)
 
-    start_vals, start_vecs = _ground_of(_hamiltonian(kinetic, bond, schedule.kappa_start))
+    _, start_vecs = np.linalg.eigh(kinetic + schedule.kappa_start * bond)
     psi0 = start_vecs[:, 0].astype(complex)
-    end_vals, end_vecs = _ground_of(_hamiltonian(kinetic, bond, schedule.kappa_end))
+    _, end_vecs = np.linalg.eigh(kinetic + schedule.kappa_end * bond)
     target = end_vecs[:, 0]
 
     while True:
         n_steps = max(1, math.ceil(schedule.duration / dt))
         step_dt = schedule.duration / n_steps
-        psi = psi0.copy()
-        t = 0.0
-        rejected = False
+        psi, t = psi0, 0.0
         trace = [] if record_trace else None
-        max_ratio = 0.0
         for step in range(n_steps):
             full = _step(kinetic, bond, schedule, psi, t, step_dt)
             half = _step(kinetic, bond, schedule, psi, t, 0.5 * step_dt)
             half = _step(kinetic, bond, schedule, half, t + 0.5 * step_dt, 0.5 * step_dt)
             if np.linalg.norm(full - half) > STEP_ERROR_TOL:
-                rejected = True
                 break
             psi = half
             t += step_dt
             if record_trace and (step % trace_stride == 0 or step == n_steps - 1):
-                vals, vecs = _ground_of(_hamiltonian(kinetic, bond, schedule.kappa(t)))
+                _, vecs = np.linalg.eigh(kinetic + schedule.kappa(t) * bond)
                 fid_inst = abs(np.vdot(vecs[:, 0], psi)) ** 2
                 trace.append((t, fid_inst, float(np.linalg.norm(psi)),
                               schedule.kappa(t)))
-        if rejected:
-            dt = 0.5 * step_dt
-            continue
-        norm = float(np.linalg.norm(psi))
-        fidelity = float(abs(np.vdot(target, psi)) ** 2)
-        try:
-            max_ratio = adiabatic_ratio(spec, schedule, samples=16)[0]
-        except ValueError:
-            max_ratio = float("nan")
-        return EvolutionResult(
-            final_fidelity=fidelity,
-            norm_drift=abs(norm - 1.0),
-            max_adiabatic_ratio=max_ratio,
-            step_count=n_steps,
-            accepted_dt=step_dt,
-            trace=trace,
-        )
+        else:  # every step accepted
+            break
+        dt = 0.5 * step_dt
+
+    norm = float(np.linalg.norm(psi))
+    fidelity = float(abs(np.vdot(target, psi)) ** 2)
+    try:
+        max_ratio = adiabatic_ratio(spec, schedule, samples=16, parts=(kinetic, bond))[0]
+    except ValueError:
+        max_ratio = float("nan")
+    return EvolutionResult(
+        final_fidelity=fidelity,
+        norm_drift=abs(norm - 1.0),
+        max_adiabatic_ratio=max_ratio,
+        step_count=n_steps,
+        accepted_dt=step_dt,
+        trace=trace,
+    )
 
 
-def adiabatic_ratio(spec: ChainSpec, schedule: RampSchedule, samples: int):
+def adiabatic_ratio(spec: ChainSpec, schedule: RampSchedule, samples: int, *,
+                    parts=None):
     """Worst adiabaticity quotient |<psi0| dH/dt |psi1>| / (E1 - E0)^2.
 
     Sampled at `samples` evenly spaced times; the first excited level
     may be degenerate, so the matrix element is taken as the norm of the
     dH/dt image of the ground state projected onto the whole E1
     eigenspace (basis-independent, reduces to the plain matrix element
-    in the non-degenerate case). Returns (max_ratio, time_of_max).
+    in the non-degenerate case). Every SU(2) multiplet has an M = 0
+    member, so the M = 0 sector, or its (K, B) passed as `parts`, gives
+    the whole space's value. Returns (max_ratio, time_of_max).
     """
     if samples < 2:
         raise ValueError(f"need samples >= 2, got {samples}")
-    kinetic, bond = _dense_parts(spec)
+    kinetic, bond = parts if parts is not None else _sector_parts(spec)
     times = np.linspace(0.0, schedule.duration, samples)
     best = (0.0, 0.0)
     for t in times:
         rate = schedule.rate(t)
         if rate == 0.0:
             continue
-        vals, vecs = _ground_of(_hamiltonian(kinetic, bond, schedule.kappa(t)))
+        vals, vecs = np.linalg.eigh(kinetic + schedule.kappa(t) * bond)
         gap = vals[1] - vals[0]
         if gap < DEGENERATE_GAP:
             raise ValueError(f"degenerate gap {gap} at t = {t}")

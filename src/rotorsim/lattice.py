@@ -32,6 +32,7 @@ __all__ = [
     "direction_matrices",
     "angular_momentum_matrices",
     "build_hamiltonian",
+    "direction_dots",
     "build_interaction",
     "build_charge",
     "build_grand_canonical",
@@ -40,7 +41,6 @@ __all__ = [
 
 DIM_CAP_ENV = "ROTORSIM_DIM_CAP"
 DEFAULT_DIM_CAP = 2**21
-HERMITICITY_TOL = 1e-14
 
 
 class InvalidSpecError(ValueError):
@@ -163,10 +163,6 @@ class SparseOperator:
         for k in order:
             yield int(coo.row[k]), int(coo.col[k]), complex(coo.data[k])
 
-    def is_hermitian(self, tol: float = HERMITICITY_TOL) -> bool:
-        diff = self.matrix - self.matrix.getH()
-        return diff.nnz == 0 or abs(diff).max() < tol
-
     def dump_json(self, path):
         """Debug dump: coordinate list (row, col, re, im), row-major."""
         records = [[r, c, v.real, v.imag] for r, c, v in self.entries()]
@@ -263,22 +259,24 @@ def _bond_operator(op_a, op_b, i: int, j: int, n_sites: int, site_dim: int):
     return a @ b
 
 
+def direction_dots(spec: ChainSpec, pairs):
+    """Yield n_i . n_j = n_z n_z + (n_+ n_- + n_- n_+) / 2 for each (i, j) in pairs."""
+    nz, npl, nmi = direction_matrices(spec.l_max)
+    for i, j in pairs:
+        sites = (i, j, spec.n_sites, spec.site_dim)
+        yield (_bond_operator(nz, nz, *sites) + 0.5 * _bond_operator(npl, nmi, *sites)
+               + 0.5 * _bond_operator(nmi, npl, *sites))
+
+
 def build_interaction(spec: ChainSpec) -> SparseOperator:
     """Bond operator sum_<i,j> (2 - 2 n_i . n_j), i.e. dH/dkappa.
 
     Separated out because the time-dependent switching ramp multiplies
     exactly this operator by kappa(t).
     """
-    nz, npl, nmi = direction_matrices(spec.l_max)
-    d = spec.site_dim
     dim = spec.dimension
     total = sp.csr_matrix((dim, dim))
-    for i, j in spec.bonds:
-        dot = (
-            _bond_operator(nz, nz, i, j, spec.n_sites, d)
-            + 0.5 * _bond_operator(npl, nmi, i, j, spec.n_sites, d)
-            + 0.5 * _bond_operator(nmi, npl, i, j, spec.n_sites, d)
-        )
+    for dot in direction_dots(spec, spec.bonds):
         total = total + (2.0 * sp.identity(dim, format="csr") - 2.0 * dot)
     return SparseOperator(dimension=dim, matrix=_clean(total))
 

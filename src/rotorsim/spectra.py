@@ -16,9 +16,8 @@ from .lattice import (
     SparseOperator,
     build_grand_canonical,
     build_hamiltonian,
-    direction_matrices,
+    direction_dots,
     sector_decompose,
-    _bond_operator,
 )
 
 __all__ = [
@@ -100,16 +99,28 @@ def lowest_eigenpairs(op: SparseOperator, k: int, tol: float = 0.0,
     method defaults to "dense" for dimension <= DENSE_CUTOFF and
     "iterative" (implicitly restarted Lanczos with reorthogonalization,
     deterministic start vector) above; pass it explicitly to override.
-    Only an explicit "dense" may take k = dimension. A residual norm
-    above RESIDUAL_TOL raises NonConvergenceError.
+    An iterative solve of a diagonal operator becomes "diagonal": the
+    levels are its sorted diagonal, the vectors unit vectors, because
+    Lanczos from one start vector cannot resolve exactly degenerate
+    levels. Only an explicit "dense" may take k = dimension. A residual
+    norm above RESIDUAL_TOL raises NonConvergenceError.
     """
     dim = op.dimension
     if not 1 <= k <= dim or (k == dim and method != "dense"):
         raise ValueError(f"need 1 <= k < dimension, got k={k}, dimension={dim}")
     if method is None:
         method = "dense" if dim <= DENSE_CUTOFF else "iterative"
+    # no stored off-diagonal nonzero; count_nonzero() would sort op in place
+    if method == "iterative" and (np.count_nonzero(op.matrix.data)
+                                  == np.count_nonzero(op.matrix.diagonal())):
+        method = "diagonal"
 
-    if method == "dense":
+    if method == "diagonal":
+        diagonal = op.matrix.diagonal().real
+        order = np.argsort(diagonal, kind="stable")[:k]
+        vals, vecs = diagonal[order], np.zeros((dim, k))
+        vecs[order, np.arange(k)] = 1.0
+    elif method == "dense":
         dense = op.matrix.toarray()
         if np.iscomplexobj(dense) and np.abs(dense.imag).max() == 0.0:
             dense = dense.real
@@ -170,7 +181,8 @@ def spectrum(spec: ChainSpec, k: int) -> SpectrumResult:
 
     Solved per charge sector, so degenerate levels carry exact integer
     labels rather than whatever mixture a blind eigensolver returns.
-    method is "dense" only if every sector was solved densely.
+    method is "dense" only if every sector was solved densely,
+    "iterative" if Lanczos ran on any, and "diagonal" otherwise.
     """
     h = build_grand_canonical(spec)
     levels = []  # (energy, M, vector-in-sector, indices, residual)
@@ -190,7 +202,7 @@ def spectrum(spec: ChainSpec, k: int) -> SpectrumResult:
         eigenvalues=np.array([e for e, *_ in levels]),
         eigenvectors=vecs,
         residual_norms=np.array([r for *_, r in levels]),
-        method="dense" if methods == {"dense"} else "iterative",
+        method=max(methods, key=("dense", "diagonal", "iterative").index),
         converged=True,
         sector_labels=np.array([m for _, m, *_ in levels]),
     )
@@ -295,16 +307,6 @@ def charge_scan(spec: ChainSpec, mu_grid) -> ChargeScan:
     )
 
 
-def _dot_operator(spec: ChainSpec, i: int, j: int):
-    nz, npl, nmi = direction_matrices(spec.l_max)
-    d = spec.site_dim
-    return (
-        _bond_operator(nz, nz, i, j, spec.n_sites, d)
-        + 0.5 * _bond_operator(npl, nmi, i, j, spec.n_sites, d)
-        + 0.5 * _bond_operator(nmi, npl, i, j, spec.n_sites, d)
-    )
-
-
 def correlation(spec: ChainSpec, i: int, j: int) -> float:
     """Ground-state <n_i . n_j> at mu_tilde = 0; real by construction."""
     if spec.mu_tilde != 0.0:
@@ -312,7 +314,8 @@ def correlation(spec: ChainSpec, i: int, j: int) -> float:
     if not (0 <= i < spec.n_sites and 0 <= j < spec.n_sites):
         raise ValueError(f"site indices out of range: ({i}, {j})")
     _, vec = ground_state(spec)
-    value = np.vdot(vec, _dot_operator(spec, i, j) @ vec)
+    (op,) = direction_dots(spec, [(i, j)])
+    value = np.vdot(vec, op @ vec)
     if abs(value.imag) > 1e-12:
         raise RuntimeError(f"correlation acquired an imaginary part: {value}")
     return float(value.real)
@@ -330,11 +333,8 @@ def correlation_profile(spec: ChainSpec) -> CorrelationProfile:
     center = (spec.n_sites - 1) // 2
     _, vec = ground_state(spec)
     distances = np.arange(0, spec.n_sites - center)
-    values = []
-    for d in distances:
-        op = _dot_operator(spec, center, center + d) if d else _dot_operator(spec, center, center)
-        values.append(float(np.real(np.vdot(vec, op @ vec))))
-    values = np.array(values)
+    ops = direction_dots(spec, [(center, center + d) for d in distances])
+    values = np.array([float(np.real(np.vdot(vec, op @ vec))) for op in ops])
 
     fitted_xi, quality = _fit_exponential(distances[1:], values[1:])
     return CorrelationProfile(

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -211,6 +212,27 @@ class TestSim:
         out = tmp_path / "out"
         assert run(["sim", "charge-scan", "--sites", "2", "--lmax", "1",
                     "--out", out] + flags) == 2
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("flags", [
+        ["--duration", "inf"], ["--kappa-end", "nan"], ["--kappa-end", "inf"],
+        ["--dt", "nan"], ["--dt", "inf"],
+    ])
+    def test_non_finite_ramp_input_exit_2(self, tmp_path, capsys, flags):
+        out = tmp_path / "out"
+        assert run(["sim", "ramp", "--sites", "2", "--lmax", "1",
+                    "--out", out] + flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "must be" in err
+        assert "Traceback" not in err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_ramp_cap_on_m0_sector_exit_5(self, tmp_path):
+        # 65536 states in all, 12870 at M = 0: refused before anything is built
+        out = tmp_path / "out"
+        start = time.perf_counter()
+        assert run(["sim", "ramp", "--sites", "8", "--lmax", "1", "--out", out]) == 5
+        assert time.perf_counter() - start < 10.0
         assert not out.exists() or not any(out.iterdir())
 
     def test_non_integral_sites_in_config_exit_2(self, tmp_path):

@@ -1,11 +1,49 @@
+import math
+
 import numpy as np
 import pytest
 
-from rotorsim.dynamics import RampSchedule, adiabatic_ratio, physical_ramp_time, propagate
-from rotorsim.lattice import ChainSpec, DimensionCapError
+import rotorsim.dynamics
+from rotorsim.dynamics import (
+    STEP_ERROR_TOL,
+    RampSchedule,
+    adiabatic_ratio,
+    physical_ramp_time,
+    propagate,
+)
+from rotorsim.lattice import ChainSpec, DimensionCapError, build_interaction, build_kinetic
 
 
 TWO_SITE = ChainSpec(2, 1, kappa=0.0)
+
+
+def full_space_ramp(spec, schedule, dt, trace_stride):
+    """The midpoint-exponential ramp in the whole product space, no sectors."""
+    kinetic = build_kinetic(spec).matrix.toarray()
+    bond = build_interaction(spec).matrix.toarray()
+
+    def ground(kappa):
+        return np.linalg.eigh(kinetic + kappa * bond)[1][:, 0]
+
+    def step(psi, t, h):
+        vals, vecs = np.linalg.eigh(kinetic + schedule.kappa(t + 0.5 * h) * bond)
+        return vecs @ (np.exp(-1j * vals * h) * (vecs.conj().T @ psi))
+
+    while True:
+        n_steps = max(1, math.ceil(schedule.duration / dt))
+        h = schedule.duration / n_steps
+        psi, t, trace = ground(schedule.kappa_start).astype(complex), 0.0, []
+        for i in range(n_steps):
+            half = step(step(psi, t, 0.5 * h), t + 0.5 * h, 0.5 * h)
+            if np.linalg.norm(step(psi, t, h) - half) > STEP_ERROR_TOL:
+                dt = 0.5 * h
+                break
+            psi, t = half, t + h
+            if i % trace_stride == 0 or i == n_steps - 1:
+                fid = abs(np.vdot(ground(schedule.kappa(t)), psi)) ** 2
+                trace.append((t, fid, np.linalg.norm(psi), schedule.kappa(t)))
+        else:
+            return abs(np.vdot(ground(schedule.kappa_end), psi)) ** 2, n_steps, h, trace
 
 
 class TestRampSchedule:
@@ -22,6 +60,13 @@ class TestRampSchedule:
         assert ramp.kappa(0.0) == pytest.approx(0.1)
         assert ramp.kappa(10.0) == pytest.approx(0.7)
         assert ramp.rate(5.0) == pytest.approx(0.06)
+
+    @pytest.mark.parametrize("field", ["kappa_start", "kappa_end", "duration"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite(self, field, value):
+        args = {"kappa_start": 0.0, "kappa_end": 0.5, "duration": 1.0, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            RampSchedule(**args)
 
     def test_smoothstep_flat_endpoints(self):
         ramp = RampSchedule(0.0, 1.0, duration=4.0, shape="smoothstep")
@@ -77,10 +122,57 @@ class TestPropagate:
             propagate(ChainSpec(2, 1, mu_tilde=0.5),
                       RampSchedule(0.0, 0.5, duration=1.0), dt=0.1)
 
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_dt(self, dt):
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            propagate(TWO_SITE, RampSchedule(0.0, 0.5, duration=1.0), dt=dt)
+
     def test_dimension_cap(self):
         with pytest.raises(DimensionCapError):
             propagate(ChainSpec(6, 2, kappa=0.0),
                       RampSchedule(0.0, 0.5, duration=1.0), dt=0.1)
+
+    @pytest.mark.parametrize("n_sites, admitted", [(7, True), (8, False)])
+    def test_cap_applies_to_m0_sector_before_building(self, n_sites, admitted, monkeypatch):
+        # 7x1 has 3432 states at M = 0, 8x1 has 12870 (of 65536 in all)
+        class Built(Exception):
+            pass
+
+        def refuse(spec):
+            raise Built
+
+        monkeypatch.setattr(rotorsim.dynamics, "build_kinetic", refuse)
+        monkeypatch.setattr(rotorsim.dynamics, "build_interaction", refuse)
+        ramp = RampSchedule(0.0, 0.5, duration=1.0)
+        with pytest.raises(Built if admitted else DimensionCapError):
+            propagate(ChainSpec(n_sites, 1), ramp, dt=0.1)
+
+
+class TestSectorPropagator:
+    """The M = 0 propagator against the same stepping in the full space."""
+
+    @pytest.mark.parametrize("spec", [ChainSpec(3, 1), ChainSpec(2, 2)])
+    @pytest.mark.parametrize("schedule", [
+        RampSchedule(0.0, 0.6, duration=1.5),
+        RampSchedule(0.1, 0.9, duration=1.5, shape="smoothstep"),
+    ])
+    def test_matches_full_space(self, spec, schedule):
+        result = propagate(spec, schedule, dt=0.3, record_trace=True, trace_stride=2)
+        fidelity, n_steps, step_dt, trace = full_space_ramp(spec, schedule, 0.3, 2)
+        assert result.step_count == n_steps
+        assert result.accepted_dt == step_dt
+        assert result.accepted_dt < 0.3  # the error test halved dt at least once
+        assert result.final_fidelity == pytest.approx(fidelity, abs=1e-12)
+        assert len(result.trace) == len(trace)
+        for row, oracle_row in zip(result.trace, trace):
+            assert row == pytest.approx(oracle_row, abs=1e-12)
+
+    def test_charge_axis_does_not_enter(self):
+        schedule = RampSchedule(0.0, 0.6, duration=1.5)
+        z = propagate(ChainSpec(3, 1), schedule, dt=0.3, record_trace=True)
+        tilted = propagate(ChainSpec(3, 1, charge_axis=(0.6, 0.0, 0.8)), schedule,
+                           dt=0.3, record_trace=True)
+        assert tilted == z
 
 
 class TestAdiabaticRatio:

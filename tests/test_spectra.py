@@ -77,6 +77,16 @@ class TestLowestEigenpairs:
         res = lowest_eigenpairs(build_hamiltonian(ChainSpec(1, 1)), k=4, method="dense")
         assert np.allclose(res.eigenvalues, [0, 2, 2, 2], atol=1e-12)
 
+    def test_diagonal_operator_read_off_its_diagonal(self):
+        # Lanczos from one start vector misses exactly degenerate levels
+        op = build_hamiltonian(ChainSpec(5, 1, kappa=0.0))
+        res = lowest_eigenpairs(op, k=8, method="iterative")
+        assert res.method == "diagonal"
+        assert np.array_equal(res.eigenvalues, [0.0] + [2.0] * 7)
+        assert np.array_equal(np.sort(np.abs(res.eigenvectors), axis=0)[-1], np.ones(8))
+        assert np.array_equal(res.eigenvectors.T @ res.eigenvectors, np.eye(8))
+        assert res.residual_norms.max() == 0.0
+
     def test_rejects_bad_k(self):
         op = build_hamiltonian(ChainSpec(1, 1))
         with pytest.raises(ValueError):
@@ -111,6 +121,10 @@ class TestSpectrum:
         # 6x1 has dimension 4096 but no sector above 924 states
         assert spectrum(ChainSpec(n_sites, 1, kappa=0.5), k=2).method == method
 
+    def test_method_label_of_diagonal_sectors(self):
+        # at kappa = 0 the 7x1 sectors above DENSE_CUTOFF are read off the diagonal
+        assert spectrum(ChainSpec(7, 1, kappa=0.0), k=2).method == "diagonal"
+
     def test_global_ground_equals_sector_minimum(self):
         spec = ChainSpec(3, 1, kappa=0.9)
         global_ground = spectrum(spec, k=1).eigenvalues[0]
@@ -122,6 +136,14 @@ class TestSpectrum:
 class TestMassGap:
     @pytest.mark.parametrize("n_sites", [1, 2, 3, 4])
     def test_free_chain(self, n_sites):
+        gap, degeneracy = mass_gap(ChainSpec(n_sites, 1, kappa=0.0))
+        assert gap == pytest.approx(2.0, abs=1e-12)
+        assert degeneracy == 3 * n_sites
+
+    @pytest.mark.parametrize("n_sites", [7, 8])
+    def test_free_chain_with_sectors_above_dense_cutoff(self, n_sites):
+        # H is diagonal at kappa = 0 and its M = 0 sector (3432 and 12870
+        # states) is too large for dense eigh; E1 = 2 is 3N-fold
         gap, degeneracy = mass_gap(ChainSpec(n_sites, 1, kappa=0.0))
         assert gap == pytest.approx(2.0, abs=1e-12)
         assert degeneracy == 3 * n_sites
