@@ -140,6 +140,8 @@ def cmd_design_scan(args) -> int:
     geom, env = _resolve_geometry(args)
     try:
         rows = design.scan(geom, env, args.parameter, args.start, args.stop, args.steps)
+    except DimensionCapError as exc:
+        raise CliError(EXIT_RESOURCE_CAP, str(exc))
     except DesignError as exc:
         raise CliError(EXIT_INVALID, str(exc))
     out = _outdir(args)

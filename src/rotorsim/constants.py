@@ -1,6 +1,8 @@
 """Physical constants (CODATA 2018, SI units)."""
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 
 @dataclass(frozen=True)
@@ -24,18 +26,17 @@ class Constants:
             if not value > 0.0:
                 raise ValueError(f"constant {name} must be positive, got {value}")
 
-    @property
+    @cached_property
     def coulomb_factor(self) -> float:
         """e^2 / (4 pi eps0), in J m."""
-        import math
         return self.electron_charge**2 / (4.0 * math.pi * self.vacuum_permittivity)
 
-    @property
+    @cached_property
     def classical_electron_radius(self) -> float:
         """e^2 / (4 pi eps0 m c0^2), in m."""
         return self.coulomb_factor / (self.electron_mass * self.light_speed**2)
 
-    @property
+    @cached_property
     def bohr_radius(self) -> float:
         """4 pi eps0 hbar^2 / (m e^2), in m."""
         return self.hbar**2 / (self.electron_mass * self.coulomb_factor)

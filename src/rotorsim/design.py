@@ -7,6 +7,11 @@ checks every validity condition the design has to satisfy.
 
 All inputs and outputs are SI; dimensionless quantities are labeled as
 such in the field names.
+
+Primitive formulas (capacitance_denominator, interaction_strength, effective_speed,
+effective_coupling, rotational_quantum, chemical_potential) read the geometry;
+effective_params calls each once and derives the rest, which dynamical_scale,
+rotor_coupling, gap_energy_and_temperature and critical_field read from it.
 """
 
 import math
@@ -15,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import CODATA2018, Constants
+from .lattice import DimensionCapError
 
 __all__ = [
     "DesignError",
@@ -40,6 +46,7 @@ __all__ = [
     "feasibility",
     "scan",
     "SCAN_PARAMETERS",
+    "SCAN_STEPS_CAP",
 ]
 
 PASS = "pass"
@@ -55,6 +62,8 @@ INDUCTANCE_PASS = 0.01
 INDUCTANCE_WARN = 0.1
 TEMPERATURE_PASS = 0.1
 TEMPERATURE_WARN = 0.5
+# grid points per scan; every row is held in memory and written twice
+SCAN_STEPS_CAP = 100_000
 
 
 class DesignError(ValueError):
@@ -203,8 +212,7 @@ def dynamical_scale(geom: Geometry, constants: Constants = CODATA2018) -> float:
     The scheme constant is a convention; downstream checks treat this
     value as reliable to a factor of ~2 only.
     """
-    g = effective_coupling(geom, constants)
-    return math.exp(-2.0 * math.pi / g**2) / geom.lattice_spacing
+    return effective_params(geom, constants).dynamical_scale
 
 
 def rotational_quantum(geom: Geometry, constants: Constants = CODATA2018) -> float:
@@ -219,19 +227,13 @@ def rotor_coupling(geom: Geometry, constants: Constants = CODATA2018) -> float:
 
     Satisfies kappa * g_eff^4 = 9 identically (N=3 continuum matching).
     """
-    return (
-        2.0
-        * interaction_strength(geom, constants)
-        * constants.electron_mass
-        * geom.insulating_sphere_radius**4
-        / constants.hbar**2
-    )
+    return effective_params(geom, constants).rotor_coupling
 
 
 def gap_energy_and_temperature(geom: Geometry, constants: Constants = CODATA2018):
     """Mass gap hbar * c_eff * Lambda, returned as (J, K)."""
-    gap = constants.hbar * effective_speed(geom, constants) * dynamical_scale(geom, constants)
-    return gap, gap / constants.boltzmann
+    eff = effective_params(geom, constants)
+    return eff.gap_energy, eff.gap_temperature
 
 
 def energy_level(ell: int, geom: Geometry, constants: Constants = CODATA2018) -> float:
@@ -256,17 +258,15 @@ def critical_field(geom: Geometry, constants: Constants = CODATA2018) -> float:
 
     Order estimate only: the prefactor is fixed at 1.
     """
-    return (
-        constants.electron_mass
-        * effective_speed(geom, constants)
-        * dynamical_scale(geom, constants)
-        / constants.electron_charge
-    )
+    return effective_params(geom, constants).critical_field
 
 
 def inductance_ratio(geom: Geometry, constants: Constants = CODATA2018) -> float:
     """Relative size of the wire-inductance kinetic terms (must be << 1)."""
-    c_eff = effective_speed(geom, constants)
+    return _inductance_ratio(geom, effective_speed(geom, constants), constants)
+
+
+def _inductance_ratio(geom, c_eff, constants):
     return (
         4.0
         * (geom.conducting_sphere_radius / geom.lattice_spacing)
@@ -283,11 +283,15 @@ def second_order_zeeman_ratio(magnetic_field: float, geom: Geometry,
     """
     if magnetic_field < 0:
         raise DesignError("magnetic_field", f"must be non-negative, got {magnetic_field!r}")
+    gap = effective_params(geom, constants).gap_energy
+    return _second_order_zeeman_ratio(magnetic_field, geom, gap, constants)
+
+
+def _second_order_zeeman_ratio(magnetic_field, geom, gap, constants):
     vector_potential = magnetic_field * geom.insulating_sphere_radius / 3.0
     quadratic = (constants.electron_charge * vector_potential) ** 2 / (
         2.0 * constants.electron_mass
     )
-    gap, _ = gap_energy_and_temperature(geom, constants)
     if quadratic == 0.0:
         return 0.0
     return quadratic / gap if gap > 0.0 else math.inf
@@ -313,7 +317,10 @@ def hierarchy_report(geom: Geometry, constants: Constants = CODATA2018):
     The excitation wavelength lambda is identified with 1/Lambda.
     Returns a list of (name, ratio, verdict); ratios should be large.
     """
-    scale = dynamical_scale(geom, constants)
+    return _hierarchy(geom, dynamical_scale(geom, constants))
+
+
+def _hierarchy(geom, scale):
     # the scale underflows to zero deep in the weak-coupling regime; an
     # infinite wavelength trivially satisfies lambda >> dx
     wavelength = 1.0 / scale if scale > 0.0 else math.inf
@@ -332,28 +339,42 @@ def hierarchy_report(geom: Geometry, constants: Constants = CODATA2018):
 
 
 def effective_params(geom: Geometry, constants: Constants = CODATA2018) -> EffectiveParams:
-    """Evaluate every derived parameter for one geometry."""
-    gap, gap_temp = gap_energy_and_temperature(geom, constants)
+    """Evaluate every derived parameter for one geometry, each formula once."""
+    strength = interaction_strength(geom, constants)
+    speed = effective_speed(geom, constants)
+    coupling = effective_coupling(geom, constants)
+    scale = math.exp(-2.0 * math.pi / coupling**2) / geom.lattice_spacing
+    gap = constants.hbar * speed * scale
     return EffectiveParams(
-        interaction_strength=interaction_strength(geom, constants),
-        effective_speed=effective_speed(geom, constants),
-        effective_coupling=effective_coupling(geom, constants),
-        dynamical_scale=dynamical_scale(geom, constants),
+        interaction_strength=strength,
+        effective_speed=speed,
+        effective_coupling=coupling,
+        dynamical_scale=scale,
         rotational_quantum=rotational_quantum(geom, constants),
-        rotor_coupling=rotor_coupling(geom, constants),
+        rotor_coupling=(2.0 * strength * constants.electron_mass
+                        * geom.insulating_sphere_radius**4 / constants.hbar**2),
         gap_energy=gap,
-        gap_temperature=gap_temp,
-        critical_field=critical_field(geom, constants),
+        gap_temperature=gap / constants.boltzmann,
+        critical_field=constants.electron_mass * speed * scale / constants.electron_charge,
     )
 
 
 def feasibility(geom: Geometry, env: Environment,
                 constants: Constants = CODATA2018) -> FeasibilityReport:
     """Full design check: effective parameters plus every validity condition."""
-    eff = effective_params(geom, constants)
-    hierarchy = hierarchy_report(geom, constants)
+    # arithmetic that leaves the float range is invalid input, not a crash
+    try:
+        eff = effective_params(geom, constants)
+        hierarchy = _hierarchy(geom, eff.dynamical_scale)
+        ind_ratio = _inductance_ratio(geom, eff.effective_speed, constants)
+    except (ZeroDivisionError, OverflowError):
+        raise DesignError("geometry", f"formulas divide by zero or overflow for {geom}") from None
+    try:
+        zeeman = _second_order_zeeman_ratio(env.magnetic_field, geom, eff.gap_energy, constants)
+    except OverflowError:
+        raise DesignError("magnetic_field", f"Zeeman term overflows at {env.magnetic_field!r} T"
+                          ) from None
 
-    ind_ratio = inductance_ratio(geom, constants)
     ind_verdict = _verdict(ind_ratio, INDUCTANCE_PASS, INDUCTANCE_WARN, larger_is_better=False)
 
     thermal = constants.boltzmann * env.temperature
@@ -382,7 +403,7 @@ def feasibility(geom: Geometry, env: Environment,
         temperature_ratio=temp_ratio,
         temperature_verdict=temp_verdict,
         chemical_potential=chemical_potential(env.magnetic_field, geom, constants),
-        second_order_zeeman_ratio=second_order_zeeman_ratio(env.magnetic_field, geom, constants),
+        second_order_zeeman_ratio=zeeman,
         overall_verdict=overall,
     )
 
@@ -412,6 +433,10 @@ def scan(geom: Geometry, env: Environment, parameter: str, start: float, stop: f
                           f"choose one of {sorted(SCAN_PARAMETERS)}")
     if steps < 2:
         raise DesignError("steps", f"need at least 2 steps, got {steps}")
+    if steps > SCAN_STEPS_CAP:
+        raise DimensionCapError(f"{steps} scan steps exceed the scan cap {SCAN_STEPS_CAP}")
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise DesignError("range", f"need a finite range, got [{start}, {stop}]")
     if stop <= start:
         raise DesignError("range", f"need stop > start, got [{start}, {stop}]")
     target, attr = SCAN_PARAMETERS[parameter]

@@ -6,6 +6,7 @@ single scalar varies and dH/dt = kappa'(t) * B.
 
 H(t) conserves total M and the ramp starts in the M = 0 ground state, so
 everything is computed in that sector, whose size DYNAMICS_DIM_CAP bounds.
+DYNAMICS_STEP_CAP bounds the number of time steps.
 """
 
 import math
@@ -20,6 +21,7 @@ from .lattice import (ChainSpec, DimensionCapError, build_interaction, build_kin
 
 __all__ = [
     "DYNAMICS_DIM_CAP",
+    "DYNAMICS_STEP_CAP",
     "RampSchedule",
     "EvolutionResult",
     "propagate",
@@ -29,6 +31,8 @@ __all__ = [
 
 # M = 0 sector states; K and B are held dense, 134 MB each at the cap
 DYNAMICS_DIM_CAP = 4096
+# steps per ramp, checked before anything is built and after each dt halving
+DYNAMICS_STEP_CAP = 1_000_000
 STEP_ERROR_TOL = 1e-8
 DEGENERATE_GAP = 1e-9
 
@@ -98,6 +102,13 @@ def _sector_parts(spec: ChainSpec):
     return kinetic, bond
 
 
+def _step_count(duration, dt):
+    steps = duration / dt
+    if not steps <= DYNAMICS_STEP_CAP:
+        raise DimensionCapError(f"{steps:.6g} time steps exceed the step cap {DYNAMICS_STEP_CAP}")
+    return max(1, math.ceil(steps))
+
+
 def _step(kinetic, bond, schedule, psi, t, dt):
     """Midpoint-exponential step: exactly unitary for any dt."""
     h = kinetic + schedule.kappa(t + 0.5 * dt) * bond
@@ -113,12 +124,14 @@ def propagate(spec: ChainSpec, schedule: RampSchedule, dt: float,
     Fixed-step unitary stepping in the M = 0 sector with an embedded
     half-step error estimate; if a step's full/half discrepancy exceeds
     STEP_ERROR_TOL the step size is halved (globally, to stay
-    deterministic) and the run restarts. The accepted state of each step
-    is the two-half-step result. Fidelity is measured against the exact
-    ground state at kappa_end.
+    deterministic) and the run restarts, unless the step count would pass
+    DYNAMICS_STEP_CAP (DimensionCapError). The accepted state of each
+    step is the two-half-step result. Fidelity is measured against the
+    exact ground state at kappa_end.
     """
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be positive and finite, got {dt}")
+    _step_count(schedule.duration, dt)  # refuse before anything is built
     kinetic, bond = _sector_parts(spec)
 
     _, start_vecs = np.linalg.eigh(kinetic + schedule.kappa_start * bond)
@@ -127,7 +140,7 @@ def propagate(spec: ChainSpec, schedule: RampSchedule, dt: float,
     target = end_vecs[:, 0]
 
     while True:
-        n_steps = max(1, math.ceil(schedule.duration / dt))
+        n_steps = _step_count(schedule.duration, dt)
         step_dt = schedule.duration / n_steps
         psi, t = psi0, 0.0
         trace = [] if record_trace else None

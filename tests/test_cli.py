@@ -1,10 +1,16 @@
 import json
+import math
+import tempfile
 import time
+import warnings
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rotorsim import bundled_config
 from rotorsim.cli import main
+from rotorsim.design import SCAN_PARAMETERS, SCAN_STEPS_CAP
 
 
 def run(argv):
@@ -240,3 +246,81 @@ class TestSim:
         out = tmp_path / "out"
         assert run(["sim", "gap", "--config", cfg, "--out", out]) == 2
         assert not out.exists()
+
+
+def assert_refused(argv, capsys, code):
+    """Exit `code` within 10 s with an error line, no traceback, no output file."""
+    out_dir = argv[argv.index("--out") + 1]
+    start = time.perf_counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv) == code
+    assert time.perf_counter() - start < 10.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out_dir.exists() or not any(out_dir.iterdir())
+
+
+class TestCapsAndExtremeInput:
+    def test_ramp_step_cap_exit_5(self, tmp_path, capsys):
+        assert_refused(["sim", "ramp", "--sites", "2", "--lmax", "1", "--duration", "1e300",
+                        "--out", tmp_path / "out"], capsys, 5)
+
+    def test_scan_steps_cap_exit_5(self, micro_config, tmp_path, capsys):
+        assert_refused(["design", "scan", "--config", micro_config, "--parameter", "gamma_m",
+                        "--start", "2e-6", "--stop", "3e-6", "--steps", "1000000000000",
+                        "--out", tmp_path / "out"], capsys, 5)
+
+    @pytest.mark.parametrize("flags", [
+        ["scan", "--parameter", "gamma_m", "--start", "1e-300", "--stop", "1e300",
+         "--steps", "5"],
+        ["report", "--gamma", "1e-300"],
+        ["report", "--magnetic-field", "1e300"],
+        ["scan", "--parameter", "magnetic_field_T", "--start", "0", "--stop", "1e300",
+         "--steps", "5"],
+        ["scan", "--parameter", "gamma_m", "--start", "2e-6", "--stop", "inf", "--steps", "5"],
+        ["scan", "--parameter", "gamma_m", "--start", "nan", "--stop", "3e-6", "--steps", "5"],
+    ])
+    def test_extreme_design_input_exit_2(self, micro_config, tmp_path, capsys, flags):
+        assert_refused(["design", flags[0], "--config", micro_config] + flags[1:]
+                       + ["--out", tmp_path / "out"], capsys, 2)
+
+
+EXTREME_FLOATS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, 1e-300, 1e300, -1e300,
+                     5e-324, 1.7e308]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(min_value=1e-9, max_value=1e-5),
+)
+# small grids, or grids past the cap, which are refused before they are built
+SCAN_STEPS = st.one_of(st.integers(2, 6), st.integers(-2, 1),
+                       st.integers(SCAN_STEPS_CAP + 1, 10**13))
+GEOMETRY_FLAGS = ["--delta", "--rho", "--alpha", "--gamma", "--dx",
+                  "--temperature", "--magnetic-field"]
+
+
+@st.composite
+def design_argv(draw):
+    overrides = draw(st.dictionaries(st.sampled_from(GEOMETRY_FLAGS), EXTREME_FLOATS,
+                                     max_size=2))
+    argv = ["--config", str(bundled_config(draw(st.sampled_from(["micro", "nano"]))))]
+    for flag, value in overrides.items():
+        argv.append(f"{flag}={value!r}")  # "=" keeps argparse off "-inf"
+    if draw(st.booleans()):
+        return ["design", "report"] + argv
+    parameter = draw(st.sampled_from(sorted(SCAN_PARAMETERS) + ["voltage_V"]))
+    start = draw(EXTREME_FLOATS)
+    stop = draw(st.one_of(EXTREME_FLOATS, st.floats(1.0, 1e6).map(lambda f: f * start)))
+    return (["design", "scan", "--parameter", parameter, f"--start={start!r}",
+             f"--stop={stop!r}", f"--steps={draw(SCAN_STEPS)}"] + argv)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(design_argv())
+def test_design_cli_exit_codes_property(argv):
+    with tempfile.TemporaryDirectory() as out:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = main(argv + ["--out", out])
+    assert code in (0, 2, 3, 5)

@@ -355,3 +355,200 @@ class TestScan:
     def test_rejects_too_few_steps(self, micro):
         with pytest.raises(DesignError):
             scan(micro, Environment(), "gamma_m", 1e-6, 2e-6, 1)
+
+
+def oracle_feasibility(geom, env, constants=CODATA2018):
+    """Reference composition: every derived quantity rebuilt from the primitive
+    formulas, with the expressions feasibility must reproduce bit for bit."""
+    def scale():
+        g = effective_coupling(geom, constants)
+        return math.exp(-2.0 * math.pi / g**2) / geom.lattice_spacing
+
+    def gap():
+        return constants.hbar * effective_speed(geom, constants) * scale()
+
+    kappa = (2.0 * interaction_strength(geom, constants) * constants.electron_mass
+             * geom.insulating_sphere_radius**4 / constants.hbar**2)
+    b_crit = (constants.electron_mass * effective_speed(geom, constants) * scale()
+              / constants.electron_charge)
+    eff = design.EffectiveParams(
+        interaction_strength=interaction_strength(geom, constants),
+        effective_speed=effective_speed(geom, constants),
+        effective_coupling=effective_coupling(geom, constants),
+        dynamical_scale=scale(),
+        rotational_quantum=rotational_quantum(geom, constants),
+        rotor_coupling=kappa,
+        gap_energy=gap(),
+        gap_temperature=gap() / constants.boltzmann,
+        critical_field=b_crit,
+    )
+    wavelength = 1.0 / scale() if scale() > 0.0 else math.inf
+    ratios = [
+        ("lambda/dx", wavelength / geom.lattice_spacing),
+        ("dx/gamma", geom.lattice_spacing / geom.sphere_gap),
+        ("gamma/rho", geom.sphere_gap / geom.insulating_sphere_radius),
+        ("gamma/alpha", geom.sphere_gap / geom.conducting_sphere_radius),
+        ("rho/delta", geom.insulating_sphere_radius / geom.wire_radius),
+        ("alpha/delta", geom.conducting_sphere_radius / geom.wire_radius),
+    ]
+    hierarchy = tuple((name, r, design._verdict(r, design.HIERARCHY_PASS,
+                                                design.HIERARCHY_WARN))
+                      for name, r in ratios)
+    ind_ratio = (4.0 * (geom.conducting_sphere_radius / geom.lattice_spacing)
+                 * (effective_speed(geom, constants) / constants.light_speed) ** 2
+                 * math.log(geom.lattice_spacing / geom.wire_radius))
+    ind_verdict = design._verdict(ind_ratio, design.INDUCTANCE_PASS, design.INDUCTANCE_WARN,
+                                  larger_is_better=False)
+    thermal = constants.boltzmann * env.temperature
+    if thermal == 0.0:
+        temp_ratio = 0.0
+    else:
+        temp_ratio = thermal / gap() if gap() > 0.0 else math.inf
+    temp_verdict = design._verdict(temp_ratio, design.TEMPERATURE_PASS,
+                                   design.TEMPERATURE_WARN, larger_is_better=False)
+    vector_potential = env.magnetic_field * geom.insulating_sphere_radius / 3.0
+    quadratic = ((constants.electron_charge * vector_potential) ** 2
+                 / (2.0 * constants.electron_mass))
+    if quadratic == 0.0:
+        zeeman = 0.0
+    else:
+        zeeman = quadratic / gap() if gap() > 0.0 else math.inf
+    verdicts = [v for _, _, v in hierarchy] + [ind_verdict, temp_verdict]
+    overall = next((v for v in ("fail", "warn") if v in verdicts), "pass")
+    return design.FeasibilityReport(
+        effective=eff,
+        hierarchy_ratios=hierarchy,
+        inductance_ratio=ind_ratio,
+        inductance_verdict=ind_verdict,
+        temperature_ratio=temp_ratio,
+        temperature_verdict=temp_verdict,
+        chemical_potential=chemical_potential(env.magnetic_field, geom, constants),
+        second_order_zeeman_ratio=zeeman,
+        overall_verdict=overall,
+    )
+
+
+ORACLE_ENVIRONMENTS = [
+    Environment(),
+    Environment(temperature=10e-6, magnetic_field=1e-4),
+    Environment(temperature=50e-3, magnetic_field=0.3),
+]
+
+
+class TestChainOracle:
+    """feasibility evaluates the chain once and matches its old composition exactly."""
+
+    def test_random_geometries_exact(self):
+        for geom in random_geometries(200):
+            for env in ORACLE_ENVIRONMENTS:
+                assert feasibility(geom, env) == oracle_feasibility(geom, env)
+
+    def test_derived_functions_exact(self, micro, nano):
+        for geom in random_geometries(50) + [micro, nano]:
+            oracle = oracle_feasibility(geom, Environment(magnetic_field=2e-3))
+            eff = oracle.effective
+            assert dynamical_scale(geom) == eff.dynamical_scale
+            assert rotor_coupling(geom) == eff.rotor_coupling
+            assert gap_energy_and_temperature(geom) == (eff.gap_energy, eff.gap_temperature)
+            assert critical_field(geom) == eff.critical_field
+            assert tuple(hierarchy_report(geom)) == oracle.hierarchy_ratios
+            assert inductance_ratio(geom) == oracle.inductance_ratio
+            assert second_order_zeeman_ratio(2e-3, geom) == oracle.second_order_zeeman_ratio
+
+    @pytest.mark.parametrize("parameter", sorted(design.SCAN_PARAMETERS))
+    @pytest.mark.parametrize("name", ["micro", "nano"])
+    def test_every_scan_row_exact(self, parameter, name, request):
+        geom = request.getfixturevalue(name)
+        env = Environment(temperature=1e-3, magnetic_field=1e-3)
+        target, attr = design.SCAN_PARAMETERS[parameter]
+        base = getattr(geom if target == "geometry" else env, attr)
+        start = 0.0 if target == "environment" else 0.5 * base
+        rows = scan(geom, env, parameter, start, 4.0 * base, 12)
+        grid = (np.linspace(start, 4.0 * base, 12) if start == 0.0
+                else np.geomspace(start, 4.0 * base, 12))
+        assert len(rows) == len(grid)
+        for value, row in zip(grid, rows):
+            g, e = geom, env
+            if target == "geometry":
+                g = Geometry(**{**vars(geom), attr: float(value)})
+            else:
+                e = Environment(**{**vars(env), attr: float(value)})
+            assert row == design.summary_row(parameter, float(value), oracle_feasibility(g, e))
+
+
+def counting(monkeypatch, name):
+    calls = []
+    original = getattr(design, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(design, name, wrapper)
+    return calls
+
+
+class TestCallCounts:
+    def test_feasibility_evaluates_each_formula_once(self, micro, monkeypatch):
+        counts = {name: counting(monkeypatch, name)
+                  for name in ("effective_speed", "effective_coupling",
+                               "capacitance_denominator", "interaction_strength")}
+        feasibility(micro, Environment(temperature=1e-5, magnetic_field=1e-4))
+        assert len(counts["effective_speed"]) == 1
+        assert len(counts["effective_coupling"]) == 1
+        assert len(counts["interaction_strength"]) == 1
+        assert len(counts["capacitance_denominator"]) <= 3
+
+    @pytest.mark.parametrize("steps", [2, 7])
+    def test_scan_calls_feasibility_once_per_point(self, micro, monkeypatch, steps):
+        calls = counting(monkeypatch, "feasibility")
+        rows = scan(micro, Environment(), "gamma_m", 2e-6, 3e-6, steps)
+        assert len(calls) == len(rows) == steps
+
+
+class TestExtremeInput:
+    def test_division_by_zero_names_geometry(self, micro):
+        tiny_gap = Geometry(**{**vars(micro), "sphere_gap": 1e-300})
+        with pytest.raises(DesignError) as err:
+            feasibility(tiny_gap, Environment())
+        assert err.value.field_name == "geometry"
+
+    def test_overflow_names_geometry(self, micro):
+        huge_gap = Geometry(**{**vars(micro), "sphere_gap": 1e300})
+        with pytest.raises(DesignError) as err:
+            feasibility(huge_gap, Environment())
+        assert err.value.field_name == "geometry"
+
+    def test_overflow_names_magnetic_field(self, micro):
+        with pytest.raises(DesignError) as err:
+            feasibility(micro, Environment(magnetic_field=1e300))
+        assert err.value.field_name == "magnetic_field"
+
+    def test_scan_refuses_failing_point(self, micro):
+        with pytest.raises(DesignError):
+            scan(micro, Environment(), "gamma_m", 1e-300, 1e300, 5)
+        with pytest.raises(DesignError):
+            scan(micro, Environment(), "magnetic_field_T", 0.0, 1e300, 5)
+
+    def test_weak_coupling_underflow_still_passes_lambda(self, micro):
+        # Lambda underflows to 0 and the hierarchy reads lambda = inf
+        geom = Geometry(**{**vars(micro), "sphere_gap": 1e-9, "insulating_sphere_radius": 1e-6})
+        report = feasibility(geom, Environment())
+        assert report.effective.dynamical_scale == 0.0
+        assert report.hierarchy_ratios[0][1:] == (math.inf, "pass")
+
+    @pytest.mark.parametrize("start, stop", [
+        (math.nan, 1e-6), (1e-6, math.nan), (1e-6, math.inf), (-math.inf, 1e-6),
+    ])
+    def test_scan_rejects_non_finite_range(self, micro, start, stop):
+        with pytest.raises(DesignError) as err:
+            scan(micro, Environment(), "gamma_m", start, stop, 3)
+        assert err.value.field_name == "range"
+
+    def test_scan_steps_cap(self, micro, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("grid built past the cap")
+
+        monkeypatch.setattr(design.np, "geomspace", refuse)
+        with pytest.raises(design.DimensionCapError, match="scan cap"):
+            scan(micro, Environment(), "gamma_m", 2e-6, 3e-6, design.SCAN_STEPS_CAP + 1)

@@ -214,3 +214,29 @@ class TestPhysicalRampTime:
     def test_rejects_negative(self, micro):
         with pytest.raises(ValueError):
             physical_ramp_time(micro, -1.0)
+
+
+class TestStepCap:
+    def test_refused_before_anything_is_built(self, monkeypatch):
+        class Built(Exception):
+            pass
+
+        def refuse(spec):
+            raise Built
+
+        monkeypatch.setattr(rotorsim.dynamics, "_sector_parts", refuse)
+        with pytest.raises(DimensionCapError, match="step cap"):
+            propagate(TWO_SITE, RampSchedule(0.0, 0.5, duration=1e300), dt=0.05)
+        with pytest.raises(Built):
+            propagate(TWO_SITE, RampSchedule(0.0, 0.5, duration=100.0), dt=0.05)
+
+    def test_checked_again_after_each_halving(self, monkeypatch):
+        # 5 steps of 0.3 are rejected and halved to 10, then 20, ...
+        schedule = RampSchedule(0.0, 0.6, duration=1.5)
+        accepted = propagate(ChainSpec(3, 1), schedule, dt=0.3).step_count
+        assert accepted > 5
+        monkeypatch.setattr(rotorsim.dynamics, "DYNAMICS_STEP_CAP", accepted)
+        assert propagate(ChainSpec(3, 1), schedule, dt=0.3).step_count == accepted
+        monkeypatch.setattr(rotorsim.dynamics, "DYNAMICS_STEP_CAP", accepted - 1)
+        with pytest.raises(DimensionCapError, match="step cap"):
+            propagate(ChainSpec(3, 1), schedule, dt=0.3)
