@@ -16,6 +16,7 @@ non-convergence, 5 resource cap exceeded.
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -169,10 +170,14 @@ def _chain_spec(args) -> ChainSpec:
     }
     if args.from_geometry:
         geom, env = _geometry_environment(_load_config(args.from_geometry))
-        g_eff = design.effective_coupling(geom)
-        kappa = 9.0 / g_eff**4
-        mu_eff = design.chemical_potential(env.magnetic_field, geom)
-        mu_tilde = mu_eff / design.rotational_quantum(geom)
+        try:
+            g_eff = design.effective_coupling(geom)
+            kappa = 9.0 / g_eff**4
+            mu_eff = design.chemical_potential(env.magnetic_field, geom)
+            mu_tilde = mu_eff / design.rotational_quantum(geom)
+        except (ZeroDivisionError, OverflowError):
+            raise DesignError("geometry", f"kappa or mu_tilde divides by zero or overflows "
+                                          f"for {geom}") from None
         print(f"derived from geometry: g_eff = {g_eff:.9g}, "
               f"kappa = 9/g_eff^4 = {kappa:.9g}, mu_tilde = {mu_tilde:.9g}")
         params["kappa"] = kappa
@@ -232,6 +237,12 @@ def cmd_sim(args) -> int:
             })
             print(f"gap = {gap:.9g}, degeneracy = {degeneracy}")
         elif args.subcommand == "charge-scan":
+            if not (math.isfinite(args.mu_start) and math.isfinite(args.mu_stop)):
+                raise CliError(EXIT_INVALID, f"need a finite mu range, got "
+                                             f"[{args.mu_start}, {args.mu_stop}]")
+            if args.mu_steps > design.SCAN_STEPS_CAP:
+                raise CliError(EXIT_RESOURCE_CAP, f"{args.mu_steps} mu steps exceed the scan "
+                                                  f"cap {design.SCAN_STEPS_CAP}")
             grid = np.linspace(args.mu_start, args.mu_stop, args.mu_steps)
             scan_res = charge_scan(spec, grid)
             write_json(out / "charge_scan.json", {

@@ -10,7 +10,7 @@ DYNAMICS_STEP_CAP bounds the number of time steps.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,15 +90,13 @@ def _sector_parts(spec: ChainSpec):
     """K = sum_i L_i^2 and B, dense on the M = 0 sector; the cap is checked first."""
     if spec.mu_tilde != 0.0:
         raise ValueError("ramp dynamics model the interaction switch-on at mu_tilde = 0")
-    # neither K nor B depends on the charge axis
-    z_spec = replace(spec, charge_axis=(0.0, 0.0, 1.0))
-    indices = sector_decompose(z_spec)[0]
+    indices = sector_decompose(spec)[0]
     if len(indices) > DYNAMICS_DIM_CAP:
         raise DimensionCapError(
             f"M = 0 sector dimension {len(indices)} exceeds the dynamics cap {DYNAMICS_DIM_CAP}"
         )
-    kinetic = build_kinetic(z_spec).restrict(indices).matrix.toarray()
-    bond = build_interaction(z_spec).restrict(indices).matrix.toarray()
+    kinetic = build_kinetic(spec).restrict(indices).matrix.toarray()
+    bond = build_interaction(spec).restrict(indices).matrix.toarray()
     return kinetic, bond
 
 

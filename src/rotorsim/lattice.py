@@ -7,11 +7,11 @@ chain Hamiltonian in units of E0 = hbar^2/(2 m rho^2) is
 
 with n the unit-direction operator on the sphere. The additive 2*kappa
 per bond is kept so absolute energies track the physical bond potential;
-gaps are unaffected. Total angular momentum along the charge axis is the
-conserved Noether charge Q.
+gaps are unaffected. The conserved Noether charge Q is the total angular
+momentum along z. H is rotation invariant, so a charge along any other
+internal axis is unitarily equivalent to this one.
 """
 
-import json
 import math
 import numbers
 import os
@@ -30,7 +30,6 @@ __all__ = [
     "SparseOperator",
     "site_basis",
     "direction_matrices",
-    "angular_momentum_matrices",
     "build_hamiltonian",
     "direction_dots",
     "build_interaction",
@@ -61,8 +60,7 @@ class ChainSpec:
     """Dimensionless description of a rotor chain.
 
     kappa is the bond strength 2 K m rho^4 / hbar^2; mu_tilde the
-    chemical potential in units of E0 (may be negative). charge_axis is
-    the internal axis the Noether charge is measured along.
+    chemical potential in units of E0 (may be negative).
     """
 
     n_sites: int
@@ -70,7 +68,6 @@ class ChainSpec:
     kappa: float = 0.0
     boundary: str = "open"
     mu_tilde: float = 0.0
-    charge_axis: tuple = (0.0, 0.0, 1.0)
 
     def __post_init__(self):
         for name in ("n_sites", "l_max"):
@@ -91,13 +88,6 @@ class ChainSpec:
             raise InvalidSpecError(f"boundary must be 'open' or 'periodic', got {self.boundary!r}")
         if self.boundary == "periodic" and self.n_sites < 3:
             raise InvalidSpecError("periodic boundary requires n_sites >= 3")
-        axis = np.asarray(self.charge_axis, dtype=float)
-        if axis.shape != (3,) or not np.isfinite(axis).all():
-            raise InvalidSpecError(f"charge_axis must be a 3-vector, got {self.charge_axis!r}")
-        norm = np.linalg.norm(axis)
-        if abs(norm - 1.0) > 1e-9:
-            raise InvalidSpecError(f"charge_axis must be a unit vector, |axis| = {norm}")
-        object.__setattr__(self, "charge_axis", tuple(float(a) for a in axis))
         if self.site_dim ** self.n_sites > _dim_cap():
             raise DimensionCapError(
                 f"total dimension {self.site_dim}^{self.n_sites} exceeds the cap "
@@ -119,10 +109,6 @@ class ChainSpec:
         if self.boundary == "periodic":
             pairs.append((self.n_sites - 1, 0))
         return pairs
-
-    @property
-    def axis_is_z(self) -> bool:
-        return self.charge_axis == (0.0, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -151,23 +137,10 @@ def site_basis(l_max: int) -> SiteBasis:
 
 @dataclass
 class SparseOperator:
-    """Hermitian-capable sparse operator on the many-body basis."""
+    """Real symmetric sparse operator on the many-body basis."""
 
     dimension: int
     matrix: sp.csr_matrix
-
-    def entries(self):
-        """Yield (row, col, value) in row-major order, no explicit zeros."""
-        coo = self.matrix.tocoo()
-        order = np.lexsort((coo.col, coo.row))
-        for k in order:
-            yield int(coo.row[k]), int(coo.col[k]), complex(coo.data[k])
-
-    def dump_json(self, path):
-        """Debug dump: coordinate list (row, col, re, im), row-major."""
-        records = [[r, c, v.real, v.imag] for r, c, v in self.entries()]
-        with open(path, "w") as fh:
-            json.dump({"dimension": self.dimension, "entries": records}, fh)
 
     def restrict(self, indices) -> "SparseOperator":
         """Submatrix on the given global basis indices (order preserved)."""
@@ -225,27 +198,6 @@ def direction_matrices(l_max: int):
     return _clean(nz), _clean(nplus), _clean(nminus)
 
 
-def angular_momentum_matrices(l_max: int):
-    """Per-site (L^2, L_x, L_y, L_z) in units hbar = 1; L^2 has eigenvalue l(l+1)."""
-    basis = site_basis(l_max)
-    dim = basis.dim
-    l_arr = np.array([l for l, _ in basis.states], dtype=float)
-    m_arr = np.array([m for _, m in basis.states], dtype=float)
-    L2 = sp.diags(l_arr * (l_arr + 1))
-    Lz = sp.diags(m_arr)
-    Lp = sp.lil_matrix((dim, dim))
-    for l in range(l_max + 1):
-        for m in range(-l, l):
-            Lp[basis.index(l, m + 1), basis.index(l, m)] = math.sqrt(
-                l * (l + 1) - m * (m + 1)
-            )
-    Lp = Lp.tocsr()
-    Lm = Lp.T.conj()
-    Lx = (Lp + Lm) / 2.0
-    Ly = (Lp - Lm) / 2.0j
-    return _clean(L2), _clean(Lx), _clean(Ly), _clean(Lz)
-
-
 def _site_operator(op, site: int, n_sites: int, site_dim: int) -> sp.csr_matrix:
     """Embed a one-site operator; site 0 is the slowest tensor index."""
     left = sp.identity(site_dim**site, format="csr")
@@ -281,14 +233,28 @@ def build_interaction(spec: ChainSpec) -> SparseOperator:
     return SparseOperator(dimension=dim, matrix=_clean(total))
 
 
-def build_kinetic(spec: ChainSpec) -> SparseOperator:
-    """Rotor kinetic term sum_i L_i^2 (diagonal)."""
-    L2, _, _, _ = angular_momentum_matrices(spec.l_max)
-    dim = spec.dimension
-    total = sp.csr_matrix((dim, dim))
+def _site_sum(spec: ChainSpec, value) -> np.ndarray:
+    """sum_i value(l_i, m_i) for every global basis state; site 0 is the slowest digit."""
+    site_values = np.array([value(l, m) for l, m in site_basis(spec.l_max).states])
+    index, d = np.arange(spec.dimension), spec.site_dim
+    total = np.zeros(spec.dimension, dtype=site_values.dtype)
     for i in range(spec.n_sites):
-        total = total + _site_operator(L2, i, spec.n_sites, spec.site_dim)
-    return SparseOperator(dimension=dim, matrix=_clean(total))
+        total += site_values[(index // d ** (spec.n_sites - 1 - i)) % d]
+    return total
+
+
+def total_m_values(spec: ChainSpec) -> np.ndarray:
+    """Total magnetic quantum number sum_i m_i per global basis state."""
+    return _site_sum(spec, lambda l, m: m)
+
+
+def _diagonal(values) -> SparseOperator:
+    return SparseOperator(dimension=len(values), matrix=_clean(sp.diags(values)))
+
+
+def build_kinetic(spec: ChainSpec) -> SparseOperator:
+    """Rotor kinetic term sum_i L_i^2 (diagonal, l(l+1) per site)."""
+    return _diagonal(_site_sum(spec, lambda l, m: l * (l + 1.0)))
 
 
 def build_hamiltonian(spec: ChainSpec) -> SparseOperator:
@@ -300,15 +266,8 @@ def build_hamiltonian(spec: ChainSpec) -> SparseOperator:
 
 
 def build_charge(spec: ChainSpec) -> SparseOperator:
-    """Noether charge Q = sum_i L_i . axis; integer-diagonal for the z axis."""
-    _, Lx, Ly, Lz = angular_momentum_matrices(spec.l_max)
-    ax, ay, az = spec.charge_axis
-    site_q = ax * Lx + ay * Ly + az * Lz
-    dim = spec.dimension
-    total = sp.csr_matrix((dim, dim), dtype=site_q.dtype)
-    for i in range(spec.n_sites):
-        total = total + _site_operator(site_q, i, spec.n_sites, spec.site_dim)
-    return SparseOperator(dimension=dim, matrix=_clean(total))
+    """Noether charge Q = sum_i L_i^z, integer-diagonal."""
+    return _diagonal(total_m_values(spec).astype(float))
 
 
 def build_grand_canonical(spec: ChainSpec) -> SparseOperator:
@@ -319,28 +278,12 @@ def build_grand_canonical(spec: ChainSpec) -> SparseOperator:
     return SparseOperator(dimension=spec.dimension, matrix=_clean(h))
 
 
-def total_m_values(spec: ChainSpec) -> np.ndarray:
-    """Total magnetic quantum number sum_i m_i per global basis state."""
-    basis = site_basis(spec.l_max)
-    m_site = np.array([m for _, m in basis.states], dtype=int)
-    total = np.zeros(spec.dimension, dtype=int)
-    d = spec.site_dim
-    for i in range(spec.n_sites):
-        stride = d ** (spec.n_sites - 1 - i)
-        site_index = (np.arange(spec.dimension) // stride) % d
-        total += m_site[site_index]
-    return total
-
-
 def sector_decompose(spec: ChainSpec) -> dict:
     """Partition the basis by total M (conserved since [H, Q] = 0).
 
-    Only supported on the quantization axis; the block count is
-    2 * n_sites * l_max + 1. Within each sector the global basis order
-    is kept.
+    The block count is 2 * n_sites * l_max + 1. Within each sector the
+    global basis order is kept.
     """
-    if not spec.axis_is_z:
-        raise InvalidSpecError("sector decomposition requires charge_axis = z")
     total = total_m_values(spec)
     max_m = spec.n_sites * spec.l_max
     return {

@@ -6,7 +6,7 @@ iterative (Lanczos) path above it; the crossover is frozen so the
 """
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -116,15 +116,12 @@ def lowest_eigenpairs(op: SparseOperator, k: int, tol: float = 0.0,
         method = "diagonal"
 
     if method == "diagonal":
-        diagonal = op.matrix.diagonal().real
+        diagonal = op.matrix.diagonal()
         order = np.argsort(diagonal, kind="stable")[:k]
         vals, vecs = diagonal[order], np.zeros((dim, k))
         vecs[order, np.arange(k)] = 1.0
     elif method == "dense":
-        dense = op.matrix.toarray()
-        if np.iscomplexobj(dense) and np.abs(dense.imag).max() == 0.0:
-            dense = dense.real
-        vals, vecs = np.linalg.eigh(dense)
+        vals, vecs = np.linalg.eigh(op.matrix.toarray())
         vals, vecs = vals[:k], vecs[:, :k]
     elif method == "iterative":
         try:
@@ -168,12 +165,8 @@ def _solve_sector(h: SparseOperator, indices, k: int) -> SpectrumResult:
 
 
 def _hamiltonian_sectors(spec: ChainSpec):
-    """H and its total-M sectors, for any mu_tilde and charge axis.
-
-    H contains neither, and it is rotation invariant.
-    """
-    z_spec = replace(spec, mu_tilde=0.0, charge_axis=(0.0, 0.0, 1.0))
-    return build_hamiltonian(z_spec), sector_decompose(z_spec)
+    """H, which does not contain mu_tilde, and its total-M sectors."""
+    return build_hamiltonian(spec), sector_decompose(spec)
 
 
 def spectrum(spec: ChainSpec, k: int) -> SpectrumResult:
@@ -184,6 +177,8 @@ def spectrum(spec: ChainSpec, k: int) -> SpectrumResult:
     method is "dense" only if every sector was solved densely,
     "iterative" if Lanczos ran on any, and "diagonal" otherwise.
     """
+    if k < 1:
+        raise ValueError(f"need at least one level, got k={k}")
     h = build_grand_canonical(spec)
     levels = []  # (energy, M, vector-in-sector, indices, residual)
     methods = set()
@@ -195,7 +190,7 @@ def spectrum(spec: ChainSpec, k: int) -> SpectrumResult:
     levels.sort(key=lambda item: (item[0], item[1]))
     levels = levels[:k]
 
-    vecs = np.zeros((h.dimension, len(levels)), dtype=complex)
+    vecs = np.zeros((h.dimension, len(levels)))
     for col, (_, _, v, indices, _) in enumerate(levels):
         vecs[indices, col] = v
     return SpectrumResult(
@@ -213,18 +208,15 @@ def ground_state(spec: ChainSpec):
 
     At mu_tilde = 0 the ground multiplet of the SU(2)-invariant H has an
     M = 0 member, so only that sector is solved. Otherwise every sector
-    is solved for the z axis, and the full space for any other.
+    is solved.
     """
     if spec.mu_tilde == 0.0:
         h, sectors = _hamiltonian_sectors(spec)
         res = _solve_sector(h, sectors[0], k=1)
-        vec = np.zeros(h.dimension, dtype=complex)
+        vec = np.zeros(h.dimension)
         vec[sectors[0]] = res.eigenvectors[:, 0]
         return float(res.eigenvalues[0]), vec
-    if spec.axis_is_z:
-        res = spectrum(spec, k=1)
-    else:
-        res = lowest_eigenpairs(build_grand_canonical(spec), k=1)
+    res = spectrum(spec, k=1)
     return float(res.eigenvalues[0]), res.eigenvectors[:, 0]
 
 
@@ -277,8 +269,7 @@ def charge_scan(spec: ChainSpec, mu_grid) -> ChargeScan:
     Q commutes with H, so with E_M the lowest level of sector M >= 0 at
     mu = 0, the ground energy is min_M (E_M - mu M) and the ground charge
     the smallest M attaining it. critical_mu = min_{M>=1} (E_M - E_0) / M,
-    None when no grid point is charged. spec.mu_tilde is ignored, and so
-    is the charge axis: H is rotation invariant.
+    None when no grid point is charged. spec.mu_tilde is ignored.
     """
     mu_grid = np.asarray(mu_grid, dtype=float)
     if mu_grid.ndim != 1 or len(mu_grid) < 1:
@@ -308,17 +299,14 @@ def charge_scan(spec: ChainSpec, mu_grid) -> ChargeScan:
 
 
 def correlation(spec: ChainSpec, i: int, j: int) -> float:
-    """Ground-state <n_i . n_j> at mu_tilde = 0; real by construction."""
+    """Ground-state <n_i . n_j> at mu_tilde = 0."""
     if spec.mu_tilde != 0.0:
         raise ValueError("correlation is defined at mu_tilde = 0")
     if not (0 <= i < spec.n_sites and 0 <= j < spec.n_sites):
         raise ValueError(f"site indices out of range: ({i}, {j})")
     _, vec = ground_state(spec)
     (op,) = direction_dots(spec, [(i, j)])
-    value = np.vdot(vec, op @ vec)
-    if abs(value.imag) > 1e-12:
-        raise RuntimeError(f"correlation acquired an imaginary part: {value}")
-    return float(value.real)
+    return float(np.vdot(vec, op @ vec))
 
 
 def correlation_profile(spec: ChainSpec) -> CorrelationProfile:
@@ -334,7 +322,7 @@ def correlation_profile(spec: ChainSpec) -> CorrelationProfile:
     _, vec = ground_state(spec)
     distances = np.arange(0, spec.n_sites - center)
     ops = direction_dots(spec, [(center, center + d) for d in distances])
-    values = np.array([float(np.real(np.vdot(vec, op @ vec))) for op in ops])
+    values = np.array([float(np.vdot(vec, op @ vec)) for op in ops])
 
     fitted_xi, quality = _fit_exponential(distances[1:], values[1:])
     return CorrelationProfile(

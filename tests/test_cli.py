@@ -3,6 +3,7 @@ import math
 import tempfile
 import time
 import warnings
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -249,7 +250,7 @@ class TestSim:
 
 
 def assert_refused(argv, capsys, code):
-    """Exit `code` within 10 s with an error line, no traceback, no output file."""
+    """Exit `code` within 10 s with an error line, no traceback, no output file; return stderr."""
     out_dir = argv[argv.index("--out") + 1]
     start = time.perf_counter()
     with warnings.catch_warnings():
@@ -259,6 +260,7 @@ def assert_refused(argv, capsys, code):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert not out_dir.exists() or not any(out_dir.iterdir())
+    return err
 
 
 class TestCapsAndExtremeInput:
@@ -284,6 +286,30 @@ class TestCapsAndExtremeInput:
     def test_extreme_design_input_exit_2(self, micro_config, tmp_path, capsys, flags):
         assert_refused(["design", flags[0], "--config", micro_config] + flags[1:]
                        + ["--out", tmp_path / "out"], capsys, 2)
+
+    @pytest.mark.parametrize("gamma", [1e-300, 1e300])
+    def test_extreme_from_geometry_exit_2(self, micro_doc, tmp_path, capsys, gamma):
+        geometry = write_config(tmp_path / "geometry.json", {**micro_doc, "gamma_m": gamma})
+        err = assert_refused(["sim", "gap", "--sites", "2", "--lmax", "1", "--from-geometry",
+                              geometry, "--out", tmp_path / "out"], capsys, 2)
+        assert err.startswith("error: geometry: ")
+
+    @pytest.mark.parametrize("flags", [
+        ["--mu-stop", "inf"], ["--mu-stop", "nan"], ["--mu-start=-inf"],
+    ])
+    def test_non_finite_mu_range_exit_2(self, tmp_path, capsys, flags):
+        assert_refused(["sim", "charge-scan", "--sites", "2", "--lmax", "1",
+                        "--out", tmp_path / "out"] + flags, capsys, 2)
+
+    def test_charge_scan_steps_cap_exit_5(self, tmp_path, capsys):
+        assert_refused(["sim", "charge-scan", "--sites", "2", "--lmax", "1",
+                        "--mu-steps", "10000000000000", "--out", tmp_path / "out"], capsys, 5)
+
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_spectrum_without_levels_exit_2(self, tmp_path, capsys, k):
+        err = assert_refused(["sim", "spectrum", "--sites", "2", "--lmax", "1", "--k", k,
+                              "--out", tmp_path / "out"], capsys, 2)
+        assert f"k={k}" in err and "dimension" not in err
 
 
 EXTREME_FLOATS = st.one_of(
@@ -324,3 +350,56 @@ def test_design_cli_exit_codes_property(argv):
             warnings.simplefilter("ignore")
             code = main(argv + ["--out", out])
     assert code in (0, 2, 3, 5)
+
+
+# a lowered step cap keeps every ramp example fast: a ramp whose error test
+# halves dt past it exits 5 at once
+PROPERTY_STEP_CAP = 16
+# hostile floats, and ordinary ones often enough that the solvers run too
+SIM_FLOATS = st.one_of(EXTREME_FLOATS, st.floats(0.0, 4.0))
+MICRO_GEOMETRY = json.loads(bundled_config("micro").read_text())
+
+
+@st.composite
+def sim_argv(draw):
+    """(argv, geometry document or None) for a small chain and hostile floats."""
+    argv = ["sim", draw(st.sampled_from(["spectrum", "gap", "charge-scan", "correlation",
+                                         "ramp"])),
+            f"--sites={draw(st.integers(1, 3))}", f"--lmax={draw(st.integers(1, 2))}",
+            f"--k={draw(st.integers(-1, 8))}", f"--mu-steps={draw(SCAN_STEPS)}",
+            f"--shape={draw(st.sampled_from(['linear', 'smoothstep']))}"]
+    for flag in ("--kappa", "--mu-start", "--mu-stop", "--kappa-end"):
+        if draw(st.booleans()):
+            argv.append(f"{flag}={draw(SIM_FLOATS)!r}")
+    # each is rarely set, as most commands refuse a nonzero mu or a periodic chain < 3 sites
+    if draw(st.integers(0, 3)) == 0:
+        argv.append(f"--mu={draw(SIM_FLOATS)!r}")
+    if draw(st.integers(0, 3)) == 0:
+        argv.append("--boundary=periodic")
+    # a step count that is tiny, or past the cap and refused before anything is built
+    dt = draw(SIM_FLOATS)
+    steps = draw(st.one_of(st.integers(1, 3), st.integers(PROPERTY_STEP_CAP + 1, 10**13)))
+    argv += [f"--dt={dt!r}", f"--duration={dt * steps!r}"]
+    geometry = None
+    if draw(st.booleans()):
+        geometry = {**MICRO_GEOMETRY, **draw(st.dictionaries(
+            st.sampled_from(sorted(MICRO_GEOMETRY)), EXTREME_FLOATS, max_size=2))}
+    return argv, geometry
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(sim_argv())
+def test_sim_cli_exit_codes_property(case):
+    argv, geometry = case
+    with tempfile.TemporaryDirectory() as out:
+        if geometry is not None:
+            path = f"{out}/geometry.json"
+            with open(path, "w") as fh:
+                json.dump(geometry, fh)
+            argv = argv + ["--from-geometry", path]
+        with warnings.catch_warnings(), \
+                mock.patch("rotorsim.dynamics.DYNAMICS_STEP_CAP", PROPERTY_STEP_CAP):
+            warnings.simplefilter("ignore")
+            code = main(argv + ["--out", f"{out}/run"])
+    assert code in (0, 2, 3, 4, 5)

@@ -167,13 +167,6 @@ class TestSectorPropagator:
         for row, oracle_row in zip(result.trace, trace):
             assert row == pytest.approx(oracle_row, abs=1e-12)
 
-    def test_charge_axis_does_not_enter(self):
-        schedule = RampSchedule(0.0, 0.6, duration=1.5)
-        z = propagate(ChainSpec(3, 1), schedule, dt=0.3, record_trace=True)
-        tilted = propagate(ChainSpec(3, 1, charge_axis=(0.6, 0.0, 0.8)), schedule,
-                           dt=0.3, record_trace=True)
-        assert tilted == z
-
 
 class TestAdiabaticRatio:
     def test_zero_rate(self):

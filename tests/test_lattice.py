@@ -1,20 +1,20 @@
 import itertools
-import json
 import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from rotorsim.lattice import (
     ChainSpec,
     DIM_CAP_ENV,
     DimensionCapError,
     InvalidSpecError,
-    angular_momentum_matrices,
     build_charge,
     build_grand_canonical,
     build_hamiltonian,
     build_interaction,
+    build_kinetic,
     direction_matrices,
     sector_decompose,
     site_basis,
@@ -48,10 +48,6 @@ class TestChainSpec:
         with pytest.raises(InvalidSpecError):
             ChainSpec(**{"n_sites": 2, "l_max": 1, field: value})
 
-    def test_rejects_non_unit_axis(self):
-        with pytest.raises(InvalidSpecError):
-            ChainSpec(n_sites=2, l_max=1, charge_axis=(0.0, 0.0, 2.0))
-
     def test_dimension_cap(self, monkeypatch):
         with pytest.raises(DimensionCapError):
             ChainSpec(n_sites=12, l_max=3)
@@ -71,7 +67,7 @@ class TestSiteBasis:
         assert site_basis(2).dim == 9
 
     def test_l_squared_eigenvalues(self):
-        L2, _, _, _ = angular_momentum_matrices(2)
+        L2 = build_kinetic(ChainSpec(1, 2)).matrix
         assert list(L2.diagonal()) == [0, 2, 2, 2, 6, 6, 6, 6, 6]
 
     def test_index_matches_order(self):
@@ -126,6 +122,26 @@ def dense(op):
     return op.matrix.toarray()
 
 
+def total_transverse_angular_momentum(spec):
+    """Total L_x and L_y, sparse, from <l, m+1| L_+ |l, m> = sqrt(l(l+1) - m(m+1))."""
+    basis = site_basis(spec.l_max)
+    l_plus = sp.lil_matrix((basis.dim, basis.dim))
+    for l, m in basis.states:
+        if m < l:
+            l_plus[basis.index(l, m + 1), basis.index(l, m)] = math.sqrt(l * (l + 1) - m * (m + 1))
+    l_plus = l_plus.tocsr()
+    site_x, site_y = (l_plus + l_plus.T) / 2.0, (l_plus - l_plus.T) / 2.0j
+    totals = []
+    for site_op in (site_x, site_y):
+        total = sp.csr_matrix((spec.dimension, spec.dimension), dtype=complex)
+        for i in range(spec.n_sites):
+            left = sp.identity(spec.site_dim**i)
+            right = sp.identity(spec.site_dim ** (spec.n_sites - 1 - i))
+            total = total + sp.kron(sp.kron(left, site_op), right, format="csr")
+        totals.append(total)
+    return totals
+
+
 class TestHamiltonian:
     def test_single_site_spectrum(self):
         for l_max in (1, 2, 3):
@@ -163,18 +179,21 @@ class TestHamiltonian:
         h = build_hamiltonian(ChainSpec(n_sites, l_max, kappa))
         assert abs(h.matrix - h.matrix.getH()).max() < 1e-14
 
-    def test_axis_does_not_enter_hamiltonian(self):
-        axis = tuple(np.array([1.0, 2.0, 2.0]) / 3.0)
-        h_z = build_hamiltonian(ChainSpec(2, 1, kappa=1.0))
-        h_r = build_hamiltonian(ChainSpec(2, 1, kappa=1.0, charge_axis=axis))
-        assert abs(h_z.matrix - h_r.matrix).max() == 0.0
-
-    def test_ground_energy_axis_invariant(self):
-        axis = tuple(np.array([0.0, 3.0, 4.0]) / 5.0)
-        e_z = np.linalg.eigvalsh(dense(build_hamiltonian(ChainSpec(2, 2, kappa=1.0))))[0]
-        e_r = np.linalg.eigvalsh(dense(build_hamiltonian(
-            ChainSpec(2, 2, kappa=1.0, charge_axis=axis))))[0]
-        assert e_z == pytest.approx(e_r, abs=1e-10)
+    @pytest.mark.parametrize("spec", [
+        ChainSpec(2, 1, kappa=1.0), ChainSpec(4, 1, kappa=0.7),
+        ChainSpec(3, 1, kappa=1.3, boundary="periodic"),
+        ChainSpec(4, 1, kappa=0.9, boundary="periodic"),
+        ChainSpec(2, 2, kappa=1.1), ChainSpec(3, 2, kappa=0.6), ChainSpec(2, 3, kappa=2.0),
+    ])
+    def test_rotation_invariant(self, spec):
+        # H commutes with every component of the total angular momentum, so
+        # the charge along z stands for the charge along any internal axis
+        h = build_hamiltonian(spec).matrix
+        lx, ly = total_transverse_angular_momentum(spec)
+        lz = build_charge(spec).matrix
+        assert abs(lx @ ly - ly @ lx - 1j * lz).max() < 1e-12  # the oracle's own algebra
+        for component in (lx, ly):
+            assert abs(h @ component - component @ h).max() < 1e-12
 
     def test_truncation_convergence(self):
         # enlarging the cutoff from 2 to 3 moves the ground energy by less
@@ -263,26 +282,4 @@ class TestSectors:
         off_block = h[labels[:, None] != labels[None, :]]
         assert abs(off_block).max() == 0.0
 
-    def test_rejects_other_axis(self):
-        spec = ChainSpec(2, 1, charge_axis=(1.0, 0.0, 0.0))
-        with pytest.raises(InvalidSpecError):
-            sector_decompose(spec)
 
-
-class TestSparseOperator:
-    def test_entries_row_major_without_zeros(self):
-        h = build_hamiltonian(ChainSpec(2, 1, kappa=0.4))
-        rows_cols = [(r, c) for r, c, v in h.entries()]
-        assert rows_cols == sorted(rows_cols)
-        assert all(v != 0 for _, _, v in h.entries())
-
-    def test_dump_json_roundtrip(self, tmp_path):
-        h = build_hamiltonian(ChainSpec(2, 1, kappa=0.4))
-        path = tmp_path / "op.json"
-        h.dump_json(path)
-        doc = json.loads(path.read_text())
-        assert doc["dimension"] == 16
-        rebuilt = np.zeros((16, 16), dtype=complex)
-        for r, c, re, im in doc["entries"]:
-            rebuilt[r, c] = re + 1j * im
-        assert abs(rebuilt - dense(h)).max() < 1e-15

@@ -125,6 +125,17 @@ class TestSpectrum:
         # at kappa = 0 the 7x1 sectors above DENSE_CUTOFF are read off the diagonal
         assert spectrum(ChainSpec(7, 1, kappa=0.0), k=2).method == "diagonal"
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_rejects_no_levels(self, k):
+        with pytest.raises(ValueError, match=f"k={k}$"):
+            spectrum(ChainSpec(2, 1), k=k)
+
+    @pytest.mark.parametrize("mu", [0.0, 0.7])
+    def test_vectors_are_real(self, mu):
+        spec = ChainSpec(2, 2, kappa=1.0, mu_tilde=mu)
+        assert spectrum(spec, k=3).eigenvectors.dtype == np.float64
+        assert ground_state(spec)[1].dtype == np.float64
+
     def test_global_ground_equals_sector_minimum(self):
         spec = ChainSpec(3, 1, kappa=0.9)
         global_ground = spectrum(spec, k=1).eigenvalues[0]
@@ -228,7 +239,7 @@ class TestChargeScan:
     @pytest.mark.parametrize("spec", [
         ChainSpec(2, 1, kappa=0.5),
         ChainSpec(3, 1, kappa=1.0, boundary="periodic"),
-        ChainSpec(2, 2, kappa=1.0, charge_axis=(0.0, 0.6, 0.8)),
+        ChainSpec(2, 2, kappa=1.0),
     ])
     def test_matches_grand_canonical_diagonalization(self, spec):
         # no grid point lies within 0.1 of a level crossing of these specs
