@@ -125,12 +125,18 @@ def propagate(spec: ChainSpec, schedule: RampSchedule, dt: float,
     deterministic) and the run restarts, unless the step count would pass
     DYNAMICS_STEP_CAP (DimensionCapError). The accepted state of each
     step is the two-half-step result. Fidelity is measured against the
-    exact ground state at kappa_end.
+    exact ground state at kappa_end. A ramp whose kappa * B is not finite
+    is refused (ValueError) before any diagonalization.
     """
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be positive and finite, got {dt}")
     _step_count(schedule.duration, dt)  # refuse before anything is built
     kinetic, bond = _sector_parts(spec)
+    # kappa(t) stays between its end values, so this bounds every entry of H(t);
+    # Python floats overflow to inf without a numpy warning
+    kappa_max = max(schedule.kappa_start, schedule.kappa_end)
+    if not math.isfinite(float(np.abs(kinetic).max()) + kappa_max * float(np.abs(bond).max())):
+        raise ValueError(f"kappa * B is not finite for kappa up to {kappa_max:.9g}")
 
     _, start_vecs = np.linalg.eigh(kinetic + schedule.kappa_start * bond)
     psi0 = start_vecs[:, 0].astype(complex)
@@ -146,7 +152,7 @@ def propagate(spec: ChainSpec, schedule: RampSchedule, dt: float,
             full = _step(kinetic, bond, schedule, psi, t, step_dt)
             half = _step(kinetic, bond, schedule, psi, t, 0.5 * step_dt)
             half = _step(kinetic, bond, schedule, half, t + 0.5 * step_dt, 0.5 * step_dt)
-            if np.linalg.norm(full - half) > STEP_ERROR_TOL:
+            if not np.linalg.norm(full - half) <= STEP_ERROR_TOL:  # NaN fails too
                 break
             psi = half
             t += step_dt

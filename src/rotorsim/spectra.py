@@ -5,6 +5,7 @@ iterative (Lanczos) path above it; the crossover is frozen so the
 ``method`` label in results is reproducible.
 """
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -269,7 +270,8 @@ def charge_scan(spec: ChainSpec, mu_grid) -> ChargeScan:
     Q commutes with H, so with E_M the lowest level of sector M >= 0 at
     mu = 0, the ground energy is min_M (E_M - mu M) and the ground charge
     the smallest M attaining it. critical_mu = min_{M>=1} (E_M - E_0) / M,
-    None when no grid point is charged. spec.mu_tilde is ignored.
+    None when no grid point is charged. spec.mu_tilde is ignored. A grid
+    whose mu * M overflows at the largest charge M = N l_max is refused.
     """
     mu_grid = np.asarray(mu_grid, dtype=float)
     if mu_grid.ndim != 1 or len(mu_grid) < 1:
@@ -280,9 +282,12 @@ def charge_scan(spec: ChainSpec, mu_grid) -> ChargeScan:
         raise ValueError("mu_grid must be strictly ascending")
     if mu_grid[0] < 0:
         raise ValueError("mu_grid must be non-negative")
+    max_charge = spec.n_sites * spec.l_max
+    if not math.isfinite(float(mu_grid[-1]) * max_charge):
+        raise ValueError(f"mu * M overflows: mu up to {mu_grid[-1]:.9g} at charge {max_charge}")
 
     h, sectors = _hamiltonian_sectors(spec)
-    charges = np.arange(spec.n_sites * spec.l_max + 1)
+    charges = np.arange(max_charge + 1)
     lowest = np.array([_solve_sector(h, sectors[m], k=1).eigenvalues[0] for m in charges])
     energies = lowest[None, :] - mu_grid[:, None] * charges[None, :]
     ground = np.argmin(energies, axis=1)

@@ -1,3 +1,7 @@
+import csv
+import io
+import json
+
 import numpy as np
 import pytest
 from scipy.special import sph_harm_y
@@ -90,3 +94,48 @@ def random_geometries(n, seed=20240817):
             lattice_spacing=dx,
         ))
     return out
+
+
+# --- serialization oracle ----------------------------------------------------
+# The writer rotorsim.serialize replaced: a per-value Python walk, the
+# indented stdlib encoder and csv.writer per row. Its bytes are the contract.
+
+def oracle_normalize(obj):
+    if isinstance(obj, float):
+        return float(f"{obj:.9g}")
+    if isinstance(obj, dict):
+        return {k: oracle_normalize(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [oracle_normalize(v) for v in obj]
+    if isinstance(obj, np.floating):
+        return float(f"{float(obj):.9g}")
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.ndarray):
+        return [oracle_normalize(v) for v in obj.tolist()]
+    return obj
+
+
+def oracle_json_text(document):
+    payload = {"schema_version": 1}
+    payload.update(oracle_normalize(document))
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def _oracle_cell(value):
+    if isinstance(value, float):
+        return f"{value:.9g}"
+    if isinstance(value, np.floating):
+        return f"{float(value):.9g}"
+    if isinstance(value, np.integer):
+        return str(int(value))
+    return str(value)
+
+
+def oracle_csv_text(header, rows):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_oracle_cell(v) for v in row])
+    return buf.getvalue()

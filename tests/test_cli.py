@@ -13,6 +13,8 @@ from rotorsim import bundled_config
 from rotorsim.cli import main
 from rotorsim.design import SCAN_PARAMETERS, SCAN_STEPS_CAP
 
+from conftest import oracle_csv_text, oracle_json_text
+
 
 def run(argv):
     return main([str(a) for a in argv])
@@ -305,6 +307,18 @@ class TestCapsAndExtremeInput:
         assert_refused(["sim", "charge-scan", "--sites", "2", "--lmax", "1",
                         "--mu-steps", "10000000000000", "--out", tmp_path / "out"], capsys, 5)
 
+    def test_overflowing_ramp_coupling_exit_2(self, tmp_path, capsys):
+        err = assert_refused(["sim", "ramp", "--sites", "2", "--lmax", "1", "--kappa-end",
+                              "1.7e308", "--duration", "0.1", "--out", tmp_path / "out"],
+                             capsys, 2)
+        assert "kappa * B" in err
+
+    def test_overflowing_charge_scan_grid_exit_2(self, tmp_path, capsys):
+        err = assert_refused(["sim", "charge-scan", "--sites", "2", "--lmax", "1",
+                              "--mu-start", "1e300", "--mu-stop", "1.7e308",
+                              "--out", tmp_path / "out"], capsys, 2)
+        assert "mu * M" in err
+
     @pytest.mark.parametrize("k", ["0", "-1"])
     def test_spectrum_without_levels_exit_2(self, tmp_path, capsys, k):
         err = assert_refused(["sim", "spectrum", "--sites", "2", "--lmax", "1", "--k", k,
@@ -355,8 +369,10 @@ def test_design_cli_exit_codes_property(argv):
 # a lowered step cap keeps every ramp example fast: a ramp whose error test
 # halves dt past it exits 5 at once
 PROPERTY_STEP_CAP = 16
-# hostile floats, and ordinary ones often enough that the solvers run too
-SIM_FLOATS = st.one_of(EXTREME_FLOATS, st.floats(0.0, 4.0))
+# hostile floats, among them the overflowing kappa_end and mu grid ends, and
+# ordinary ones often enough that the solvers run too
+SIM_FLOATS = st.one_of(EXTREME_FLOATS, st.sampled_from([1e300, 1e308, 1.7e308]),
+                       st.floats(0.0, 4.0))
 MICRO_GEOMETRY = json.loads(bundled_config("micro").read_text())
 
 
@@ -403,3 +419,44 @@ def test_sim_cli_exit_codes_property(case):
             warnings.simplefilter("ignore")
             code = main(argv + ["--out", f"{out}/run"])
     assert code in (0, 2, 3, 4, 5)
+
+
+BYTE_IDENTITY_RUNS = {
+    "report": ["design", "report"],
+    "scan_temperature": ["design", "scan", "--parameter", "temperature_K", "--start", "5e-6",
+                         "--stop", "2e-5", "--steps", "40", "--format", "both"],
+    "scan_field_from_zero": ["design", "scan", "--parameter", "magnetic_field_T", "--start",
+                             "0", "--stop", "0.01", "--steps", "40", "--format", "both"],
+    "spectrum": ["sim", "spectrum", "--sites", "3", "--lmax", "1", "--kappa", "1.3"],
+    "spectrum_mu": ["sim", "spectrum", "--sites", "2", "--lmax", "2", "--kappa", "0.7",
+                    "--mu", "-0.4"],
+    "gap": ["sim", "gap", "--sites", "3", "--lmax", "1", "--kappa", "0"],
+    "charge_scan": ["sim", "charge-scan", "--sites", "3", "--lmax", "1", "--kappa", "1",
+                    "--mu-stop", "3.3", "--mu-steps", "12"],
+    "correlation": ["sim", "correlation", "--sites", "4", "--lmax", "1", "--kappa", "1.1"],
+    "ramp": ["sim", "ramp", "--sites", "2", "--lmax", "1", "--kappa-end", "0.8",
+             "--duration", "3"],
+}
+
+
+def run_and_collect(root, capsys, micro_config):
+    """{name: (exit code, stdout, {file: bytes})} for every byte-identity run."""
+    results = {}
+    for name, argv in BYTE_IDENTITY_RUNS.items():
+        out = root / name
+        config = ["--config", micro_config] if argv[0] == "design" else ["--format", "both"]
+        code = run(argv + config + ["--out", out])
+        files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+        results[name] = (code, capsys.readouterr().out, files)
+    return results
+
+
+def test_cli_outputs_byte_identical_to_the_stdlib_writer(tmp_path, capsys, micro_config):
+    fast = run_and_collect(tmp_path / "fast", capsys, micro_config)
+    with mock.patch("rotorsim.serialize.to_json_text", oracle_json_text), \
+            mock.patch("rotorsim.serialize.to_csv_text", oracle_csv_text):
+        oracle = run_and_collect(tmp_path / "oracle", capsys, micro_config)
+    assert [code for code, _, _ in fast.values()] == [0] * len(BYTE_IDENTITY_RUNS)
+    assert sum(len(files) for _, _, files in fast.values()) == 16
+    for name in BYTE_IDENTITY_RUNS:
+        assert fast[name] == oracle[name], name

@@ -233,3 +233,20 @@ class TestStepCap:
         monkeypatch.setattr(rotorsim.dynamics, "DYNAMICS_STEP_CAP", accepted - 1)
         with pytest.raises(DimensionCapError, match="step cap"):
             propagate(ChainSpec(3, 1), schedule, dt=0.3)
+
+
+class TestOverflow:
+    def test_overflowing_coupling_refused_before_any_eigh(self, monkeypatch):
+        def eigh(matrix):
+            raise AssertionError("eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        with pytest.raises(ValueError, match=r"kappa \* B is not finite"):
+            propagate(TWO_SITE, RampSchedule(0.0, 1.7e308, duration=0.1), dt=0.05)
+
+    def test_nan_step_error_is_rejected_not_accepted(self, monkeypatch):
+        # a NaN error estimate halves dt until the step cap, like any failed step
+        monkeypatch.setattr(rotorsim.dynamics, "_step", lambda k, b, s, psi, t, dt: psi * np.nan)
+        monkeypatch.setattr(rotorsim.dynamics, "DYNAMICS_STEP_CAP", 16)
+        with pytest.raises(DimensionCapError, match="step cap"):
+            propagate(TWO_SITE, RampSchedule(0.0, 0.5, duration=0.5), dt=0.05)

@@ -274,6 +274,12 @@ class TestChargeScan:
         with pytest.raises(ValueError):
             charge_scan(spec, [-0.5, 0.5])
 
+    def test_rejects_grid_whose_charge_term_overflows(self):
+        # M reaches N l_max = 2: 2 * 1.7e308 overflows, 2 * 8e307 does not
+        with pytest.raises(ValueError, match="overflows"):
+            charge_scan(ChainSpec(2, 1), [1e300, 1.7e308])
+        assert np.all(np.isfinite(charge_scan(ChainSpec(2, 1), [1e300, 8e307]).ground_energy))
+
 
 class TestCorrelation:
     def test_decoupled_sites_uncorrelated(self):
