@@ -20,11 +20,9 @@ from .lattice import (
     InvalidSpecError,
     SiteBasis,
     SparseOperator,
-    build_charge,
-    build_grand_canonical,
     build_hamiltonian,
     direction_matrices,
-    sector_decompose,
+    sector_basis,
     site_basis,
 )
 from .spectra import (

@@ -146,8 +146,9 @@ def cmd_design_scan(args) -> int:
     except DesignError as exc:
         raise CliError(EXIT_INVALID, str(exc))
     out = _outdir(args)
-    header = list(rows[0].keys())
-    write_csv(out / "design_scan.csv", header, [[row[h] for h in header] for row in rows])
+    if args.format in ("csv", "both"):
+        header = list(rows[0].keys())
+        write_csv(out / "design_scan.csv", header, [[row[h] for h in header] for row in rows])
     if args.format in ("json", "both"):
         write_json(out / "design_scan.json",
                    {"config": _geometry_doc(geom, env),
@@ -237,9 +238,6 @@ def cmd_sim(args) -> int:
             })
             print(f"gap = {gap:.9g}, degeneracy = {degeneracy}")
         elif args.subcommand == "charge-scan":
-            if not (math.isfinite(args.mu_start) and math.isfinite(args.mu_stop)):
-                raise CliError(EXIT_INVALID, f"need a finite mu range, got "
-                                             f"[{args.mu_start}, {args.mu_stop}]")
             if args.mu_steps > design.SCAN_STEPS_CAP:
                 raise CliError(EXIT_RESOURCE_CAP, f"{args.mu_steps} mu steps exceed the scan "
                                                   f"cap {design.SCAN_STEPS_CAP}")
@@ -301,15 +299,27 @@ def cmd_sim(args) -> int:
     return EXIT_OK
 
 
+def finite_float(text: str) -> float:
+    """argparse type: a float that is neither NaN nor infinite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports bad argv as invalid input (exit 2 from main) instead of exiting."""
+
+    def error(self, message):
+        raise CliError(EXIT_INVALID, f"{self.prog}: {message}")
+
+
 def _add_geometry_flags(parser):
     parser.add_argument("--config", help="geometry/environment JSON file")
-    parser.add_argument("--delta", type=float, dest="delta", help="wire radius, m")
-    parser.add_argument("--rho", type=float, dest="rho", help="insulating sphere radius, m")
-    parser.add_argument("--alpha", type=float, dest="alpha", help="conducting sphere radius, m")
-    parser.add_argument("--gamma", type=float, dest="gamma", help="sphere gap, m")
-    parser.add_argument("--dx", type=float, dest="dx", help="lattice spacing, m")
-    parser.add_argument("--temperature", type=float, dest="temperature", help="K")
-    parser.add_argument("--magnetic-field", type=float, dest="magnetic_field", help="T")
+    for key, attr in {**GEOMETRY_KEYS, **ENVIRONMENT_KEYS}.items():
+        name, unit = key.rsplit("_", 1)  # the flag _resolve_geometry reads
+        parser.add_argument("--" + name.replace("_", "-"), type=finite_float,
+                            help=f"{attr.replace('_', ' ')}, {unit}")
 
 
 def _add_common_flags(parser):
@@ -318,7 +328,7 @@ def _add_common_flags(parser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="rotorsim", description=__doc__)
+    parser = _Parser(prog="rotorsim", description=__doc__)
     top = parser.add_subparsers(dest="command", required=True)
 
     p_design = top.add_parser("design", help="feasibility analysis")
@@ -335,8 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_geometry_flags(p_scan)
     _add_common_flags(p_scan)
     p_scan.add_argument("--parameter", required=True)
-    p_scan.add_argument("--start", type=float, required=True)
-    p_scan.add_argument("--stop", type=float, required=True)
+    p_scan.add_argument("--start", type=finite_float, required=True)
+    p_scan.add_argument("--stop", type=finite_float, required=True)
     p_scan.add_argument("--steps", type=int, required=True)
     p_scan.set_defaults(func=cmd_design_scan)
 
@@ -352,8 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--from-geometry", dest="from_geometry",
                        help="derive kappa and mu from a geometry JSON file")
     p_sim.add_argument("--k", type=int, default=6, help="levels for spectrum")
-    p_sim.add_argument("--mu-start", type=float, default=0.0)
-    p_sim.add_argument("--mu-stop", type=float, default=4.0)
+    p_sim.add_argument("--mu-start", type=finite_float, default=0.0)
+    p_sim.add_argument("--mu-stop", type=finite_float, default=4.0)
     p_sim.add_argument("--mu-steps", type=int, default=17)
     p_sim.add_argument("--kappa-end", type=float, default=0.5)
     p_sim.add_argument("--duration", type=float, default=100.0)
@@ -367,8 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

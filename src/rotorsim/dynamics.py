@@ -16,8 +16,7 @@ import numpy as np
 
 from .constants import CODATA2018, Constants
 from .design import Geometry, rotational_quantum
-from .lattice import (ChainSpec, DimensionCapError, build_interaction, build_kinetic,
-                      sector_decompose)
+from .lattice import ChainSpec, DimensionCapError, build_interaction, build_kinetic, sector_basis
 
 __all__ = [
     "DYNAMICS_DIM_CAP",
@@ -90,13 +89,13 @@ def _sector_parts(spec: ChainSpec):
     """K = sum_i L_i^2 and B, dense on the M = 0 sector; the cap is checked first."""
     if spec.mu_tilde != 0.0:
         raise ValueError("ramp dynamics model the interaction switch-on at mu_tilde = 0")
-    indices = sector_decompose(spec)[0]
-    if len(indices) > DYNAMICS_DIM_CAP:
+    codes = sector_basis(spec, 0)
+    if len(codes) > DYNAMICS_DIM_CAP:
         raise DimensionCapError(
-            f"M = 0 sector dimension {len(indices)} exceeds the dynamics cap {DYNAMICS_DIM_CAP}"
+            f"M = 0 sector dimension {len(codes)} exceeds the dynamics cap {DYNAMICS_DIM_CAP}"
         )
-    kinetic = build_kinetic(spec).restrict(indices).matrix.toarray()
-    bond = build_interaction(spec).restrict(indices).matrix.toarray()
+    kinetic = build_kinetic(spec, codes).matrix.toarray()
+    bond = build_interaction(spec, codes).matrix.toarray()
     return kinetic, bond
 
 

@@ -10,8 +10,18 @@ per bond is kept so absolute energies track the physical bond potential;
 gaps are unaffected. The conserved Noether charge Q is the total angular
 momentum along z. H is rotation invariant, so a charge along any other
 internal axis is unitarily equivalent to this one.
+
+A product state is labelled by its code sum_i s_i d^(N-1-i), with
+d = (l_max + 1)^2 and site state s_i = l^2 + l + m: site 0 is the slowest
+digit and the code is the state's full-space index. [H, Q] = 0, so
+operators are built only on one total-M sector's ascending codes
+(sector_basis), never on the full space; on a sector Q is the number M,
+so build_charge, build_grand_canonical, sector_decompose and
+SparseOperator.restrict are gone. ChainSpec's dimension cap still applies
+to d^N, as spectra returns full-space vectors.
 """
 
+import functools
 import math
 import numbers
 import os
@@ -30,12 +40,10 @@ __all__ = [
     "SparseOperator",
     "site_basis",
     "direction_matrices",
+    "sector_basis",
     "build_hamiltonian",
     "direction_dots",
     "build_interaction",
-    "build_charge",
-    "build_grand_canonical",
-    "sector_decompose",
 ]
 
 DIM_CAP_ENV = "ROTORSIM_DIM_CAP"
@@ -137,16 +145,10 @@ def site_basis(l_max: int) -> SiteBasis:
 
 @dataclass
 class SparseOperator:
-    """Real symmetric sparse operator on the many-body basis."""
+    """Real symmetric sparse operator on a basis of codes (see module docstring)."""
 
     dimension: int
     matrix: sp.csr_matrix
-
-    def restrict(self, indices) -> "SparseOperator":
-        """Submatrix on the given global basis indices (order preserved)."""
-        idx = np.asarray(indices)
-        sub = self.matrix[np.ix_(idx, idx)].tocsr()
-        return SparseOperator(dimension=len(idx), matrix=sub)
 
 
 def _clean(matrix) -> sp.csr_matrix:
@@ -198,95 +200,117 @@ def direction_matrices(l_max: int):
     return _clean(nz), _clean(nplus), _clean(nminus)
 
 
-def _site_operator(op, site: int, n_sites: int, site_dim: int) -> sp.csr_matrix:
-    """Embed a one-site operator; site 0 is the slowest tensor index."""
-    left = sp.identity(site_dim**site, format="csr")
-    right = sp.identity(site_dim ** (n_sites - site - 1), format="csr")
-    return sp.kron(sp.kron(left, op), right, format="csr")
+def sector_basis(spec: ChainSpec, m: int) -> np.ndarray:
+    """Ascending int64 codes of the product states with total M = m.
+
+    Built site by site from site 0; a prefix is dropped once the sites
+    still to come can no longer bring its partial M to m.
+    """
+    site_m = np.array([mm for _, mm in site_basis(spec.l_max).states])
+    codes, partial = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
+    for remaining in range(spec.n_sites - 1, -1, -1):
+        codes = (codes[:, None] * spec.site_dim + np.arange(spec.site_dim)).ravel()
+        partial = (partial[:, None] + site_m).ravel()
+        keep = np.abs(m - partial) <= remaining * spec.l_max
+        codes, partial = codes[keep], partial[keep]
+    return codes
 
 
-def _bond_operator(op_a, op_b, i: int, j: int, n_sites: int, site_dim: int):
-    a = _site_operator(op_a, i, n_sites, site_dim)
-    b = _site_operator(op_b, j, n_sites, site_dim)
-    return a @ b
+def _digits(spec: ChainSpec, codes, site: int) -> np.ndarray:
+    """Site state l^2 + l + m of `site` in each code."""
+    return (codes // spec.site_dim ** (spec.n_sites - 1 - site)) % spec.site_dim
 
 
-def direction_dots(spec: ChainSpec, pairs):
-    """Yield n_i . n_j = n_z n_z + (n_+ n_- + n_- n_+) / 2 for each (i, j) in pairs."""
-    nz, npl, nmi = direction_matrices(spec.l_max)
+@functools.cache
+def _dot_table(l_max: int, n_sites: int):
+    """n_a . n_b on two sites, or n_a . n_a on one, as read-only (indptr, shift, value).
+
+    Entries indptr[p]:indptr[p + 1] start from local state p (the sites'
+    digits, first site slowest); shift is each site's digit change.
+    """
+    nz, npl, nmi = direction_matrices(l_max)
+    if n_sites == 1:
+        table = sp.csc_matrix(nz @ nz + 0.5 * (npl @ nmi) + 0.5 * (nmi @ npl))
+    else:
+        table = sp.csc_matrix(sp.kron(nz, nz) + 0.5 * sp.kron(npl, nmi) + 0.5 * sp.kron(nmi, npl))
+    source = np.repeat(np.arange(table.shape[1]), np.diff(table.indptr))
+    d = (l_max + 1) ** 2
+    powers = d ** np.arange(n_sites - 1, -1, -1)
+    shift = (table.indices[:, None] // powers) % d - (source[:, None] // powers) % d
+    arrays = (table.indptr.astype(np.int64), shift, table.data)
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
+def _apply_dot(spec: ChainSpec, codes, i: int, j: int):
+    """(row, col, value) entries of n_i . n_j on the basis `codes`.
+
+    One gather collects every state's table entries and one searchsorted
+    finds the target codes; a basis not closed under n_i . n_j is refused.
+    """
+    sites = (i,) if i == j else (i, j)
+    indptr, shift, value = _dot_table(spec.l_max, len(sites))
+    local = np.zeros(len(codes), dtype=np.int64)
+    for site in sites:
+        local = local * spec.site_dim + _digits(spec, codes, site)
+    start, counts = indptr[local], indptr[local + 1] - indptr[local]
+    col = np.repeat(np.arange(len(codes)), counts)
+    entry = np.arange(len(col)) + (start - np.cumsum(counts) + counts)[col]
+    weights = spec.site_dim ** (spec.n_sites - 1 - np.array(sites, dtype=np.int64))
+    target = codes[col] + (shift @ weights)[entry]
+    row = np.searchsorted(codes, target)
+    if not np.array_equal(codes.take(row, mode="clip"), target):
+        raise ValueError("the basis is not closed under n_i . n_j; pass a sector_basis")
+    return row, col, value[entry]
+
+
+def _operator(diagonal, entries=()) -> SparseOperator:
+    """CSR operator from its diagonal and a list of (row, col, value) entry arrays."""
+    index = np.arange(len(diagonal))
+    rows, cols, values = zip((index, index, diagonal), *entries)
+    matrix = sp.csr_matrix((np.concatenate(values), (np.concatenate(rows), np.concatenate(cols))),
+                           shape=(len(diagonal), len(diagonal)))
+    matrix.eliminate_zeros()
+    return SparseOperator(dimension=len(diagonal), matrix=matrix)
+
+
+def direction_dots(spec: ChainSpec, codes, pairs):
+    """Yield n_i . n_j = n_z n_z + (n_+ n_- + n_- n_+) / 2 on the basis `codes` per (i, j)."""
     for i, j in pairs:
-        sites = (i, j, spec.n_sites, spec.site_dim)
-        yield (_bond_operator(nz, nz, *sites) + 0.5 * _bond_operator(npl, nmi, *sites)
-               + 0.5 * _bond_operator(nmi, npl, *sites))
+        yield _operator(np.zeros(len(codes)), [_apply_dot(spec, codes, i, j)]).matrix
 
 
-def build_interaction(spec: ChainSpec) -> SparseOperator:
-    """Bond operator sum_<i,j> (2 - 2 n_i . n_j), i.e. dH/dkappa.
+def _bonds(spec: ChainSpec, codes, scale: float) -> list:
+    """scale * n_i . n_j entries of every bond; none is diagonal."""
+    return [(row, col, scale * value) for row, col, value in
+            (_apply_dot(spec, codes, i, j) for i, j in spec.bonds)]
+
+
+def _kinetic_diagonal(spec: ChainSpec, codes) -> np.ndarray:
+    """sum_i l_i (l_i + 1) per code, summed from site 0."""
+    site_l2 = np.array([l * (l + 1.0) for l, _ in site_basis(spec.l_max).states])
+    return sum(site_l2[_digits(spec, codes, site)] for site in range(spec.n_sites))
+
+
+def build_kinetic(spec: ChainSpec, codes) -> SparseOperator:
+    """Rotor kinetic term sum_i L_i^2 on the basis `codes` (diagonal)."""
+    return _operator(_kinetic_diagonal(spec, codes))
+
+
+def build_interaction(spec: ChainSpec, codes) -> SparseOperator:
+    """Bond operator sum_<i,j> (2 - 2 n_i . n_j), i.e. dH/dkappa, on the basis `codes`.
 
     Separated out because the time-dependent switching ramp multiplies
     exactly this operator by kappa(t).
     """
-    dim = spec.dimension
-    total = sp.csr_matrix((dim, dim))
-    for dot in direction_dots(spec, spec.bonds):
-        total = total + (2.0 * sp.identity(dim, format="csr") - 2.0 * dot)
-    return SparseOperator(dimension=dim, matrix=_clean(total))
+    return _operator(np.full(len(codes), 2.0 * len(spec.bonds)), _bonds(spec, codes, -2.0))
 
 
-def _site_sum(spec: ChainSpec, value) -> np.ndarray:
-    """sum_i value(l_i, m_i) for every global basis state; site 0 is the slowest digit."""
-    site_values = np.array([value(l, m) for l, m in site_basis(spec.l_max).states])
-    index, d = np.arange(spec.dimension), spec.site_dim
-    total = np.zeros(spec.dimension, dtype=site_values.dtype)
-    for i in range(spec.n_sites):
-        total += site_values[(index // d ** (spec.n_sites - 1 - i)) % d]
-    return total
-
-
-def total_m_values(spec: ChainSpec) -> np.ndarray:
-    """Total magnetic quantum number sum_i m_i per global basis state."""
-    return _site_sum(spec, lambda l, m: m)
-
-
-def _diagonal(values) -> SparseOperator:
-    return SparseOperator(dimension=len(values), matrix=_clean(sp.diags(values)))
-
-
-def build_kinetic(spec: ChainSpec) -> SparseOperator:
-    """Rotor kinetic term sum_i L_i^2 (diagonal, l(l+1) per site)."""
-    return _diagonal(_site_sum(spec, lambda l, m: l * (l + 1.0)))
-
-
-def build_hamiltonian(spec: ChainSpec) -> SparseOperator:
-    """Chain Hamiltonian in units of E0 (see module docstring)."""
-    h = build_kinetic(spec).matrix
-    if spec.kappa != 0.0:
-        h = h + spec.kappa * build_interaction(spec).matrix
-    return SparseOperator(dimension=spec.dimension, matrix=_clean(h))
-
-
-def build_charge(spec: ChainSpec) -> SparseOperator:
-    """Noether charge Q = sum_i L_i^z, integer-diagonal."""
-    return _diagonal(total_m_values(spec).astype(float))
-
-
-def build_grand_canonical(spec: ChainSpec) -> SparseOperator:
-    """H - mu_tilde * Q; positive mu_tilde favors positive charge."""
-    h = build_hamiltonian(spec).matrix
-    if spec.mu_tilde != 0.0:
-        h = h - spec.mu_tilde * build_charge(spec).matrix
-    return SparseOperator(dimension=spec.dimension, matrix=_clean(h))
-
-
-def sector_decompose(spec: ChainSpec) -> dict:
-    """Partition the basis by total M (conserved since [H, Q] = 0).
-
-    The block count is 2 * n_sites * l_max + 1. Within each sector the
-    global basis order is kept.
-    """
-    total = total_m_values(spec)
-    max_m = spec.n_sites * spec.l_max
-    return {
-        m: np.flatnonzero(total == m)
-        for m in range(-max_m, max_m + 1)
-    }
+def build_hamiltonian(spec: ChainSpec, codes) -> SparseOperator:
+    """H (module docstring) without mu_tilde on the basis `codes`; diagonal at kappa = 0."""
+    kinetic = _kinetic_diagonal(spec, codes)
+    if spec.kappa == 0.0:
+        return _operator(kinetic)
+    return _operator(kinetic + spec.kappa * (2.0 * len(spec.bonds)),
+                     _bonds(spec, codes, -2.0 * spec.kappa))

@@ -10,16 +10,10 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .lattice import (
-    ChainSpec,
-    SparseOperator,
-    build_grand_canonical,
-    build_hamiltonian,
-    direction_dots,
-    sector_decompose,
-)
+from .lattice import ChainSpec, SparseOperator, build_hamiltonian, direction_dots, sector_basis
 
 __all__ = [
     "DENSE_CUTOFF",
@@ -158,16 +152,16 @@ def lowest_eigenpairs(op: SparseOperator, k: int, tol: float = 0.0,
     )
 
 
-def _solve_sector(h: SparseOperator, indices, k: int) -> SpectrumResult:
-    """Lowest min(k, block dimension) eigenpairs of h on one sector."""
-    block = h.restrict(indices)
+def _solve_sector(block: SparseOperator, k: int) -> SpectrumResult:
+    """Lowest min(k, block dimension) eigenpairs of one sector block."""
     k = min(k, block.dimension)
     return lowest_eigenpairs(block, k, method="dense" if k == block.dimension else None)
 
 
-def _hamiltonian_sectors(spec: ChainSpec):
-    """H, which does not contain mu_tilde, and its total-M sectors."""
-    return build_hamiltonian(spec), sector_decompose(spec)
+def _sector_hamiltonian(spec: ChainSpec, m: int):
+    """Codes of the total-M = m sector and H, which does not contain mu_tilde, on it."""
+    codes = sector_basis(spec, m)
+    return codes, build_hamiltonian(spec, codes)
 
 
 def spectrum(spec: ChainSpec, k: int) -> SpectrumResult:
@@ -180,20 +174,24 @@ def spectrum(spec: ChainSpec, k: int) -> SpectrumResult:
     """
     if k < 1:
         raise ValueError(f"need at least one level, got k={k}")
-    h = build_grand_canonical(spec)
-    levels = []  # (energy, M, vector-in-sector, indices, residual)
+    levels = []  # (energy, M, vector-in-sector, codes, residual)
     methods = set()
-    for m, indices in sector_decompose(spec).items():
-        res = _solve_sector(h, indices, k)
+    max_m = spec.n_sites * spec.l_max
+    for m in range(-max_m, max_m + 1):
+        codes, block = _sector_hamiltonian(spec, m)
+        if spec.mu_tilde != 0.0:  # Q is M on the whole sector
+            shifted = block.matrix - (spec.mu_tilde * m) * sp.identity(block.dimension, format="csr")
+            block = SparseOperator(block.dimension, shifted)
+        res = _solve_sector(block, k)
         methods.add(res.method)
-        levels += [(e, m, v, indices, r) for e, v, r in
+        levels += [(e, m, v, codes, r) for e, v, r in
                    zip(res.eigenvalues, res.eigenvectors.T, res.residual_norms)]
     levels.sort(key=lambda item: (item[0], item[1]))
     levels = levels[:k]
 
-    vecs = np.zeros((h.dimension, len(levels)))
-    for col, (_, _, v, indices, _) in enumerate(levels):
-        vecs[indices, col] = v
+    vecs = np.zeros((spec.dimension, len(levels)))
+    for col, (_, _, v, codes, _) in enumerate(levels):
+        vecs[codes, col] = v
     return SpectrumResult(
         eigenvalues=np.array([e for e, *_ in levels]),
         eigenvectors=vecs,
@@ -212,10 +210,10 @@ def ground_state(spec: ChainSpec):
     is solved.
     """
     if spec.mu_tilde == 0.0:
-        h, sectors = _hamiltonian_sectors(spec)
-        res = _solve_sector(h, sectors[0], k=1)
-        vec = np.zeros(h.dimension)
-        vec[sectors[0]] = res.eigenvectors[:, 0]
+        codes, block = _sector_hamiltonian(spec, 0)
+        res = _solve_sector(block, k=1)
+        vec = np.zeros(spec.dimension)
+        vec[codes] = res.eigenvectors[:, 0]
         return float(res.eigenvalues[0]), vec
     res = spectrum(spec, k=1)
     return float(res.eigenvalues[0]), res.eigenvectors[:, 0]
@@ -231,14 +229,14 @@ def mass_gap(spec: ChainSpec):
     """
     if spec.mu_tilde != 0.0:
         raise ValueError("mass_gap is defined at mu_tilde = 0")
-    h, sectors = _hamiltonian_sectors(spec)
 
     def window(m, k, e1_of):
         # the window is closed once a level lies clearly above E1
+        _, block = _sector_hamiltonian(spec, m)
         while True:
-            vals = _solve_sector(h, sectors[m], k).eigenvalues
+            vals = _solve_sector(block, k).eigenvalues
             e = e1_of(vals)
-            if (e is not None and vals[-1] - e >= DEGENERACY_TOL) or len(vals) == len(sectors[m]):
+            if (e is not None and vals[-1] - e >= DEGENERACY_TOL) or len(vals) == block.dimension:
                 return vals
             k *= 2
 
@@ -286,9 +284,9 @@ def charge_scan(spec: ChainSpec, mu_grid) -> ChargeScan:
     if not math.isfinite(float(mu_grid[-1]) * max_charge):
         raise ValueError(f"mu * M overflows: mu up to {mu_grid[-1]:.9g} at charge {max_charge}")
 
-    h, sectors = _hamiltonian_sectors(spec)
     charges = np.arange(max_charge + 1)
-    lowest = np.array([_solve_sector(h, sectors[m], k=1).eigenvalues[0] for m in charges])
+    lowest = np.array([_solve_sector(_sector_hamiltonian(spec, m)[1], k=1).eigenvalues[0]
+                       for m in charges])
     energies = lowest[None, :] - mu_grid[:, None] * charges[None, :]
     ground = np.argmin(energies, axis=1)
 
@@ -309,8 +307,9 @@ def correlation(spec: ChainSpec, i: int, j: int) -> float:
         raise ValueError("correlation is defined at mu_tilde = 0")
     if not (0 <= i < spec.n_sites and 0 <= j < spec.n_sites):
         raise ValueError(f"site indices out of range: ({i}, {j})")
-    _, vec = ground_state(spec)
-    (op,) = direction_dots(spec, [(i, j)])
+    codes = sector_basis(spec, 0)
+    vec = ground_state(spec)[1][codes]
+    (op,) = direction_dots(spec, codes, [(i, j)])
     return float(np.vdot(vec, op @ vec))
 
 
@@ -324,9 +323,10 @@ def correlation_profile(spec: ChainSpec) -> CorrelationProfile:
     if spec.n_sites < 4 or spec.boundary != "open" or spec.mu_tilde != 0.0:
         raise ValueError("correlation_profile needs an open chain of >= 4 sites at mu_tilde = 0")
     center = (spec.n_sites - 1) // 2
-    _, vec = ground_state(spec)
+    codes = sector_basis(spec, 0)
+    vec = ground_state(spec)[1][codes]
     distances = np.arange(0, spec.n_sites - center)
-    ops = direction_dots(spec, [(center, center + d) for d in distances])
+    ops = direction_dots(spec, codes, [(center, center + d) for d in distances])
     values = np.array([float(np.vdot(vec, op @ vec)) for op in ops])
 
     fitted_xi, quality = _fit_exponential(distances[1:], values[1:])

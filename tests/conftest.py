@@ -4,9 +4,11 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.special import sph_harm_y
 
 from rotorsim import Geometry
+from rotorsim.lattice import SparseOperator, direction_matrices, site_basis
 
 MICRO = dict(
     wire_radius=100e-9,
@@ -139,3 +141,107 @@ def oracle_csv_text(header, rows):
     for row in rows:
         writer.writerow([_oracle_cell(v) for v in row])
     return buf.getvalue()
+
+
+# --- operator oracle ---------------------------------------------------------
+# The full-space builder rotorsim.lattice replaced: every operator is a sum of
+# Kronecker products on the whole product space, and a sector block is its
+# fancy-indexed restriction. Its blocks are the contract, bit for bit.
+
+def _oracle_clean(matrix):
+    out = sp.csr_matrix(matrix)
+    out.eliminate_zeros()
+    return out
+
+
+def oracle_site_operator(op, site, n_sites, site_dim):
+    """Embed a one-site operator; site 0 is the slowest tensor index."""
+    left = sp.identity(site_dim**site, format="csr")
+    right = sp.identity(site_dim ** (n_sites - site - 1), format="csr")
+    return sp.kron(sp.kron(left, op), right, format="csr")
+
+
+def oracle_bond_operator(op_a, op_b, i, j, n_sites, site_dim):
+    a = oracle_site_operator(op_a, i, n_sites, site_dim)
+    b = oracle_site_operator(op_b, j, n_sites, site_dim)
+    return a @ b
+
+
+def oracle_direction_dots(spec, pairs):
+    """Yield n_i . n_j = n_z n_z + (n_+ n_- + n_- n_+) / 2 for each (i, j) in pairs."""
+    nz, npl, nmi = direction_matrices(spec.l_max)
+    for i, j in pairs:
+        sites = (i, j, spec.n_sites, spec.site_dim)
+        yield (oracle_bond_operator(nz, nz, *sites) + 0.5 * oracle_bond_operator(npl, nmi, *sites)
+               + 0.5 * oracle_bond_operator(nmi, npl, *sites))
+
+
+def oracle_interaction(spec):
+    """Bond operator sum_<i,j> (2 - 2 n_i . n_j), i.e. dH/dkappa."""
+    dim = spec.dimension
+    total = sp.csr_matrix((dim, dim))
+    for dot in oracle_direction_dots(spec, spec.bonds):
+        total = total + (2.0 * sp.identity(dim, format="csr") - 2.0 * dot)
+    return SparseOperator(dimension=dim, matrix=_oracle_clean(total))
+
+
+def oracle_site_sum(spec, value):
+    """sum_i value(l_i, m_i) for every global basis state; site 0 is the slowest digit."""
+    site_values = np.array([value(l, m) for l, m in site_basis(spec.l_max).states])
+    index, d = np.arange(spec.dimension), spec.site_dim
+    total = np.zeros(spec.dimension, dtype=site_values.dtype)
+    for i in range(spec.n_sites):
+        total += site_values[(index // d ** (spec.n_sites - 1 - i)) % d]
+    return total
+
+
+def oracle_total_m_values(spec):
+    """Total magnetic quantum number sum_i m_i per global basis state."""
+    return oracle_site_sum(spec, lambda l, m: m)
+
+
+def _oracle_diagonal(values):
+    return SparseOperator(dimension=len(values), matrix=_oracle_clean(sp.diags(values)))
+
+
+def oracle_kinetic(spec):
+    """Rotor kinetic term sum_i L_i^2 (diagonal, l(l+1) per site)."""
+    return _oracle_diagonal(oracle_site_sum(spec, lambda l, m: l * (l + 1.0)))
+
+
+def oracle_hamiltonian(spec):
+    """Chain Hamiltonian in units of E0, on the full product space."""
+    h = oracle_kinetic(spec).matrix
+    if spec.kappa != 0.0:
+        h = h + spec.kappa * oracle_interaction(spec).matrix
+    return SparseOperator(dimension=spec.dimension, matrix=_oracle_clean(h))
+
+
+def oracle_charge(spec):
+    """Noether charge Q = sum_i L_i^z, integer-diagonal."""
+    return _oracle_diagonal(oracle_total_m_values(spec).astype(float))
+
+
+def oracle_grand_canonical(spec):
+    """H - mu_tilde * Q; positive mu_tilde favors positive charge."""
+    h = oracle_hamiltonian(spec).matrix
+    if spec.mu_tilde != 0.0:
+        h = h - spec.mu_tilde * oracle_charge(spec).matrix
+    return SparseOperator(dimension=spec.dimension, matrix=_oracle_clean(h))
+
+
+def oracle_sectors(spec):
+    """Partition the global basis indices by total M, global order kept."""
+    total = oracle_total_m_values(spec)
+    max_m = spec.n_sites * spec.l_max
+    return {
+        m: np.flatnonzero(total == m)
+        for m in range(-max_m, max_m + 1)
+    }
+
+
+def oracle_restrict(op, indices):
+    """Submatrix on the given global basis indices (order preserved)."""
+    idx = np.asarray(indices)
+    sub = op.matrix[np.ix_(idx, idx)].tocsr()
+    return SparseOperator(dimension=len(idx), matrix=sub)

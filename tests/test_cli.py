@@ -132,6 +132,18 @@ class TestDesignScan:
                     "--parameter", "gamma_m", "--start", "0", "--stop", "1e-6",
                     "--steps", "3", "--out", tmp_path / "out"]) == 2
 
+    @pytest.mark.parametrize("fmt, files", [
+        ("json", ["design_scan.json"]),
+        ("csv", ["design_scan.csv"]),
+        ("both", ["design_scan.csv", "design_scan.json"]),
+    ])
+    def test_format_selects_the_files_written(self, micro_config, tmp_path, fmt, files):
+        out = tmp_path / "out"
+        assert run(["design", "scan", "--config", micro_config, "--parameter", "gamma_m",
+                    "--start", "2e-6", "--stop", "3e-6", "--steps", "3", "--format", fmt,
+                    "--out", out]) == 0
+        assert sorted(path.name for path in out.iterdir()) == files
+
 
 class TestSim:
     def test_gap_free_chain(self, tmp_path):
@@ -288,6 +300,21 @@ class TestCapsAndExtremeInput:
     def test_extreme_design_input_exit_2(self, micro_config, tmp_path, capsys, flags):
         assert_refused(["design", flags[0], "--config", micro_config] + flags[1:]
                        + ["--out", tmp_path / "out"], capsys, 2)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command, flag", [
+        *(("report", flag) for flag in ("--delta", "--rho", "--alpha", "--gamma", "--dx",
+                                        "--temperature", "--magnetic-field")),
+        ("scan", "--start"), ("scan", "--stop"),
+    ])
+    def test_non_finite_design_flag_refused_at_parse_time(self, micro_config, tmp_path, capsys,
+                                                           command, flag, value):
+        argv = ["design", command, "--config", micro_config]
+        if command == "scan":
+            argv += ["--parameter", "gamma_m", "--start", "2e-6", "--stop", "3e-6",
+                     "--steps", "3"]
+        err = assert_refused(argv + [f"{flag}={value}", "--out", tmp_path / "out"], capsys, 2)
+        assert f"argument {flag}: expected a finite number, got '{value}'" in err
 
     @pytest.mark.parametrize("gamma", [1e-300, 1e300])
     def test_extreme_from_geometry_exit_2(self, micro_doc, tmp_path, capsys, gamma):

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,17 +11,27 @@ from rotorsim.lattice import (
     DIM_CAP_ENV,
     DimensionCapError,
     InvalidSpecError,
-    build_charge,
-    build_grand_canonical,
+    SparseOperator,
     build_hamiltonian,
     build_interaction,
     build_kinetic,
+    direction_dots,
     direction_matrices,
-    sector_decompose,
+    sector_basis,
     site_basis,
 )
 
-from conftest import quadrature_direction_element
+from conftest import (
+    oracle_charge,
+    oracle_direction_dots,
+    oracle_grand_canonical,
+    oracle_hamiltonian,
+    oracle_interaction,
+    oracle_kinetic,
+    oracle_restrict,
+    oracle_sectors,
+    quadrature_direction_element,
+)
 
 
 class TestChainSpec:
@@ -67,7 +78,7 @@ class TestSiteBasis:
         assert site_basis(2).dim == 9
 
     def test_l_squared_eigenvalues(self):
-        L2 = build_kinetic(ChainSpec(1, 2)).matrix
+        L2 = oracle_kinetic(ChainSpec(1, 2)).matrix
         assert list(L2.diagonal()) == [0, 2, 2, 2, 6, 6, 6, 6, 6]
 
     def test_index_matches_order(self):
@@ -145,27 +156,27 @@ def total_transverse_angular_momentum(spec):
 class TestHamiltonian:
     def test_single_site_spectrum(self):
         for l_max in (1, 2, 3):
-            h = build_hamiltonian(ChainSpec(n_sites=1, l_max=l_max, kappa=5.0))
+            h = oracle_hamiltonian(ChainSpec(n_sites=1, l_max=l_max, kappa=5.0))
             expected = sorted(l * (l + 1) for l in range(l_max + 1)
                               for _ in range(2 * l + 1))
             assert np.allclose(np.linalg.eigvalsh(dense(h)), expected, atol=1e-12)
 
     def test_decoupled_chain_spectrum_is_sum(self):
-        single = np.linalg.eigvalsh(dense(build_hamiltonian(ChainSpec(1, 1))))
-        pair = np.linalg.eigvalsh(dense(build_hamiltonian(ChainSpec(2, 1, kappa=0.0))))
+        single = np.linalg.eigvalsh(dense(oracle_hamiltonian(ChainSpec(1, 1))))
+        pair = np.linalg.eigvalsh(dense(oracle_hamiltonian(ChainSpec(2, 1, kappa=0.0))))
         sums = sorted(a + b for a in single for b in single)
         assert np.allclose(pair, sums, atol=1e-12)
 
     def test_weak_coupling_ground_energy(self):
         # second-order perturbation theory: 2*kappa - kappa^2/3
         kappa = 0.1
-        h = build_hamiltonian(ChainSpec(2, 1, kappa=kappa))
+        h = oracle_hamiltonian(ChainSpec(2, 1, kappa=kappa))
         ground = np.linalg.eigvalsh(dense(h))[0]
         assert ground == pytest.approx(2 * kappa - kappa**2 / 3.0, abs=1e-3)
 
     def test_bond_count(self):
-        open_h = build_interaction(ChainSpec(4, 1))
-        periodic_h = build_interaction(ChainSpec(4, 1, boundary="periodic"))
+        open_h = oracle_interaction(ChainSpec(4, 1))
+        periodic_h = oracle_interaction(ChainSpec(4, 1, boundary="periodic"))
         # the additive constant is 2 per bond; read it off the (0,0) entry
         # in the product ground-state corner
         assert dense(open_h)[0, 0] == pytest.approx(2 * 3)
@@ -176,8 +187,10 @@ class TestHamiltonian:
         (3, 2, 2.0), (4, 1, 1.0),
     ])
     def test_hermiticity(self, n_sites, l_max, kappa):
-        h = build_hamiltonian(ChainSpec(n_sites, l_max, kappa))
-        assert abs(h.matrix - h.matrix.getH()).max() < 1e-14
+        spec = ChainSpec(n_sites, l_max, kappa)
+        for m in range(-n_sites * l_max, n_sites * l_max + 1):
+            h = build_hamiltonian(spec, sector_basis(spec, m))
+            assert abs(h.matrix - h.matrix.getH()).max() < 1e-14
 
     @pytest.mark.parametrize("spec", [
         ChainSpec(2, 1, kappa=1.0), ChainSpec(4, 1, kappa=0.7),
@@ -188,9 +201,9 @@ class TestHamiltonian:
     def test_rotation_invariant(self, spec):
         # H commutes with every component of the total angular momentum, so
         # the charge along z stands for the charge along any internal axis
-        h = build_hamiltonian(spec).matrix
+        h = oracle_hamiltonian(spec).matrix
         lx, ly = total_transverse_angular_momentum(spec)
-        lz = build_charge(spec).matrix
+        lz = oracle_charge(spec).matrix
         assert abs(lx @ ly - ly @ lx - 1j * lz).max() < 1e-12  # the oracle's own algebra
         for component in (lx, ly):
             assert abs(h @ component - component @ h).max() < 1e-12
@@ -199,52 +212,52 @@ class TestHamiltonian:
         # enlarging the cutoff from 2 to 3 moves the ground energy by less
         # than 1e-3 * kappa^2 (perturbative tail estimate)
         for kappa in (0.5, 1.0):
-            e2 = np.linalg.eigvalsh(dense(build_hamiltonian(ChainSpec(2, 2, kappa))))[0]
-            e3 = np.linalg.eigvalsh(dense(build_hamiltonian(ChainSpec(2, 3, kappa))))[0]
+            e2 = np.linalg.eigvalsh(dense(oracle_hamiltonian(ChainSpec(2, 2, kappa))))[0]
+            e3 = np.linalg.eigvalsh(dense(oracle_hamiltonian(ChainSpec(2, 3, kappa))))[0]
             assert abs(e2 - e3) < 1e-3 * kappa**2
 
 
 class TestCharge:
     def test_diagonal_integer_for_z_axis(self):
-        q = dense(build_charge(ChainSpec(2, 1)))
+        q = dense(oracle_charge(ChainSpec(2, 1)))
         assert abs(q - np.diag(np.diag(q))).max() == 0.0
         assert np.allclose(np.diag(q), np.round(np.diag(q).real), atol=1e-14)
 
     def test_all_m_zero_state(self):
         spec = ChainSpec(2, 1)
         basis = site_basis(1)
-        q = dense(build_charge(spec))
+        q = dense(oracle_charge(spec))
         idx = basis.index(1, 0) * spec.site_dim + basis.index(1, 0)
         assert q[idx, idx] == 0.0
 
     def test_opposite_m_pair(self):
         spec = ChainSpec(2, 1)
         basis = site_basis(1)
-        q = dense(build_charge(spec))
+        q = dense(oracle_charge(spec))
         idx = basis.index(1, 1) * spec.site_dim + basis.index(1, -1)
         assert q[idx, idx] == 0.0
 
     def test_charge_spectrum_bounds(self):
-        q = np.diag(dense(build_charge(ChainSpec(2, 1)))).real
+        q = np.diag(dense(oracle_charge(ChainSpec(2, 1)))).real
         assert set(np.round(q).astype(int)) == {-2, -1, 0, 1, 2}
 
     @pytest.mark.parametrize("n_sites,l_max", [(2, 1), (2, 2), (3, 1), (3, 2)])
     def test_commutes_with_hamiltonian(self, n_sites, l_max):
         spec = ChainSpec(n_sites, l_max, kappa=1.3)
-        h = dense(build_hamiltonian(spec))
-        q = dense(build_charge(spec))
+        h = dense(oracle_hamiltonian(spec))
+        q = dense(oracle_charge(spec))
         assert abs(h @ q - q @ h).max() < 1e-12
 
 
 class TestGrandCanonical:
     def test_zero_mu_identical(self):
         spec = ChainSpec(2, 1, kappa=0.7, mu_tilde=0.0)
-        h = build_hamiltonian(spec)
-        gc = build_grand_canonical(spec)
+        h = oracle_hamiltonian(spec)
+        gc = oracle_grand_canonical(spec)
         assert abs(h.matrix - gc.matrix).max() == 0.0
 
     def test_single_site_level_crossing(self):
-        gc = dense(build_grand_canonical(ChainSpec(1, 1, kappa=0.0, mu_tilde=3.0)))
+        gc = dense(oracle_grand_canonical(ChainSpec(1, 1, kappa=0.0, mu_tilde=3.0)))
         vals = np.linalg.eigvalsh(gc)
         assert vals[0] == pytest.approx(-1.0, abs=1e-14)
         # the ground state is the maximal-m member of the l=1 triplet
@@ -252,30 +265,30 @@ class TestGrandCanonical:
         assert gc[basis.index(1, 1), basis.index(1, 1)] == pytest.approx(-1.0)
 
     def test_mu_sign_flip_preserves_spectrum(self):
-        up = np.linalg.eigvalsh(dense(build_grand_canonical(
+        up = np.linalg.eigvalsh(dense(oracle_grand_canonical(
             ChainSpec(2, 1, kappa=0.5, mu_tilde=0.8))))
-        down = np.linalg.eigvalsh(dense(build_grand_canonical(
+        down = np.linalg.eigvalsh(dense(oracle_grand_canonical(
             ChainSpec(2, 1, kappa=0.5, mu_tilde=-0.8))))
         assert np.allclose(up, down, atol=1e-12)
 
 
 class TestSectors:
     def test_single_site_sectors(self):
-        sectors = sector_decompose(ChainSpec(1, 1))
-        sizes = {m: len(ix) for m, ix in sectors.items()}
+        sizes = {m: len(sector_basis(ChainSpec(1, 1), m)) for m in (-1, 0, 1)}
         assert sizes == {-1: 1, 0: 2, 1: 1}
 
     def test_partition(self):
         spec = ChainSpec(2, 1)
-        sectors = sector_decompose(spec)
-        assert len(sectors) == 2 * spec.n_sites * spec.l_max + 1
-        combined = np.sort(np.concatenate(list(sectors.values())))
+        sectors = [sector_basis(spec, m) for m in range(-2, 3)]
+        assert all(len(codes) for codes in sectors)
+        assert len(sector_basis(spec, 3)) == len(sector_basis(spec, -3)) == 0
+        combined = np.sort(np.concatenate(sectors))
         assert np.array_equal(combined, np.arange(spec.dimension))
 
     def test_block_structure(self):
         spec = ChainSpec(2, 2, kappa=1.1)
-        h = dense(build_hamiltonian(spec))
-        sectors = sector_decompose(spec)
+        h = dense(oracle_hamiltonian(spec))
+        sectors = oracle_sectors(spec)
         labels = np.empty(spec.dimension, dtype=int)
         for m, indices in sectors.items():
             labels[indices] = m
@@ -283,3 +296,109 @@ class TestSectors:
         assert abs(off_block).max() == 0.0
 
 
+
+
+def geometries():
+    """Every chain the sector blocks are checked on: 1-8 x 1, 2-4 x 2, 2-3 x 3."""
+    sizes = [(n, 1) for n in range(1, 9)] + [(n, 2) for n in (2, 3, 4)] + [(2, 3), (3, 3)]
+    out = []
+    for n_sites, l_max in sizes:
+        out.append(ChainSpec(n_sites, l_max))
+        if n_sites >= 3:
+            out.append(ChainSpec(n_sites, l_max, boundary="periodic"))
+    return out
+
+
+def spec_id(spec):
+    return f"{spec.n_sites}x{spec.l_max}-{spec.boundary}"
+
+
+def assert_same_csr(block, oracle):
+    """The same stored entries with the same bits; the block's CSR is canonical.
+
+    The oracle's Kronecker products leave some rows' column indices out of
+    order (l_max >= 2), so it is compared in sorted order.
+    """
+    assert block.dimension == oracle.dimension
+    a, b = block.matrix, oracle.matrix.sorted_indices()
+    assert a.has_canonical_format
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert np.array_equal(a.indptr, b.indptr)
+    assert np.array_equal(a.indices, b.indices)
+    assert np.array_equal(a.data.view(np.int64), b.data.view(np.int64))
+
+
+def sectors_of(spec):
+    """(M, library codes, oracle indices) for every sector."""
+    oracle = oracle_sectors(spec)
+    return [(m, sector_basis(spec, m), indices) for m, indices in oracle.items()]
+
+
+class TestSectorBlocksAgainstFullSpaceOracle:
+    """Each sector block equals the restriction of the Kronecker-built operator."""
+
+    @pytest.mark.parametrize("spec", geometries(), ids=spec_id)
+    def test_sector_basis_is_the_total_m_partition(self, spec):
+        for m, codes, indices in sectors_of(spec):
+            assert codes.dtype == np.int64
+            assert np.array_equal(codes, indices)
+
+    @pytest.mark.parametrize("kappa", [0.0, 0.7])
+    @pytest.mark.parametrize("geometry", geometries(), ids=spec_id)
+    def test_hamiltonian(self, geometry, kappa):
+        spec = replace(geometry, kappa=kappa)
+        full = oracle_hamiltonian(spec)
+        for m, codes, indices in sectors_of(spec):
+            block = build_hamiltonian(spec, codes)
+            assert_same_csr(block, oracle_restrict(full, indices))
+            if kappa == 0.0:  # the diagonal label of lowest_eigenpairs relies on this
+                assert block.matrix.nnz == np.count_nonzero(block.matrix.diagonal())
+
+    @pytest.mark.parametrize("spec", geometries(), ids=spec_id)
+    def test_kinetic_and_interaction(self, spec):
+        kinetic, bond = oracle_kinetic(spec), oracle_interaction(spec)
+        for m, codes, indices in sectors_of(spec):
+            assert_same_csr(build_kinetic(spec, codes), oracle_restrict(kinetic, indices))
+            assert_same_csr(build_interaction(spec, codes), oracle_restrict(bond, indices))
+
+    @pytest.mark.parametrize("spec", [g for g in geometries() if g.boundary == "open"],
+                             ids=spec_id)
+    def test_direction_dots_every_pair(self, spec):
+        pairs = [(i, j) for i in range(spec.n_sites) for j in range(spec.n_sites)]
+        sectors = sectors_of(spec)
+        for pair, full in zip(pairs, oracle_direction_dots(spec, pairs)):
+            full = SparseOperator(spec.dimension, full)
+            for m, codes, indices in sectors:
+                (block,) = direction_dots(spec, codes, [pair])
+                assert_same_csr(SparseOperator(len(codes), block), oracle_restrict(full, indices))
+
+    @pytest.mark.parametrize("spec", [
+        ChainSpec(3, 1, kappa=0.7, mu_tilde=0.7),
+        ChainSpec(4, 1, kappa=0.7, boundary="periodic", mu_tilde=-0.7),
+        ChainSpec(3, 2, kappa=0.7, mu_tilde=1.3),
+        ChainSpec(2, 3, kappa=0.0, mu_tilde=-0.45),
+        ChainSpec(3, 1, kappa=0.0, mu_tilde=2.0),  # L^2 - mu M = 0 on some states
+    ], ids=lambda spec: f"{spec.n_sites}x{spec.l_max}-k{spec.kappa}-mu{spec.mu_tilde}")
+    def test_spectrum_solves_the_grand_canonical_blocks(self, spec, monkeypatch):
+        import rotorsim.spectra
+
+        solved = []
+
+        def recording(block, k, _solve=rotorsim.spectra._solve_sector):
+            solved.append(block)
+            return _solve(block, k)
+        monkeypatch.setattr(rotorsim.spectra, "_solve_sector", recording)
+        rotorsim.spectra.spectrum(spec, k=3)
+        full = oracle_grand_canonical(spec)
+        sectors = oracle_sectors(spec)
+        assert len(solved) == len(sectors)
+        for block, indices in zip(solved, sectors.values()):
+            assert_same_csr(block, oracle_restrict(full, indices))
+
+    def test_basis_not_closed_under_the_operator_is_refused(self):
+        spec = ChainSpec(3, 1, kappa=1.0)
+        codes = sector_basis(spec, 0)
+        with pytest.raises(ValueError, match="not closed"):
+            build_hamiltonian(spec, codes[: len(codes) // 2])
+        with pytest.raises(ValueError, match="not closed"):
+            next(direction_dots(spec, codes[: len(codes) // 2], [(0, 2)]))

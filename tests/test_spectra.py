@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 import rotorsim.spectra
-from rotorsim.lattice import (
-    ChainSpec,
-    build_charge,
-    build_grand_canonical,
-    build_hamiltonian,
-    sector_decompose,
-)
+from rotorsim.lattice import ChainSpec, sector_basis
 from rotorsim.spectra import (
     DEGENERACY_TOL,
     ChargeScan,
@@ -23,20 +17,28 @@ from rotorsim.spectra import (
     spectrum,
 )
 
+from conftest import (
+    oracle_charge,
+    oracle_grand_canonical,
+    oracle_hamiltonian,
+    oracle_restrict,
+    oracle_sectors,
+)
+
 
 def sector_minimum(spec, m):
     """Independent oracle: dense minimum of the Hamiltonian block at total M."""
-    h = build_hamiltonian(spec)
-    indices = sector_decompose(spec)[m]
-    return float(np.linalg.eigvalsh(h.restrict(indices).matrix.toarray().real)[0])
+    h = oracle_hamiltonian(spec)
+    indices = oracle_sectors(spec)[m]
+    return float(np.linalg.eigvalsh(oracle_restrict(h, indices).matrix.toarray().real)[0])
 
 
 def dense_gap(spec):
     """Independent oracle: gap and degeneracy read off every sector's dense spectrum."""
-    h = build_hamiltonian(spec)
+    h = oracle_hamiltonian(spec)
     levels = np.sort(np.concatenate([
-        np.linalg.eigvalsh(h.restrict(indices).matrix.toarray().real)
-        for indices in sector_decompose(spec).values()
+        np.linalg.eigvalsh(oracle_restrict(h, indices).matrix.toarray().real)
+        for indices in oracle_sectors(spec).values()
     ]))
     e1 = levels[levels > levels[0] + DEGENERACY_TOL][0]
     return e1 - levels[0], int(np.sum(np.abs(levels - e1) < DEGENERACY_TOL))
@@ -45,23 +47,23 @@ def dense_gap(spec):
 def grand_canonical_ground(spec, mu):
     """Independent oracle: ground energy and <Q> of the dense H - mu Q."""
     gc = replace(spec, mu_tilde=mu)
-    vals, vecs = np.linalg.eigh(build_grand_canonical(gc).matrix.toarray())
-    charge = np.vdot(vecs[:, 0], build_charge(gc).matrix @ vecs[:, 0])
+    vals, vecs = np.linalg.eigh(oracle_grand_canonical(gc).matrix.toarray())
+    charge = np.vdot(vecs[:, 0], oracle_charge(gc).matrix @ vecs[:, 0])
     return vals[0], charge.real
 
 
 class TestLowestEigenpairs:
     def test_single_site_lmax2(self):
-        res = lowest_eigenpairs(build_hamiltonian(ChainSpec(1, 2)), k=4)
+        res = lowest_eigenpairs(oracle_hamiltonian(ChainSpec(1, 2)), k=4)
         assert np.allclose(res.eigenvalues, [0, 2, 2, 2], atol=1e-12)
         assert res.method == "dense"
 
     def test_weak_coupling_ground(self):
-        res = lowest_eigenpairs(build_hamiltonian(ChainSpec(2, 1, kappa=0.1)), k=1)
+        res = lowest_eigenpairs(oracle_hamiltonian(ChainSpec(2, 1, kappa=0.1)), k=1)
         assert res.eigenvalues[0] == pytest.approx(0.196667, abs=1e-3)
 
     def test_dense_and_iterative_agree_dim_1024(self):
-        op = build_hamiltonian(ChainSpec(5, 1, kappa=0.7))
+        op = oracle_hamiltonian(ChainSpec(5, 1, kappa=0.7))
         assert op.dimension == 1024
         dense = lowest_eigenpairs(op, k=5, method="dense")
         iterative = lowest_eigenpairs(op, k=5, method="iterative")
@@ -69,17 +71,17 @@ class TestLowestEigenpairs:
         assert np.abs(dense.eigenvalues - iterative.eigenvalues).max() < 1e-8
 
     def test_residual_norms(self):
-        res = lowest_eigenpairs(build_hamiltonian(ChainSpec(3, 1, kappa=1.0)), k=4)
+        res = lowest_eigenpairs(oracle_hamiltonian(ChainSpec(3, 1, kappa=1.0)), k=4)
         assert res.residual_norms.max() < 1e-8
         assert res.converged
 
     def test_explicit_dense_returns_whole_spectrum(self):
-        res = lowest_eigenpairs(build_hamiltonian(ChainSpec(1, 1)), k=4, method="dense")
+        res = lowest_eigenpairs(oracle_hamiltonian(ChainSpec(1, 1)), k=4, method="dense")
         assert np.allclose(res.eigenvalues, [0, 2, 2, 2], atol=1e-12)
 
     def test_diagonal_operator_read_off_its_diagonal(self):
         # Lanczos from one start vector misses exactly degenerate levels
-        op = build_hamiltonian(ChainSpec(5, 1, kappa=0.0))
+        op = oracle_hamiltonian(ChainSpec(5, 1, kappa=0.0))
         res = lowest_eigenpairs(op, k=8, method="iterative")
         assert res.method == "diagonal"
         assert np.array_equal(res.eigenvalues, [0.0] + [2.0] * 7)
@@ -88,7 +90,7 @@ class TestLowestEigenpairs:
         assert res.residual_norms.max() == 0.0
 
     def test_rejects_bad_k(self):
-        op = build_hamiltonian(ChainSpec(1, 1))
+        op = oracle_hamiltonian(ChainSpec(1, 1))
         with pytest.raises(ValueError):
             lowest_eigenpairs(op, k=0)
         with pytest.raises(ValueError):
@@ -108,7 +110,7 @@ class TestSpectrum:
     def test_matches_blind_diagonalization(self):
         spec = ChainSpec(2, 2, kappa=0.8)
         labeled = spectrum(spec, k=6)
-        blind = lowest_eigenpairs(build_hamiltonian(spec), k=6)
+        blind = lowest_eigenpairs(oracle_hamiltonian(spec), k=6)
         assert np.abs(labeled.eigenvalues - blind.eigenvalues).max() < 1e-10
 
     def test_variational_bound_in_lmax(self):
@@ -253,14 +255,16 @@ class TestChargeScan:
         assert grid[first - 1] < result.critical_mu <= grid[first]
 
     def test_builds_hamiltonian_once(self, monkeypatch):
+        # once per sector M = 0..3, never per grid point
+        spec = ChainSpec(3, 1, kappa=1.0)
         calls = []
-        for name in ("build_hamiltonian", "build_grand_canonical"):
-            def counted(spec, _build=getattr(rotorsim.spectra, name), _name=name):
-                calls.append(_name)
-                return _build(spec)
-            monkeypatch.setattr(rotorsim.spectra, name, counted)
-        charge_scan(ChainSpec(3, 1, kappa=1.0), np.linspace(0.0, 4.0, 9))
-        assert calls == ["build_hamiltonian"]
+
+        def counted(spec, codes, _build=rotorsim.spectra.build_hamiltonian):
+            calls.append(list(codes))
+            return _build(spec, codes)
+        monkeypatch.setattr(rotorsim.spectra, "build_hamiltonian", counted)
+        charge_scan(spec, np.linspace(0.0, 4.0, 9))
+        assert calls == [list(sector_basis(spec, m)) for m in range(4)]
 
     @pytest.mark.parametrize("grid", [[0.0, np.nan], [0.0, np.inf], [np.nan]])
     def test_rejects_non_finite_grid(self, grid):
@@ -337,7 +341,6 @@ class TestSymmetryProperties:
         ChainSpec(2, 2, kappa=2.0),
     ])
     def test_neutral_ground_state(self, spec):
-        from rotorsim.lattice import build_charge
         _, vec = ground_state(spec)
-        q = build_charge(spec).matrix
+        q = oracle_charge(spec).matrix
         assert abs(np.vdot(vec, q @ vec)) < 1e-10
