@@ -20,9 +20,12 @@ from .lattice import (
     InvalidSpecError,
     SiteBasis,
     SparseOperator,
+    build_charge,
+    build_grand_canonical,
     build_hamiltonian,
     direction_matrices,
     sector_basis,
+    sector_decompose,
     site_basis,
 )
 from .spectra import (

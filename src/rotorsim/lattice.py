@@ -13,12 +13,9 @@ internal axis is unitarily equivalent to this one.
 
 A product state is labelled by its code sum_i s_i d^(N-1-i), with
 d = (l_max + 1)^2 and site state s_i = l^2 + l + m: site 0 is the slowest
-digit and the code is the state's full-space index. [H, Q] = 0, so
-operators are built only on one total-M sector's ascending codes
-(sector_basis), never on the full space; on a sector Q is the number M,
-so build_charge, build_grand_canonical, sector_decompose and
-SparseOperator.restrict are gone. ChainSpec's dimension cap still applies
-to d^N, as spectra returns full-space vectors.
+digit and the code is the state's full-space index. [H, Q] = 0, so each
+operator is built on one total-M sector's ascending codes (sector_basis),
+never on the full space. ChainSpec's dimension cap still applies to d^N.
 """
 
 import functools
@@ -41,9 +38,13 @@ __all__ = [
     "site_basis",
     "direction_matrices",
     "sector_basis",
+    "sector_decompose",
     "build_hamiltonian",
     "direction_dots",
+    "build_kinetic",
     "build_interaction",
+    "build_charge",
+    "build_grand_canonical",
 ]
 
 DIM_CAP_ENV = "ROTORSIM_DIM_CAP"
@@ -150,11 +151,10 @@ class SparseOperator:
     dimension: int
     matrix: sp.csr_matrix
 
-
-def _clean(matrix) -> sp.csr_matrix:
-    out = sp.csr_matrix(matrix)
-    out.eliminate_zeros()
-    return out
+    def restrict(self, positions) -> "SparseOperator":
+        """Submatrix on the given positions of the basis (order preserved)."""
+        idx = np.asarray(positions)
+        return SparseOperator(dimension=len(idx), matrix=self.matrix[np.ix_(idx, idx)].tocsr())
 
 
 def direction_matrices(l_max: int):
@@ -196,8 +196,7 @@ def direction_matrices(l_max: int):
             if l - 1 >= 0 and abs(m + 1) <= l - 1:
                 nplus[basis.index(l - 1, m + 1), col] = B(l - 1, -m - 1)
     nz = nz + nz.T  # lower triangle mirrors: n_z is real symmetric
-    nminus = nplus.T.conj()
-    return _clean(nz), _clean(nplus), _clean(nminus)
+    return sp.csr_matrix(nz), sp.csr_matrix(nplus), sp.csr_matrix(nplus.T)
 
 
 def sector_basis(spec: ChainSpec, m: int) -> np.ndarray:
@@ -216,9 +215,16 @@ def sector_basis(spec: ChainSpec, m: int) -> np.ndarray:
     return codes
 
 
-def _digits(spec: ChainSpec, codes, site: int) -> np.ndarray:
-    """Site state l^2 + l + m of `site` in each code."""
-    return (codes // spec.site_dim ** (spec.n_sites - 1 - site)) % spec.site_dim
+def sector_decompose(spec: ChainSpec) -> dict:
+    """sector_basis of every total M, from -N l_max to N l_max."""
+    max_m = spec.n_sites * spec.l_max
+    return {m: sector_basis(spec, m) for m in range(-max_m, max_m + 1)}
+
+
+def _site_states(spec: ChainSpec, codes) -> np.ndarray:
+    """Site state l^2 + l + m of each site (rows, site 0 first) in each code."""
+    powers = spec.site_dim ** np.arange(spec.n_sites - 1, -1, -1, dtype=np.int64)
+    return codes // powers[:, None] % spec.site_dim
 
 
 @functools.cache
@@ -243,17 +249,15 @@ def _dot_table(l_max: int, n_sites: int):
     return arrays
 
 
-def _apply_dot(spec: ChainSpec, codes, i: int, j: int):
-    """(row, col, value) entries of n_i . n_j on the basis `codes`.
+def _apply_dot(spec: ChainSpec, codes, states, i: int, j: int):
+    """(row, col, value) entries of n_i . n_j on the basis `codes` with _site_states `states`.
 
     One gather collects every state's table entries and one searchsorted
     finds the target codes; a basis not closed under n_i . n_j is refused.
     """
     sites = (i,) if i == j else (i, j)
     indptr, shift, value = _dot_table(spec.l_max, len(sites))
-    local = np.zeros(len(codes), dtype=np.int64)
-    for site in sites:
-        local = local * spec.site_dim + _digits(spec, codes, site)
+    local = states[i] if i == j else states[i] * spec.site_dim + states[j]
     start, counts = indptr[local], indptr[local + 1] - indptr[local]
     col = np.repeat(np.arange(len(codes)), counts)
     entry = np.arange(len(col)) + (start - np.cumsum(counts) + counts)[col]
@@ -277,25 +281,35 @@ def _operator(diagonal, entries=()) -> SparseOperator:
 
 def direction_dots(spec: ChainSpec, codes, pairs):
     """Yield n_i . n_j = n_z n_z + (n_+ n_- + n_- n_+) / 2 on the basis `codes` per (i, j)."""
+    states = _site_states(spec, codes)
     for i, j in pairs:
-        yield _operator(np.zeros(len(codes)), [_apply_dot(spec, codes, i, j)]).matrix
+        yield _operator(np.zeros(len(codes)), [_apply_dot(spec, codes, states, i, j)]).matrix
 
 
-def _bonds(spec: ChainSpec, codes, scale: float) -> list:
+def _bonds(spec: ChainSpec, codes, states, scale: float) -> list:
     """scale * n_i . n_j entries of every bond; none is diagonal."""
     return [(row, col, scale * value) for row, col, value in
-            (_apply_dot(spec, codes, i, j) for i, j in spec.bonds)]
+            (_apply_dot(spec, codes, states, i, j) for i, j in spec.bonds)]
 
 
-def _kinetic_diagonal(spec: ChainSpec, codes) -> np.ndarray:
-    """sum_i l_i (l_i + 1) per code, summed from site 0."""
-    site_l2 = np.array([l * (l + 1.0) for l, _ in site_basis(spec.l_max).states])
-    return sum(site_l2[_digits(spec, codes, site)] for site in range(spec.n_sites))
+def _site_sum(spec: ChainSpec, states, value) -> np.ndarray:
+    """sum_i value(l_i, m_i) per code (exact: a sum of small integers)."""
+    site_values = np.array([value(l, m) for l, m in site_basis(spec.l_max).states], dtype=float)
+    return site_values[states].sum(axis=0)
+
+
+def _l_squared(l, m):
+    return l * (l + 1.0)
 
 
 def build_kinetic(spec: ChainSpec, codes) -> SparseOperator:
     """Rotor kinetic term sum_i L_i^2 on the basis `codes` (diagonal)."""
-    return _operator(_kinetic_diagonal(spec, codes))
+    return _operator(_site_sum(spec, _site_states(spec, codes), _l_squared))
+
+
+def build_charge(spec: ChainSpec, codes) -> SparseOperator:
+    """Noether charge Q = sum_i L_i^z on the basis `codes`; M on a sector."""
+    return _operator(_site_sum(spec, _site_states(spec, codes), lambda l, m: m))
 
 
 def build_interaction(spec: ChainSpec, codes) -> SparseOperator:
@@ -304,13 +318,27 @@ def build_interaction(spec: ChainSpec, codes) -> SparseOperator:
     Separated out because the time-dependent switching ramp multiplies
     exactly this operator by kappa(t).
     """
-    return _operator(np.full(len(codes), 2.0 * len(spec.bonds)), _bonds(spec, codes, -2.0))
+    return _operator(np.full(len(codes), 2.0 * len(spec.bonds)),
+                     _bonds(spec, codes, _site_states(spec, codes), -2.0))
+
+
+def _grand_canonical(spec: ChainSpec, codes, mu_tilde: float) -> SparseOperator:
+    """H - mu_tilde * Q on `codes`; the diagonal terms add up in the Kronecker oracle's order."""
+    states = _site_states(spec, codes)
+    diagonal, bonds = _site_sum(spec, states, _l_squared), []
+    if spec.kappa != 0.0:  # at kappa = 0 no off-diagonal entry is stored
+        diagonal = diagonal + spec.kappa * (2.0 * len(spec.bonds))
+        bonds = _bonds(spec, codes, states, -2.0 * spec.kappa)
+    if mu_tilde != 0.0:
+        diagonal = diagonal - mu_tilde * _site_sum(spec, states, lambda l, m: m)
+    return _operator(diagonal, bonds)
 
 
 def build_hamiltonian(spec: ChainSpec, codes) -> SparseOperator:
-    """H (module docstring) without mu_tilde on the basis `codes`; diagonal at kappa = 0."""
-    kinetic = _kinetic_diagonal(spec, codes)
-    if spec.kappa == 0.0:
-        return _operator(kinetic)
-    return _operator(kinetic + spec.kappa * (2.0 * len(spec.bonds)),
-                     _bonds(spec, codes, -2.0 * spec.kappa))
+    """H (module docstring) without mu_tilde on the basis `codes`."""
+    return _grand_canonical(spec, codes, 0.0)
+
+
+def build_grand_canonical(spec: ChainSpec, codes) -> SparseOperator:
+    """H - mu_tilde * Q on the basis `codes`; positive mu_tilde favors positive charge."""
+    return _grand_canonical(spec, codes, spec.mu_tilde)

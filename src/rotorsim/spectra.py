@@ -10,10 +10,10 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .lattice import ChainSpec, SparseOperator, build_hamiltonian, direction_dots, sector_basis
+from .lattice import (ChainSpec, SparseOperator, build_grand_canonical, build_hamiltonian,
+                      direction_dots, sector_basis, sector_decompose)
 
 __all__ = [
     "DENSE_CUTOFF",
@@ -176,13 +176,8 @@ def spectrum(spec: ChainSpec, k: int) -> SpectrumResult:
         raise ValueError(f"need at least one level, got k={k}")
     levels = []  # (energy, M, vector-in-sector, codes, residual)
     methods = set()
-    max_m = spec.n_sites * spec.l_max
-    for m in range(-max_m, max_m + 1):
-        codes, block = _sector_hamiltonian(spec, m)
-        if spec.mu_tilde != 0.0:  # Q is M on the whole sector
-            shifted = block.matrix - (spec.mu_tilde * m) * sp.identity(block.dimension, format="csr")
-            block = SparseOperator(block.dimension, shifted)
-        res = _solve_sector(block, k)
+    for m, codes in sector_decompose(spec).items():
+        res = _solve_sector(build_grand_canonical(spec, codes), k)
         methods.add(res.method)
         levels += [(e, m, v, codes, r) for e, v, r in
                    zip(res.eigenvalues, res.eigenvectors.T, res.residual_norms)]
@@ -202,6 +197,14 @@ def spectrum(spec: ChainSpec, k: int) -> SpectrumResult:
     )
 
 
+def _neutral_ground(spec: ChainSpec):
+    """Codes of the M = 0 sector, and the ground energy and vector on them."""
+    codes, block = _sector_hamiltonian(spec, 0)
+    res = _solve_sector(block, k=1)
+    # contiguous: vdot over a strided column would sum in another order
+    return codes, float(res.eigenvalues[0]), np.ascontiguousarray(res.eigenvectors[:, 0])
+
+
 def ground_state(spec: ChainSpec):
     """Ground eigenpair (energy, vector) of the grand-canonical chain.
 
@@ -210,11 +213,10 @@ def ground_state(spec: ChainSpec):
     is solved.
     """
     if spec.mu_tilde == 0.0:
-        codes, block = _sector_hamiltonian(spec, 0)
-        res = _solve_sector(block, k=1)
+        codes, energy, sector_vec = _neutral_ground(spec)
         vec = np.zeros(spec.dimension)
-        vec[codes] = res.eigenvectors[:, 0]
-        return float(res.eigenvalues[0]), vec
+        vec[codes] = sector_vec
+        return energy, vec
     res = spectrum(spec, k=1)
     return float(res.eigenvalues[0]), res.eigenvectors[:, 0]
 
@@ -307,8 +309,7 @@ def correlation(spec: ChainSpec, i: int, j: int) -> float:
         raise ValueError("correlation is defined at mu_tilde = 0")
     if not (0 <= i < spec.n_sites and 0 <= j < spec.n_sites):
         raise ValueError(f"site indices out of range: ({i}, {j})")
-    codes = sector_basis(spec, 0)
-    vec = ground_state(spec)[1][codes]
+    codes, _, vec = _neutral_ground(spec)
     (op,) = direction_dots(spec, codes, [(i, j)])
     return float(np.vdot(vec, op @ vec))
 
@@ -323,8 +324,7 @@ def correlation_profile(spec: ChainSpec) -> CorrelationProfile:
     if spec.n_sites < 4 or spec.boundary != "open" or spec.mu_tilde != 0.0:
         raise ValueError("correlation_profile needs an open chain of >= 4 sites at mu_tilde = 0")
     center = (spec.n_sites - 1) // 2
-    codes = sector_basis(spec, 0)
-    vec = ground_state(spec)[1][codes]
+    codes, _, vec = _neutral_ground(spec)
     distances = np.arange(0, spec.n_sites - center)
     ops = direction_dots(spec, codes, [(center, center + d) for d in distances])
     values = np.array([float(np.vdot(vec, op @ vec)) for op in ops])

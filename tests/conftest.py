@@ -240,8 +240,10 @@ def oracle_sectors(spec):
     }
 
 
-def oracle_restrict(op, indices):
-    """Submatrix on the given global basis indices (order preserved)."""
-    idx = np.asarray(indices)
-    sub = op.matrix[np.ix_(idx, idx)].tocsr()
-    return SparseOperator(dimension=len(idx), matrix=sub)
+def all_codes(spec):
+    """The whole product space as a basis: every code, ascending.
+
+    The library builders accept it like a sector, so a full-space matrix of
+    the library's own operator needs no oracle.
+    """
+    return np.arange(spec.dimension, dtype=np.int64)

@@ -24,15 +24,15 @@ from rotorsim.design import (
 )
 from rotorsim.constants import CODATA2018
 from rotorsim.dynamics import RampSchedule, physical_ramp_time, propagate
-from rotorsim.lattice import ChainSpec, direction_matrices, site_basis
+from rotorsim.lattice import (ChainSpec, build_charge, build_hamiltonian, direction_matrices,
+                              site_basis)
 from rotorsim.spectra import charge_scan, ground_state, lowest_eigenpairs, mass_gap, spectrum
 
 from conftest import (
     MICRO,
     NANO,
-    oracle_charge,
+    all_codes,
     oracle_hamiltonian,
-    oracle_restrict,
     oracle_sectors,
     quadrature_direction_element,
     random_geometries,
@@ -83,7 +83,7 @@ class TestAcceptance:
 
     def test_05_free_rotor_spectrum_and_gap(self):
         basis = site_basis(3)
-        h = oracle_hamiltonian(ChainSpec(1, 3)).matrix.toarray().real
+        h = build_hamiltonian(ChainSpec(1, 3), all_codes(ChainSpec(1, 3))).matrix.toarray()
         expected = np.diag([l * (l + 1.0) for l, _ in basis.states])
         ok = np.array_equal(h, expected)
         for n_sites in range(1, 5):
@@ -92,7 +92,7 @@ class TestAcceptance:
         report("criterion 5: free-rotor spectrum and decoupled-chain gap/degeneracy", ok)
 
     def test_06_oracle_equivalence(self):
-        op = oracle_hamiltonian(ChainSpec(5, 1, kappa=0.7))
+        op = build_hamiltonian(ChainSpec(5, 1, kappa=0.7), all_codes(ChainSpec(5, 1)))
         dense = lowest_eigenpairs(op, k=5, method="dense").eigenvalues
         iterative = lowest_eigenpairs(op, k=5, method="iterative").eigenvalues
         ok = op.dimension == 1024 and np.abs(dense - iterative).max() < 1e-8
@@ -107,7 +107,8 @@ class TestAcceptance:
                         ok &= abs(mat[i, j] - oracle) < 1e-10
 
         ground = lowest_eigenpairs(
-            oracle_hamiltonian(ChainSpec(2, 1, kappa=0.1)), k=1).eigenvalues[0]
+            build_hamiltonian(ChainSpec(2, 1, kappa=0.1), all_codes(ChainSpec(2, 1))),
+            k=1).eigenvalues[0]
         ok &= abs(ground - 0.196667) < 1e-3
         report("criterion 6: dense/iterative, quadrature, and perturbation oracles", ok)
 
@@ -116,8 +117,8 @@ class TestAcceptance:
         for n_sites in (1, 2, 3):
             for l_max in (1, 2):
                 spec = ChainSpec(n_sites, l_max, kappa=0.8)
-                h = oracle_hamiltonian(spec).matrix
-                q = oracle_charge(spec).matrix
+                h = build_hamiltonian(spec, all_codes(spec)).matrix
+                q = build_charge(spec, all_codes(spec)).matrix
                 comm = (h @ q - q @ h)
                 ok &= abs(comm.toarray()).max() < 1e-12
         for kappa in (0.5, 1.0, 2.0):
@@ -126,7 +127,7 @@ class TestAcceptance:
                 ok &= degeneracy == 3
         for spec in (ChainSpec(2, 1, kappa=0.5), ChainSpec(3, 1, kappa=1.0)):
             _, vec = ground_state(spec)
-            q = oracle_charge(spec).matrix
+            q = build_charge(spec, all_codes(spec)).matrix
             ok &= abs(np.vdot(vec, q @ vec)) < 1e-10
         report("criterion 7: charge conservation, triplet gap, neutral ground state", ok)
 
@@ -139,7 +140,7 @@ class TestAcceptance:
             h = oracle_hamiltonian(spec)
             sectors = oracle_sectors(spec)
             minima = {
-                m: np.linalg.eigvalsh(oracle_restrict(h, sectors[m]).matrix.toarray().real)[0]
+                m: np.linalg.eigvalsh(h.restrict(sectors[m]).matrix.toarray().real)[0]
                 for m in (0, 1)
             }
             oracle = minima[1] - minima[0]

@@ -11,9 +11,9 @@ from rotorsim.dynamics import (
     physical_ramp_time,
     propagate,
 )
-from rotorsim.lattice import ChainSpec, DimensionCapError
+from rotorsim.lattice import ChainSpec, DimensionCapError, build_interaction, build_kinetic
 
-from conftest import oracle_interaction, oracle_kinetic
+from conftest import all_codes
 
 
 TWO_SITE = ChainSpec(2, 1, kappa=0.0)
@@ -21,8 +21,8 @@ TWO_SITE = ChainSpec(2, 1, kappa=0.0)
 
 def full_space_ramp(spec, schedule, dt, trace_stride):
     """The midpoint-exponential ramp in the whole product space, no sectors."""
-    kinetic = oracle_kinetic(spec).matrix.toarray()
-    bond = oracle_interaction(spec).matrix.toarray()
+    kinetic = build_kinetic(spec, all_codes(spec)).matrix.toarray()
+    bond = build_interaction(spec, all_codes(spec)).matrix.toarray()
 
     def ground(kappa):
         return np.linalg.eigh(kinetic + kappa * bond)[1][:, 0]

@@ -12,26 +12,35 @@ from rotorsim.lattice import (
     DimensionCapError,
     InvalidSpecError,
     SparseOperator,
+    build_charge,
+    build_grand_canonical,
     build_hamiltonian,
     build_interaction,
     build_kinetic,
     direction_dots,
     direction_matrices,
     sector_basis,
+    sector_decompose,
     site_basis,
 )
+from rotorsim.spectra import spectrum
 
 from conftest import (
+    all_codes,
     oracle_charge,
     oracle_direction_dots,
     oracle_grand_canonical,
     oracle_hamiltonian,
     oracle_interaction,
     oracle_kinetic,
-    oracle_restrict,
     oracle_sectors,
     quadrature_direction_element,
 )
+
+
+def whole_space(build, spec):
+    """A library builder's operator on every code of the product space."""
+    return build(spec, all_codes(spec))
 
 
 class TestChainSpec:
@@ -78,7 +87,8 @@ class TestSiteBasis:
         assert site_basis(2).dim == 9
 
     def test_l_squared_eigenvalues(self):
-        L2 = oracle_kinetic(ChainSpec(1, 2)).matrix
+        spec = ChainSpec(1, 2)
+        L2 = whole_space(build_kinetic, spec).matrix
         assert list(L2.diagonal()) == [0, 2, 2, 2, 6, 6, 6, 6, 6]
 
     def test_index_matches_order(self):
@@ -156,27 +166,28 @@ def total_transverse_angular_momentum(spec):
 class TestHamiltonian:
     def test_single_site_spectrum(self):
         for l_max in (1, 2, 3):
-            h = oracle_hamiltonian(ChainSpec(n_sites=1, l_max=l_max, kappa=5.0))
+            spec = ChainSpec(n_sites=1, l_max=l_max, kappa=5.0)
             expected = sorted(l * (l + 1) for l in range(l_max + 1)
                               for _ in range(2 * l + 1))
-            assert np.allclose(np.linalg.eigvalsh(dense(h)), expected, atol=1e-12)
+            levels = spectrum(spec, k=spec.dimension).eigenvalues
+            assert np.allclose(levels, expected, atol=1e-12)
 
     def test_decoupled_chain_spectrum_is_sum(self):
-        single = np.linalg.eigvalsh(dense(oracle_hamiltonian(ChainSpec(1, 1))))
-        pair = np.linalg.eigvalsh(dense(oracle_hamiltonian(ChainSpec(2, 1, kappa=0.0))))
+        single = spectrum(ChainSpec(1, 1), k=4).eigenvalues
+        pair = spectrum(ChainSpec(2, 1, kappa=0.0), k=16).eigenvalues
         sums = sorted(a + b for a in single for b in single)
         assert np.allclose(pair, sums, atol=1e-12)
 
     def test_weak_coupling_ground_energy(self):
         # second-order perturbation theory: 2*kappa - kappa^2/3
         kappa = 0.1
-        h = oracle_hamiltonian(ChainSpec(2, 1, kappa=kappa))
-        ground = np.linalg.eigvalsh(dense(h))[0]
+        ground = spectrum(ChainSpec(2, 1, kappa=kappa), k=1).eigenvalues[0]
         assert ground == pytest.approx(2 * kappa - kappa**2 / 3.0, abs=1e-3)
 
     def test_bond_count(self):
-        open_h = oracle_interaction(ChainSpec(4, 1))
-        periodic_h = oracle_interaction(ChainSpec(4, 1, boundary="periodic"))
+        open_spec, periodic_spec = ChainSpec(4, 1), ChainSpec(4, 1, boundary="periodic")
+        open_h = whole_space(build_interaction, open_spec)
+        periodic_h = whole_space(build_interaction, periodic_spec)
         # the additive constant is 2 per bond; read it off the (0,0) entry
         # in the product ground-state corner
         assert dense(open_h)[0, 0] == pytest.approx(2 * 3)
@@ -201,10 +212,10 @@ class TestHamiltonian:
     def test_rotation_invariant(self, spec):
         # H commutes with every component of the total angular momentum, so
         # the charge along z stands for the charge along any internal axis
-        h = oracle_hamiltonian(spec).matrix
+        h = whole_space(build_hamiltonian, spec).matrix
         lx, ly = total_transverse_angular_momentum(spec)
-        lz = oracle_charge(spec).matrix
-        assert abs(lx @ ly - ly @ lx - 1j * lz).max() < 1e-12  # the oracle's own algebra
+        lz = whole_space(build_charge, spec).matrix
+        assert abs(lx @ ly - ly @ lx - 1j * lz).max() < 1e-12  # the test's L_x, L_y against Q
         for component in (lx, ly):
             assert abs(h @ component - component @ h).max() < 1e-12
 
@@ -212,52 +223,52 @@ class TestHamiltonian:
         # enlarging the cutoff from 2 to 3 moves the ground energy by less
         # than 1e-3 * kappa^2 (perturbative tail estimate)
         for kappa in (0.5, 1.0):
-            e2 = np.linalg.eigvalsh(dense(oracle_hamiltonian(ChainSpec(2, 2, kappa))))[0]
-            e3 = np.linalg.eigvalsh(dense(oracle_hamiltonian(ChainSpec(2, 3, kappa))))[0]
+            e2 = spectrum(ChainSpec(2, 2, kappa), k=1).eigenvalues[0]
+            e3 = spectrum(ChainSpec(2, 3, kappa), k=1).eigenvalues[0]
             assert abs(e2 - e3) < 1e-3 * kappa**2
 
 
 class TestCharge:
     def test_diagonal_integer_for_z_axis(self):
-        q = dense(oracle_charge(ChainSpec(2, 1)))
+        q = dense(whole_space(build_charge, ChainSpec(2, 1)))
         assert abs(q - np.diag(np.diag(q))).max() == 0.0
         assert np.allclose(np.diag(q), np.round(np.diag(q).real), atol=1e-14)
 
     def test_all_m_zero_state(self):
         spec = ChainSpec(2, 1)
         basis = site_basis(1)
-        q = dense(oracle_charge(spec))
+        q = dense(whole_space(build_charge, spec))
         idx = basis.index(1, 0) * spec.site_dim + basis.index(1, 0)
         assert q[idx, idx] == 0.0
 
     def test_opposite_m_pair(self):
         spec = ChainSpec(2, 1)
         basis = site_basis(1)
-        q = dense(oracle_charge(spec))
+        q = dense(whole_space(build_charge, spec))
         idx = basis.index(1, 1) * spec.site_dim + basis.index(1, -1)
         assert q[idx, idx] == 0.0
 
     def test_charge_spectrum_bounds(self):
-        q = np.diag(dense(oracle_charge(ChainSpec(2, 1)))).real
+        q = np.diag(dense(whole_space(build_charge, ChainSpec(2, 1)))).real
         assert set(np.round(q).astype(int)) == {-2, -1, 0, 1, 2}
 
     @pytest.mark.parametrize("n_sites,l_max", [(2, 1), (2, 2), (3, 1), (3, 2)])
     def test_commutes_with_hamiltonian(self, n_sites, l_max):
         spec = ChainSpec(n_sites, l_max, kappa=1.3)
-        h = dense(oracle_hamiltonian(spec))
-        q = dense(oracle_charge(spec))
+        h = dense(whole_space(build_hamiltonian, spec))
+        q = dense(whole_space(build_charge, spec))
         assert abs(h @ q - q @ h).max() < 1e-12
 
 
 class TestGrandCanonical:
     def test_zero_mu_identical(self):
         spec = ChainSpec(2, 1, kappa=0.7, mu_tilde=0.0)
-        h = oracle_hamiltonian(spec)
-        gc = oracle_grand_canonical(spec)
+        h = whole_space(build_hamiltonian, spec)
+        gc = whole_space(build_grand_canonical, spec)
         assert abs(h.matrix - gc.matrix).max() == 0.0
 
     def test_single_site_level_crossing(self):
-        gc = dense(oracle_grand_canonical(ChainSpec(1, 1, kappa=0.0, mu_tilde=3.0)))
+        gc = dense(whole_space(build_grand_canonical, ChainSpec(1, 1, kappa=0.0, mu_tilde=3.0)))
         vals = np.linalg.eigvalsh(gc)
         assert vals[0] == pytest.approx(-1.0, abs=1e-14)
         # the ground state is the maximal-m member of the l=1 triplet
@@ -265,9 +276,11 @@ class TestGrandCanonical:
         assert gc[basis.index(1, 1), basis.index(1, 1)] == pytest.approx(-1.0)
 
     def test_mu_sign_flip_preserves_spectrum(self):
-        up = np.linalg.eigvalsh(dense(oracle_grand_canonical(
+        up = np.linalg.eigvalsh(dense(whole_space(
+            build_grand_canonical,
             ChainSpec(2, 1, kappa=0.5, mu_tilde=0.8))))
-        down = np.linalg.eigvalsh(dense(oracle_grand_canonical(
+        down = np.linalg.eigvalsh(dense(whole_space(
+            build_grand_canonical,
             ChainSpec(2, 1, kappa=0.5, mu_tilde=-0.8))))
         assert np.allclose(up, down, atol=1e-12)
 
@@ -287,7 +300,7 @@ class TestSectors:
 
     def test_block_structure(self):
         spec = ChainSpec(2, 2, kappa=1.1)
-        h = dense(oracle_hamiltonian(spec))
+        h = dense(whole_space(build_hamiltonian, spec))
         sectors = oracle_sectors(spec)
         labels = np.empty(spec.dimension, dtype=int)
         for m, indices in sectors.items():
@@ -299,8 +312,8 @@ class TestSectors:
 
 
 def geometries():
-    """Every chain the sector blocks are checked on: 1-8 x 1, 2-4 x 2, 2-3 x 3."""
-    sizes = [(n, 1) for n in range(1, 9)] + [(n, 2) for n in (2, 3, 4)] + [(2, 3), (3, 3)]
+    """Every chain the sector blocks are checked on: 1-8 x 1, 1-4 x 2, 1-3 x 3."""
+    sizes = [(n, 1) for n in range(1, 9)] + [(n, 2) for n in (1, 2, 3, 4)] + [(1, 3), (2, 3), (3, 3)]
     out = []
     for n_sites, l_max in sizes:
         out.append(ChainSpec(n_sites, l_max))
@@ -342,6 +355,10 @@ class TestSectorBlocksAgainstFullSpaceOracle:
         for m, codes, indices in sectors_of(spec):
             assert codes.dtype == np.int64
             assert np.array_equal(codes, indices)
+        decomposed = sector_decompose(spec)
+        assert list(decomposed) == list(oracle_sectors(spec))
+        for m, codes, indices in sectors_of(spec):
+            assert np.array_equal(decomposed[m], indices)
 
     @pytest.mark.parametrize("kappa", [0.0, 0.7])
     @pytest.mark.parametrize("geometry", geometries(), ids=spec_id)
@@ -350,16 +367,28 @@ class TestSectorBlocksAgainstFullSpaceOracle:
         full = oracle_hamiltonian(spec)
         for m, codes, indices in sectors_of(spec):
             block = build_hamiltonian(spec, codes)
-            assert_same_csr(block, oracle_restrict(full, indices))
+            assert_same_csr(block, full.restrict(indices))
             if kappa == 0.0:  # the diagonal label of lowest_eigenpairs relies on this
                 assert block.matrix.nnz == np.count_nonzero(block.matrix.diagonal())
+        # the whole space is a closed basis too; the tests build full-space H on it
+        assert_same_csr(whole_space(build_hamiltonian, spec), full)
 
     @pytest.mark.parametrize("spec", geometries(), ids=spec_id)
     def test_kinetic_and_interaction(self, spec):
         kinetic, bond = oracle_kinetic(spec), oracle_interaction(spec)
         for m, codes, indices in sectors_of(spec):
-            assert_same_csr(build_kinetic(spec, codes), oracle_restrict(kinetic, indices))
-            assert_same_csr(build_interaction(spec, codes), oracle_restrict(bond, indices))
+            assert_same_csr(build_kinetic(spec, codes), kinetic.restrict(indices))
+            assert_same_csr(build_interaction(spec, codes), bond.restrict(indices))
+
+    @pytest.mark.parametrize("mu_tilde", [0.7, -1.3])
+    @pytest.mark.parametrize("geometry", geometries(), ids=spec_id)
+    def test_charge_and_grand_canonical(self, geometry, mu_tilde):
+        spec = replace(geometry, kappa=0.7, mu_tilde=mu_tilde)
+        charge, grand = oracle_charge(spec), oracle_grand_canonical(spec)
+        for m, codes, indices in sectors_of(spec):
+            assert_same_csr(build_charge(spec, codes), charge.restrict(indices))
+            assert_same_csr(build_grand_canonical(spec, codes), grand.restrict(indices))
+        assert_same_csr(whole_space(build_grand_canonical, spec), grand)
 
     @pytest.mark.parametrize("spec", [g for g in geometries() if g.boundary == "open"],
                              ids=spec_id)
@@ -370,7 +399,7 @@ class TestSectorBlocksAgainstFullSpaceOracle:
             full = SparseOperator(spec.dimension, full)
             for m, codes, indices in sectors:
                 (block,) = direction_dots(spec, codes, [pair])
-                assert_same_csr(SparseOperator(len(codes), block), oracle_restrict(full, indices))
+                assert_same_csr(SparseOperator(len(codes), block), full.restrict(indices))
 
     @pytest.mark.parametrize("spec", [
         ChainSpec(3, 1, kappa=0.7, mu_tilde=0.7),
@@ -393,7 +422,7 @@ class TestSectorBlocksAgainstFullSpaceOracle:
         sectors = oracle_sectors(spec)
         assert len(solved) == len(sectors)
         for block, indices in zip(solved, sectors.values()):
-            assert_same_csr(block, oracle_restrict(full, indices))
+            assert_same_csr(block, full.restrict(indices))
 
     def test_basis_not_closed_under_the_operator_is_refused(self):
         spec = ChainSpec(3, 1, kappa=1.0)

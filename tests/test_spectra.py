@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import rotorsim.spectra
-from rotorsim.lattice import ChainSpec, sector_basis
+from rotorsim.lattice import ChainSpec, build_charge, build_hamiltonian, sector_basis
 from rotorsim.spectra import (
     DEGENERACY_TOL,
     ChargeScan,
@@ -18,26 +18,31 @@ from rotorsim.spectra import (
 )
 
 from conftest import (
+    all_codes,
     oracle_charge,
     oracle_grand_canonical,
     oracle_hamiltonian,
-    oracle_restrict,
     oracle_sectors,
 )
+
+
+def full_hamiltonian(spec):
+    """The library's H on the whole product space."""
+    return build_hamiltonian(spec, all_codes(spec))
 
 
 def sector_minimum(spec, m):
     """Independent oracle: dense minimum of the Hamiltonian block at total M."""
     h = oracle_hamiltonian(spec)
     indices = oracle_sectors(spec)[m]
-    return float(np.linalg.eigvalsh(oracle_restrict(h, indices).matrix.toarray().real)[0])
+    return float(np.linalg.eigvalsh(h.restrict(indices).matrix.toarray().real)[0])
 
 
 def dense_gap(spec):
     """Independent oracle: gap and degeneracy read off every sector's dense spectrum."""
     h = oracle_hamiltonian(spec)
     levels = np.sort(np.concatenate([
-        np.linalg.eigvalsh(oracle_restrict(h, indices).matrix.toarray().real)
+        np.linalg.eigvalsh(h.restrict(indices).matrix.toarray().real)
         for indices in oracle_sectors(spec).values()
     ]))
     e1 = levels[levels > levels[0] + DEGENERACY_TOL][0]
@@ -54,16 +59,16 @@ def grand_canonical_ground(spec, mu):
 
 class TestLowestEigenpairs:
     def test_single_site_lmax2(self):
-        res = lowest_eigenpairs(oracle_hamiltonian(ChainSpec(1, 2)), k=4)
+        res = lowest_eigenpairs(full_hamiltonian(ChainSpec(1, 2)), k=4)
         assert np.allclose(res.eigenvalues, [0, 2, 2, 2], atol=1e-12)
         assert res.method == "dense"
 
     def test_weak_coupling_ground(self):
-        res = lowest_eigenpairs(oracle_hamiltonian(ChainSpec(2, 1, kappa=0.1)), k=1)
+        res = lowest_eigenpairs(full_hamiltonian(ChainSpec(2, 1, kappa=0.1)), k=1)
         assert res.eigenvalues[0] == pytest.approx(0.196667, abs=1e-3)
 
     def test_dense_and_iterative_agree_dim_1024(self):
-        op = oracle_hamiltonian(ChainSpec(5, 1, kappa=0.7))
+        op = full_hamiltonian(ChainSpec(5, 1, kappa=0.7))
         assert op.dimension == 1024
         dense = lowest_eigenpairs(op, k=5, method="dense")
         iterative = lowest_eigenpairs(op, k=5, method="iterative")
@@ -71,17 +76,17 @@ class TestLowestEigenpairs:
         assert np.abs(dense.eigenvalues - iterative.eigenvalues).max() < 1e-8
 
     def test_residual_norms(self):
-        res = lowest_eigenpairs(oracle_hamiltonian(ChainSpec(3, 1, kappa=1.0)), k=4)
+        res = lowest_eigenpairs(full_hamiltonian(ChainSpec(3, 1, kappa=1.0)), k=4)
         assert res.residual_norms.max() < 1e-8
         assert res.converged
 
     def test_explicit_dense_returns_whole_spectrum(self):
-        res = lowest_eigenpairs(oracle_hamiltonian(ChainSpec(1, 1)), k=4, method="dense")
+        res = lowest_eigenpairs(full_hamiltonian(ChainSpec(1, 1)), k=4, method="dense")
         assert np.allclose(res.eigenvalues, [0, 2, 2, 2], atol=1e-12)
 
     def test_diagonal_operator_read_off_its_diagonal(self):
         # Lanczos from one start vector misses exactly degenerate levels
-        op = oracle_hamiltonian(ChainSpec(5, 1, kappa=0.0))
+        op = full_hamiltonian(ChainSpec(5, 1, kappa=0.0))
         res = lowest_eigenpairs(op, k=8, method="iterative")
         assert res.method == "diagonal"
         assert np.array_equal(res.eigenvalues, [0.0] + [2.0] * 7)
@@ -90,7 +95,7 @@ class TestLowestEigenpairs:
         assert res.residual_norms.max() == 0.0
 
     def test_rejects_bad_k(self):
-        op = oracle_hamiltonian(ChainSpec(1, 1))
+        op = full_hamiltonian(ChainSpec(1, 1))
         with pytest.raises(ValueError):
             lowest_eigenpairs(op, k=0)
         with pytest.raises(ValueError):
@@ -110,7 +115,7 @@ class TestSpectrum:
     def test_matches_blind_diagonalization(self):
         spec = ChainSpec(2, 2, kappa=0.8)
         labeled = spectrum(spec, k=6)
-        blind = lowest_eigenpairs(oracle_hamiltonian(spec), k=6)
+        blind = lowest_eigenpairs(full_hamiltonian(spec), k=6)
         assert np.abs(labeled.eigenvalues - blind.eigenvalues).max() < 1e-10
 
     def test_variational_bound_in_lmax(self):
@@ -248,9 +253,9 @@ class TestChargeScan:
         grid = np.linspace(0.2, 4.0, 9)
         result = charge_scan(spec, grid)
         for mu, charge, energy in zip(grid, result.ground_charge, result.ground_energy):
-            oracle_energy, oracle_charge = grand_canonical_ground(spec, float(mu))
-            assert energy == pytest.approx(oracle_energy, abs=1e-10)
-            assert charge == pytest.approx(oracle_charge, abs=1e-8)
+            expected_energy, expected_charge = grand_canonical_ground(spec, float(mu))
+            assert energy == pytest.approx(expected_energy, abs=1e-10)
+            assert charge == pytest.approx(expected_charge, abs=1e-8)
         first = np.flatnonzero(result.ground_charge >= 1)[0]
         assert grid[first - 1] < result.critical_mu <= grid[first]
 
@@ -342,5 +347,5 @@ class TestSymmetryProperties:
     ])
     def test_neutral_ground_state(self, spec):
         _, vec = ground_state(spec)
-        q = oracle_charge(spec).matrix
+        q = build_charge(spec, all_codes(spec)).matrix
         assert abs(np.vdot(vec, q @ vec)) < 1e-10
