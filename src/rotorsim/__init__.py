@@ -18,7 +18,6 @@ from .lattice import (
     ChainSpec,
     DimensionCapError,
     InvalidSpecError,
-    SiteBasis,
     SparseOperator,
     build_charge,
     build_grand_canonical,

@@ -28,7 +28,8 @@ __all__ = [
     "physical_ramp_time",
 ]
 
-# M = 0 sector states; K and B are held dense, 134 MB each at the cap
+# M = 0 sector states; K and B are held dense, 134 MB each at the cap. Its square
+# also bounds k * dimension of every sector eigensolve in spectra.
 DYNAMICS_DIM_CAP = 4096
 # steps per ramp, checked before anything is built and after each dt halving
 DYNAMICS_STEP_CAP = 1_000_000

@@ -16,6 +16,10 @@ d = (l_max + 1)^2 and site state s_i = l^2 + l + m: site 0 is the slowest
 digit and the code is the state's full-space index. [H, Q] = 0, so each
 operator is built on one total-M sector's ascending codes (sector_basis),
 never on the full space. ChainSpec's dimension cap still applies to d^N.
+
+No solver calls build_grand_canonical, build_charge, sector_decompose or
+SparseOperator.restrict. They stay because the benchmark's tracer names them
+(perfbench/spans.py TARGETS) and its self-test fails on a missing name.
 """
 
 import functools
@@ -33,9 +37,9 @@ __all__ = [
     "InvalidSpecError",
     "DimensionCapError",
     "ChainSpec",
-    "SiteBasis",
     "SparseOperator",
     "site_basis",
+    "site_index",
     "direction_matrices",
     "sector_basis",
     "sector_decompose",
@@ -120,28 +124,16 @@ class ChainSpec:
         return pairs
 
 
-@dataclass(frozen=True)
-class SiteBasis:
-    """Ordered single-site basis of (l, m) states, lexicographic in (l, m)."""
-
-    l_max: int
-    states: tuple  # of (l, m)
-
-    @property
-    def dim(self) -> int:
-        return len(self.states)
-
-    def index(self, l: int, m: int) -> int:
-        # lexicographic layout: block of l starts at l^2, m runs -l..l
-        return l * l + (m + l)
-
-
-def site_basis(l_max: int) -> SiteBasis:
-    """Enumerate the truncated single-site basis."""
+def site_basis(l_max: int) -> tuple:
+    """The truncated single-site basis: (l, m) at position site_index(l, m)."""
     if l_max < 1:
         raise InvalidSpecError(f"l_max must be >= 1, got {l_max}")
-    states = tuple((l, m) for l in range(l_max + 1) for m in range(-l, l + 1))
-    return SiteBasis(l_max=l_max, states=states)
+    return tuple((l, m) for l in range(l_max + 1) for m in range(-l, l + 1))
+
+
+def site_index(l: int, m: int) -> int:
+    """Position of |l, m> in site_basis: the block of l starts at l^2, m runs -l..l."""
+    return l * l + l + m
 
 
 @dataclass
@@ -176,8 +168,7 @@ def direction_matrices(l_max: int):
     spherical-harmonic products in the test suite before anything else
     trusts it.
     """
-    basis = site_basis(l_max)
-    dim = basis.dim
+    dim = len(site_basis(l_max))
 
     def A(l, m):
         return math.sqrt(((l + 1) ** 2 - m**2) / ((2 * l + 1) * (2 * l + 3)))
@@ -189,12 +180,12 @@ def direction_matrices(l_max: int):
     nplus = sp.lil_matrix((dim, dim))
     for l in range(l_max + 1):
         for m in range(-l, l + 1):
-            col = basis.index(l, m)
+            col = site_index(l, m)
             if l + 1 <= l_max:
-                nz[basis.index(l + 1, m), col] = A(l, m)
-                nplus[basis.index(l + 1, m + 1), col] = -B(l, m)
+                nz[site_index(l + 1, m), col] = A(l, m)
+                nplus[site_index(l + 1, m + 1), col] = -B(l, m)
             if l - 1 >= 0 and abs(m + 1) <= l - 1:
-                nplus[basis.index(l - 1, m + 1), col] = B(l - 1, -m - 1)
+                nplus[site_index(l - 1, m + 1), col] = B(l - 1, -m - 1)
     nz = nz + nz.T  # lower triangle mirrors: n_z is real symmetric
     return sp.csr_matrix(nz), sp.csr_matrix(nplus), sp.csr_matrix(nplus.T)
 
@@ -205,7 +196,7 @@ def sector_basis(spec: ChainSpec, m: int) -> np.ndarray:
     Built site by site from site 0; a prefix is dropped once the sites
     still to come can no longer bring its partial M to m.
     """
-    site_m = np.array([mm for _, mm in site_basis(spec.l_max).states])
+    site_m = np.array([mm for _, mm in site_basis(spec.l_max)])
     codes, partial = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
     for remaining in range(spec.n_sites - 1, -1, -1):
         codes = (codes[:, None] * spec.site_dim + np.arange(spec.site_dim)).ravel()
@@ -294,7 +285,7 @@ def _bonds(spec: ChainSpec, codes, states, scale: float) -> list:
 
 def _site_sum(spec: ChainSpec, states, value) -> np.ndarray:
     """sum_i value(l_i, m_i) per code (exact: a sum of small integers)."""
-    site_values = np.array([value(l, m) for l, m in site_basis(spec.l_max).states], dtype=float)
+    site_values = np.array([value(l, m) for l, m in site_basis(spec.l_max)], dtype=float)
     return site_values[states].sum(axis=0)
 
 
@@ -322,23 +313,17 @@ def build_interaction(spec: ChainSpec, codes) -> SparseOperator:
                      _bonds(spec, codes, _site_states(spec, codes), -2.0))
 
 
-def _grand_canonical(spec: ChainSpec, codes, mu_tilde: float) -> SparseOperator:
-    """H - mu_tilde * Q on `codes`; the diagonal terms add up in the Kronecker oracle's order."""
+def build_hamiltonian(spec: ChainSpec, codes) -> SparseOperator:
+    """H (module docstring) without mu_tilde on `codes`, summed in the oracle's order."""
     states = _site_states(spec, codes)
     diagonal, bonds = _site_sum(spec, states, _l_squared), []
     if spec.kappa != 0.0:  # at kappa = 0 no off-diagonal entry is stored
         diagonal = diagonal + spec.kappa * (2.0 * len(spec.bonds))
         bonds = _bonds(spec, codes, states, -2.0 * spec.kappa)
-    if mu_tilde != 0.0:
-        diagonal = diagonal - mu_tilde * _site_sum(spec, states, lambda l, m: m)
     return _operator(diagonal, bonds)
-
-
-def build_hamiltonian(spec: ChainSpec, codes) -> SparseOperator:
-    """H (module docstring) without mu_tilde on the basis `codes`."""
-    return _grand_canonical(spec, codes, 0.0)
 
 
 def build_grand_canonical(spec: ChainSpec, codes) -> SparseOperator:
     """H - mu_tilde * Q on the basis `codes`; positive mu_tilde favors positive charge."""
-    return _grand_canonical(spec, codes, spec.mu_tilde)
+    h, q = build_hamiltonian(spec, codes), build_charge(spec, codes)
+    return SparseOperator(dimension=len(codes), matrix=h.matrix - spec.mu_tilde * q.matrix)

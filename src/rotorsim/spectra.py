@@ -3,6 +3,10 @@
 Dense diagonalization below DENSE_CUTOFF doubles as the oracle for the
 iterative (Lanczos) path above it; the crossover is frozen so the
 ``method`` label in results is reproducible.
+
+Every solver works on H alone, one total-M sector at a time: on sector M
+the term -mu_tilde Q is the constant -mu_tilde M, and the pi rotation about x
+maps sector M onto -M, which therefore has the same levels.
 """
 
 import math
@@ -12,8 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .lattice import (ChainSpec, SparseOperator, build_grand_canonical, build_hamiltonian,
-                      direction_dots, sector_basis, sector_decompose)
+from .dynamics import DYNAMICS_DIM_CAP
+from .lattice import (ChainSpec, DimensionCapError, SparseOperator, build_hamiltonian,
+                      direction_dots, sector_basis)
 
 __all__ = [
     "DENSE_CUTOFF",
@@ -52,13 +57,16 @@ class NonConvergenceError(RuntimeError):
 
 @dataclass
 class SpectrumResult:
-    """Low-lying eigenpairs, ascending in energy (units E0)."""
+    """Low-lying levels, ascending in energy (units E0).
+
+    lowest_eigenpairs fills eigenvectors (columns), spectrum sector_labels;
+    the other is None.
+    """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray  # columns
+    eigenvectors: np.ndarray | None
     residual_norms: np.ndarray
     method: str
-    converged: bool
     sector_labels: np.ndarray | None = None
 
 
@@ -87,8 +95,7 @@ def _start_vector(dim: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def lowest_eigenpairs(op: SparseOperator, k: int, tol: float = 0.0,
-                      method: str | None = None) -> SpectrumResult:
+def lowest_eigenpairs(op: SparseOperator, k: int, method: str | None = None) -> SpectrumResult:
     """k lowest eigenpairs of a Hermitian operator.
 
     method defaults to "dense" for dimension <= DENSE_CUTOFF and
@@ -121,7 +128,7 @@ def lowest_eigenpairs(op: SparseOperator, k: int, tol: float = 0.0,
     elif method == "iterative":
         try:
             vals, vecs = spla.eigsh(
-                op.matrix, k=k, which="SA", tol=tol,
+                op.matrix, k=k, which="SA", tol=0,
                 v0=_start_vector(dim), maxiter=_iteration_cap(),
             )
         except spla.ArpackNoConvergence as exc:
@@ -148,14 +155,21 @@ def lowest_eigenpairs(op: SparseOperator, k: int, tol: float = 0.0,
         eigenvectors=vecs,
         residual_norms=residuals,
         method=method,
-        converged=True,
     )
 
 
 def _solve_sector(block: SparseOperator, k: int) -> SpectrumResult:
-    """Lowest min(k, block dimension) eigenpairs of one sector block."""
-    k = min(k, block.dimension)
-    return lowest_eigenpairs(block, k, method="dense" if k == block.dimension else None)
+    """Lowest min(k, block dimension) eigenpairs of one sector block.
+
+    k * dimension bounds both a whole-block dense matrix and about k Lanczos
+    vectors; above DYNAMICS_DIM_CAP^2 (134 MB of floats) it is refused first.
+    """
+    dim = block.dimension
+    k = min(k, dim)
+    if k * dim > DYNAMICS_DIM_CAP**2:
+        raise DimensionCapError(f"{k} levels of a {dim}-state sector exceed the solve cap "
+                                f"k * dimension <= {DYNAMICS_DIM_CAP}^2")
+    return lowest_eigenpairs(block, k, method="dense" if k == dim else None)
 
 
 def _sector_hamiltonian(spec: ChainSpec, m: int):
@@ -165,60 +179,56 @@ def _sector_hamiltonian(spec: ChainSpec, m: int):
 
 
 def spectrum(spec: ChainSpec, k: int) -> SpectrumResult:
-    """k lowest levels of the (grand-canonical) chain with total-M labels.
+    """k lowest levels of H - mu_tilde Q with their total-M labels; no vectors.
 
-    Solved per charge sector, so degenerate levels carry exact integer
-    labels rather than whatever mixture a blind eigensolver returns.
-    method is "dense" only if every sector was solved densely,
-    "iterative" if Lanczos ran on any, and "diagonal" otherwise.
+    H is solved once on each sector M = 0 .. N l_max; a level E enters as
+    E - mu_tilde M with label M and, for M > 0, as E + mu_tilde M with label
+    -M. Levels sort by (energy, label). method is "dense" only if every
+    sector was solved densely, "iterative" if Lanczos ran on any, and
+    "diagonal" otherwise.
     """
     if k < 1:
         raise ValueError(f"need at least one level, got k={k}")
-    levels = []  # (energy, M, vector-in-sector, codes, residual)
+    levels = []  # (energy, M, residual)
     methods = set()
-    for m, codes in sector_decompose(spec).items():
-        res = _solve_sector(build_grand_canonical(spec, codes), k)
+    for m in range(spec.n_sites * spec.l_max + 1):
+        res = _solve_sector(_sector_hamiltonian(spec, m)[1], k)
         methods.add(res.method)
-        levels += [(e, m, v, codes, r) for e, v, r in
-                   zip(res.eigenvalues, res.eigenvectors.T, res.residual_norms)]
-    levels.sort(key=lambda item: (item[0], item[1]))
+        levels += [(e - spec.mu_tilde * label, label, r)
+                   for e, r in zip(res.eigenvalues, res.residual_norms)
+                   for label in ((m, -m) if m else (0,))]
+    levels.sort(key=lambda item: item[:2])
     levels = levels[:k]
-
-    vecs = np.zeros((spec.dimension, len(levels)))
-    for col, (_, _, v, codes, _) in enumerate(levels):
-        vecs[codes, col] = v
     return SpectrumResult(
-        eigenvalues=np.array([e for e, *_ in levels]),
-        eigenvectors=vecs,
-        residual_norms=np.array([r for *_, r in levels]),
+        eigenvalues=np.array([e for e, _, _ in levels]),
+        eigenvectors=None,
+        residual_norms=np.array([r for _, _, r in levels]),
         method=max(methods, key=("dense", "diagonal", "iterative").index),
-        converged=True,
-        sector_labels=np.array([m for _, m, *_ in levels]),
+        sector_labels=np.array([m for _, m, _ in levels]),
     )
 
 
-def _neutral_ground(spec: ChainSpec):
-    """Codes of the M = 0 sector, and the ground energy and vector on them."""
-    codes, block = _sector_hamiltonian(spec, 0)
+def _ground(spec: ChainSpec):
+    """Codes of the ground sector m (see ground_state), energy E - mu_tilde m, sector vector."""
+    m = 0 if spec.mu_tilde == 0.0 else int(spectrum(spec, k=1).sector_labels[0])
+    codes, block = _sector_hamiltonian(spec, m)
     res = _solve_sector(block, k=1)
     # contiguous: vdot over a strided column would sum in another order
-    return codes, float(res.eigenvalues[0]), np.ascontiguousarray(res.eigenvectors[:, 0])
+    return (codes, float(res.eigenvalues[0]) - spec.mu_tilde * m,
+            np.ascontiguousarray(res.eigenvectors[:, 0]))
 
 
 def ground_state(spec: ChainSpec):
-    """Ground eigenpair (energy, vector) of the grand-canonical chain.
+    """Ground eigenpair (energy, full-space vector) of H - mu_tilde Q.
 
-    At mu_tilde = 0 the ground multiplet of the SU(2)-invariant H has an
-    M = 0 member, so only that sector is solved. Otherwise every sector
-    is solved.
+    The vector is zero outside one total-M sector m. At mu_tilde = 0, m = 0:
+    the ground multiplet of the SU(2)-invariant H has an M = 0 member.
+    Otherwise m is the label of spectrum's lowest level (ties: most negative M).
     """
-    if spec.mu_tilde == 0.0:
-        codes, energy, sector_vec = _neutral_ground(spec)
-        vec = np.zeros(spec.dimension)
-        vec[codes] = sector_vec
-        return energy, vec
-    res = spectrum(spec, k=1)
-    return float(res.eigenvalues[0]), res.eigenvectors[:, 0]
+    codes, energy, sector_vec = _ground(spec)
+    vec = np.zeros(spec.dimension)
+    vec[codes] = sector_vec
+    return energy, vec
 
 
 def mass_gap(spec: ChainSpec):
@@ -309,7 +319,7 @@ def correlation(spec: ChainSpec, i: int, j: int) -> float:
         raise ValueError("correlation is defined at mu_tilde = 0")
     if not (0 <= i < spec.n_sites and 0 <= j < spec.n_sites):
         raise ValueError(f"site indices out of range: ({i}, {j})")
-    codes, _, vec = _neutral_ground(spec)
+    codes, _, vec = _ground(spec)
     (op,) = direction_dots(spec, codes, [(i, j)])
     return float(np.vdot(vec, op @ vec))
 
@@ -324,7 +334,7 @@ def correlation_profile(spec: ChainSpec) -> CorrelationProfile:
     if spec.n_sites < 4 or spec.boundary != "open" or spec.mu_tilde != 0.0:
         raise ValueError("correlation_profile needs an open chain of >= 4 sites at mu_tilde = 0")
     center = (spec.n_sites - 1) // 2
-    codes, _, vec = _neutral_ground(spec)
+    codes, _, vec = _ground(spec)
     distances = np.arange(0, spec.n_sites - center)
     ops = direction_dots(spec, codes, [(center, center + d) for d in distances])
     values = np.array([float(np.vdot(vec, op @ vec)) for op in ops])

@@ -187,7 +187,7 @@ def oracle_interaction(spec):
 
 def oracle_site_sum(spec, value):
     """sum_i value(l_i, m_i) for every global basis state; site 0 is the slowest digit."""
-    site_values = np.array([value(l, m) for l, m in site_basis(spec.l_max).states])
+    site_values = np.array([value(l, m) for l, m in site_basis(spec.l_max)])
     index, d = np.arange(spec.dimension), spec.site_dim
     total = np.zeros(spec.dimension, dtype=site_values.dtype)
     for i in range(spec.n_sites):

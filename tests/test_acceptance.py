@@ -84,7 +84,7 @@ class TestAcceptance:
     def test_05_free_rotor_spectrum_and_gap(self):
         basis = site_basis(3)
         h = build_hamiltonian(ChainSpec(1, 3), all_codes(ChainSpec(1, 3))).matrix.toarray()
-        expected = np.diag([l * (l + 1.0) for l, _ in basis.states])
+        expected = np.diag([l * (l + 1.0) for l, _ in basis])
         ok = np.array_equal(h, expected)
         for n_sites in range(1, 5):
             gap, degeneracy = mass_gap(ChainSpec(n_sites, 1, kappa=0.0))
@@ -100,8 +100,8 @@ class TestAcceptance:
         for l_max in (1, 2, 3):
             n_z, n_plus, n_minus = direction_matrices(l_max)
             basis = site_basis(l_max)
-            for i, (l1, m1) in enumerate(basis.states):
-                for j, (l2, m2) in enumerate(basis.states):
+            for i, (l1, m1) in enumerate(basis):
+                for j, (l2, m2) in enumerate(basis):
                     for mat, comp in ((n_z, "z"), (n_plus, "+"), (n_minus, "-")):
                         oracle = quadrature_direction_element(l1, m1, l2, m2, comp)
                         ok &= abs(mat[i, j] - oracle) < 1e-10

@@ -346,6 +346,17 @@ class TestCapsAndExtremeInput:
                               "--out", tmp_path / "out"], capsys, 2)
         assert "mu * M" in err
 
+    def test_spectrum_solve_cap_exit_5(self, tmp_path, capsys, monkeypatch):
+        # k = 50000 would densify the 48620-state M = 0 block of 9x1 (18.9 GB);
+        # the cap refuses it before any eigensolver runs
+        def unreachable(*args, **kwargs):
+            raise AssertionError("an eigensolver ran before the solve cap was checked")
+        monkeypatch.setattr("numpy.linalg.eigh", unreachable)
+        monkeypatch.setattr("scipy.sparse.linalg.eigsh", unreachable)
+        err = assert_refused(["sim", "spectrum", "--sites", "9", "--lmax", "1", "--k", "50000",
+                              "--out", tmp_path / "out"], capsys, 5)
+        assert "48620-state sector" in err
+
     @pytest.mark.parametrize("k", ["0", "-1"])
     def test_spectrum_without_levels_exit_2(self, tmp_path, capsys, k):
         err = assert_refused(["sim", "spectrum", "--sites", "2", "--lmax", "1", "--k", k,

@@ -22,6 +22,7 @@ from rotorsim.lattice import (
     sector_basis,
     sector_decompose,
     site_basis,
+    site_index,
 )
 from rotorsim.spectra import spectrum
 
@@ -80,11 +81,10 @@ class TestChainSpec:
 
 class TestSiteBasis:
     def test_lmax1_enumeration(self):
-        basis = site_basis(1)
-        assert basis.states == ((0, 0), (1, -1), (1, 0), (1, 1))
+        assert site_basis(1) == ((0, 0), (1, -1), (1, 0), (1, 1))
 
     def test_lmax2_size(self):
-        assert site_basis(2).dim == 9
+        assert len(site_basis(2)) == 9
 
     def test_l_squared_eigenvalues(self):
         spec = ChainSpec(1, 2)
@@ -93,28 +93,26 @@ class TestSiteBasis:
 
     def test_index_matches_order(self):
         basis = site_basis(3)
-        for pos, (l, m) in enumerate(basis.states):
-            assert basis.index(l, m) == pos
+        for pos, (l, m) in enumerate(basis):
+            assert site_index(l, m) == pos
 
 
 class TestDirectionMatrices:
     def test_known_element(self):
-        basis = site_basis(1)
         nz, _, _ = direction_matrices(1)
-        value = nz[basis.index(1, 0), basis.index(0, 0)]
+        value = nz[site_index(1, 0), site_index(0, 0)]
         assert value == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-12)
 
     def test_m_selection_rule(self):
-        basis = site_basis(1)
         nz, _, _ = direction_matrices(1)
-        assert nz[basis.index(1, 1), basis.index(0, 0)] == 0.0
+        assert nz[site_index(1, 1), site_index(0, 0)] == 0.0
 
     def test_l_selection_rule(self):
         basis = site_basis(3)
         nz, npl, nmi = direction_matrices(3)
         for matrix in (nz.toarray(), npl.toarray(), nmi.toarray()):
-            for a, (la, _) in enumerate(basis.states):
-                for b, (lb, _) in enumerate(basis.states):
+            for a, (la, _) in enumerate(basis):
+                for b, (lb, _) in enumerate(basis):
                     if abs(la - lb) != 1:
                         assert matrix[a, b] == 0.0
 
@@ -133,8 +131,8 @@ class TestDirectionMatrices:
         basis = site_basis(l_max)
         matrices = dict(zip("z+-", (m.toarray() for m in direction_matrices(l_max))))
         for component, matrix in matrices.items():
-            for a, (la, ma) in enumerate(basis.states):
-                for b, (lb, mb) in enumerate(basis.states):
+            for a, (la, ma) in enumerate(basis):
+                for b, (lb, mb) in enumerate(basis):
                     oracle = quadrature_direction_element(la, ma, lb, mb, component)
                     assert abs(matrix[a, b] - oracle) < 1e-10, (component, la, ma, lb, mb)
 
@@ -146,10 +144,10 @@ def dense(op):
 def total_transverse_angular_momentum(spec):
     """Total L_x and L_y, sparse, from <l, m+1| L_+ |l, m> = sqrt(l(l+1) - m(m+1))."""
     basis = site_basis(spec.l_max)
-    l_plus = sp.lil_matrix((basis.dim, basis.dim))
-    for l, m in basis.states:
+    l_plus = sp.lil_matrix((len(basis), len(basis)))
+    for l, m in basis:
         if m < l:
-            l_plus[basis.index(l, m + 1), basis.index(l, m)] = math.sqrt(l * (l + 1) - m * (m + 1))
+            l_plus[site_index(l, m + 1), site_index(l, m)] = math.sqrt(l * (l + 1) - m * (m + 1))
     l_plus = l_plus.tocsr()
     site_x, site_y = (l_plus + l_plus.T) / 2.0, (l_plus - l_plus.T) / 2.0j
     totals = []
@@ -236,16 +234,14 @@ class TestCharge:
 
     def test_all_m_zero_state(self):
         spec = ChainSpec(2, 1)
-        basis = site_basis(1)
         q = dense(whole_space(build_charge, spec))
-        idx = basis.index(1, 0) * spec.site_dim + basis.index(1, 0)
+        idx = site_index(1, 0) * spec.site_dim + site_index(1, 0)
         assert q[idx, idx] == 0.0
 
     def test_opposite_m_pair(self):
         spec = ChainSpec(2, 1)
-        basis = site_basis(1)
         q = dense(whole_space(build_charge, spec))
-        idx = basis.index(1, 1) * spec.site_dim + basis.index(1, -1)
+        idx = site_index(1, 1) * spec.site_dim + site_index(1, -1)
         assert q[idx, idx] == 0.0
 
     def test_charge_spectrum_bounds(self):
@@ -272,8 +268,7 @@ class TestGrandCanonical:
         vals = np.linalg.eigvalsh(gc)
         assert vals[0] == pytest.approx(-1.0, abs=1e-14)
         # the ground state is the maximal-m member of the l=1 triplet
-        basis = site_basis(1)
-        assert gc[basis.index(1, 1), basis.index(1, 1)] == pytest.approx(-1.0)
+        assert gc[site_index(1, 1), site_index(1, 1)] == pytest.approx(-1.0)
 
     def test_mu_sign_flip_preserves_spectrum(self):
         up = np.linalg.eigvalsh(dense(whole_space(
@@ -347,6 +342,20 @@ def sectors_of(spec):
     return [(m, sector_basis(spec, m), indices) for m, indices in oracle.items()]
 
 
+GRAND_CANONICAL_SPECS = [
+    ChainSpec(3, 1, kappa=0.7, mu_tilde=0.7),
+    ChainSpec(4, 1, kappa=0.7, boundary="periodic", mu_tilde=-0.7),
+    ChainSpec(3, 2, kappa=0.7, mu_tilde=1.3),
+    ChainSpec(2, 3, kappa=0.0, mu_tilde=-0.45),
+    ChainSpec(3, 1, kappa=0.0, mu_tilde=2.0),  # L^2 - mu M = 0 on some states
+]
+SOLVED_SPECS = GRAND_CANONICAL_SPECS + [replace(s, mu_tilde=0.0) for s in GRAND_CANONICAL_SPECS]
+
+
+def solved_id(spec):
+    return f"{spec.n_sites}x{spec.l_max}-k{spec.kappa}-mu{spec.mu_tilde}"
+
+
 class TestSectorBlocksAgainstFullSpaceOracle:
     """Each sector block equals the restriction of the Kronecker-built operator."""
 
@@ -401,14 +410,8 @@ class TestSectorBlocksAgainstFullSpaceOracle:
                 (block,) = direction_dots(spec, codes, [pair])
                 assert_same_csr(SparseOperator(len(codes), block), full.restrict(indices))
 
-    @pytest.mark.parametrize("spec", [
-        ChainSpec(3, 1, kappa=0.7, mu_tilde=0.7),
-        ChainSpec(4, 1, kappa=0.7, boundary="periodic", mu_tilde=-0.7),
-        ChainSpec(3, 2, kappa=0.7, mu_tilde=1.3),
-        ChainSpec(2, 3, kappa=0.0, mu_tilde=-0.45),
-        ChainSpec(3, 1, kappa=0.0, mu_tilde=2.0),  # L^2 - mu M = 0 on some states
-    ], ids=lambda spec: f"{spec.n_sites}x{spec.l_max}-k{spec.kappa}-mu{spec.mu_tilde}")
-    def test_spectrum_solves_the_grand_canonical_blocks(self, spec, monkeypatch):
+    @pytest.mark.parametrize("spec", SOLVED_SPECS, ids=solved_id)
+    def test_spectrum_solves_the_hamiltonian_blocks_once(self, spec, monkeypatch):
         import rotorsim.spectra
 
         solved = []
@@ -418,11 +421,21 @@ class TestSectorBlocksAgainstFullSpaceOracle:
             return _solve(block, k)
         monkeypatch.setattr(rotorsim.spectra, "_solve_sector", recording)
         rotorsim.spectra.spectrum(spec, k=3)
-        full = oracle_grand_canonical(spec)
-        sectors = oracle_sectors(spec)
-        assert len(solved) == len(sectors)
-        for block, indices in zip(solved, sectors.values()):
-            assert_same_csr(block, full.restrict(indices))
+        full, sectors = oracle_hamiltonian(spec), oracle_sectors(spec)
+        assert len(solved) == spec.n_sites * spec.l_max + 1
+        for m, block in enumerate(solved):
+            assert_same_csr(block, full.restrict(sectors[m]))
+
+    @pytest.mark.parametrize("spec", SOLVED_SPECS, ids=solved_id)
+    def test_spectrum_levels_are_grand_canonical_levels(self, spec):
+        res = spectrum(spec, k=8)
+        full, sectors = oracle_grand_canonical(spec), oracle_sectors(spec)
+        assert res.eigenvectors is None
+        lowest = np.linalg.eigvalsh(full.matrix.toarray())[:8]
+        assert np.abs(res.eigenvalues - lowest).max() < 1e-10
+        for energy, m in zip(res.eigenvalues, res.sector_labels):
+            levels = np.linalg.eigvalsh(full.restrict(sectors[m]).matrix.toarray())
+            assert np.abs(levels - energy).min() < 1e-10
 
     def test_basis_not_closed_under_the_operator_is_refused(self):
         spec = ChainSpec(3, 1, kappa=1.0)

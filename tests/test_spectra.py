@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import rotorsim.spectra
-from rotorsim.lattice import ChainSpec, build_charge, build_hamiltonian, sector_basis
+from rotorsim.lattice import (ChainSpec, DimensionCapError, build_charge, build_hamiltonian,
+                              sector_basis)
 from rotorsim.spectra import (
     DEGENERACY_TOL,
     ChargeScan,
@@ -78,7 +79,6 @@ class TestLowestEigenpairs:
     def test_residual_norms(self):
         res = lowest_eigenpairs(full_hamiltonian(ChainSpec(3, 1, kappa=1.0)), k=4)
         assert res.residual_norms.max() < 1e-8
-        assert res.converged
 
     def test_explicit_dense_returns_whole_spectrum(self):
         res = lowest_eigenpairs(full_hamiltonian(ChainSpec(1, 1)), k=4, method="dense")
@@ -140,7 +140,6 @@ class TestSpectrum:
     @pytest.mark.parametrize("mu", [0.0, 0.7])
     def test_vectors_are_real(self, mu):
         spec = ChainSpec(2, 2, kappa=1.0, mu_tilde=mu)
-        assert spectrum(spec, k=3).eigenvectors.dtype == np.float64
         assert ground_state(spec)[1].dtype == np.float64
 
     def test_global_ground_equals_sector_minimum(self):
@@ -149,6 +148,39 @@ class TestSpectrum:
         per_sector = min(sector_minimum(spec, m)
                          for m in range(-spec.n_sites, spec.n_sites + 1))
         assert abs(global_ground - per_sector) < 1e-10
+
+
+class TestGroundState:
+    @pytest.mark.parametrize("mu", [0.7, -0.7, 2.5, -2.5])
+    @pytest.mark.parametrize("spec", [ChainSpec(3, 1, kappa=1.0), ChainSpec(2, 2, kappa=1.0)])
+    def test_matches_grand_canonical_diagonalization(self, spec, mu):
+        spec = replace(spec, mu_tilde=mu)
+        energy, vec = ground_state(spec)
+        label = spectrum(spec, k=1).sector_labels[0]
+        expected_energy, _ = grand_canonical_ground(spec, mu)
+        assert energy == pytest.approx(expected_energy, abs=1e-10)
+        assert np.vdot(vec, build_charge(spec, all_codes(spec)).matrix @ vec) == pytest.approx(
+            label, abs=1e-10)
+
+    def test_tie_goes_to_the_most_negative_charge(self):
+        # at kappa = 0, mu = -2 the sectors M = 0, -1, -2 share the ground energy 0
+        spec = ChainSpec(2, 1, kappa=0.0, mu_tilde=-2.0)
+        assert spectrum(spec, k=1).sector_labels[0] == -2
+        energy, vec = ground_state(spec)
+        assert energy == 0.0
+        assert np.vdot(vec, build_charge(spec, all_codes(spec)).matrix @ vec) == -2.0
+
+    def test_solve_cap_bounds_k_times_dimension(self, monkeypatch):
+        # 8^2 = 64 stored values: the 70-state M = 0 block of 4x1 is refused
+        # for k = 1, the 56-state M = 1 block admitted
+        monkeypatch.setattr(rotorsim.spectra, "DYNAMICS_DIM_CAP", 8)
+        spec = ChainSpec(4, 1, kappa=1.0)
+        with pytest.raises(DimensionCapError, match=r"solve cap k \* dimension <= 8\^2"):
+            rotorsim.spectra._solve_sector(build_hamiltonian(spec, sector_basis(spec, 0)), 1)
+        block = build_hamiltonian(spec, sector_basis(spec, 1))
+        assert rotorsim.spectra._solve_sector(block, 1).eigenvalues.shape == (1,)
+        with pytest.raises(DimensionCapError):
+            rotorsim.spectra._solve_sector(block, 2)
 
 
 class TestMassGap:
