@@ -4,8 +4,11 @@ Time is measured in units of hbar/E0. The Hamiltonian along the ramp is
 H(t) = sum_i L_i^2 + kappa(t) * B with B the bond operator, so only a
 single scalar varies and dH/dt = kappa'(t) * B.
 
-H(t) conserves total M and the ramp starts in the M = 0 ground state, so
-everything is computed in that sector, whose size DYNAMICS_DIM_CAP bounds.
+H(t) conserves total M and commutes with the pi rotation R and the site
+reflection P (see rotorsim.lattice), and the ramp starts in the M = 0 ground
+state, which lies in the (R+, P+) block of that sector. K and B are built on
+the M = 0 sector, whose size DYNAMICS_DIM_CAP bounds, and the time steps run
+on their (R+, P+) block (lattice.even_block), about a quarter of the sector.
 DYNAMICS_STEP_CAP bounds the number of time steps.
 """
 
@@ -16,7 +19,8 @@ import numpy as np
 
 from .constants import CODATA2018, Constants
 from .design import Geometry, rotational_quantum
-from .lattice import ChainSpec, DimensionCapError, build_interaction, build_kinetic, sector_basis
+from .lattice import (ChainSpec, DimensionCapError, build_interaction, build_kinetic, even_block,
+                      sector_basis)
 
 __all__ = [
     "DYNAMICS_DIM_CAP",
@@ -28,8 +32,9 @@ __all__ = [
     "physical_ramp_time",
 ]
 
-# M = 0 sector states; K and B are held dense, 134 MB each at the cap. Its square
-# also bounds k * dimension of every sector eigensolve in spectra.
+# M = 0 sector states; K and B are held dense on the whole sector, 134 MB each at
+# the cap, before they are projected onto its (R+, P+) block. Its square also
+# bounds k * dimension of every sector eigensolve in spectra.
 DYNAMICS_DIM_CAP = 4096
 # steps per ramp, checked before anything is built and after each dt halving
 DYNAMICS_STEP_CAP = 1_000_000
@@ -112,15 +117,19 @@ def _step(kinetic, bond, schedule, psi, t, dt):
     h = kinetic + schedule.kappa(t + 0.5 * dt) * bond
     vals, vecs = np.linalg.eigh(h)
     phases = np.exp(-1j * vals * dt)
-    return vecs @ (phases * (vecs.conj().T @ psi))
+    return vecs @ (phases * (vecs.T @ psi))  # h is real symmetric, so vecs are real
 
 
 def propagate(spec: ChainSpec, schedule: RampSchedule, dt: float,
               record_trace: bool = False, trace_stride: int = 50) -> EvolutionResult:
     """Evolve from the ground state at kappa_start through the ramp.
 
-    Fixed-step unitary stepping in the M = 0 sector with an embedded
-    half-step error estimate; if a step's full/half discrepancy exceeds
+    K and B are built on the M = 0 sector; the ground states at kappa_start
+    and kappa_end are found there and projected onto its (R+, P+) block,
+    where every step and trace row then runs. A start or end state with
+    weight outside the block (norm off 1 by more than 1e-12) is refused
+    (ValueError). Fixed-step unitary stepping with an embedded half-step
+    error estimate; if a step's full/half discrepancy exceeds
     STEP_ERROR_TOL the step size is halved (globally, to stay
     deterministic) and the run restarts, unless the step count would pass
     DYNAMICS_STEP_CAP (DimensionCapError). The accepted state of each
@@ -138,10 +147,17 @@ def propagate(spec: ChainSpec, schedule: RampSchedule, dt: float,
     if not math.isfinite(float(np.abs(kinetic).max()) + kappa_max * float(np.abs(bond).max())):
         raise ValueError(f"kappa * B is not finite for kappa up to {kappa_max:.9g}")
 
-    _, start_vecs = np.linalg.eigh(kinetic + schedule.kappa_start * bond)
-    psi0 = start_vecs[:, 0].astype(complex)
-    _, end_vecs = np.linalg.eigh(kinetic + schedule.kappa_end * bond)
-    target = end_vecs[:, 0]
+    v = even_block(spec, sector_basis(spec, 0))
+    ends = []
+    for kappa in (schedule.kappa_start, schedule.kappa_end):
+        ground = v.T @ np.linalg.eigh(kinetic + kappa * bond)[1][:, 0]
+        if abs(np.linalg.norm(ground) - 1.0) > 1e-12:
+            raise ValueError(f"the M = 0 ground state at kappa = {kappa:.9g} is not in the "
+                             "(R+, P+) block")
+        ends.append(ground)
+    psi0, target = ends[0].astype(complex), ends[1]
+    # K and B are symmetric, so (V^T K)^T = K V
+    k_block, b_block = v.T @ (v.T @ kinetic).T, v.T @ (v.T @ bond).T
 
     while True:
         n_steps = _step_count(schedule.duration, dt)
@@ -149,15 +165,15 @@ def propagate(spec: ChainSpec, schedule: RampSchedule, dt: float,
         psi, t = psi0, 0.0
         trace = [] if record_trace else None
         for step in range(n_steps):
-            full = _step(kinetic, bond, schedule, psi, t, step_dt)
-            half = _step(kinetic, bond, schedule, psi, t, 0.5 * step_dt)
-            half = _step(kinetic, bond, schedule, half, t + 0.5 * step_dt, 0.5 * step_dt)
+            full = _step(k_block, b_block, schedule, psi, t, step_dt)
+            half = _step(k_block, b_block, schedule, psi, t, 0.5 * step_dt)
+            half = _step(k_block, b_block, schedule, half, t + 0.5 * step_dt, 0.5 * step_dt)
             if not np.linalg.norm(full - half) <= STEP_ERROR_TOL:  # NaN fails too
                 break
             psi = half
             t += step_dt
             if record_trace and (step % trace_stride == 0 or step == n_steps - 1):
-                _, vecs = np.linalg.eigh(kinetic + schedule.kappa(t) * bond)
+                _, vecs = np.linalg.eigh(k_block + schedule.kappa(t) * b_block)
                 fid_inst = abs(np.vdot(vecs[:, 0], psi)) ** 2
                 trace.append((t, fid_inst, float(np.linalg.norm(psi)),
                               schedule.kappa(t)))

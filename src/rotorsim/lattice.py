@@ -17,6 +17,12 @@ digit and the code is the state's full-space index. [H, Q] = 0, so each
 operator is built on one total-M sector's ascending codes (sector_basis),
 never on the full space. ChainSpec's dimension cap still applies to d^N.
 
+Two more symmetries commute with H: the pi rotation about y,
+R = exp(i pi L_y), which maps each site's |l, m> to (-1)^(l-m) |l, -m>, and
+the site reflection P: i -> N-1-i, for open and periodic chains alike. Both
+map the M = 0 sector onto itself, and even_block spans their joint +1
+eigenspace (R+, P+) there, which holds the ground state and the whole ramp.
+
 No solver calls build_grand_canonical, build_charge, sector_decompose or
 SparseOperator.restrict. They stay because the benchmark's tracer names them
 (perfbench/spans.py TARGETS) and its self-test fails on a missing name.
@@ -43,6 +49,7 @@ __all__ = [
     "direction_matrices",
     "sector_basis",
     "sector_decompose",
+    "even_block",
     "build_hamiltonian",
     "direction_dots",
     "build_kinetic",
@@ -212,10 +219,41 @@ def sector_decompose(spec: ChainSpec) -> dict:
     return {m: sector_basis(spec, m) for m in range(-max_m, max_m + 1)}
 
 
+def _powers(spec: ChainSpec) -> np.ndarray:
+    """Place value of each site's digit in a code, site 0 first."""
+    return spec.site_dim ** np.arange(spec.n_sites - 1, -1, -1, dtype=np.int64)
+
+
 def _site_states(spec: ChainSpec, codes) -> np.ndarray:
     """Site state l^2 + l + m of each site (rows, site 0 first) in each code."""
-    powers = spec.site_dim ** np.arange(spec.n_sites - 1, -1, -1, dtype=np.int64)
-    return codes // powers[:, None] % spec.site_dim
+    return codes // _powers(spec)[:, None] % spec.site_dim
+
+
+def even_block(spec: ChainSpec, codes) -> sp.csc_matrix:
+    """Isometry V (len(codes) x b) onto the (R+, P+) block of the M = 0 sector `codes`.
+
+    Column j is (1 + R)(1 + P)/4 applied to the smallest code of one orbit
+    under {1, R, P, RP}, normalized; orbits it annihilates are dropped, so the
+    entries are exactly +-1, +-1/sqrt(2) or +-1/2. R maps sector M to -M, so
+    any basis but the M = 0 sector is refused as not closed under R.
+    """
+    basis = site_basis(spec.l_max)
+    flip = np.array([site_index(l, -m) for l, m in basis])
+    odd = np.array([(l - m) % 2 for l, m in basis])
+    states = _site_states(spec, codes)
+    flipped, powers = flip[states], _powers(spec)
+    images = np.stack([powers @ flipped, powers @ states[::-1], powers @ flipped[::-1]])
+    index = np.searchsorted(codes, images)  # images under R, P and RP
+    if not np.array_equal(codes.take(index, mode="clip"), images):
+        raise ValueError("the basis is not closed under R and P; pass the M = 0 sector_basis")
+    rep = np.flatnonzero(np.arange(len(codes)) <= index.min(axis=0))
+    sign = 1.0 - 2.0 * (odd[states].sum(axis=0)[rep] % 2)  # R and RP; P has none
+    rows = np.concatenate([rep, *index[:, rep]])
+    values = np.concatenate([np.ones(len(rep)), sign, np.ones(len(rep)), sign])
+    cols = np.tile(np.arange(len(rep)), 4)
+    block = sp.csc_matrix((values, (rows, cols)), shape=(len(codes), len(rep)))
+    norms = np.sqrt(np.asarray(block.multiply(block).sum(axis=0)).ravel())
+    return sp.csc_matrix(block[:, norms > 0] @ sp.diags(1.0 / norms[norms > 0]))
 
 
 @functools.cache

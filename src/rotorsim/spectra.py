@@ -40,6 +40,8 @@ __all__ = [
 DENSE_CUTOFF = 2048
 RESIDUAL_TOL = 1e-8
 DEGENERACY_TOL = 1e-6
+# spectrum orders levels within TIE_TOL * max(1, |E|) of each other by label
+TIE_TOL = 1e-10
 ITERATION_CAP_ENV = "ROTORSIM_MAX_ITER"
 DEFAULT_ITERATION_CAP = 100_000
 # deterministic Lanczos start vector, fixed seed policy
@@ -183,9 +185,10 @@ def spectrum(spec: ChainSpec, k: int) -> SpectrumResult:
 
     H is solved once on each sector M = 0 .. N l_max; a level E enters as
     E - mu_tilde M with label M and, for M > 0, as E + mu_tilde M with label
-    -M. Levels sort by (energy, label). method is "dense" only if every
-    sector was solved densely, "iterative" if Lanczos ran on any, and
-    "diagonal" otherwise.
+    -M. Levels sort by (energy, label); a run of consecutive levels within
+    TIE_TOL * max(1, |E|) of its first level E counts as one energy. method
+    is "dense" only if every sector was solved densely, "iterative" if
+    Lanczos ran on any, and "diagonal" otherwise.
     """
     if k < 1:
         raise ValueError(f"need at least one level, got k={k}")
@@ -198,7 +201,15 @@ def spectrum(spec: ChainSpec, k: int) -> SpectrumResult:
                    for e, r in zip(res.eigenvalues, res.residual_norms)
                    for label in ((m, -m) if m else (0,))]
     levels.sort(key=lambda item: item[:2])
-    levels = levels[:k]
+    # levels equal in exact arithmetic differ by rounding noise across sectors
+    groups = []
+    for level in levels:
+        first = groups[-1][0][0] if groups else None
+        if first is not None and abs(level[0] - first) <= TIE_TOL * max(1.0, abs(first)):
+            groups[-1].append(level)
+        else:
+            groups.append([level])
+    levels = [level for group in groups for level in sorted(group, key=lambda item: item[1])][:k]
     return SpectrumResult(
         eigenvalues=np.array([e for e, _, _ in levels]),
         eigenvectors=None,

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import rotorsim.dynamics
+from rotorsim.cli import main
 from rotorsim.dynamics import (
     STEP_ERROR_TOL,
     RampSchedule,
@@ -168,6 +170,37 @@ class TestSectorPropagator:
         assert len(result.trace) == len(trace)
         for row, oracle_row in zip(result.trace, trace):
             assert row == pytest.approx(oracle_row, abs=1e-12)
+
+
+class TestEvenBlockStepping:
+    """Every step runs on the (R+, P+) block of the M = 0 sector."""
+
+    @pytest.mark.parametrize("spec, size", [(ChainSpec(3, 1), 6), (ChainSpec(2, 2), 8)])
+    def test_steps_run_on_the_block(self, spec, size, monkeypatch):
+        sizes = set()
+
+        def recording(kinetic, bond, schedule, psi, t, dt, _step=rotorsim.dynamics._step):
+            sizes.add(len(psi))
+            return _step(kinetic, bond, schedule, psi, t, dt)
+        monkeypatch.setattr(rotorsim.dynamics, "_step", recording)
+        propagate(spec, RampSchedule(0.0, 0.6, duration=0.5), dt=0.1)
+        assert sizes == {size}
+
+    def test_start_state_outside_the_block_is_refused(self, monkeypatch, tmp_path, capsys):
+        # an isometry without the first code, the all-l = 0 ground state at kappa = 0
+        def leaving(spec, codes):
+            return sp.identity(len(codes), format="csc")[:, 1:7]
+        monkeypatch.setattr(rotorsim.dynamics, "even_block", leaving)
+        with pytest.raises(ValueError, match=r"not in the \(R\+, P\+\) block"):
+            propagate(ChainSpec(3, 1), RampSchedule(0.0, 0.6, duration=0.5), dt=0.1)
+        out = tmp_path / "out"
+        code = main(["sim", "ramp", "--sites", "3", "--lmax", "1", "--duration", "0.5",
+                     "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error:") and "block" in captured.err
+        assert captured.out == ""
+        assert not out.exists() or not any(out.iterdir())
 
 
 class TestAdiabaticRatio:

@@ -19,6 +19,7 @@ from rotorsim.lattice import (
     build_kinetic,
     direction_dots,
     direction_matrices,
+    even_block,
     sector_basis,
     sector_decompose,
     site_basis,
@@ -444,3 +445,99 @@ class TestSectorBlocksAgainstFullSpaceOracle:
             build_hamiltonian(spec, codes[: len(codes) // 2])
         with pytest.raises(ValueError, match="not closed"):
             next(direction_dots(spec, codes[: len(codes) // 2], [(0, 2)]))
+
+
+# (n_sites, l_max, boundary): (M = 0 sector states, (R+, P+) block states)
+EVEN_BLOCK_SIZES = {
+    (1, 2, "open"): (3, 2),
+    (3, 1, "open"): (20, 6),
+    (4, 1, "open"): (70, 23),
+    (2, 2, "open"): (19, 8),
+    (3, 2, "open"): (141, 41),
+    (3, 1, "periodic"): (20, 6),
+    (4, 1, "periodic"): (70, 23),
+}
+EVEN_BLOCK_SPECS = [ChainSpec(n, l, boundary=b) for n, l, b in EVEN_BLOCK_SIZES]
+
+
+def oracle_rotation_and_reflection(spec, codes):
+    """R = exp(i pi L_y) and the site reflection P, dense on `codes`, digit by digit."""
+    weights = [spec.site_dim ** (spec.n_sites - 1 - s) for s in range(spec.n_sites)]
+    position = {int(code): i for i, code in enumerate(codes)}
+    rotation, reflection = np.zeros((2, len(codes), len(codes)))
+    for i, code in enumerate(codes):
+        digits = [int(code) // w % spec.site_dim for w in weights]
+        sites = [site_basis(spec.l_max)[d] for d in digits]
+        flipped = [site_index(l, -m) for l, m in sites]
+        sign = math.prod((-1) ** (l - m) for l, m in sites)
+        rotation[position[sum(d * w for d, w in zip(flipped, weights))], i] = sign
+        reflection[position[sum(d * w for d, w in zip(digits[::-1], weights))], i] = 1.0
+    return rotation, reflection
+
+
+class TestEvenBlock:
+    """The (R+, P+) block of the M = 0 sector that the ramp is propagated in."""
+
+    @pytest.mark.parametrize("spec", EVEN_BLOCK_SPECS, ids=spec_id)
+    def test_sizes(self, spec):
+        codes = sector_basis(spec, 0)
+        v = even_block(spec, codes)
+        assert (len(codes), v.shape[1]) == EVEN_BLOCK_SIZES[spec.n_sites, spec.l_max,
+                                                             spec.boundary]
+        assert v.shape[0] == len(codes)
+
+    @pytest.mark.parametrize("spec", EVEN_BLOCK_SPECS, ids=spec_id)
+    def test_orthonormal_with_exact_entries(self, spec):
+        v = even_block(spec, sector_basis(spec, 0))
+        assert sp.issparse(v)
+        assert np.abs((v.T @ v).toarray() - np.eye(v.shape[1])).max() <= 1e-15
+        assert set(np.abs(v.data)) <= {1.0, 1.0 / math.sqrt(2.0), 0.5}
+
+    @pytest.mark.parametrize("spec", EVEN_BLOCK_SPECS, ids=spec_id)
+    def test_projector_commutes_with_kinetic_and_bond(self, spec):
+        codes = sector_basis(spec, 0)
+        v = even_block(spec, codes)
+        projector = (v @ v.T).toarray()
+        for op in (build_kinetic(spec, codes), build_interaction(spec, codes)):
+            a = dense(op)
+            assert np.linalg.norm(projector @ a - a @ projector) <= 1e-14
+
+    @pytest.mark.parametrize("spec", EVEN_BLOCK_SPECS, ids=spec_id)
+    def test_spans_the_joint_plus_one_eigenspace(self, spec):
+        # R and P, built independently, commute with H, fix every column, and
+        # the block has the dimension of their joint +1 eigenspace
+        codes = sector_basis(spec, 0)
+        v = even_block(spec, codes).toarray()
+        rotation, reflection = oracle_rotation_and_reflection(spec, codes)
+        h = dense(build_hamiltonian(replace(spec, kappa=0.7), codes))
+        for op in (rotation, reflection):
+            assert np.abs(op @ h - h @ op).max() < 1e-14
+            assert np.abs(op @ v - v).max() < 1e-15
+        eye = np.eye(len(codes))
+        assert round(np.trace((eye + rotation) @ (eye + reflection)) / 4.0) == v.shape[1]
+
+    @pytest.mark.parametrize("spec", EVEN_BLOCK_SPECS, ids=spec_id)
+    def test_block_levels_are_m0_levels(self, spec):
+        spec = replace(spec, kappa=0.7)
+        codes = sector_basis(spec, 0)
+        v = even_block(spec, codes)
+        block = v.T @ (v.T @ dense(build_hamiltonian(spec, codes))).T
+        oracle = np.linalg.eigvalsh(
+            oracle_hamiltonian(spec).restrict(oracle_sectors(spec)[0]).matrix.toarray())
+        for level in np.linalg.eigvalsh(block):
+            assert np.abs(oracle - level).min() < 1e-10
+
+    @pytest.mark.parametrize("spec", EVEN_BLOCK_SPECS, ids=spec_id)
+    def test_refuses_other_sectors(self, spec):
+        for m in range(1, spec.n_sites * spec.l_max + 1):
+            for sector in (m, -m):
+                with pytest.raises(ValueError, match="M = 0 sector_basis"):
+                    even_block(spec, sector_basis(spec, sector))
+
+    @pytest.mark.parametrize("kappa", [0.0, 0.1, 0.5, 1.0, 2.0, 5.0, 20.0])
+    @pytest.mark.parametrize("spec", EVEN_BLOCK_SPECS, ids=spec_id)
+    def test_sector_ground_state_lies_in_the_block(self, spec, kappa):
+        spec = replace(spec, kappa=kappa)
+        codes = sector_basis(spec, 0)
+        ground = np.linalg.eigh(dense(build_hamiltonian(spec, codes)))[1][:, 0]
+        assert abs(np.linalg.norm(even_block(spec, codes).T @ ground) - 1.0) <= 1e-12

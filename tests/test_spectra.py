@@ -142,6 +142,22 @@ class TestSpectrum:
         spec = ChainSpec(2, 2, kappa=1.0, mu_tilde=mu)
         assert ground_state(spec)[1].dtype == np.float64
 
+    def test_rounding_noise_ties_are_ordered_by_label(self):
+        # 4.8 five times: the three E = 8.8 levels of M = 2 and the two E = 6.8
+        # levels of M = 1, shifted by -2M; the computed values differ by ~1e-15
+        spec = ChainSpec(3, 1, kappa=0.7, mu_tilde=2.0)
+        res = spectrum(spec, k=20)
+        tied = np.abs(res.eigenvalues - 4.8) < 1e-10
+        assert list(res.sector_labels[tied]) == [1, 1, 2, 2, 2]
+        # the levels themselves are the sector solves' levels, bit for bit
+        levels = []
+        for m in range(spec.n_sites * spec.l_max + 1):
+            block = rotorsim.spectra._sector_hamiltonian(spec, m)[1]
+            levels += [(e - spec.mu_tilde * label, label)
+                       for e in rotorsim.spectra._solve_sector(block, 20).eigenvalues
+                       for label in ((m, -m) if m else (0,))]
+        assert sorted(zip(res.eigenvalues, res.sector_labels)) == sorted(levels)[:20]
+
     def test_global_ground_equals_sector_minimum(self):
         spec = ChainSpec(3, 1, kappa=0.9)
         global_ground = spectrum(spec, k=1).eigenvalues[0]
