@@ -24,7 +24,7 @@ import numpy as np
 
 from . import design
 from .design import DesignError, Environment, Geometry
-from .dynamics import RampSchedule, adiabatic_ratio, physical_ramp_time, propagate
+from .dynamics import RampSchedule, propagate
 from .lattice import ChainSpec, DimensionCapError, InvalidSpecError
 from .serialize import write_csv, write_json
 from .spectra import NonConvergenceError, charge_scan, correlation_profile, mass_gap, spectrum
@@ -46,8 +46,7 @@ ENVIRONMENT_KEYS = {
     "temperature_K": "temperature",
     "magnetic_field_T": "magnetic_field",
 }
-SIM_KEYS = {"sites", "lmax", "kappa", "mu", "boundary", "k", "mu_start", "mu_stop",
-            "mu_steps", "kappa_end", "duration", "dt", "shape"}
+SIM_KEYS = {"sites", "lmax", "kappa", "mu", "boundary"}
 
 
 class CliError(Exception):

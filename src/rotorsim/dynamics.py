@@ -19,8 +19,8 @@ import numpy as np
 
 from .constants import CODATA2018, Constants
 from .design import Geometry, rotational_quantum
-from .lattice import (ChainSpec, DimensionCapError, build_interaction, build_kinetic, even_block,
-                      sector_basis)
+from .lattice import (DYNAMICS_DIM_CAP, ChainSpec, DimensionCapError, build_interaction,
+                      build_kinetic, even_block, sector_basis)
 
 __all__ = [
     "DYNAMICS_DIM_CAP",
@@ -32,10 +32,6 @@ __all__ = [
     "physical_ramp_time",
 ]
 
-# M = 0 sector states; K and B are held dense on the whole sector, 134 MB each at
-# the cap, before they are projected onto its (R+, P+) block. Its square also
-# bounds k * dimension of every sector eigensolve in spectra.
-DYNAMICS_DIM_CAP = 4096
 # steps per ramp, checked before anything is built and after each dt halving
 DYNAMICS_STEP_CAP = 1_000_000
 STEP_ERROR_TOL = 1e-8

@@ -40,6 +40,7 @@ import scipy.sparse as sp
 __all__ = [
     "DIM_CAP_ENV",
     "DEFAULT_DIM_CAP",
+    "DYNAMICS_DIM_CAP",
     "InvalidSpecError",
     "DimensionCapError",
     "ChainSpec",
@@ -60,6 +61,11 @@ __all__ = [
 
 DIM_CAP_ENV = "ROTORSIM_DIM_CAP"
 DEFAULT_DIM_CAP = 2**21
+# M = 0 sector states of a ramp (rotorsim.dynamics); K and B are held dense on the
+# whole sector, 134 MB each at the cap, before they are projected onto its (R+, P+)
+# block. Its square also bounds k * dimension of every eigensolve
+# (rotorsim.spectra.lowest_eigenpairs).
+DYNAMICS_DIM_CAP = 4096
 
 
 class InvalidSpecError(ValueError):

@@ -1,8 +1,9 @@
 """Eigensolvers and ground-state observables for the rotor chain.
 
-Dense diagonalization below DENSE_CUTOFF doubles as the oracle for the
-iterative (Lanczos) path above it; the crossover is frozen so the
-``method`` label in results is reproducible.
+lowest_eigenpairs is the one eigensolver entry: it refuses k * dimension
+above DYNAMICS_DIM_CAP^2 before it allocates, then solves densely up to
+DENSE_CUTOFF (the oracle for the paths above it; the crossover is frozen so
+the ``method`` label is reproducible), off the diagonal, or by Lanczos.
 
 Every solver works on H alone, one total-M sector at a time: on sector M
 the term -mu_tilde Q is the constant -mu_tilde M, and the pi rotation about x
@@ -16,9 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .dynamics import DYNAMICS_DIM_CAP
-from .lattice import (ChainSpec, DimensionCapError, SparseOperator, build_hamiltonian,
-                      direction_dots, sector_basis)
+from .lattice import (DYNAMICS_DIM_CAP, ChainSpec, DimensionCapError, SparseOperator,
+                      build_hamiltonian, direction_dots, sector_basis)
 
 __all__ = [
     "DENSE_CUTOFF",
@@ -97,37 +97,37 @@ def _start_vector(dim: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def lowest_eigenpairs(op: SparseOperator, k: int, method: str | None = None) -> SpectrumResult:
-    """k lowest eigenpairs of a Hermitian operator.
+def lowest_eigenpairs(op: SparseOperator, k: int) -> SpectrumResult:
+    """k lowest eigenpairs of a Hermitian operator, 1 <= k <= dimension.
 
-    method defaults to "dense" for dimension <= DENSE_CUTOFF and
-    "iterative" (implicitly restarted Lanczos with reorthogonalization,
-    deterministic start vector) above; pass it explicitly to override.
-    An iterative solve of a diagonal operator becomes "diagonal": the
-    levels are its sorted diagonal, the vectors unit vectors, because
-    Lanczos from one start vector cannot resolve exactly degenerate
-    levels. Only an explicit "dense" may take k = dimension. A residual
-    norm above RESIDUAL_TOL raises NonConvergenceError.
+    k * dimension above DYNAMICS_DIM_CAP^2 (134 MB of floats: a dense matrix
+    or about k Lanczos vectors) raises DimensionCapError before anything is
+    allocated. method is "dense" when k = dimension or dimension <=
+    DENSE_CUTOFF; above the cutoff "diagonal" when no off-diagonal entry is
+    stored (sorted diagonal, unit vectors: Lanczos from one start vector
+    cannot resolve exactly degenerate levels), else "iterative" (restarted
+    Lanczos, deterministic start vector). A residual norm above
+    RESIDUAL_TOL raises NonConvergenceError.
     """
     dim = op.dimension
-    if not 1 <= k <= dim or (k == dim and method != "dense"):
-        raise ValueError(f"need 1 <= k < dimension, got k={k}, dimension={dim}")
-    if method is None:
-        method = "dense" if dim <= DENSE_CUTOFF else "iterative"
+    if not 1 <= k <= dim:
+        raise ValueError(f"need 1 <= k <= dimension, got k={k}, dimension={dim}")
+    if k * dim > DYNAMICS_DIM_CAP**2:
+        raise DimensionCapError(f"{k} levels of a {dim}-state sector exceed the solve cap "
+                                f"k * dimension <= {DYNAMICS_DIM_CAP}^2")
+    if k == dim or dim <= DENSE_CUTOFF:
+        method = "dense"
+        vals, vecs = np.linalg.eigh(op.matrix.toarray())
+        vals, vecs = vals[:k], vecs[:, :k]
     # no stored off-diagonal nonzero; count_nonzero() would sort op in place
-    if method == "iterative" and (np.count_nonzero(op.matrix.data)
-                                  == np.count_nonzero(op.matrix.diagonal())):
+    elif np.count_nonzero(op.matrix.data) == np.count_nonzero(op.matrix.diagonal()):
         method = "diagonal"
-
-    if method == "diagonal":
         diagonal = op.matrix.diagonal()
         order = np.argsort(diagonal, kind="stable")[:k]
         vals, vecs = diagonal[order], np.zeros((dim, k))
         vecs[order, np.arange(k)] = 1.0
-    elif method == "dense":
-        vals, vecs = np.linalg.eigh(op.matrix.toarray())
-        vals, vecs = vals[:k], vecs[:, :k]
-    elif method == "iterative":
+    else:
+        method = "iterative"
         try:
             vals, vecs = spla.eigsh(
                 op.matrix, k=k, which="SA", tol=0,
@@ -139,8 +139,6 @@ def lowest_eigenpairs(op: SparseOperator, k: int, method: str | None = None) -> 
             ) from exc
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
-    else:
-        raise ValueError(f"unknown method {method!r}")
 
     residuals = np.array([
         np.linalg.norm(op.matrix @ vecs[:, i] - vals[i] * vecs[:, i])
@@ -160,24 +158,10 @@ def lowest_eigenpairs(op: SparseOperator, k: int, method: str | None = None) -> 
     )
 
 
-def _solve_sector(block: SparseOperator, k: int) -> SpectrumResult:
-    """Lowest min(k, block dimension) eigenpairs of one sector block.
-
-    k * dimension bounds both a whole-block dense matrix and about k Lanczos
-    vectors; above DYNAMICS_DIM_CAP^2 (134 MB of floats) it is refused first.
-    """
-    dim = block.dimension
-    k = min(k, dim)
-    if k * dim > DYNAMICS_DIM_CAP**2:
-        raise DimensionCapError(f"{k} levels of a {dim}-state sector exceed the solve cap "
-                                f"k * dimension <= {DYNAMICS_DIM_CAP}^2")
-    return lowest_eigenpairs(block, k, method="dense" if k == dim else None)
-
-
-def _sector_hamiltonian(spec: ChainSpec, m: int):
-    """Codes of the total-M = m sector and H, which does not contain mu_tilde, on it."""
+def _solve_sector(spec: ChainSpec, m: int, k: int):
+    """Codes of sector M = m and the lowest min(k, dimension) levels of H (no mu_tilde) on it."""
     codes = sector_basis(spec, m)
-    return codes, build_hamiltonian(spec, codes)
+    return codes, lowest_eigenpairs(build_hamiltonian(spec, codes), min(k, len(codes)))
 
 
 def spectrum(spec: ChainSpec, k: int) -> SpectrumResult:
@@ -195,7 +179,7 @@ def spectrum(spec: ChainSpec, k: int) -> SpectrumResult:
     levels = []  # (energy, M, residual)
     methods = set()
     for m in range(spec.n_sites * spec.l_max + 1):
-        res = _solve_sector(_sector_hamiltonian(spec, m)[1], k)
+        res = _solve_sector(spec, m, k)[1]
         methods.add(res.method)
         levels += [(e - spec.mu_tilde * label, label, r)
                    for e, r in zip(res.eigenvalues, res.residual_norms)
@@ -222,8 +206,7 @@ def spectrum(spec: ChainSpec, k: int) -> SpectrumResult:
 def _ground(spec: ChainSpec):
     """Codes of the ground sector m (see ground_state), energy E - mu_tilde m, sector vector."""
     m = 0 if spec.mu_tilde == 0.0 else int(spectrum(spec, k=1).sector_labels[0])
-    codes, block = _sector_hamiltonian(spec, m)
-    res = _solve_sector(block, k=1)
+    codes, res = _solve_sector(spec, m, 1)
     # contiguous: vdot over a strided column would sum in another order
     return (codes, float(res.eigenvalues[0]) - spec.mu_tilde * m,
             np.ascontiguousarray(res.eigenvectors[:, 0]))
@@ -246,41 +229,36 @@ def mass_gap(spec: ChainSpec):
     """(E1 - E0, degeneracy of E1) at mu_tilde = 0.
 
     Under SU(2) a multiplet of total L has one member in each sector
-    |M| <= L, so E0 and E1 are the lowest distinct levels of sector 0.
+    |M| <= L, so E0 and E1 are the lowest distinct levels of sector 0, and
+    sector M holds no more levels up to E1 than sector M - 1. Sector 0 is
+    solved for k = 3, 6, 12, ... levels until one lies clearly above E1;
+    sector M >= 1 for as many levels as sector M - 1 has below
+    E1 + DEGENERACY_TOL, and the first sector asked for none ends the count.
     With c_M the levels of sector M within DEGENERACY_TOL of E1, the
-    degeneracy is c_0 + 2 (c_1 + c_2 + ...) up to the first c_M = 0.
+    degeneracy is c_0 + 2 (c_1 + c_2 + ...).
     """
     if spec.mu_tilde != 0.0:
         raise ValueError("mass_gap is defined at mu_tilde = 0")
-
-    def window(m, k, e1_of):
-        # the window is closed once a level lies clearly above E1
-        _, block = _sector_hamiltonian(spec, m)
-        while True:
-            vals = _solve_sector(block, k).eigenvalues
-            e = e1_of(vals)
-            if (e is not None and vals[-1] - e >= DEGENERACY_TOL) or len(vals) == block.dimension:
-                return vals
-            k *= 2
-
-    def first_excited(vals):
-        above = vals[vals > vals[0] + DEGENERACY_TOL]
-        return above[0] if len(above) else None
-
     # the ground level, one member of the E1 multiplet and a level above it
-    vals = window(0, 3, first_excited)
-    e0, e1 = vals[0], first_excited(vals)
-    if e1 is None:
+    k = 3
+    while True:
+        codes, res = _solve_sector(spec, 0, k)
+        vals = res.eigenvalues
+        above = vals[vals > vals[0] + DEGENERACY_TOL]
+        if (len(above) and vals[-1] - above[0] >= DEGENERACY_TOL) or len(vals) == len(codes):
+            break
+        k *= 2
+    if not len(above):
         raise NonConvergenceError("no level above the ground multiplet found")
+    e0, e1 = vals[0], above[0]
     degeneracy = 0
     for m in range(spec.n_sites * spec.l_max + 1):
         if m > 0:
-            # sector m holds no more levels up to E1 than sector m - 1
-            k = int(np.sum(vals < e1 + DEGENERACY_TOL)) + 1
-            vals = window(m, k, lambda v: e1)
+            k = int(np.sum(vals < e1 + DEGENERACY_TOL))
+            if k == 0:
+                break
+            vals = _solve_sector(spec, m, k)[1].eigenvalues
         count = int(np.sum(np.abs(vals - e1) < DEGENERACY_TOL))
-        if count == 0:
-            break
         degeneracy += count if m == 0 else 2 * count
     return float(e1 - e0), degeneracy
 
@@ -308,8 +286,7 @@ def charge_scan(spec: ChainSpec, mu_grid) -> ChargeScan:
         raise ValueError(f"mu * M overflows: mu up to {mu_grid[-1]:.9g} at charge {max_charge}")
 
     charges = np.arange(max_charge + 1)
-    lowest = np.array([_solve_sector(_sector_hamiltonian(spec, m)[1], k=1).eigenvalues[0]
-                       for m in charges])
+    lowest = np.array([_solve_sector(spec, m, 1)[1].eigenvalues[0] for m in charges])
     energies = lowest[None, :] - mu_grid[:, None] * charges[None, :]
     ground = np.argmin(energies, axis=1)
 

@@ -10,6 +10,7 @@ import json
 import numpy as np
 import pytest
 
+import rotorsim.spectra
 from rotorsim import Geometry
 from rotorsim.cli import main as cli_main
 from rotorsim.design import (
@@ -91,10 +92,12 @@ class TestAcceptance:
             ok &= abs(gap - 2.0) < 1e-12 and degeneracy == 3 * n_sites
         report("criterion 5: free-rotor spectrum and decoupled-chain gap/degeneracy", ok)
 
-    def test_06_oracle_equivalence(self):
+    def test_06_oracle_equivalence(self, monkeypatch):
         op = build_hamiltonian(ChainSpec(5, 1, kappa=0.7), all_codes(ChainSpec(5, 1)))
-        dense = lowest_eigenpairs(op, k=5, method="dense").eigenvalues
-        iterative = lowest_eigenpairs(op, k=5, method="iterative").eigenvalues
+        dense = lowest_eigenpairs(op, k=5).eigenvalues
+        with monkeypatch.context() as patch:  # Lanczos on the 1024 states
+            patch.setattr(rotorsim.spectra, "DENSE_CUTOFF", 8)
+            iterative = lowest_eigenpairs(op, k=5).eigenvalues
         ok = op.dimension == 1024 and np.abs(dense - iterative).max() < 1e-8
 
         for l_max in (1, 2, 3):

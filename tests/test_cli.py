@@ -262,6 +262,28 @@ class TestSim:
         assert run(["sim", "gap", "--config", cfg, "--out", out]) == 2
         assert not out.exists()
 
+    def test_config_keys_that_are_not_read_exit_2(self, tmp_path, capsys):
+        # the ramp settings are flags only, so a config may not hold them
+        cfg = write_config(tmp_path / "chain.json", {
+            "sites": 2, "lmax": 1, "kappa": 0.0, "kappa_end": 0.5,
+            "duration": 1.0, "dt": 0.1, "shape": "smoothstep"})
+        out = tmp_path / "out"
+        assert run(["sim", "ramp", "--config", cfg, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown sim config keys: ")
+        for key in ("dt", "duration", "kappa_end", "shape"):
+            assert repr(key) in err
+        assert not out.exists()
+
+    def test_config_of_the_chain_keys_runs(self, tmp_path):
+        cfg = write_config(tmp_path / "chain.json", {
+            "sites": 2, "lmax": 1, "kappa": 0.5, "mu": 0.0, "boundary": "open"})
+        out = tmp_path / "out"
+        assert run(["sim", "gap", "--config", cfg, "--out", out]) == 0
+        doc = json.loads((out / "gap.json").read_text())
+        assert doc["config"] == {"sites": 2, "lmax": 1, "kappa": 0.5, "mu": 0.0,
+                                 "boundary": "open"}
+
 
 def assert_refused(argv, capsys, code):
     """Exit `code` within 10 s with an error line, no traceback, no output file; return stderr."""

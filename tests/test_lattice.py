@@ -417,10 +417,10 @@ class TestSectorBlocksAgainstFullSpaceOracle:
 
         solved = []
 
-        def recording(block, k, _solve=rotorsim.spectra._solve_sector):
+        def recording(block, k, _solve=rotorsim.spectra.lowest_eigenpairs):
             solved.append(block)
             return _solve(block, k)
-        monkeypatch.setattr(rotorsim.spectra, "_solve_sector", recording)
+        monkeypatch.setattr(rotorsim.spectra, "lowest_eigenpairs", recording)
         rotorsim.spectra.spectrum(spec, k=3)
         full, sectors = oracle_hamiltonian(spec), oracle_sectors(spec)
         assert len(solved) == spec.n_sites * spec.l_max + 1

@@ -68,11 +68,13 @@ class TestLowestEigenpairs:
         res = lowest_eigenpairs(full_hamiltonian(ChainSpec(2, 1, kappa=0.1)), k=1)
         assert res.eigenvalues[0] == pytest.approx(0.196667, abs=1e-3)
 
-    def test_dense_and_iterative_agree_dim_1024(self):
+    def test_dense_and_iterative_agree_dim_1024(self, monkeypatch):
         op = full_hamiltonian(ChainSpec(5, 1, kappa=0.7))
         assert op.dimension == 1024
-        dense = lowest_eigenpairs(op, k=5, method="dense")
-        iterative = lowest_eigenpairs(op, k=5, method="iterative")
+        dense = lowest_eigenpairs(op, k=5)
+        assert dense.method == "dense"
+        monkeypatch.setattr(rotorsim.spectra, "DENSE_CUTOFF", 8)
+        iterative = lowest_eigenpairs(op, k=5)
         assert iterative.method == "iterative"
         assert np.abs(dense.eigenvalues - iterative.eigenvalues).max() < 1e-8
 
@@ -81,13 +83,15 @@ class TestLowestEigenpairs:
         assert res.residual_norms.max() < 1e-8
 
     def test_explicit_dense_returns_whole_spectrum(self):
-        res = lowest_eigenpairs(full_hamiltonian(ChainSpec(1, 1)), k=4, method="dense")
+        res = lowest_eigenpairs(full_hamiltonian(ChainSpec(1, 1)), k=4)
+        assert res.method == "dense"
         assert np.allclose(res.eigenvalues, [0, 2, 2, 2], atol=1e-12)
 
-    def test_diagonal_operator_read_off_its_diagonal(self):
+    def test_diagonal_operator_read_off_its_diagonal(self, monkeypatch):
         # Lanczos from one start vector misses exactly degenerate levels
+        monkeypatch.setattr(rotorsim.spectra, "DENSE_CUTOFF", 8)
         op = full_hamiltonian(ChainSpec(5, 1, kappa=0.0))
-        res = lowest_eigenpairs(op, k=8, method="iterative")
+        res = lowest_eigenpairs(op, k=8)
         assert res.method == "diagonal"
         assert np.array_equal(res.eigenvalues, [0.0] + [2.0] * 7)
         assert np.array_equal(np.sort(np.abs(res.eigenvectors), axis=0)[-1], np.ones(8))
@@ -99,7 +103,7 @@ class TestLowestEigenpairs:
         with pytest.raises(ValueError):
             lowest_eigenpairs(op, k=0)
         with pytest.raises(ValueError):
-            lowest_eigenpairs(op, k=4)
+            lowest_eigenpairs(op, k=5)
 
 
 class TestSpectrum:
@@ -152,9 +156,8 @@ class TestSpectrum:
         # the levels themselves are the sector solves' levels, bit for bit
         levels = []
         for m in range(spec.n_sites * spec.l_max + 1):
-            block = rotorsim.spectra._sector_hamiltonian(spec, m)[1]
             levels += [(e - spec.mu_tilde * label, label)
-                       for e in rotorsim.spectra._solve_sector(block, 20).eigenvalues
+                       for e in rotorsim.spectra._solve_sector(spec, m, 20)[1].eigenvalues
                        for label in ((m, -m) if m else (0,))]
         assert sorted(zip(res.eigenvalues, res.sector_labels)) == sorted(levels)[:20]
 
@@ -192,11 +195,24 @@ class TestGroundState:
         monkeypatch.setattr(rotorsim.spectra, "DYNAMICS_DIM_CAP", 8)
         spec = ChainSpec(4, 1, kappa=1.0)
         with pytest.raises(DimensionCapError, match=r"solve cap k \* dimension <= 8\^2"):
-            rotorsim.spectra._solve_sector(build_hamiltonian(spec, sector_basis(spec, 0)), 1)
+            rotorsim.spectra._solve_sector(spec, 0, 1)
         block = build_hamiltonian(spec, sector_basis(spec, 1))
-        assert rotorsim.spectra._solve_sector(block, 1).eigenvalues.shape == (1,)
+        assert lowest_eigenpairs(block, 1).eigenvalues.shape == (1,)
         with pytest.raises(DimensionCapError):
-            rotorsim.spectra._solve_sector(block, 2)
+            lowest_eigenpairs(block, 2)
+
+    def test_solve_cap_refuses_before_any_eigensolver(self, monkeypatch):
+        # the cap lives in lowest_eigenpairs itself, for any operator
+        def refuse(*args, **kwargs):
+            raise AssertionError("an eigensolver ran above the solve cap")
+        monkeypatch.setattr(rotorsim.spectra, "DYNAMICS_DIM_CAP", 8)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(rotorsim.spectra.spla, "eigsh", refuse)
+        spec = ChainSpec(4, 1, kappa=1.0)
+        block = build_hamiltonian(spec, sector_basis(spec, 0))
+        assert block.dimension == 70
+        with pytest.raises(DimensionCapError, match=r"solve cap k \* dimension <= 8\^2"):
+            lowest_eigenpairs(block, 1)
 
 
 class TestMassGap:
@@ -260,6 +276,21 @@ class TestMassGap:
         oracle_gap, oracle_degeneracy = dense_gap(spec)
         assert gap == pytest.approx(oracle_gap, abs=1e-10)
         assert degeneracy == oracle_degeneracy
+
+    @pytest.mark.parametrize("spec, requests", [
+        (ChainSpec(8, 1, kappa=1.0), [(12870, 3), (11440, 2), (8008, 1)]),
+        (ChainSpec(4, 2, kappa=1.0, boundary="periodic"), [(1107, 3), (1016, 2), (784, 1)]),
+    ])
+    def test_sector_requests_follow_su2(self, spec, requests, monkeypatch):
+        # sector M is asked for as many levels as sector M - 1 has up to E1
+        solved = []
+
+        def recording(op, k, _solve=rotorsim.spectra.lowest_eigenpairs):
+            solved.append((op.dimension, k))
+            return _solve(op, k)
+        monkeypatch.setattr(rotorsim.spectra, "lowest_eigenpairs", recording)
+        assert mass_gap(spec)[1] == 3
+        assert solved == requests
 
 
 class TestChargeScan:
