@@ -9,9 +9,12 @@ Commands:
     rotorsim sim correlation -- correlation profile from the central site
     rotorsim sim ramp        -- adiabatic switch-on propagation
 
-Inputs are JSON config files plus flag overrides (flags win). Exit
-codes: 0 ok, 2 invalid input, 3 infeasible design, 4 solver
-non-convergence, 5 resource cap exceeded.
+Inputs are JSON config files plus flag overrides (flags win); the geometry
+and environment keys are those of design.SCAN_PARAMETERS, the chain keys
+those of SIM_KEYS. Every command writes <name>.csv when --format is csv or
+both and it has a table, and <name>.json unless --format csv picked a table.
+Exit codes, mapped in main only: 0 ok, 2 invalid input, 3 infeasible design,
+4 solver non-convergence, 5 resource cap exceeded.
 """
 
 import argparse
@@ -23,9 +26,9 @@ from pathlib import Path
 import numpy as np
 
 from . import design
-from .design import DesignError, Environment, Geometry
+from .design import SCAN_PARAMETERS, DesignError, Environment, Geometry
 from .dynamics import RampSchedule, propagate
-from .lattice import ChainSpec, DimensionCapError, InvalidSpecError
+from .lattice import ChainSpec, DimensionCapError
 from .serialize import write_csv, write_json
 from .spectra import NonConvergenceError, charge_scan, correlation_profile, mass_gap, spectrum
 
@@ -35,18 +38,14 @@ EXIT_INFEASIBLE = 3
 EXIT_NONCONVERGED = 4
 EXIT_RESOURCE_CAP = 5
 
-GEOMETRY_KEYS = {
-    "delta_m": "wire_radius",
-    "rho_m": "insulating_sphere_radius",
-    "alpha_m": "conducting_sphere_radius",
-    "gamma_m": "sphere_gap",
-    "dx_m": "lattice_spacing",
+# sim config key and flag -> (ChainSpec field, default); a default's type converts the value
+SIM_KEYS = {
+    "sites": ("n_sites", None),
+    "lmax": ("l_max", None),
+    "kappa": ("kappa", 0.0),
+    "mu": ("mu_tilde", 0.0),
+    "boundary": ("boundary", "open"),
 }
-ENVIRONMENT_KEYS = {
-    "temperature_K": "temperature",
-    "magnetic_field_T": "magnetic_field",
-}
-SIM_KEYS = {"sites", "lmax", "kappa", "mu", "boundary"}
 
 
 class CliError(Exception):
@@ -68,47 +67,55 @@ def _load_config(path) -> dict:
     return doc
 
 
-def _geometry_environment(doc: dict):
-    unknown = set(doc) - set(GEOMETRY_KEYS) - set(ENVIRONMENT_KEYS)
-    if unknown:
-        raise CliError(EXIT_INVALID, f"unknown geometry config keys: {sorted(unknown)}")
-    missing = set(GEOMETRY_KEYS) - set(doc)
-    if missing:
-        raise CliError(EXIT_INVALID, f"missing geometry config keys: {sorted(missing)}")
+def _fields(doc: dict, target: str) -> dict:
+    """The config values of one SCAN_PARAMETERS target as floats, by attribute."""
     try:
-        geom = Geometry(**{attr: float(doc[key]) for key, attr in GEOMETRY_KEYS.items()})
-        env = Environment(**{attr: float(doc.get(key, 0.0))
-                             for key, attr in ENVIRONMENT_KEYS.items()})
-    except DesignError as exc:
-        raise CliError(EXIT_INVALID, str(exc))
+        return {attr: float(doc.get(key, 0.0))
+                for key, (owner, attr) in SCAN_PARAMETERS.items() if owner == target}
     except (TypeError, ValueError) as exc:
         raise CliError(EXIT_INVALID, f"invalid geometry config value: {exc}")
-    return geom, env
+
+
+def _geometry_environment(doc: dict):
+    unknown = set(doc) - set(SCAN_PARAMETERS)
+    if unknown:
+        raise CliError(EXIT_INVALID, f"unknown geometry config keys: {sorted(unknown)}")
+    missing = {key for key, (owner, _) in SCAN_PARAMETERS.items()
+               if owner == "geometry"} - set(doc)
+    if missing:
+        raise CliError(EXIT_INVALID, f"missing geometry config keys: {sorted(missing)}")
+    return Geometry(**_fields(doc, "geometry")), Environment(**_fields(doc, "environment"))
 
 
 def _geometry_doc(geom: Geometry, env: Environment) -> dict:
-    doc = {key: getattr(geom, attr) for key, attr in GEOMETRY_KEYS.items()}
-    doc.update({key: getattr(env, attr) for key, attr in ENVIRONMENT_KEYS.items()})
-    return doc
+    owners = {"geometry": geom, "environment": env}
+    return {key: getattr(owners[owner], attr) for key, (owner, attr) in SCAN_PARAMETERS.items()}
 
 
 def _resolve_geometry(args) -> tuple:
     doc = _load_config(args.config) if args.config else {}
-    for key in list(GEOMETRY_KEYS) + list(ENVIRONMENT_KEYS):
-        flag = getattr(args, key.rsplit("_", 1)[0], None)
+    for key in SCAN_PARAMETERS:
+        flag = getattr(args, key.rsplit("_", 1)[0])
         if flag is not None:
             doc[key] = flag
     return _geometry_environment(doc)
 
 
-def _outdir(args) -> Path:
+def _write(args, stem, doc, header=None, rows=None):
+    """<stem>.csv if --format is csv or both and rows are given; <stem>.json unless only that."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    table = rows is not None and args.format in ("csv", "both")
+    if table:
+        write_csv(out / f"{stem}.csv", header, rows)
+    if not (table and args.format == "csv"):
+        write_json(out / f"{stem}.json", doc)
 
 
-def _report_document(geom, env, report) -> dict:
-    return {
+def cmd_design_report(args) -> int:
+    geom, env = _resolve_geometry(args)
+    report = design.feasibility(geom, env)
+    _write(args, "feasibility_report", {
         "config": _geometry_doc(geom, env),
         "effective": vars(report.effective),
         "hierarchy_ratios": [list(entry) for entry in report.hierarchy_ratios],
@@ -120,54 +127,31 @@ def _report_document(geom, env, report) -> dict:
         "second_order_zeeman_ratio": report.second_order_zeeman_ratio,
         "critical_field_is_order_estimate": True,
         "overall_verdict": report.overall_verdict,
-    }
-
-
-def cmd_design_report(args) -> int:
-    geom, env = _resolve_geometry(args)
-    report = design.feasibility(geom, env)
-    out = _outdir(args)
-    write_json(out / "feasibility_report.json", _report_document(geom, env, report))
+    })
     print(f"overall verdict: {report.overall_verdict}")
-    if report.overall_verdict == "fail":
-        return EXIT_INFEASIBLE
-    if report.overall_verdict == "warn" and args.strict:
+    if report.overall_verdict == "fail" or (report.overall_verdict == "warn" and args.strict):
         return EXIT_INFEASIBLE
     return EXIT_OK
 
 
 def cmd_design_scan(args) -> int:
     geom, env = _resolve_geometry(args)
-    try:
-        rows = design.scan(geom, env, args.parameter, args.start, args.stop, args.steps)
-    except DimensionCapError as exc:
-        raise CliError(EXIT_RESOURCE_CAP, str(exc))
-    except DesignError as exc:
-        raise CliError(EXIT_INVALID, str(exc))
-    out = _outdir(args)
-    if args.format in ("csv", "both"):
-        header = list(rows[0].keys())
-        write_csv(out / "design_scan.csv", header, [[row[h] for h in header] for row in rows])
-    if args.format in ("json", "both"):
-        write_json(out / "design_scan.json",
-                   {"config": _geometry_doc(geom, env),
-                    "parameter": args.parameter, "rows": rows})
+    rows = design.scan(geom, env, args.parameter, args.start, args.stop, args.steps)
+    header = list(rows[0].keys())
+    _write(args, "design_scan",
+           {"config": _geometry_doc(geom, env), "parameter": args.parameter, "rows": rows},
+           header, [[row[h] for h in header] for row in rows])
     print(f"wrote {len(rows)} scan rows")
     return EXIT_OK
 
 
 def _chain_spec(args) -> ChainSpec:
     doc = _load_config(args.config) if args.config else {}
-    unknown = set(doc) - SIM_KEYS
+    unknown = set(doc) - set(SIM_KEYS)
     if unknown:
         raise CliError(EXIT_INVALID, f"unknown sim config keys: {sorted(unknown)}")
-    params = {
-        "sites": args.sites if args.sites is not None else doc.get("sites"),
-        "lmax": args.lmax if args.lmax is not None else doc.get("lmax"),
-        "kappa": args.kappa if args.kappa is not None else doc.get("kappa", 0.0),
-        "mu": args.mu if args.mu is not None else doc.get("mu", 0.0),
-        "boundary": args.boundary or doc.get("boundary", "open"),
-    }
+    params = {key: doc.get(key, default) if getattr(args, key) is None else getattr(args, key)
+              for key, (_, default) in SIM_KEYS.items()}
     if args.from_geometry:
         geom, env = _geometry_environment(_load_config(args.from_geometry))
         try:
@@ -180,121 +164,71 @@ def _chain_spec(args) -> ChainSpec:
                                           f"for {geom}") from None
         print(f"derived from geometry: g_eff = {g_eff:.9g}, "
               f"kappa = 9/g_eff^4 = {kappa:.9g}, mu_tilde = {mu_tilde:.9g}")
-        params["kappa"] = kappa
-        params["mu"] = mu_tilde
+        params.update(kappa=kappa, mu=mu_tilde)
     if params["sites"] is None or params["lmax"] is None:
         raise CliError(EXIT_INVALID, "sites and lmax are required (flags or config)")
-    try:
-        return ChainSpec(
-            n_sites=params["sites"],
-            l_max=params["lmax"],
-            kappa=float(params["kappa"]),
-            boundary=str(params["boundary"]),
-            mu_tilde=float(params["mu"]),
-        )
-    except DimensionCapError as exc:
-        raise CliError(EXIT_RESOURCE_CAP, str(exc))
-    except (InvalidSpecError, ValueError) as exc:
-        raise CliError(EXIT_INVALID, str(exc))
-
-
-def _spec_doc(spec: ChainSpec) -> dict:
-    return {
-        "sites": spec.n_sites,
-        "lmax": spec.l_max,
-        "kappa": spec.kappa,
-        "mu": spec.mu_tilde,
-        "boundary": spec.boundary,
-    }
+    return ChainSpec(**{field: params[key] if default is None else type(default)(params[key])
+                        for key, (field, default) in SIM_KEYS.items()})
 
 
 def cmd_sim(args) -> int:
     spec = _chain_spec(args)
-    out = _outdir(args)
-    want_csv = args.format in ("csv", "both")
-    try:
-        if args.subcommand == "spectrum":
-            res = spectrum(spec, k=args.k)
-            doc = {
-                "config": _spec_doc(spec),
-                "method": res.method,
-                "eigenvalues": res.eigenvalues,
-                "sector_labels": res.sector_labels,
-                "residual_norms": res.residual_norms,
-            }
-            write_json(out / "spectrum.json", doc)
-            if want_csv:
-                rows = [
-                    [i, res.eigenvalues[i], int(res.sector_labels[i]), res.residual_norms[i]]
-                    for i in range(len(res.eigenvalues))
-                ]
-                write_csv(out / "spectrum.csv", ["index", "energy", "sector", "residual"], rows)
-            print(f"lowest level: {res.eigenvalues[0]:.9g}")
-        elif args.subcommand == "gap":
-            gap, degeneracy = mass_gap(spec)
-            write_json(out / "gap.json", {
-                "config": _spec_doc(spec), "gap": gap, "degeneracy": degeneracy,
-            })
-            print(f"gap = {gap:.9g}, degeneracy = {degeneracy}")
-        elif args.subcommand == "charge-scan":
-            if args.mu_steps > design.SCAN_STEPS_CAP:
-                raise CliError(EXIT_RESOURCE_CAP, f"{args.mu_steps} mu steps exceed the scan "
-                                                  f"cap {design.SCAN_STEPS_CAP}")
-            grid = np.linspace(args.mu_start, args.mu_stop, args.mu_steps)
-            scan_res = charge_scan(spec, grid)
-            write_json(out / "charge_scan.json", {
-                "config": _spec_doc(spec),
-                "mu_values": scan_res.mu_values,
-                "ground_charge": scan_res.ground_charge,
-                "ground_energy": scan_res.ground_energy,
-                "critical_mu": scan_res.critical_mu,
-            })
-            if want_csv:
-                rows = list(zip(scan_res.mu_values, scan_res.ground_charge,
-                                scan_res.ground_energy))
-                write_csv(out / "charge_scan.csv", ["mu", "Q", "energy"], rows)
-            print(f"critical_mu = {scan_res.critical_mu}")
-        elif args.subcommand == "correlation":
-            profile = correlation_profile(spec)
-            write_json(out / "correlation.json", {
-                "config": _spec_doc(spec),
-                "distances": profile.distances,
-                "values": profile.values,
-                "fitted_xi": profile.fitted_xi,
-                "fit_quality": profile.fit_quality,
-            })
-            if want_csv:
-                rows = list(zip(profile.distances, profile.values))
-                write_csv(out / "correlation.csv", ["distance", "value"], rows)
-            print(f"fitted_xi = {profile.fitted_xi}")
-        elif args.subcommand == "ramp":
-            schedule = RampSchedule(
-                kappa_start=spec.kappa, kappa_end=args.kappa_end,
-                duration=args.duration, shape=args.shape,
-            )
-            result = propagate(spec, schedule, dt=args.dt, record_trace=want_csv)
-            write_json(out / "ramp.json", {
-                "config": {**_spec_doc(spec), "kappa_end": args.kappa_end,
-                           "duration": args.duration, "dt": args.dt, "shape": args.shape},
-                "final_fidelity": result.final_fidelity,
-                "norm_drift": result.norm_drift,
-                "max_adiabatic_ratio": result.max_adiabatic_ratio,
-                "step_count": result.step_count,
-                "accepted_dt": result.accepted_dt,
-            })
-            if want_csv and result.trace is not None:
-                write_csv(out / "ramp.csv",
-                          ["t", "fidelity_to_instantaneous_gs", "norm", "kappa"],
-                          result.trace)
-            print(f"final fidelity = {result.final_fidelity:.9g}")
-        else:  # pragma: no cover - argparse restricts choices
-            raise CliError(EXIT_INVALID, f"unknown sim subcommand {args.subcommand!r}")
-    except DimensionCapError as exc:
-        raise CliError(EXIT_RESOURCE_CAP, str(exc))
-    except NonConvergenceError as exc:
-        raise CliError(EXIT_NONCONVERGED, str(exc))
-    except (InvalidSpecError, ValueError) as exc:
-        raise CliError(EXIT_INVALID, str(exc))
+    config = {key: getattr(spec, field) for key, (field, _) in SIM_KEYS.items()}
+    if args.subcommand == "spectrum":
+        res = spectrum(spec, k=args.k)
+        _write(args, "spectrum", {
+            "config": config,
+            "method": res.method,
+            "eigenvalues": res.eigenvalues,
+            "sector_labels": res.sector_labels,
+            "residual_norms": res.residual_norms,
+        }, ["index", "energy", "sector", "residual"],
+            [[i, energy, int(label), residual] for i, (energy, label, residual)
+             in enumerate(zip(res.eigenvalues, res.sector_labels, res.residual_norms))])
+        print(f"lowest level: {res.eigenvalues[0]:.9g}")
+    elif args.subcommand == "gap":
+        gap, degeneracy = mass_gap(spec)
+        _write(args, "gap", {"config": config, "gap": gap, "degeneracy": degeneracy})
+        print(f"gap = {gap:.9g}, degeneracy = {degeneracy}")
+    elif args.subcommand == "charge-scan":
+        if args.mu_steps > design.SCAN_STEPS_CAP:
+            raise CliError(EXIT_RESOURCE_CAP, f"{args.mu_steps} mu steps exceed the scan "
+                                              f"cap {design.SCAN_STEPS_CAP}")
+        scan_res = charge_scan(spec, np.linspace(args.mu_start, args.mu_stop, args.mu_steps))
+        _write(args, "charge_scan", {
+            "config": config,
+            "mu_values": scan_res.mu_values,
+            "ground_charge": scan_res.ground_charge,
+            "ground_energy": scan_res.ground_energy,
+            "critical_mu": scan_res.critical_mu,
+        }, ["mu", "Q", "energy"],
+            list(zip(scan_res.mu_values, scan_res.ground_charge, scan_res.ground_energy)))
+        print(f"critical_mu = {scan_res.critical_mu}")
+    elif args.subcommand == "correlation":
+        profile = correlation_profile(spec)
+        _write(args, "correlation", {
+            "config": config,
+            "distances": profile.distances,
+            "values": profile.values,
+            "fitted_xi": profile.fitted_xi,
+            "fit_quality": profile.fit_quality,
+        }, ["distance", "value"], list(zip(profile.distances, profile.values)))
+        print(f"fitted_xi = {profile.fitted_xi}")
+    else:  # ramp
+        schedule = RampSchedule(kappa_start=spec.kappa, kappa_end=args.kappa_end,
+                                duration=args.duration, shape=args.shape)
+        result = propagate(spec, schedule, dt=args.dt,
+                           record_trace=args.format in ("csv", "both"))
+        _write(args, "ramp", {
+            "config": {**config, "kappa_end": args.kappa_end, "duration": args.duration,
+                       "dt": args.dt, "shape": args.shape},
+            "final_fidelity": result.final_fidelity,
+            "norm_drift": result.norm_drift,
+            "max_adiabatic_ratio": result.max_adiabatic_ratio,
+            "step_count": result.step_count,
+            "accepted_dt": result.accepted_dt,
+        }, ["t", "fidelity_to_instantaneous_gs", "norm", "kappa"], result.trace)
+        print(f"final fidelity = {result.final_fidelity:.9g}")
     return EXIT_OK
 
 
@@ -315,7 +249,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_geometry_flags(parser):
     parser.add_argument("--config", help="geometry/environment JSON file")
-    for key, attr in {**GEOMETRY_KEYS, **ENVIRONMENT_KEYS}.items():
+    for key, (_, attr) in SCAN_PARAMETERS.items():
         name, unit = key.rsplit("_", 1)  # the flag _resolve_geometry reads
         parser.add_argument("--" + name.replace("_", "-"), type=finite_float,
                             help=f"{attr.replace('_', ' ')}, {unit}")
@@ -380,11 +314,15 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         return args.func(args)
     except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
-    except DesignError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        error, code = exc, exc.exit_code
+    except DimensionCapError as exc:
+        error, code = exc, EXIT_RESOURCE_CAP
+    except NonConvergenceError as exc:
+        error, code = exc, EXIT_NONCONVERGED
+    except ValueError as exc:  # InvalidSpecError and DesignError among them
+        error, code = exc, EXIT_INVALID
+    print(f"error: {error}", file=sys.stderr)
+    return code
 
 
 def entry():  # console-script hook

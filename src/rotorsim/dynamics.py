@@ -57,6 +57,14 @@ class RampSchedule:
             raise ValueError("kappa values must be non-negative")
         if self.shape not in ("linear", "smoothstep"):
             raise ValueError(f"shape must be 'linear' or 'smoothstep', got {self.shape!r}")
+        # the largest |rate()|, 1.5x the linear rate under smoothstep; an
+        # infinite rate would turn every adiabatic ratio into NaN
+        peak = ((self.kappa_end - self.kappa_start) / self.duration
+                * (1.5 if self.shape == "smoothstep" else 1.0))
+        if not math.isfinite(peak):
+            raise ValueError(f"the peak kappa rate must be finite, got {peak} for kappa "
+                             f"{self.kappa_start!r} -> {self.kappa_end!r} over duration "
+                             f"{self.duration!r}")
 
     def kappa(self, t: float) -> float:
         s = min(max(t / self.duration, 0.0), 1.0)

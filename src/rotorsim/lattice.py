@@ -15,7 +15,8 @@ A product state is labelled by its code sum_i s_i d^(N-1-i), with
 d = (l_max + 1)^2 and site state s_i = l^2 + l + m: site 0 is the slowest
 digit and the code is the state's full-space index. [H, Q] = 0, so each
 operator is built on one total-M sector's ascending codes (sector_basis),
-never on the full space. ChainSpec's dimension cap still applies to d^N.
+never on the full space. ChainSpec's dimension cap still counts d^N, though
+nothing in the package allocates a d^N array any more.
 
 Two more symmetries commute with H: the pi rotation about y,
 R = exp(i pi L_y), which maps each site's |l, m> to (-1)^(l-m) |l, -m>, and

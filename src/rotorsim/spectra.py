@@ -203,26 +203,20 @@ def spectrum(spec: ChainSpec, k: int) -> SpectrumResult:
     )
 
 
-def _ground(spec: ChainSpec):
-    """Codes of the ground sector m (see ground_state), energy E - mu_tilde m, sector vector."""
+def ground_state(spec: ChainSpec):
+    """Ground state of H - mu_tilde Q as (energy, codes, sector vector).
+
+    The state lies in one total-M sector m: codes are that sector's basis
+    (sector_basis) and the vector its components there. At mu_tilde = 0,
+    m = 0: the ground multiplet of the SU(2)-invariant H has an M = 0
+    member. Otherwise m is the label of spectrum's lowest level (ties: most
+    negative M). The energy is E - mu_tilde m.
+    """
     m = 0 if spec.mu_tilde == 0.0 else int(spectrum(spec, k=1).sector_labels[0])
     codes, res = _solve_sector(spec, m, 1)
     # contiguous: vdot over a strided column would sum in another order
-    return (codes, float(res.eigenvalues[0]) - spec.mu_tilde * m,
+    return (float(res.eigenvalues[0]) - spec.mu_tilde * m, codes,
             np.ascontiguousarray(res.eigenvectors[:, 0]))
-
-
-def ground_state(spec: ChainSpec):
-    """Ground eigenpair (energy, full-space vector) of H - mu_tilde Q.
-
-    The vector is zero outside one total-M sector m. At mu_tilde = 0, m = 0:
-    the ground multiplet of the SU(2)-invariant H has an M = 0 member.
-    Otherwise m is the label of spectrum's lowest level (ties: most negative M).
-    """
-    codes, energy, sector_vec = _ground(spec)
-    vec = np.zeros(spec.dimension)
-    vec[codes] = sector_vec
-    return energy, vec
 
 
 def mass_gap(spec: ChainSpec):
@@ -234,20 +228,22 @@ def mass_gap(spec: ChainSpec):
     solved for k = 3, 6, 12, ... levels until one lies clearly above E1;
     sector M >= 1 for as many levels as sector M - 1 has below
     E1 + DEGENERACY_TOL, and the first sector asked for none ends the count.
+    Each sector's H is built once.
     With c_M the levels of sector M within DEGENERACY_TOL of E1, the
     degeneracy is c_0 + 2 (c_1 + c_2 + ...).
     """
     if spec.mu_tilde != 0.0:
         raise ValueError("mass_gap is defined at mu_tilde = 0")
     # the ground level, one member of the E1 multiplet and a level above it
+    h0 = build_hamiltonian(spec, sector_basis(spec, 0))
     k = 3
     while True:
-        codes, res = _solve_sector(spec, 0, k)
-        vals = res.eigenvalues
+        vals = lowest_eigenpairs(h0, min(k, h0.dimension)).eigenvalues
         above = vals[vals > vals[0] + DEGENERACY_TOL]
-        if (len(above) and vals[-1] - above[0] >= DEGENERACY_TOL) or len(vals) == len(codes):
+        if (len(above) and vals[-1] - above[0] >= DEGENERACY_TOL) or len(vals) == h0.dimension:
             break
         k *= 2
+    del h0  # freed before the other sectors are built, to keep the peak memory
     if not len(above):
         raise NonConvergenceError("no level above the ground multiplet found")
     e0, e1 = vals[0], above[0]
@@ -307,7 +303,7 @@ def correlation(spec: ChainSpec, i: int, j: int) -> float:
         raise ValueError("correlation is defined at mu_tilde = 0")
     if not (0 <= i < spec.n_sites and 0 <= j < spec.n_sites):
         raise ValueError(f"site indices out of range: ({i}, {j})")
-    codes, _, vec = _ground(spec)
+    _, codes, vec = ground_state(spec)
     (op,) = direction_dots(spec, codes, [(i, j)])
     return float(np.vdot(vec, op @ vec))
 
@@ -322,7 +318,7 @@ def correlation_profile(spec: ChainSpec) -> CorrelationProfile:
     if spec.n_sites < 4 or spec.boundary != "open" or spec.mu_tilde != 0.0:
         raise ValueError("correlation_profile needs an open chain of >= 4 sites at mu_tilde = 0")
     center = (spec.n_sites - 1) // 2
-    codes, _, vec = _ground(spec)
+    _, codes, vec = ground_state(spec)
     distances = np.arange(0, spec.n_sites - center)
     ops = direction_dots(spec, codes, [(center, center + d) for d in distances])
     values = np.array([float(np.vdot(vec, op @ vec)) for op in ops])

@@ -9,6 +9,7 @@ from scipy.special import sph_harm_y
 
 from rotorsim import Geometry
 from rotorsim.lattice import SparseOperator, direction_matrices, site_basis
+from rotorsim.spectra import ground_state
 
 MICRO = dict(
     wire_radius=100e-9,
@@ -247,3 +248,11 @@ def all_codes(spec):
     the library's own operator needs no oracle.
     """
     return np.arange(spec.dimension, dtype=np.int64)
+
+
+def full_ground_state(spec):
+    """ground_state's (energy, vector) with the sector vector embedded in the whole space."""
+    energy, codes, sector_vector = ground_state(spec)
+    vec = np.zeros(len(all_codes(spec)))
+    vec[np.searchsorted(all_codes(spec), codes)] = sector_vector
+    return energy, vec

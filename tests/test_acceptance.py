@@ -27,12 +27,13 @@ from rotorsim.constants import CODATA2018
 from rotorsim.dynamics import RampSchedule, physical_ramp_time, propagate
 from rotorsim.lattice import (ChainSpec, build_charge, build_hamiltonian, direction_matrices,
                               site_basis)
-from rotorsim.spectra import charge_scan, ground_state, lowest_eigenpairs, mass_gap, spectrum
+from rotorsim.spectra import charge_scan, lowest_eigenpairs, mass_gap, spectrum
 
 from conftest import (
     MICRO,
     NANO,
     all_codes,
+    full_ground_state,
     oracle_hamiltonian,
     oracle_sectors,
     quadrature_direction_element,
@@ -129,7 +130,7 @@ class TestAcceptance:
                 _, degeneracy = mass_gap(ChainSpec(n_sites, 1, kappa=kappa))
                 ok &= degeneracy == 3
         for spec in (ChainSpec(2, 1, kappa=0.5), ChainSpec(3, 1, kappa=1.0)):
-            _, vec = ground_state(spec)
+            _, vec = full_ground_state(spec)
             q = build_charge(spec, all_codes(spec)).matrix
             ok &= abs(np.vdot(vec, q @ vec)) < 1e-10
         report("criterion 7: charge conservation, triplet gap, neutral ground state", ok)

@@ -132,17 +132,34 @@ class TestDesignScan:
                     "--parameter", "gamma_m", "--start", "0", "--stop", "1e-6",
                     "--steps", "3", "--out", tmp_path / "out"]) == 2
 
-    @pytest.mark.parametrize("fmt, files", [
-        ("json", ["design_scan.json"]),
-        ("csv", ["design_scan.csv"]),
-        ("both", ["design_scan.csv", "design_scan.json"]),
-    ])
-    def test_format_selects_the_files_written(self, micro_config, tmp_path, fmt, files):
-        out = tmp_path / "out"
-        assert run(["design", "scan", "--config", micro_config, "--parameter", "gamma_m",
-                    "--start", "2e-6", "--stop", "3e-6", "--steps", "3", "--format", fmt,
-                    "--out", out]) == 0
-        assert sorted(path.name for path in out.iterdir()) == files
+
+# output stem -> argv of a command that writes it; gap and report write no table
+FORMAT_RUNS = {
+    "design_scan": ["design", "scan", "--parameter", "gamma_m", "--start", "2e-6",
+                    "--stop", "3e-6", "--steps", "3"],
+    "feasibility_report": ["design", "report"],
+    "spectrum": ["sim", "spectrum", "--sites", "2", "--lmax", "1"],
+    "gap": ["sim", "gap", "--sites", "2", "--lmax", "1"],
+    "charge_scan": ["sim", "charge-scan", "--sites", "2", "--lmax", "1", "--mu-steps", "3"],
+    "correlation": ["sim", "correlation", "--sites", "4", "--lmax", "1", "--kappa", "1"],
+    "ramp": ["sim", "ramp", "--sites", "2", "--lmax", "1", "--duration", "1"],
+}
+
+
+@pytest.mark.parametrize("stem", FORMAT_RUNS)
+@pytest.mark.parametrize("fmt", ["json", "csv", "both"])
+def test_format_selects_the_files_written(micro_config, tmp_path, stem, fmt):
+    # the table when asked for; the JSON unless --format csv picked a table
+    argv = FORMAT_RUNS[stem]
+    out = tmp_path / "out"
+    config = ["--config", micro_config] if argv[0] == "design" else []
+    assert run(argv + config + ["--format", fmt, "--out", out]) == 0
+    if stem in ("gap", "feasibility_report"):
+        files = [f"{stem}.json"]
+    else:
+        files = {"json": [f"{stem}.json"], "csv": [f"{stem}.csv"],
+                 "both": [f"{stem}.csv", f"{stem}.json"]}[fmt]
+    assert sorted(path.name for path in out.iterdir()) == files
 
 
 class TestSim:
@@ -237,7 +254,7 @@ class TestSim:
 
     @pytest.mark.parametrize("flags", [
         ["--duration", "inf"], ["--kappa-end", "nan"], ["--kappa-end", "inf"],
-        ["--dt", "nan"], ["--dt", "inf"],
+        ["--dt", "nan"], ["--dt", "inf"], ["--duration", "1e-320"],
     ])
     def test_non_finite_ramp_input_exit_2(self, tmp_path, capsys, flags):
         out = tmp_path / "out"
@@ -358,7 +375,7 @@ class TestCapsAndExtremeInput:
 
     def test_overflowing_ramp_coupling_exit_2(self, tmp_path, capsys):
         err = assert_refused(["sim", "ramp", "--sites", "2", "--lmax", "1", "--kappa-end",
-                              "1.7e308", "--duration", "0.1", "--out", tmp_path / "out"],
+                              "1.7e308", "--duration", "1", "--out", tmp_path / "out"],
                              capsys, 2)
         assert "kappa * B" in err
 

@@ -72,6 +72,18 @@ class TestRampSchedule:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             RampSchedule(**args)
 
+    @pytest.mark.parametrize("kappa_end, duration, shape", [
+        (0.5, 1e-320, "linear"), (1.7e308, 0.1, "linear"), (1.7e308, 1.0, "smoothstep"),
+    ])
+    def test_rejects_infinite_rate(self, kappa_end, duration, shape):
+        with pytest.raises(ValueError, match="peak kappa rate must be finite, got inf"):
+            RampSchedule(0.0, kappa_end, duration=duration, shape=shape)
+
+    def test_admits_the_largest_finite_rate(self):
+        assert RampSchedule(0.0, 1.7e308, duration=1.0).rate(0.5) == 1.7e308
+        assert RampSchedule(0.0, 1.1e308, duration=1.0, shape="smoothstep").rate(0.5) == \
+            pytest.approx(1.65e308)
+
     def test_smoothstep_flat_endpoints(self):
         ramp = RampSchedule(0.0, 1.0, duration=4.0, shape="smoothstep")
         assert ramp.rate(0.0) == 0.0
@@ -277,7 +289,7 @@ class TestOverflow:
 
         monkeypatch.setattr(np.linalg, "eigh", eigh)
         with pytest.raises(ValueError, match=r"kappa \* B is not finite"):
-            propagate(TWO_SITE, RampSchedule(0.0, 1.7e308, duration=0.1), dt=0.05)
+            propagate(TWO_SITE, RampSchedule(0.0, 1.7e308, duration=1.0), dt=0.05)
 
     def test_nan_step_error_is_rejected_not_accepted(self, monkeypatch):
         # a NaN error estimate halves dt until the step cap, like any failed step

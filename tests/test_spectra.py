@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -20,6 +21,7 @@ from rotorsim.spectra import (
 
 from conftest import (
     all_codes,
+    full_ground_state,
     oracle_charge,
     oracle_grand_canonical,
     oracle_hamiltonian,
@@ -144,7 +146,7 @@ class TestSpectrum:
     @pytest.mark.parametrize("mu", [0.0, 0.7])
     def test_vectors_are_real(self, mu):
         spec = ChainSpec(2, 2, kappa=1.0, mu_tilde=mu)
-        assert ground_state(spec)[1].dtype == np.float64
+        assert ground_state(spec)[2].dtype == np.float64
 
     def test_rounding_noise_ties_are_ordered_by_label(self):
         # 4.8 five times: the three E = 8.8 levels of M = 2 and the two E = 6.8
@@ -174,7 +176,7 @@ class TestGroundState:
     @pytest.mark.parametrize("spec", [ChainSpec(3, 1, kappa=1.0), ChainSpec(2, 2, kappa=1.0)])
     def test_matches_grand_canonical_diagonalization(self, spec, mu):
         spec = replace(spec, mu_tilde=mu)
-        energy, vec = ground_state(spec)
+        energy, vec = full_ground_state(spec)
         label = spectrum(spec, k=1).sector_labels[0]
         expected_energy, _ = grand_canonical_ground(spec, mu)
         assert energy == pytest.approx(expected_energy, abs=1e-10)
@@ -185,7 +187,7 @@ class TestGroundState:
         # at kappa = 0, mu = -2 the sectors M = 0, -1, -2 share the ground energy 0
         spec = ChainSpec(2, 1, kappa=0.0, mu_tilde=-2.0)
         assert spectrum(spec, k=1).sector_labels[0] == -2
-        energy, vec = ground_state(spec)
+        energy, vec = full_ground_state(spec)
         assert energy == 0.0
         assert np.vdot(vec, build_charge(spec, all_codes(spec)).matrix @ vec) == -2.0
 
@@ -291,6 +293,43 @@ class TestMassGap:
         monkeypatch.setattr(rotorsim.spectra, "lowest_eigenpairs", recording)
         assert mass_gap(spec)[1] == 3
         assert solved == requests
+
+    def test_builds_each_sector_once(self, monkeypatch):
+        # at kappa = 0 the sector-0 window doubles (k = 3, 6) on one build of H
+        spec = ChainSpec(4, 1, kappa=0.0)
+        built, solved = [], []
+
+        def counted(spec, codes, _build=rotorsim.spectra.build_hamiltonian):
+            built.append(list(codes))
+            return _build(spec, codes)
+
+        def recording(op, k, _solve=rotorsim.spectra.lowest_eigenpairs):
+            solved.append((op.dimension, k))
+            return _solve(op, k)
+        monkeypatch.setattr(rotorsim.spectra, "build_hamiltonian", counted)
+        monkeypatch.setattr(rotorsim.spectra, "lowest_eigenpairs", recording)
+        gap, degeneracy = mass_gap(spec)
+        assert gap == pytest.approx(2.0, abs=1e-12)
+        assert degeneracy == 3 * spec.n_sites
+        assert built == [list(sector_basis(spec, m)) for m in range(3)]
+        assert solved == [(70, 3), (70, 6), (56, 5), (28, 4)]
+
+    @pytest.mark.parametrize("spec, hopping", [
+        (ChainSpec(4, 1), math.cos(math.pi / 5)),
+        (ChainSpec(4, 1, boundary="periodic"), 1.0),
+        (ChainSpec(6, 1), math.cos(math.pi / 7)),
+    ])
+    def test_strong_coupling_first_order(self, spec, hopping):
+        # one excited rotor hops with amplitude 2 kappa / 3 (Hamer, Kogut and
+        # Susskind 1979): gap = 2 - (4 kappa / 3) c + O(kappa^2), where
+        # c = cos(pi / (N + 1)) is the lowest open-chain band edge, 1 when periodic
+        remainders = []
+        for kappa in (0.01, 0.005, 0.0025):
+            gap, degeneracy = mass_gap(replace(spec, kappa=kappa))
+            assert degeneracy == 3
+            remainders.append((gap - (2.0 - 4.0 * kappa / 3.0 * hopping)) / kappa**2)
+        assert all(0.40 <= r <= 0.50 for r in remainders)
+        assert max(remainders) - min(remainders) < 2e-3
 
 
 class TestChargeScan:
@@ -425,6 +464,6 @@ class TestSymmetryProperties:
         ChainSpec(2, 2, kappa=2.0),
     ])
     def test_neutral_ground_state(self, spec):
-        _, vec = ground_state(spec)
+        _, vec = full_ground_state(spec)
         q = build_charge(spec, all_codes(spec)).matrix
         assert abs(np.vdot(vec, q @ vec)) < 1e-10
