@@ -167,8 +167,18 @@ def _chain_spec(args) -> ChainSpec:
         params.update(kappa=kappa, mu=mu_tilde)
     if params["sites"] is None or params["lmax"] is None:
         raise CliError(EXIT_INVALID, "sites and lmax are required (flags or config)")
-    return ChainSpec(**{field: params[key] if default is None else type(default)(params[key])
+    return ChainSpec(**{field: params[key] if default is None
+                        else _convert(key, params[key], type(default))
                         for key, (field, default) in SIM_KEYS.items()})
+
+
+def _convert(key, value, kind):
+    """kind(value); a JSON value of the wrong type (null, list, object) is invalid input."""
+    try:
+        return kind(value)
+    except TypeError:
+        raise CliError(EXIT_INVALID, f"sim config key {key!r}: cannot convert {value!r} "
+                                     f"to {kind.__name__}") from None
 
 
 def cmd_sim(args) -> int:

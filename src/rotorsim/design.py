@@ -12,10 +12,20 @@ Primitive formulas (capacitance_denominator, interaction_strength, effective_spe
 effective_coupling, rotational_quantum, chemical_potential) read the geometry;
 effective_params calls each once and derives the rest, which dynamical_scale,
 rotor_coupling, gap_energy_and_temperature and critical_field read from it.
+
+Every formula takes a float or a numpy array in any one length, temperature
+or field, and feasibility and scan evaluate the same expressions: scan once
+over its whole grid. Array arithmetic keeps to the operations that numpy
+rounds as Python does (+, -, *, / and sqrt); log, exp and powers apply the
+libm function to each element (_each). A grid row therefore equals the
+report of its point bit for bit.
 """
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from itertools import repeat
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -62,6 +72,7 @@ INDUCTANCE_PASS = 0.01
 INDUCTANCE_WARN = 0.1
 TEMPERATURE_PASS = 0.1
 TEMPERATURE_WARN = 0.5
+VERDICTS = (PASS, WARN, FAIL)  # in order of severity
 # grid points per scan; every row is held in memory and written twice
 SCAN_STEPS_CAP = 100_000
 
@@ -164,7 +175,7 @@ def capacitance_denominator(geom: Geometry) -> float:
     The first addend comes from the conducting spheres, the second from
     the long wires.
     """
-    log_ratio = math.log(geom.lattice_spacing / geom.wire_radius)
+    log_ratio = _each(math.log, geom.lattice_spacing / geom.wire_radius)
     return 4.0 * geom.conducting_sphere_radius + geom.lattice_spacing / log_ratio
 
 
@@ -172,8 +183,8 @@ def interaction_strength(geom: Geometry, constants: Constants = CODATA2018) -> f
     """Image-charge bond coefficient K in J/m^2: V(r, r') = K (r' - r)^2."""
     return (
         constants.coulomb_factor
-        * geom.conducting_sphere_radius**2
-        / (geom.sphere_gap**4 * capacitance_denominator(geom))
+        * _each(pow, geom.conducting_sphere_radius, 2)
+        / (_each(pow, geom.sphere_gap, 4) * capacitance_denominator(geom))
     )
 
 
@@ -186,12 +197,12 @@ def effective_speed(geom: Geometry, constants: Constants = CODATA2018) -> float:
     """
     ratio = (
         2.0
-        * geom.conducting_sphere_radius**2
-        * geom.lattice_spacing**2
-        / geom.sphere_gap**4
+        * _each(pow, geom.conducting_sphere_radius, 2)
+        * _each(pow, geom.lattice_spacing, 2)
+        / _each(pow, geom.sphere_gap, 4)
     )
-    return constants.light_speed * math.sqrt(
-        constants.classical_electron_radius * ratio / capacitance_denominator(geom)
+    return constants.light_speed * _each(
+        math.sqrt, constants.classical_electron_radius * ratio / capacitance_denominator(geom)
     )
 
 
@@ -200,9 +211,10 @@ def effective_coupling(geom: Geometry, constants: Constants = CODATA2018) -> flo
     inner = (
         constants.bohr_radius
         * capacitance_denominator(geom)
-        / (2.0 * geom.conducting_sphere_radius**2)
+        / (2.0 * _each(pow, geom.conducting_sphere_radius, 2))
     )
-    return math.sqrt(3.0) * (geom.sphere_gap / geom.insulating_sphere_radius) * inner**0.25
+    return (math.sqrt(3.0) * (geom.sphere_gap / geom.insulating_sphere_radius)
+            * _each(pow, inner, 0.25))
 
 
 def dynamical_scale(geom: Geometry, constants: Constants = CODATA2018) -> float:
@@ -218,7 +230,7 @@ def dynamical_scale(geom: Geometry, constants: Constants = CODATA2018) -> float:
 def rotational_quantum(geom: Geometry, constants: Constants = CODATA2018) -> float:
     """Single-sphere energy unit E0 = hbar^2 / (2 m rho^2), J."""
     return constants.hbar**2 / (
-        2.0 * constants.electron_mass * geom.insulating_sphere_radius**2
+        2.0 * constants.electron_mass * _each(pow, geom.insulating_sphere_radius, 2)
     )
 
 
@@ -248,6 +260,10 @@ def chemical_potential(magnetic_field: float, geom: Geometry,
     """Effective chemical potential e*hbar*B/(3m) realized by a field B, J."""
     if magnetic_field < 0:
         raise DesignError("magnetic_field", f"must be non-negative, got {magnetic_field!r}")
+    return _chemical_potential(magnetic_field, constants)
+
+
+def _chemical_potential(magnetic_field, constants):
     return constants.electron_charge * constants.hbar * magnetic_field / (
         3.0 * constants.electron_mass
     )
@@ -270,8 +286,8 @@ def _inductance_ratio(geom, c_eff, constants):
     return (
         4.0
         * (geom.conducting_sphere_radius / geom.lattice_spacing)
-        * (c_eff / constants.light_speed) ** 2
-        * math.log(geom.lattice_spacing / geom.wire_radius)
+        * _each(pow, c_eff / constants.light_speed, 2)
+        * _each(math.log, geom.lattice_spacing / geom.wire_radius)
     )
 
 
@@ -289,26 +305,63 @@ def second_order_zeeman_ratio(magnetic_field: float, geom: Geometry,
 
 def _second_order_zeeman_ratio(magnetic_field, geom, gap, constants):
     vector_potential = magnetic_field * geom.insulating_sphere_radius / 3.0
-    quadratic = (constants.electron_charge * vector_potential) ** 2 / (
+    quadratic = _each(pow, constants.electron_charge * vector_potential, 2) / (
         2.0 * constants.electron_mass
     )
-    if quadratic == 0.0:
+    return _per(quadratic, gap)
+
+
+def _each(fn, x, *args):
+    """fn(x, *args) for a float; for an array, the same call on each element.
+
+    log, exp and every power of a quantity that may be an array go through
+    here: numpy's own versions differ from libm in the last bit on some
+    inputs. The Python functions also raise OverflowError where numpy's
+    would return inf, which sends scan to its per-point path.
+    """
+    if isinstance(x, np.ndarray):
+        return np.fromiter(map(fn, x.tolist(), *map(repeat, args)), float, x.size)
+    return fn(x, *args)
+
+
+def _per(numerator, denominator):
+    """numerator / denominator, reading 0 for a zero numerator and inf for a
+    denominator that is not positive (the dynamical scale and the gap
+    underflow to 0 deep in the weak-coupling regime).
+
+    Arrays divide plainly: scan evaluates them with divide and invalid
+    flags raised, and redoes the grid point by point when one is.
+    """
+    if isinstance(numerator, np.ndarray) or isinstance(denominator, np.ndarray):
+        return numerator / denominator
+    if numerator == 0.0:
         return 0.0
-    return quadratic / gap if gap > 0.0 else math.inf
+    return numerator / denominator if denominator > 0.0 else math.inf
+
+
+def _severity(ratio, pass_at, warn_at, larger_is_better=True):
+    """Index into VERDICTS of one check (a NaN ratio fails); elementwise on arrays."""
+    if larger_is_better:
+        return 2 - (ratio >= warn_at) - (ratio >= pass_at)
+    return 2 - (ratio < warn_at) - (ratio < pass_at)
+
+
+def _verdicts(severity):
+    """The VERDICTS entry of a severity, or an array of them for an array."""
+    if isinstance(severity, np.ndarray):
+        return np.array(VERDICTS)[severity]
+    return VERDICTS[severity]
 
 
 def _verdict(ratio, pass_at, warn_at, larger_is_better=True):
-    if larger_is_better:
-        if ratio >= pass_at:
-            return PASS
-        if ratio >= warn_at:
-            return WARN
-    else:
-        if ratio < pass_at:
-            return PASS
-        if ratio < warn_at:
-            return WARN
-    return FAIL
+    return _verdicts(_severity(ratio, pass_at, warn_at, larger_is_better))
+
+
+def _worst(severities):
+    """The largest severity; elementwise when one of them is an array."""
+    if any(isinstance(severity, np.ndarray) for severity in severities):
+        return reduce(np.maximum, severities)
+    return max(severities)
 
 
 def hierarchy_report(geom: Geometry, constants: Constants = CODATA2018):
@@ -317,24 +370,20 @@ def hierarchy_report(geom: Geometry, constants: Constants = CODATA2018):
     The excitation wavelength lambda is identified with 1/Lambda.
     Returns a list of (name, ratio, verdict); ratios should be large.
     """
-    return _hierarchy(geom, dynamical_scale(geom, constants))
+    return [(name, ratio, _verdict(ratio, HIERARCHY_PASS, HIERARCHY_WARN))
+            for name, ratio in _hierarchy_ratios(geom, dynamical_scale(geom, constants))]
 
 
-def _hierarchy(geom, scale):
-    # the scale underflows to zero deep in the weak-coupling regime; an
-    # infinite wavelength trivially satisfies lambda >> dx
-    wavelength = 1.0 / scale if scale > 0.0 else math.inf
-    ratios = [
+def _hierarchy_ratios(geom, scale):
+    # an infinite wavelength (zero scale) trivially satisfies lambda >> dx
+    wavelength = _per(1.0, scale)
+    return [
         ("lambda/dx", wavelength / geom.lattice_spacing),
         ("dx/gamma", geom.lattice_spacing / geom.sphere_gap),
         ("gamma/rho", geom.sphere_gap / geom.insulating_sphere_radius),
         ("gamma/alpha", geom.sphere_gap / geom.conducting_sphere_radius),
         ("rho/delta", geom.insulating_sphere_radius / geom.wire_radius),
         ("alpha/delta", geom.conducting_sphere_radius / geom.wire_radius),
-    ]
-    return [
-        (name, ratio, _verdict(ratio, HIERARCHY_PASS, HIERARCHY_WARN))
-        for name, ratio in ratios
     ]
 
 
@@ -343,7 +392,7 @@ def effective_params(geom: Geometry, constants: Constants = CODATA2018) -> Effec
     strength = interaction_strength(geom, constants)
     speed = effective_speed(geom, constants)
     coupling = effective_coupling(geom, constants)
-    scale = math.exp(-2.0 * math.pi / coupling**2) / geom.lattice_spacing
+    scale = _each(math.exp, -2.0 * math.pi / _each(pow, coupling, 2)) / geom.lattice_spacing
     gap = constants.hbar * speed * scale
     return EffectiveParams(
         interaction_strength=strength,
@@ -352,7 +401,7 @@ def effective_params(geom: Geometry, constants: Constants = CODATA2018) -> Effec
         dynamical_scale=scale,
         rotational_quantum=rotational_quantum(geom, constants),
         rotor_coupling=(2.0 * strength * constants.electron_mass
-                        * geom.insulating_sphere_radius**4 / constants.hbar**2),
+                        * _each(pow, geom.insulating_sphere_radius, 4) / constants.hbar**2),
         gap_energy=gap,
         gap_temperature=gap / constants.boltzmann,
         critical_field=constants.electron_mass * speed * scale / constants.electron_charge,
@@ -362,10 +411,15 @@ def effective_params(geom: Geometry, constants: Constants = CODATA2018) -> Effec
 def feasibility(geom: Geometry, env: Environment,
                 constants: Constants = CODATA2018) -> FeasibilityReport:
     """Full design check: effective parameters plus every validity condition."""
+    return _report(geom, env, constants)
+
+
+def _report(geom, env, constants):
+    """feasibility of floats; of arrays when one field of geom or env is an array."""
     # arithmetic that leaves the float range is invalid input, not a crash
     try:
         eff = effective_params(geom, constants)
-        hierarchy = _hierarchy(geom, eff.dynamical_scale)
+        ratios = _hierarchy_ratios(geom, eff.dynamical_scale)
         ind_ratio = _inductance_ratio(geom, eff.effective_speed, constants)
     except (ZeroDivisionError, OverflowError):
         raise DesignError("geometry", f"formulas divide by zero or overflow for {geom}") from None
@@ -374,37 +428,22 @@ def feasibility(geom: Geometry, env: Environment,
     except OverflowError:
         raise DesignError("magnetic_field", f"Zeeman term overflows at {env.magnetic_field!r} T"
                           ) from None
+    temp_ratio = _per(constants.boltzmann * env.temperature, eff.gap_energy)
 
-    ind_verdict = _verdict(ind_ratio, INDUCTANCE_PASS, INDUCTANCE_WARN, larger_is_better=False)
-
-    thermal = constants.boltzmann * env.temperature
-    if thermal == 0.0:
-        temp_ratio = 0.0
-    elif eff.gap_energy > 0.0:
-        temp_ratio = thermal / eff.gap_energy
-    else:
-        temp_ratio = math.inf
-    temp_verdict = _verdict(temp_ratio, TEMPERATURE_PASS, TEMPERATURE_WARN,
-                            larger_is_better=False)
-
-    all_verdicts = [v for _, _, v in hierarchy] + [ind_verdict, temp_verdict]
-    if FAIL in all_verdicts:
-        overall = FAIL
-    elif WARN in all_verdicts:
-        overall = WARN
-    else:
-        overall = PASS
-
+    hierarchy = [_severity(ratio, HIERARCHY_PASS, HIERARCHY_WARN) for _, ratio in ratios]
+    ind = _severity(ind_ratio, INDUCTANCE_PASS, INDUCTANCE_WARN, larger_is_better=False)
+    temp = _severity(temp_ratio, TEMPERATURE_PASS, TEMPERATURE_WARN, larger_is_better=False)
     return FeasibilityReport(
         effective=eff,
-        hierarchy_ratios=tuple(hierarchy),
+        hierarchy_ratios=tuple((name, ratio, _verdicts(severity))
+                               for (name, ratio), severity in zip(ratios, hierarchy)),
         inductance_ratio=ind_ratio,
-        inductance_verdict=ind_verdict,
+        inductance_verdict=_verdicts(ind),
         temperature_ratio=temp_ratio,
-        temperature_verdict=temp_verdict,
-        chemical_potential=chemical_potential(env.magnetic_field, geom, constants),
+        temperature_verdict=_verdicts(temp),
+        chemical_potential=_chemical_potential(env.magnetic_field, constants),
         second_order_zeeman_ratio=zeeman,
-        overall_verdict=overall,
+        overall_verdict=_verdicts(_worst(hierarchy + [ind, temp])),
     )
 
 
@@ -418,6 +457,12 @@ SCAN_PARAMETERS = {
     "temperature_K": ("environment", "temperature"),
     "magnetic_field_T": ("environment", "magnetic_field"),
 }
+# scan-table columns after the scanned parameter: fields of report.effective, then of report
+_EFFECTIVE_COLUMNS = ("interaction_strength", "effective_speed", "effective_coupling",
+                      "dynamical_scale", "rotor_coupling", "gap_energy", "gap_temperature",
+                      "critical_field")
+_REPORT_COLUMNS = ("inductance_ratio", "temperature_ratio", "chemical_potential",
+                   "second_order_zeeman_ratio", "overall_verdict")
 
 
 def scan(geom: Geometry, env: Environment, parameter: str, start: float, stop: float,
@@ -426,7 +471,15 @@ def scan(geom: Geometry, env: Environment, parameter: str, start: float, stop: f
 
     Spacing is geometric; a zero start is allowed for temperature and
     magnetic field only, in which case the spacing is linear. Rows come
-    back in grid order, each a dict of summary columns.
+    back in grid order, each a dict of summary columns, equal to
+    summary_row of feasibility at that point.
+
+    The formulas run once, on the whole grid as an array, with numpy's
+    divide, overflow and invalid flags raised. When a grid extreme is not a
+    valid Geometry or Environment, a flag is raised (a zero dynamical scale
+    or gap raises one), or a formula raises, the grid is redone point by
+    point through feasibility. That path refuses the first failing point
+    and returns the inf fields that Python float arithmetic produces.
     """
     if parameter not in SCAN_PARAMETERS:
         raise DesignError("parameter", f"unknown scan parameter {parameter!r}; "
@@ -447,35 +500,39 @@ def scan(geom: Geometry, env: Environment, parameter: str, start: float, stop: f
     else:
         values = np.geomspace(start, stop, steps)
 
-    rows = []
-    for value in values:
-        g, e = geom, env
-        if target == "geometry":
-            g = Geometry(**{**vars(geom), attr: float(value)})
-        else:
-            e = Environment(**{**vars(env), attr: float(value)})
-        report = feasibility(g, e, constants)
-        rows.append(summary_row(parameter, float(value), report))
-    return rows
+    def at(value):
+        """(geom, env) with the scanned field set to value; validated unless an array."""
+        owner = geom if target == "geometry" else env
+        fields = {**vars(owner), attr: value}
+        changed = (SimpleNamespace(**fields) if isinstance(value, np.ndarray)
+                   else type(owner)(**fields))
+        return (changed, env) if target == "geometry" else (geom, changed)
+
+    try:
+        # each validity condition bounds the scanned field on one side only,
+        # so the grid is valid when its two extremes are
+        at(float(values.min()))
+        at(float(values.max()))
+        with np.errstate(divide="raise", over="raise", invalid="raise", under="ignore"):
+            report = _report(*at(values), constants)
+    except (ArithmeticError, ValueError):  # FloatingPointError and DesignError among them
+        report = None
+    if report is None:
+        return [summary_row(parameter, value, feasibility(*at(value), constants))
+                for value in values.tolist()]
+    keys = (parameter,) + _EFFECTIVE_COLUMNS + _REPORT_COLUMNS
+    columns = [np.broadcast_to(column, values.shape).tolist()
+               for column in [values] + _row_values(report)]
+    return [dict(zip(keys, row)) for row in zip(*columns)]
+
+
+def _row_values(report: FeasibilityReport) -> list:
+    eff = report.effective
+    return ([getattr(eff, name) for name in _EFFECTIVE_COLUMNS]
+            + [getattr(report, name) for name in _REPORT_COLUMNS])
 
 
 def summary_row(parameter: str, value: float, report: FeasibilityReport) -> dict:
     """Flatten one FeasibilityReport into a scan-table row."""
-    eff = report.effective
-    row = {
-        parameter: value,
-        "interaction_strength": eff.interaction_strength,
-        "effective_speed": eff.effective_speed,
-        "effective_coupling": eff.effective_coupling,
-        "dynamical_scale": eff.dynamical_scale,
-        "rotor_coupling": eff.rotor_coupling,
-        "gap_energy": eff.gap_energy,
-        "gap_temperature": eff.gap_temperature,
-        "critical_field": eff.critical_field,
-        "inductance_ratio": report.inductance_ratio,
-        "temperature_ratio": report.temperature_ratio,
-        "chemical_potential": report.chemical_potential,
-        "second_order_zeeman_ratio": report.second_order_zeeman_ratio,
-        "overall_verdict": report.overall_verdict,
-    }
-    return row
+    return dict(zip((parameter,) + _EFFECTIVE_COLUMNS + _REPORT_COLUMNS,
+                    [value] + _row_values(report)))

@@ -13,6 +13,7 @@ DYNAMICS_STEP_CAP bounds the number of time steps.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,8 @@ __all__ = [
 DYNAMICS_STEP_CAP = 1_000_000
 STEP_ERROR_TOL = 1e-8
 DEGENERATE_GAP = 1e-9
+# rate * B|psi0> is squared inside the norm of the adiabatic matrix element
+RATE_NORM_LIMIT = math.sqrt(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -109,6 +112,21 @@ def _sector_parts(spec: ChainSpec):
     return kinetic, bond
 
 
+def _check_rate(schedule, bond):
+    """Refuse a ramp whose peak rate * B|psi0> could overflow the adiabatic ratio.
+
+    The max abs row sum of B bounds |B psi| for a unit psi, and the rate
+    peaks at mid-ramp (1.5x the linear rate under smoothstep); below the
+    limit every adiabatic ratio is finite, since the gap is at least
+    DEGENERATE_GAP.
+    """
+    peak = abs(schedule.rate(0.5 * schedule.duration))
+    bound = peak * float(np.abs(bond).sum(axis=1).max())
+    if not bound < RATE_NORM_LIMIT:
+        raise ValueError(f"the peak kappa rate {peak:.9g} is too fast: the adiabatic matrix "
+                         f"element may reach {bound:.9g}, whose square overflows")
+
+
 def _step_count(duration, dt):
     steps = duration / dt
     if not steps <= DYNAMICS_STEP_CAP:
@@ -138,8 +156,9 @@ def propagate(spec: ChainSpec, schedule: RampSchedule, dt: float,
     deterministic) and the run restarts, unless the step count would pass
     DYNAMICS_STEP_CAP (DimensionCapError). The accepted state of each
     step is the two-half-step result. Fidelity is measured against the
-    exact ground state at kappa_end. A ramp whose kappa * B is not finite
-    is refused (ValueError) before any diagonalization.
+    exact ground state at kappa_end. A ramp whose kappa * B is not finite,
+    or whose adiabatic ratio could overflow (_check_rate), is refused
+    (ValueError) before any diagonalization.
     """
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be positive and finite, got {dt}")
@@ -150,6 +169,7 @@ def propagate(spec: ChainSpec, schedule: RampSchedule, dt: float,
     kappa_max = max(schedule.kappa_start, schedule.kappa_end)
     if not math.isfinite(float(np.abs(kinetic).max()) + kappa_max * float(np.abs(bond).max())):
         raise ValueError(f"kappa * B is not finite for kappa up to {kappa_max:.9g}")
+    _check_rate(schedule, bond)
 
     v = even_block(spec, sector_basis(spec, 0))
     ends = []
@@ -216,6 +236,7 @@ def adiabatic_ratio(spec: ChainSpec, schedule: RampSchedule, samples: int, *,
     if samples < 2:
         raise ValueError(f"need samples >= 2, got {samples}")
     kinetic, bond = parts if parts is not None else _sector_parts(spec)
+    _check_rate(schedule, bond)
     times = np.linspace(0.0, schedule.duration, samples)
     best = (0.0, 0.0)
     for t in times:

@@ -279,6 +279,19 @@ class TestSim:
         assert run(["sim", "gap", "--config", cfg, "--out", out]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("kappa", [None, [1], {"value": 1}])
+    def test_wrong_json_type_in_config_exit_2(self, tmp_path, capsys, kappa):
+        cfg = write_config(tmp_path / "chain.json", {"sites": 2, "lmax": 1, "kappa": kappa})
+        err = assert_refused(["sim", "gap", "--config", cfg, "--out", tmp_path / "out"],
+                             capsys, 2)
+        assert err == f"error: sim config key 'kappa': cannot convert {kappa!r} to float\n"
+
+    def test_unparsable_string_in_config_keeps_its_message(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "chain.json", {"sites": 2, "lmax": 1, "mu": "abc"})
+        err = assert_refused(["sim", "gap", "--config", cfg, "--out", tmp_path / "out"],
+                             capsys, 2)
+        assert err == "error: could not convert string to float: 'abc'\n"
+
     def test_config_keys_that_are_not_read_exit_2(self, tmp_path, capsys):
         # the ramp settings are flags only, so a config may not hold them
         cfg = write_config(tmp_path / "chain.json", {
@@ -378,6 +391,11 @@ class TestCapsAndExtremeInput:
                               "1.7e308", "--duration", "1", "--out", tmp_path / "out"],
                              capsys, 2)
         assert "kappa * B" in err
+
+    def test_ramp_too_fast_for_its_adiabatic_ratio_exit_2(self, tmp_path, capsys):
+        err = assert_refused(["sim", "ramp", "--sites", "2", "--lmax", "1", "--duration",
+                              "1e-300", "--out", tmp_path / "out"], capsys, 2)
+        assert "adiabatic matrix element" in err
 
     def test_overflowing_charge_scan_grid_exit_2(self, tmp_path, capsys):
         err = assert_refused(["sim", "charge-scan", "--sites", "2", "--lmax", "1",

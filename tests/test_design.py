@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -499,11 +500,13 @@ class TestCallCounts:
         assert len(counts["interaction_strength"]) == 1
         assert len(counts["capacitance_denominator"]) <= 3
 
-    @pytest.mark.parametrize("steps", [2, 7])
-    def test_scan_calls_feasibility_once_per_point(self, micro, monkeypatch, steps):
-        calls = counting(monkeypatch, "feasibility")
-        rows = scan(micro, Environment(), "gamma_m", 2e-6, 3e-6, steps)
-        assert len(calls) == len(rows) == steps
+    def test_scan_evaluates_a_finite_grid_once(self, micro, monkeypatch):
+        point_reports = counting(monkeypatch, "feasibility")
+        evaluations = counting(monkeypatch, "effective_params")
+        rows = scan(micro, Environment(), "gamma_m", 2e-6, 3e-6, 2000)
+        assert len(rows) == 2000
+        assert len(point_reports) == 0
+        assert len(evaluations) == 1
 
 
 class TestExtremeInput:
@@ -552,3 +555,67 @@ class TestExtremeInput:
         monkeypatch.setattr(design.np, "geomspace", refuse)
         with pytest.raises(design.DimensionCapError, match="scan cap"):
             scan(micro, Environment(), "gamma_m", 2e-6, 3e-6, design.SCAN_STEPS_CAP + 1)
+
+
+def point(geom, env, parameter, value):
+    """geom and env with the scanned field set to value, as one grid point."""
+    target, attr = design.SCAN_PARAMETERS[parameter]
+    if target == "geometry":
+        return Geometry(**{**vars(geom), attr: value}), env
+    return geom, Environment(**{**vars(env), attr: value})
+
+
+def per_point_rows(geom, env, parameter, grid):
+    return [design.summary_row(parameter, value, feasibility(*point(geom, env, parameter, value)))
+            for value in grid.tolist()]
+
+
+class TestColumnarScan:
+    """scan evaluates its grid at once and returns the per-point rows bit for bit."""
+
+    @pytest.mark.parametrize("parameter", sorted(design.SCAN_PARAMETERS))
+    @pytest.mark.parametrize("name", ["micro", "nano"])
+    def test_benchmark_size_rows_equal_per_point_rows(self, parameter, name, request,
+                                                      monkeypatch):
+        geom = request.getfixturevalue(name)
+        env = Environment(temperature=1e-3)
+        target, attr = design.SCAN_PARAMETERS[parameter]
+        if parameter == "magnetic_field_T":
+            start, stop = 0.0, 0.01
+            grid = np.linspace(start, stop, 2000)
+        else:
+            base = getattr(geom if target == "geometry" else env, attr)
+            start, stop = 0.8 * base, 1.25 * base
+            grid = np.geomspace(start, stop, 2000)
+        point_reports = counting(monkeypatch, "feasibility")
+        rows = scan(geom, env, parameter, start, stop, 2000)
+        assert len(point_reports) == 0
+        assert rows == per_point_rows(geom, env, parameter, grid)
+
+    def test_fallback_grid_rows_equal_per_point_rows(self, micro, monkeypatch):
+        # the dynamical scale turns subnormal inside this range, where 1/scale
+        # overflows: numpy raises its flag and scan redoes the grid point by point
+        grid = np.geomspace(2e-7, 1e-5, 2000)
+        expected = per_point_rows(micro, Environment(), "rho_m", grid)
+        point_reports = counting(monkeypatch, "feasibility")
+        rows = scan(micro, Environment(), "rho_m", 2e-7, 1e-5, 2000)
+        assert len(point_reports) == 2000
+        assert rows == expected
+        assert any(row["dynamical_scale"] < sys.float_info.min for row in rows)
+
+    @pytest.mark.parametrize("parameter, start, stop", [
+        ("delta_m", 1e-8, 1e-3),   # crosses dx = 1.25e-5 mid-grid
+        ("gamma_m", 1e-6, 1e300),  # gamma^4 overflows mid-grid
+    ])
+    def test_refusal_names_the_first_failing_point(self, micro, parameter, start, stop):
+        expected = None
+        for value in np.geomspace(start, stop, 2000).tolist():
+            try:
+                feasibility(*point(micro, Environment(), parameter, value))
+            except DesignError as exc:
+                expected = str(exc)
+                break
+        assert expected is not None
+        with pytest.raises(DesignError) as err:
+            scan(micro, Environment(), parameter, start, stop, 2000)
+        assert str(err.value) == expected

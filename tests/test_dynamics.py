@@ -291,6 +291,25 @@ class TestOverflow:
         with pytest.raises(ValueError, match=r"kappa \* B is not finite"):
             propagate(TWO_SITE, RampSchedule(0.0, 1.7e308, duration=1.0), dt=0.05)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("shape", ["linear", "smoothstep"])
+    def test_rate_that_overflows_the_adiabatic_element_refused(self, monkeypatch, shape):
+        # 0.5 / 1e-300 is a finite rate, but rate * B|psi0> squared is not
+        def eigh(matrix):
+            raise AssertionError("eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        schedule = RampSchedule(0.0, 0.5, duration=1e-300, shape=shape)
+        with pytest.raises(ValueError, match="adiabatic matrix element"):
+            propagate(TWO_SITE, schedule, dt=0.05)
+        with pytest.raises(ValueError, match="adiabatic matrix element"):
+            adiabatic_ratio(TWO_SITE, schedule, samples=4)
+
+    @pytest.mark.filterwarnings("error")
+    def test_fast_rate_below_the_limit_gives_a_finite_ratio(self):
+        result = propagate(TWO_SITE, RampSchedule(0.0, 0.5, duration=1e-150), dt=0.05)
+        assert math.isfinite(result.max_adiabatic_ratio)
+
     def test_nan_step_error_is_rejected_not_accepted(self, monkeypatch):
         # a NaN error estimate halves dt until the step cap, like any failed step
         monkeypatch.setattr(rotorsim.dynamics, "_step", lambda k, b, s, psi, t, dt: psi * np.nan)
