@@ -157,7 +157,7 @@ def _chain_spec(args) -> ChainSpec:
         try:
             g_eff = design.effective_coupling(geom)
             kappa = 9.0 / g_eff**4
-            mu_eff = design.chemical_potential(env.magnetic_field, geom)
+            mu_eff = design.chemical_potential(env.magnetic_field)
             mu_tilde = mu_eff / design.rotational_quantum(geom)
         except (ZeroDivisionError, OverflowError):
             raise DesignError("geometry", f"kappa or mu_tilde divides by zero or overflows "

@@ -9,9 +9,8 @@ from functools import cached_property
 class Constants:
     """Fundamental constants used throughout the design formulas.
 
-    Values are CODATA 2018. Do not override these in production code;
-    the ``constants`` keyword on design functions exists only so tests
-    can exercise formula structure with round numbers.
+    Values are CODATA 2018; the design formulas read the CODATA2018
+    instance.
     """
 
     electron_charge: float = 1.602176634e-19      # C (exact)

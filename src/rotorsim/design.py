@@ -8,10 +8,10 @@ checks every validity condition the design has to satisfy.
 All inputs and outputs are SI; dimensionless quantities are labeled as
 such in the field names.
 
-Primitive formulas (capacitance_denominator, interaction_strength, effective_speed,
-effective_coupling, rotational_quantum, chemical_potential) read the geometry;
-effective_params calls each once and derives the rest, which dynamical_scale,
-rotor_coupling, gap_energy_and_temperature and critical_field read from it.
+effective_params(geom) returns every effective parameter, feasibility(geom, env)
+adds every validity check, and scan evaluates feasibility over a grid of one
+parameter. The formulas they compose (capacitance_denominator, interaction_strength,
+effective_speed, effective_coupling, rotational_quantum, chemical_potential) are public.
 
 Every formula takes a float or a numpy array in any one length, temperature
 or field, and feasibility and scan evaluate the same expressions: scan once
@@ -29,7 +29,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .constants import CODATA2018, Constants
+from .constants import CODATA2018
 from .lattice import DimensionCapError
 
 __all__ = [
@@ -42,16 +42,9 @@ __all__ = [
     "interaction_strength",
     "effective_speed",
     "effective_coupling",
-    "dynamical_scale",
     "rotational_quantum",
-    "rotor_coupling",
-    "gap_energy_and_temperature",
     "energy_level",
     "chemical_potential",
-    "critical_field",
-    "inductance_ratio",
-    "second_order_zeeman_ratio",
-    "hierarchy_report",
     "effective_params",
     "feasibility",
     "scan",
@@ -134,12 +127,15 @@ class EffectiveParams:
                             potential, J/m^2
     effective_speed      -- excitation propagation speed, m/s
     effective_coupling   -- dimensionless sigma-model coupling g_eff
-    dynamical_scale      -- dynamically generated inverse length, 1/m
+    dynamical_scale      -- generated inverse length Lambda = exp(-2 pi / g_eff^2) / dx, 1/m;
+                            one-loop lattice-cutoff scheme, trusted to a factor of ~2 only
     rotational_quantum   -- single-sphere energy unit hbar^2/(2 m rho^2), J
-    rotor_coupling       -- dimensionless bond strength 2 K m rho^4 / hbar^2
+    rotor_coupling       -- dimensionless bond strength kappa = 2 K m rho^4 / hbar^2;
+                            kappa * g_eff^4 = 9 identically (N=3 continuum matching)
     gap_energy           -- hbar * effective_speed * dynamical_scale, J
     gap_temperature      -- gap_energy / k_B, K
-    critical_field       -- m * effective_speed * dynamical_scale / e, T
+    critical_field       -- m * effective_speed * dynamical_scale / e, T, where
+                            the ground-state charge first jumps
                             (order estimate, prefactor fixed at 1)
     """
 
@@ -156,7 +152,14 @@ class EffectiveParams:
 
 @dataclass(frozen=True)
 class FeasibilityReport:
-    """Aggregated design check for one geometry/environment pair."""
+    """Aggregated design check for one geometry/environment pair.
+
+    hierarchy_ratios -- (name, ratio, verdict) along lambda >> dx >> gamma >> rho,
+                        alpha >> delta, with the excitation wavelength lambda = 1/Lambda
+    inductance_ratio -- size of the wire-inductance kinetic terms (must be << 1)
+    temperature_ratio, second_order_zeeman_ratio -- k_B T and the quadratic field
+                        term e^2 A^2 / (2 m), |A| ~ B rho / 3, each over the gap
+    """
 
     effective: EffectiveParams
     hierarchy_ratios: tuple  # of (name, ratio, verdict)
@@ -179,16 +182,16 @@ def capacitance_denominator(geom: Geometry) -> float:
     return 4.0 * geom.conducting_sphere_radius + geom.lattice_spacing / log_ratio
 
 
-def interaction_strength(geom: Geometry, constants: Constants = CODATA2018) -> float:
+def interaction_strength(geom: Geometry) -> float:
     """Image-charge bond coefficient K in J/m^2: V(r, r') = K (r' - r)^2."""
     return (
-        constants.coulomb_factor
+        CODATA2018.coulomb_factor
         * _each(pow, geom.conducting_sphere_radius, 2)
         / (_each(pow, geom.sphere_gap, 4) * capacitance_denominator(geom))
     )
 
 
-def effective_speed(geom: Geometry, constants: Constants = CODATA2018) -> float:
+def effective_speed(geom: Geometry) -> float:
     """Propagation speed of chain excitations, m/s.
 
     Evaluated directly from the geometry; equals
@@ -201,15 +204,15 @@ def effective_speed(geom: Geometry, constants: Constants = CODATA2018) -> float:
         * _each(pow, geom.lattice_spacing, 2)
         / _each(pow, geom.sphere_gap, 4)
     )
-    return constants.light_speed * _each(
-        math.sqrt, constants.classical_electron_radius * ratio / capacitance_denominator(geom)
+    return CODATA2018.light_speed * _each(
+        math.sqrt, CODATA2018.classical_electron_radius * ratio / capacitance_denominator(geom)
     )
 
 
-def effective_coupling(geom: Geometry, constants: Constants = CODATA2018) -> float:
+def effective_coupling(geom: Geometry) -> float:
     """Dimensionless coupling g_eff of the emergent N=3 sigma model."""
     inner = (
-        constants.bohr_radius
+        CODATA2018.bohr_radius
         * capacitance_denominator(geom)
         / (2.0 * _each(pow, geom.conducting_sphere_radius, 2))
     )
@@ -217,96 +220,42 @@ def effective_coupling(geom: Geometry, constants: Constants = CODATA2018) -> flo
             * _each(pow, inner, 0.25))
 
 
-def dynamical_scale(geom: Geometry, constants: Constants = CODATA2018) -> float:
-    """Dynamically generated inverse length Lambda in 1/m.
-
-    One-loop lattice-cutoff scheme: Lambda = exp(-2 pi / g_eff^2) / dx.
-    The scheme constant is a convention; downstream checks treat this
-    value as reliable to a factor of ~2 only.
-    """
-    return effective_params(geom, constants).dynamical_scale
-
-
-def rotational_quantum(geom: Geometry, constants: Constants = CODATA2018) -> float:
+def rotational_quantum(geom: Geometry) -> float:
     """Single-sphere energy unit E0 = hbar^2 / (2 m rho^2), J."""
-    return constants.hbar**2 / (
-        2.0 * constants.electron_mass * _each(pow, geom.insulating_sphere_radius, 2)
+    return CODATA2018.hbar**2 / (
+        2.0 * CODATA2018.electron_mass * _each(pow, geom.insulating_sphere_radius, 2)
     )
 
 
-def rotor_coupling(geom: Geometry, constants: Constants = CODATA2018) -> float:
-    """Dimensionless bond strength kappa = 2 K m rho^4 / hbar^2.
-
-    Satisfies kappa * g_eff^4 = 9 identically (N=3 continuum matching).
-    """
-    return effective_params(geom, constants).rotor_coupling
-
-
-def gap_energy_and_temperature(geom: Geometry, constants: Constants = CODATA2018):
-    """Mass gap hbar * c_eff * Lambda, returned as (J, K)."""
-    eff = effective_params(geom, constants)
-    return eff.gap_energy, eff.gap_temperature
-
-
-def energy_level(ell: int, geom: Geometry, constants: Constants = CODATA2018) -> float:
+def energy_level(ell: int, geom: Geometry) -> float:
     """Single-sphere level E_ell = hbar^2 ell(ell+1) / (2 m rho^2), J."""
     if ell < 0 or ell != int(ell):
         raise DesignError("ell", f"must be a non-negative integer, got {ell!r}")
-    return rotational_quantum(geom, constants) * ell * (ell + 1)
+    return rotational_quantum(geom) * ell * (ell + 1)
 
 
-def chemical_potential(magnetic_field: float, geom: Geometry,
-                       constants: Constants = CODATA2018) -> float:
+def chemical_potential(magnetic_field: float) -> float:
     """Effective chemical potential e*hbar*B/(3m) realized by a field B, J."""
-    if magnetic_field < 0:
+    if np.any(magnetic_field < 0):
         raise DesignError("magnetic_field", f"must be non-negative, got {magnetic_field!r}")
-    return _chemical_potential(magnetic_field, constants)
-
-
-def _chemical_potential(magnetic_field, constants):
-    return constants.electron_charge * constants.hbar * magnetic_field / (
-        3.0 * constants.electron_mass
+    return CODATA2018.electron_charge * CODATA2018.hbar * magnetic_field / (
+        3.0 * CODATA2018.electron_mass
     )
 
 
-def critical_field(geom: Geometry, constants: Constants = CODATA2018) -> float:
-    """Field m * c_eff * Lambda / e where the ground-state charge first jumps, T.
-
-    Order estimate only: the prefactor is fixed at 1.
-    """
-    return effective_params(geom, constants).critical_field
-
-
-def inductance_ratio(geom: Geometry, constants: Constants = CODATA2018) -> float:
-    """Relative size of the wire-inductance kinetic terms (must be << 1)."""
-    return _inductance_ratio(geom, effective_speed(geom, constants), constants)
-
-
-def _inductance_ratio(geom, c_eff, constants):
+def _inductance_ratio(geom, c_eff):
     return (
         4.0
         * (geom.conducting_sphere_radius / geom.lattice_spacing)
-        * _each(pow, c_eff / constants.light_speed, 2)
+        * _each(pow, c_eff / CODATA2018.light_speed, 2)
         * _each(math.log, geom.lattice_spacing / geom.wire_radius)
     )
 
 
-def second_order_zeeman_ratio(magnetic_field: float, geom: Geometry,
-                              constants: Constants = CODATA2018) -> float:
-    """Size of the quadratic field term e^2 A^2/(2m) relative to the gap.
-
-    Order estimate with |A| ~ B*rho/3 on the sphere surface.
-    """
-    if magnetic_field < 0:
-        raise DesignError("magnetic_field", f"must be non-negative, got {magnetic_field!r}")
-    gap = effective_params(geom, constants).gap_energy
-    return _second_order_zeeman_ratio(magnetic_field, geom, gap, constants)
-
-
-def _second_order_zeeman_ratio(magnetic_field, geom, gap, constants):
+def _second_order_zeeman_ratio(magnetic_field, geom, gap):
     vector_potential = magnetic_field * geom.insulating_sphere_radius / 3.0
-    quadratic = _each(pow, constants.electron_charge * vector_potential, 2) / (
-        2.0 * constants.electron_mass
+    quadratic = _each(pow, CODATA2018.electron_charge * vector_potential, 2) / (
+        2.0 * CODATA2018.electron_mass
     )
     return _per(quadratic, gap)
 
@@ -353,25 +302,11 @@ def _verdicts(severity):
     return VERDICTS[severity]
 
 
-def _verdict(ratio, pass_at, warn_at, larger_is_better=True):
-    return _verdicts(_severity(ratio, pass_at, warn_at, larger_is_better))
-
-
 def _worst(severities):
     """The largest severity; elementwise when one of them is an array."""
     if any(isinstance(severity, np.ndarray) for severity in severities):
         return reduce(np.maximum, severities)
     return max(severities)
-
-
-def hierarchy_report(geom: Geometry, constants: Constants = CODATA2018):
-    """Check the length-scale hierarchy lambda >> dx >> gamma >> rho, alpha >> delta.
-
-    The excitation wavelength lambda is identified with 1/Lambda.
-    Returns a list of (name, ratio, verdict); ratios should be large.
-    """
-    return [(name, ratio, _verdict(ratio, HIERARCHY_PASS, HIERARCHY_WARN))
-            for name, ratio in _hierarchy_ratios(geom, dynamical_scale(geom, constants))]
 
 
 def _hierarchy_ratios(geom, scale):
@@ -387,48 +322,47 @@ def _hierarchy_ratios(geom, scale):
     ]
 
 
-def effective_params(geom: Geometry, constants: Constants = CODATA2018) -> EffectiveParams:
+def effective_params(geom: Geometry) -> EffectiveParams:
     """Evaluate every derived parameter for one geometry, each formula once."""
-    strength = interaction_strength(geom, constants)
-    speed = effective_speed(geom, constants)
-    coupling = effective_coupling(geom, constants)
+    strength = interaction_strength(geom)
+    speed = effective_speed(geom)
+    coupling = effective_coupling(geom)
     scale = _each(math.exp, -2.0 * math.pi / _each(pow, coupling, 2)) / geom.lattice_spacing
-    gap = constants.hbar * speed * scale
+    gap = CODATA2018.hbar * speed * scale
     return EffectiveParams(
         interaction_strength=strength,
         effective_speed=speed,
         effective_coupling=coupling,
         dynamical_scale=scale,
-        rotational_quantum=rotational_quantum(geom, constants),
-        rotor_coupling=(2.0 * strength * constants.electron_mass
-                        * _each(pow, geom.insulating_sphere_radius, 4) / constants.hbar**2),
+        rotational_quantum=rotational_quantum(geom),
+        rotor_coupling=(2.0 * strength * CODATA2018.electron_mass
+                        * _each(pow, geom.insulating_sphere_radius, 4) / CODATA2018.hbar**2),
         gap_energy=gap,
-        gap_temperature=gap / constants.boltzmann,
-        critical_field=constants.electron_mass * speed * scale / constants.electron_charge,
+        gap_temperature=gap / CODATA2018.boltzmann,
+        critical_field=CODATA2018.electron_mass * speed * scale / CODATA2018.electron_charge,
     )
 
 
-def feasibility(geom: Geometry, env: Environment,
-                constants: Constants = CODATA2018) -> FeasibilityReport:
+def feasibility(geom: Geometry, env: Environment) -> FeasibilityReport:
     """Full design check: effective parameters plus every validity condition."""
-    return _report(geom, env, constants)
+    return _report(geom, env)
 
 
-def _report(geom, env, constants):
+def _report(geom, env):
     """feasibility of floats; of arrays when one field of geom or env is an array."""
     # arithmetic that leaves the float range is invalid input, not a crash
     try:
-        eff = effective_params(geom, constants)
+        eff = effective_params(geom)
         ratios = _hierarchy_ratios(geom, eff.dynamical_scale)
-        ind_ratio = _inductance_ratio(geom, eff.effective_speed, constants)
+        ind_ratio = _inductance_ratio(geom, eff.effective_speed)
     except (ZeroDivisionError, OverflowError):
         raise DesignError("geometry", f"formulas divide by zero or overflow for {geom}") from None
     try:
-        zeeman = _second_order_zeeman_ratio(env.magnetic_field, geom, eff.gap_energy, constants)
+        zeeman = _second_order_zeeman_ratio(env.magnetic_field, geom, eff.gap_energy)
     except OverflowError:
         raise DesignError("magnetic_field", f"Zeeman term overflows at {env.magnetic_field!r} T"
                           ) from None
-    temp_ratio = _per(constants.boltzmann * env.temperature, eff.gap_energy)
+    temp_ratio = _per(CODATA2018.boltzmann * env.temperature, eff.gap_energy)
 
     hierarchy = [_severity(ratio, HIERARCHY_PASS, HIERARCHY_WARN) for _, ratio in ratios]
     ind = _severity(ind_ratio, INDUCTANCE_PASS, INDUCTANCE_WARN, larger_is_better=False)
@@ -441,7 +375,7 @@ def _report(geom, env, constants):
         inductance_verdict=_verdicts(ind),
         temperature_ratio=temp_ratio,
         temperature_verdict=_verdicts(temp),
-        chemical_potential=_chemical_potential(env.magnetic_field, constants),
+        chemical_potential=chemical_potential(env.magnetic_field),
         second_order_zeeman_ratio=zeeman,
         overall_verdict=_verdicts(_worst(hierarchy + [ind, temp])),
     )
@@ -466,7 +400,7 @@ _REPORT_COLUMNS = ("inductance_ratio", "temperature_ratio", "chemical_potential"
 
 
 def scan(geom: Geometry, env: Environment, parameter: str, start: float, stop: float,
-         steps: int, constants: Constants = CODATA2018):
+         steps: int):
     """Sweep one parameter over [start, stop] and report a summary per step.
 
     Spacing is geometric; a zero start is allowed for temperature and
@@ -514,11 +448,11 @@ def scan(geom: Geometry, env: Environment, parameter: str, start: float, stop: f
         at(float(values.min()))
         at(float(values.max()))
         with np.errstate(divide="raise", over="raise", invalid="raise", under="ignore"):
-            report = _report(*at(values), constants)
+            report = _report(*at(values))
     except (ArithmeticError, ValueError):  # FloatingPointError and DesignError among them
         report = None
     if report is None:
-        return [summary_row(parameter, value, feasibility(*at(value), constants))
+        return [summary_row(parameter, value, feasibility(*at(value)))
                 for value in values.tolist()]
     keys = (parameter,) + _EFFECTIVE_COLUMNS + _REPORT_COLUMNS
     columns = [np.broadcast_to(column, values.shape).tolist()

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import CODATA2018, Constants
+from .constants import CODATA2018
 from .design import Geometry, rotational_quantum
 from .lattice import (DYNAMICS_DIM_CAP, ChainSpec, DimensionCapError, build_interaction,
                       build_kinetic, even_block, sector_basis)
@@ -256,9 +256,8 @@ def adiabatic_ratio(spec: ChainSpec, schedule: RampSchedule, samples: int, *,
     return best
 
 
-def physical_ramp_time(geom: Geometry, duration: float,
-                       constants: Constants = CODATA2018) -> float:
+def physical_ramp_time(geom: Geometry, duration: float) -> float:
     """Convert a dimensionless duration to seconds: t = duration * hbar / E0."""
     if duration < 0:
         raise ValueError(f"duration must be non-negative, got {duration}")
-    return duration * constants.hbar / rotational_quantum(geom, constants)
+    return duration * CODATA2018.hbar / rotational_quantum(geom)

@@ -265,9 +265,11 @@ def charge_scan(spec: ChainSpec, mu_grid) -> ChargeScan:
     Q commutes with H, so with E_M the lowest level of sector M >= 0 at
     mu = 0, the ground energy is min_M (E_M - mu M) and the ground charge
     the smallest M attaining it. critical_mu = min_{M>=1} (E_M - E_0) / M,
-    None when no grid point is charged. spec.mu_tilde is ignored. A grid
-    whose mu * M overflows at the largest charge M = N l_max is refused.
+    None when no grid point is charged. The grid sets mu, so spec.mu_tilde
+    must be 0; a grid whose mu * M overflows at M = N l_max is refused.
     """
+    if spec.mu_tilde != 0.0:
+        raise ValueError("charge_scan takes mu from its grid; spec.mu_tilde must be 0")
     mu_grid = np.asarray(mu_grid, dtype=float)
     if mu_grid.ndim != 1 or len(mu_grid) < 1:
         raise ValueError("mu_grid must be a non-empty 1-d grid")

@@ -5,23 +5,22 @@ Each test prints a single PASS/FAIL line so the suite can be skimmed:
     pytest tests/test_acceptance.py -v -s
 """
 
+import importlib
 import json
+import pkgutil
 
 import numpy as np
 import pytest
 
 import rotorsim.spectra
-from rotorsim import Geometry
+from rotorsim import Environment, Geometry
 from rotorsim.cli import main as cli_main
 from rotorsim.design import (
-    critical_field,
     effective_coupling,
     effective_params,
     effective_speed,
-    inductance_ratio,
+    feasibility,
     interaction_strength,
-    rotational_quantum,
-    rotor_coupling,
 )
 from rotorsim.constants import CODATA2018
 from rotorsim.dynamics import RampSchedule, physical_ramp_time, propagate
@@ -65,16 +64,16 @@ class TestAcceptance:
         report("criterion 2: nano set (c_eff, gap temperature)", ok)
 
     def test_03_critical_field_and_inductance(self, micro, nano):
-        b_crit = critical_field(micro)
+        b_crit = effective_params(micro).critical_field
         ok = (0.1e-3 <= b_crit <= 10e-3
-              and inductance_ratio(micro) < 1e-6
-              and inductance_ratio(nano) < 1e-6)
+              and feasibility(micro, Environment()).inductance_ratio < 1e-6
+              and feasibility(nano, Environment()).inductance_ratio < 1e-6)
         report("criterion 3: critical field window and inductance ratios", ok)
 
     def test_04_identity_suite(self):
         ok = True
         for geom in random_geometries(100):
-            kappa = rotor_coupling(geom)
+            kappa = effective_params(geom).rotor_coupling
             g = effective_coupling(geom)
             ok &= abs(kappa * g**4 - 9.0) < 1e-9 * 9.0
             direct = effective_speed(geom)
@@ -198,3 +197,19 @@ class TestAcceptance:
         ok &= cli_main(["sim", "gap", "--sites", "2", "--lmax", "1",
                         "--out", out]) == 5
         report("criterion 10: reproducible CLI outputs and exit codes 0/2/3/4/5", ok)
+
+
+EXPORTING_MODULES = [name for _, name, _ in pkgutil.iter_modules(rotorsim.__path__, "rotorsim.")
+                     if hasattr(importlib.import_module(name), "__all__")]
+
+
+def test_exporting_modules_found():
+    assert {"rotorsim.design", "rotorsim.dynamics", "rotorsim.lattice",
+            "rotorsim.spectra"} <= set(EXPORTING_MODULES)
+
+
+@pytest.mark.parametrize("name", EXPORTING_MODULES)
+def test_every_exported_name_exists(name):
+    module = importlib.import_module(name)
+    report(f"{name}: every name in __all__ exists",
+           [export for export in module.__all__ if not hasattr(module, export)] == [])

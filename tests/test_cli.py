@@ -382,6 +382,13 @@ class TestCapsAndExtremeInput:
         assert_refused(["sim", "charge-scan", "--sites", "2", "--lmax", "1",
                         "--out", tmp_path / "out"] + flags, capsys, 2)
 
+    def test_charge_scan_with_nonzero_mu_exit_2(self, tmp_path, capsys):
+        # the scan reads mu from its grid, so a --mu it would ignore is refused
+        err = assert_refused(["sim", "charge-scan", "--sites", "2", "--lmax", "1", "--kappa",
+                              "1", "--mu", "1.5", "--mu-steps", "3", "--out", tmp_path / "out"],
+                             capsys, 2)
+        assert "mu_tilde must be 0" in err
+
     def test_charge_scan_steps_cap_exit_5(self, tmp_path, capsys):
         assert_refused(["sim", "charge-scan", "--sites", "2", "--lmax", "1",
                         "--mu-steps", "10000000000000", "--out", tmp_path / "out"], capsys, 5)

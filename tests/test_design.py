@@ -9,21 +9,14 @@ from rotorsim import CODATA2018, DesignError, Environment, Geometry, design
 from rotorsim.design import (
     capacitance_denominator,
     chemical_potential,
-    critical_field,
-    dynamical_scale,
     effective_coupling,
     effective_params,
     effective_speed,
     energy_level,
     feasibility,
-    gap_energy_and_temperature,
-    hierarchy_report,
-    inductance_ratio,
     interaction_strength,
     rotational_quantum,
-    rotor_coupling,
     scan,
-    second_order_zeeman_ratio,
 )
 
 from conftest import random_geometries
@@ -118,11 +111,11 @@ class TestEffectiveCoupling:
 
 class TestDynamicalScale:
     def test_micro_length(self, micro):
-        inverse = 1.0 / dynamical_scale(micro)
+        inverse = 1.0 / effective_params(micro).dynamical_scale
         assert 125e-6 / 2 <= inverse <= 125e-6 * 2
 
     def test_micro_consistency_condition(self, micro):
-        product = dynamical_scale(micro) * micro.lattice_spacing
+        product = effective_params(micro).dynamical_scale * micro.lattice_spacing
         assert product == pytest.approx(0.088, abs=0.005)
         assert product < 0.2
 
@@ -131,22 +124,22 @@ class TestDynamicalScale:
         scales = []
         for factor in (1.0, 0.7, 0.5, 0.35):
             geom = Geometry(**{**vars(micro), "sphere_gap": factor * micro.sphere_gap})
-            scales.append(dynamical_scale(geom))
+            scales.append(effective_params(geom).dynamical_scale)
         assert all(a > b for a, b in zip(scales, scales[1:]))
         assert scales[-1] / scales[0] < 1e-3
 
 
 class TestGapEnergyAndTemperature:
     def test_micro_temperature(self, micro):
-        _, temp = gap_energy_and_temperature(micro)
+        temp = effective_params(micro).gap_temperature
         assert 600e-6 / 2 <= temp <= 600e-6 * 2
 
     def test_nano_temperature(self, nano):
-        _, temp = gap_energy_and_temperature(nano)
+        temp = effective_params(nano).gap_temperature
         assert 0.5 <= temp <= 3.0
 
     def test_one_order_below_single_sphere_gap(self, micro):
-        gap, _ = gap_energy_and_temperature(micro)
+        gap = effective_params(micro).gap_energy
         single_sphere = energy_level(1, micro)  # 2 * E0
         assert 0.05 <= gap / single_sphere <= 0.2
 
@@ -171,47 +164,48 @@ class TestEnergyLevel:
 
 class TestChemicalPotential:
     def test_zero_field(self, micro):
-        assert chemical_potential(0.0, micro) == 0.0
+        assert chemical_potential(0.0) == 0.0
 
     def test_millitesla(self, micro):
-        assert chemical_potential(1e-3, micro) == pytest.approx(6.2e-27, rel=0.01)
+        assert chemical_potential(1e-3) == pytest.approx(6.2e-27, rel=0.01)
 
     def test_comparable_to_gap_at_critical_field(self, micro):
-        mu = chemical_potential(critical_field(micro), micro)
-        gap, _ = gap_energy_and_temperature(micro)
+        mu = chemical_potential(effective_params(micro).critical_field)
+        gap = effective_params(micro).gap_energy
         assert 0.1 <= mu / gap <= 10.0
 
 
 class TestCriticalField:
     def test_micro_milli_tesla(self, micro):
-        assert 0.1e-3 <= critical_field(micro) <= 10e-3
+        assert 0.1e-3 <= effective_params(micro).critical_field <= 10e-3
 
     def test_formula_components(self, micro, nano):
         for geom in (micro, nano):
             expected = (
                 CODATA2018.electron_mass
                 * effective_speed(geom)
-                * dynamical_scale(geom)
+                * effective_params(geom).dynamical_scale
                 / CODATA2018.electron_charge
             )
-            assert critical_field(geom) == pytest.approx(expected, rel=1e-14)
+            assert effective_params(geom).critical_field == pytest.approx(expected, rel=1e-14)
 
     def test_nano_frozen(self, nano):
-        assert critical_field(nano) == pytest.approx(0.53502039, rel=1e-6)
+        assert effective_params(nano).critical_field == pytest.approx(0.53502039, rel=1e-6)
 
 
 class TestInductanceRatio:
     def test_micro(self, micro):
-        assert inductance_ratio(micro) == pytest.approx(9.5e-10, rel=0.02)
+        ratio = feasibility(micro, Environment()).inductance_ratio
+        assert ratio == pytest.approx(9.5e-10, rel=0.02)
 
     def test_nano_small(self, nano):
-        assert inductance_ratio(nano) < 1e-6
+        assert feasibility(nano, Environment()).inductance_ratio < 1e-6
 
     def test_fail_path_without_slowdown(self):
         # oversized conducting spheres destroy the slow-down and push the
         # ratio into the fail regime
         geom = Geometry(1e-9, 4e-7, 1e-4, 5e-7, 1e-4)
-        assert inductance_ratio(geom) > 0.1
+        assert feasibility(geom, Environment()).inductance_ratio > 0.1
         report = feasibility(geom, Environment())
         assert report.inductance_verdict == "fail"
         assert report.overall_verdict == "fail"
@@ -219,36 +213,39 @@ class TestInductanceRatio:
 
 class TestSecondOrderZeeman:
     def test_zero_field(self, micro):
-        assert second_order_zeeman_ratio(0.0, micro) == 0.0
+        report = feasibility(micro, Environment(magnetic_field=0.0))
+        assert report.second_order_zeeman_ratio == 0.0
 
     def test_small_at_critical_field(self, micro):
-        ratio = second_order_zeeman_ratio(critical_field(micro), micro)
+        b_crit = effective_params(micro).critical_field
+        ratio = feasibility(micro, Environment(magnetic_field=b_crit)).second_order_zeeman_ratio
         assert ratio <= 1e-2
 
     def test_quadratic_in_field(self, micro):
-        r1 = second_order_zeeman_ratio(1e-3, micro)
-        r3 = second_order_zeeman_ratio(3e-3, micro)
+        r1 = feasibility(micro, Environment(magnetic_field=1e-3)).second_order_zeeman_ratio
+        r3 = feasibility(micro, Environment(magnetic_field=3e-3)).second_order_zeeman_ratio
         assert r3 / r1 == pytest.approx(9.0, rel=1e-12)
 
 
 class TestHierarchyReport:
     def test_micro_all_pass(self, micro):
         report = dict((name, (ratio, verdict)) for name, ratio, verdict in
-                      hierarchy_report(micro))
+                      feasibility(micro, Environment()).hierarchy_ratios)
         assert all(verdict == "pass" for _, verdict in report.values())
         assert report["rho/delta"][0] == pytest.approx(4.0)
         assert report["lambda/dx"][0] == pytest.approx(11.4, abs=0.5)
 
     def test_nano_gamma_rho_warn(self, nano):
         report = dict((name, (ratio, verdict)) for name, ratio, verdict in
-                      hierarchy_report(nano))
+                      feasibility(nano, Environment()).hierarchy_ratios)
         assert report["rho/delta"] == (pytest.approx(12.0), "pass")
         assert report["gamma/rho"][0] == pytest.approx(2.083, abs=0.01)
         assert report["gamma/rho"][1] == "warn"
 
     def test_touching_spheres_fail(self, micro):
         geom = Geometry(**{**vars(micro), "sphere_gap": micro.insulating_sphere_radius})
-        report = dict((name, verdict) for name, _, verdict in hierarchy_report(geom))
+        report = dict((name, verdict) for name, _, verdict in
+                      feasibility(geom, Environment()).hierarchy_ratios)
         assert report["gamma/rho"] == "fail"
 
 
@@ -275,7 +272,7 @@ class TestFeasibility:
 class TestIdentities:
     def test_coupling_identity_random_grid(self):
         for geom in random_geometries(100):
-            product = rotor_coupling(geom) * effective_coupling(geom) ** 4
+            product = effective_params(geom).rotor_coupling * effective_coupling(geom) ** 4
             assert abs(product - 9.0) / 9.0 < 1e-9
 
     def test_speed_identity_random_grid(self):
@@ -304,7 +301,7 @@ class TestIdentities:
         for gamma in np.geomspace(40e-9, 120e-9, 8):
             geom = Geometry(**{**vars(nano), "sphere_gap": float(gamma)})
             assert effective_coupling(geom) ** 2 > 2 * math.pi
-            temps.append(gap_energy_and_temperature(geom)[1])
+            temps.append(effective_params(geom).gap_temperature)
         assert all(a > b for a, b in zip(temps, temps[1:]))
 
     def test_report_numbers_finite_positive(self, micro, nano):
@@ -324,11 +321,11 @@ class TestScan:
         assert all(a < b for a, b in zip(couplings, couplings[1:]))
 
     def test_field_scan_linear_chemical_potential(self, micro):
-        b_crit = critical_field(micro)
+        b_crit = effective_params(micro).critical_field
         rows = scan(micro, Environment(), "magnetic_field_T", 0.0, 2 * b_crit, 9)
         fields = np.array([row["magnetic_field_T"] for row in rows])
         mus = np.array([row["chemical_potential"] for row in rows])
-        slope = chemical_potential(1.0, micro)
+        slope = chemical_potential(1.0)
         assert np.allclose(mus, slope * fields, rtol=1e-12)
 
     def test_endpoints_match_single_point_reports(self, micro, nano):
@@ -358,29 +355,35 @@ class TestScan:
             scan(micro, Environment(), "gamma_m", 1e-6, 2e-6, 1)
 
 
-def oracle_feasibility(geom, env, constants=CODATA2018):
+def oracle_verdict(ratio, pass_at, warn_at, larger_is_better=True):
+    """pass, warn or fail by the public thresholds; a NaN ratio fails."""
+    good = (lambda bound: ratio >= bound) if larger_is_better else (lambda bound: ratio < bound)
+    return "pass" if good(pass_at) else "warn" if good(warn_at) else "fail"
+
+
+def oracle_feasibility(geom, env):
     """Reference composition: every derived quantity rebuilt from the primitive
     formulas, with the expressions feasibility must reproduce bit for bit."""
     def scale():
-        g = effective_coupling(geom, constants)
+        g = effective_coupling(geom)
         return math.exp(-2.0 * math.pi / g**2) / geom.lattice_spacing
 
     def gap():
-        return constants.hbar * effective_speed(geom, constants) * scale()
+        return CODATA2018.hbar * effective_speed(geom) * scale()
 
-    kappa = (2.0 * interaction_strength(geom, constants) * constants.electron_mass
-             * geom.insulating_sphere_radius**4 / constants.hbar**2)
-    b_crit = (constants.electron_mass * effective_speed(geom, constants) * scale()
-              / constants.electron_charge)
+    kappa = (2.0 * interaction_strength(geom) * CODATA2018.electron_mass
+             * geom.insulating_sphere_radius**4 / CODATA2018.hbar**2)
+    b_crit = (CODATA2018.electron_mass * effective_speed(geom) * scale()
+              / CODATA2018.electron_charge)
     eff = design.EffectiveParams(
-        interaction_strength=interaction_strength(geom, constants),
-        effective_speed=effective_speed(geom, constants),
-        effective_coupling=effective_coupling(geom, constants),
+        interaction_strength=interaction_strength(geom),
+        effective_speed=effective_speed(geom),
+        effective_coupling=effective_coupling(geom),
         dynamical_scale=scale(),
-        rotational_quantum=rotational_quantum(geom, constants),
+        rotational_quantum=rotational_quantum(geom),
         rotor_coupling=kappa,
         gap_energy=gap(),
-        gap_temperature=gap() / constants.boltzmann,
+        gap_temperature=gap() / CODATA2018.boltzmann,
         critical_field=b_crit,
     )
     wavelength = 1.0 / scale() if scale() > 0.0 else math.inf
@@ -392,24 +395,23 @@ def oracle_feasibility(geom, env, constants=CODATA2018):
         ("rho/delta", geom.insulating_sphere_radius / geom.wire_radius),
         ("alpha/delta", geom.conducting_sphere_radius / geom.wire_radius),
     ]
-    hierarchy = tuple((name, r, design._verdict(r, design.HIERARCHY_PASS,
-                                                design.HIERARCHY_WARN))
+    hierarchy = tuple((name, r, oracle_verdict(r, design.HIERARCHY_PASS, design.HIERARCHY_WARN))
                       for name, r in ratios)
     ind_ratio = (4.0 * (geom.conducting_sphere_radius / geom.lattice_spacing)
-                 * (effective_speed(geom, constants) / constants.light_speed) ** 2
+                 * (effective_speed(geom) / CODATA2018.light_speed) ** 2
                  * math.log(geom.lattice_spacing / geom.wire_radius))
-    ind_verdict = design._verdict(ind_ratio, design.INDUCTANCE_PASS, design.INDUCTANCE_WARN,
-                                  larger_is_better=False)
-    thermal = constants.boltzmann * env.temperature
+    ind_verdict = oracle_verdict(ind_ratio, design.INDUCTANCE_PASS, design.INDUCTANCE_WARN,
+                                 larger_is_better=False)
+    thermal = CODATA2018.boltzmann * env.temperature
     if thermal == 0.0:
         temp_ratio = 0.0
     else:
         temp_ratio = thermal / gap() if gap() > 0.0 else math.inf
-    temp_verdict = design._verdict(temp_ratio, design.TEMPERATURE_PASS,
-                                   design.TEMPERATURE_WARN, larger_is_better=False)
+    temp_verdict = oracle_verdict(temp_ratio, design.TEMPERATURE_PASS,
+                                  design.TEMPERATURE_WARN, larger_is_better=False)
     vector_potential = env.magnetic_field * geom.insulating_sphere_radius / 3.0
-    quadratic = ((constants.electron_charge * vector_potential) ** 2
-                 / (2.0 * constants.electron_mass))
+    quadratic = ((CODATA2018.electron_charge * vector_potential) ** 2
+                 / (2.0 * CODATA2018.electron_mass))
     if quadratic == 0.0:
         zeeman = 0.0
     else:
@@ -423,7 +425,7 @@ def oracle_feasibility(geom, env, constants=CODATA2018):
         inductance_verdict=ind_verdict,
         temperature_ratio=temp_ratio,
         temperature_verdict=temp_verdict,
-        chemical_potential=chemical_potential(env.magnetic_field, geom, constants),
+        chemical_potential=chemical_potential(env.magnetic_field),
         second_order_zeeman_ratio=zeeman,
         overall_verdict=overall,
     )
@@ -443,18 +445,6 @@ class TestChainOracle:
         for geom in random_geometries(200):
             for env in ORACLE_ENVIRONMENTS:
                 assert feasibility(geom, env) == oracle_feasibility(geom, env)
-
-    def test_derived_functions_exact(self, micro, nano):
-        for geom in random_geometries(50) + [micro, nano]:
-            oracle = oracle_feasibility(geom, Environment(magnetic_field=2e-3))
-            eff = oracle.effective
-            assert dynamical_scale(geom) == eff.dynamical_scale
-            assert rotor_coupling(geom) == eff.rotor_coupling
-            assert gap_energy_and_temperature(geom) == (eff.gap_energy, eff.gap_temperature)
-            assert critical_field(geom) == eff.critical_field
-            assert tuple(hierarchy_report(geom)) == oracle.hierarchy_ratios
-            assert inductance_ratio(geom) == oracle.inductance_ratio
-            assert second_order_zeeman_ratio(2e-3, geom) == oracle.second_order_zeeman_ratio
 
     @pytest.mark.parametrize("parameter", sorted(design.SCAN_PARAMETERS))
     @pytest.mark.parametrize("name", ["micro", "nano"])

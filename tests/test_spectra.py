@@ -401,6 +401,11 @@ class TestChargeScan:
         with pytest.raises(ValueError):
             charge_scan(spec, [-0.5, 0.5])
 
+    def test_rejects_nonzero_mu(self):
+        # the grid sets mu; a spec that carries its own would be ignored
+        with pytest.raises(ValueError, match="mu_tilde must be 0"):
+            charge_scan(ChainSpec(2, 1, kappa=1.0, mu_tilde=1.5), np.linspace(0.0, 3.0, 3))
+
     def test_rejects_grid_whose_charge_term_overflows(self):
         # M reaches N l_max = 2: 2 * 1.7e308 overflows, 2 * 8e307 does not
         with pytest.raises(ValueError, match="overflows"):
