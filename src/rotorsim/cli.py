@@ -38,12 +38,13 @@ EXIT_INFEASIBLE = 3
 EXIT_NONCONVERGED = 4
 EXIT_RESOURCE_CAP = 5
 
-# sim config key and flag -> (ChainSpec field, default); a default's type converts the value
+# sim config key and flag -> (ChainSpec field, default); a default's type converts the value.
+# mu is no ChainSpec field: it is spectrum's mu_tilde, and every other command needs it 0
 SIM_KEYS = {
     "sites": ("n_sites", None),
     "lmax": ("l_max", None),
     "kappa": ("kappa", 0.0),
-    "mu": ("mu_tilde", 0.0),
+    "mu": (None, 0.0),
     "boundary": ("boundary", "open"),
 }
 
@@ -145,7 +146,8 @@ def cmd_design_scan(args) -> int:
     return EXIT_OK
 
 
-def _chain_spec(args) -> ChainSpec:
+def _chain_spec(args):
+    """(ChainSpec, config): config holds every SIM_KEYS value, mu among them."""
     doc = _load_config(args.config) if args.config else {}
     unknown = set(doc) - set(SIM_KEYS)
     if unknown:
@@ -155,21 +157,20 @@ def _chain_spec(args) -> ChainSpec:
     if args.from_geometry:
         geom, env = _geometry_environment(_load_config(args.from_geometry))
         try:
-            g_eff = design.effective_coupling(geom)
-            kappa = 9.0 / g_eff**4
-            mu_eff = design.chemical_potential(env.magnetic_field)
-            mu_tilde = mu_eff / design.rotational_quantum(geom)
+            eff = design.effective_params(geom)
+            mu_tilde = design.chemical_potential(env.magnetic_field) / eff.rotational_quantum
         except (ZeroDivisionError, OverflowError):
             raise DesignError("geometry", f"kappa or mu_tilde divides by zero or overflows "
                                           f"for {geom}") from None
-        print(f"derived from geometry: g_eff = {g_eff:.9g}, "
-              f"kappa = 9/g_eff^4 = {kappa:.9g}, mu_tilde = {mu_tilde:.9g}")
-        params.update(kappa=kappa, mu=mu_tilde)
+        print(f"derived from geometry: g_eff = {eff.effective_coupling:.9g}, "
+              f"kappa = rotor_coupling = {eff.rotor_coupling:.9g}, mu_tilde = {mu_tilde:.9g}")
+        params.update(kappa=eff.rotor_coupling, mu=mu_tilde)
     if params["sites"] is None or params["lmax"] is None:
         raise CliError(EXIT_INVALID, "sites and lmax are required (flags or config)")
-    return ChainSpec(**{field: params[key] if default is None
-                        else _convert(key, params[key], type(default))
-                        for key, (field, default) in SIM_KEYS.items()})
+    config = {key: params[key] if default is None else _convert(key, params[key], type(default))
+              for key, (_, default) in SIM_KEYS.items()}
+    spec = ChainSpec(**{field: config[key] for key, (field, _) in SIM_KEYS.items() if field})
+    return spec, config
 
 
 def _convert(key, value, kind):
@@ -182,10 +183,12 @@ def _convert(key, value, kind):
 
 
 def cmd_sim(args) -> int:
-    spec = _chain_spec(args)
-    config = {key: getattr(spec, field) for key, (field, _) in SIM_KEYS.items()}
+    spec, config = _chain_spec(args)
+    if config["mu"] != 0.0 and args.subcommand != "spectrum":
+        raise CliError(EXIT_INVALID, f"mu_tilde must be 0 for sim {args.subcommand}, got "
+                                     f"{config['mu']!r}; only sim spectrum takes mu")
     if args.subcommand == "spectrum":
-        res = spectrum(spec, k=args.k)
+        res = spectrum(spec, k=args.k, mu_tilde=config["mu"])
         _write(args, "spectrum", {
             "config": config,
             "method": res.method,
@@ -300,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--sites", type=int)
     p_sim.add_argument("--lmax", type=int)
     p_sim.add_argument("--kappa", type=float)
-    p_sim.add_argument("--mu", type=float)
+    p_sim.add_argument("--mu", type=float, help="chemical potential mu_tilde; spectrum only")
     p_sim.add_argument("--boundary", choices=["open", "periodic"])
     p_sim.add_argument("--from-geometry", dest="from_geometry",
                        help="derive kappa and mu from a geometry JSON file")

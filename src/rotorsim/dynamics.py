@@ -99,9 +99,7 @@ class EvolutionResult:
 
 
 def _sector_parts(spec: ChainSpec):
-    """K = sum_i L_i^2 and B, dense on the M = 0 sector; the cap is checked first."""
-    if spec.mu_tilde != 0.0:
-        raise ValueError("ramp dynamics model the interaction switch-on at mu_tilde = 0")
+    """M = 0 sector codes, with K = sum_i L_i^2 and B dense on them; the cap is checked first."""
     codes = sector_basis(spec, 0)
     if len(codes) > DYNAMICS_DIM_CAP:
         raise DimensionCapError(
@@ -109,7 +107,7 @@ def _sector_parts(spec: ChainSpec):
         )
     kinetic = build_kinetic(spec, codes).matrix.toarray()
     bond = build_interaction(spec, codes).matrix.toarray()
-    return kinetic, bond
+    return codes, kinetic, bond
 
 
 def _check_rate(schedule, bond):
@@ -163,7 +161,7 @@ def propagate(spec: ChainSpec, schedule: RampSchedule, dt: float,
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be positive and finite, got {dt}")
     _step_count(schedule.duration, dt)  # refuse before anything is built
-    kinetic, bond = _sector_parts(spec)
+    codes, kinetic, bond = _sector_parts(spec)
     # kappa(t) stays between its end values, so this bounds every entry of H(t);
     # Python floats overflow to inf without a numpy warning
     kappa_max = max(schedule.kappa_start, schedule.kappa_end)
@@ -171,7 +169,7 @@ def propagate(spec: ChainSpec, schedule: RampSchedule, dt: float,
         raise ValueError(f"kappa * B is not finite for kappa up to {kappa_max:.9g}")
     _check_rate(schedule, bond)
 
-    v = even_block(spec, sector_basis(spec, 0))
+    v = even_block(spec, codes)
     ends = []
     for kappa in (schedule.kappa_start, schedule.kappa_end):
         ground = v.T @ np.linalg.eigh(kinetic + kappa * bond)[1][:, 0]
@@ -235,7 +233,7 @@ def adiabatic_ratio(spec: ChainSpec, schedule: RampSchedule, samples: int, *,
     """
     if samples < 2:
         raise ValueError(f"need samples >= 2, got {samples}")
-    kinetic, bond = parts if parts is not None else _sector_parts(spec)
+    kinetic, bond = parts if parts is not None else _sector_parts(spec)[1:]
     _check_rate(schedule, bond)
     times = np.linspace(0.0, schedule.duration, samples)
     best = (0.0, 0.0)

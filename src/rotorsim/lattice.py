@@ -84,27 +84,25 @@ def _dim_cap() -> int:
 
 @dataclass(frozen=True)
 class ChainSpec:
-    """Dimensionless description of a rotor chain.
+    """Dimensionless description of a rotor chain's Hamiltonian H.
 
-    kappa is the bond strength 2 K m rho^4 / hbar^2; mu_tilde the
-    chemical potential in units of E0 (may be negative).
+    kappa is the bond strength 2 K m rho^4 / hbar^2. The chemical potential
+    mu_tilde is not part of H ([H, Q] = 0): spectrum, ground_state and
+    build_grand_canonical take it as an argument.
     """
 
     n_sites: int
     l_max: int
     kappa: float = 0.0
     boundary: str = "open"
-    mu_tilde: float = 0.0
 
     def __post_init__(self):
         for name in ("n_sites", "l_max"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise InvalidSpecError(f"{name} must be an integer, got {value!r}")
-        for name in ("kappa", "mu_tilde"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or not math.isfinite(value):
-                raise InvalidSpecError(f"{name} must be a finite number, got {value!r}")
+        if not isinstance(self.kappa, numbers.Real) or not math.isfinite(self.kappa):
+            raise InvalidSpecError(f"kappa must be a finite number, got {self.kappa!r}")
         if self.n_sites < 1:
             raise InvalidSpecError(f"n_sites must be >= 1, got {self.n_sites}")
         if self.l_max < 1:
@@ -359,7 +357,7 @@ def build_interaction(spec: ChainSpec, codes) -> SparseOperator:
 
 
 def build_hamiltonian(spec: ChainSpec, codes) -> SparseOperator:
-    """H (module docstring) without mu_tilde on `codes`, summed in the oracle's order."""
+    """H (module docstring) on `codes`, summed in the oracle's order."""
     states = _site_states(spec, codes)
     diagonal, bonds = _site_sum(spec, states, _l_squared), []
     if spec.kappa != 0.0:  # at kappa = 0 no off-diagonal entry is stored
@@ -368,7 +366,7 @@ def build_hamiltonian(spec: ChainSpec, codes) -> SparseOperator:
     return _operator(diagonal, bonds)
 
 
-def build_grand_canonical(spec: ChainSpec, codes) -> SparseOperator:
+def build_grand_canonical(spec: ChainSpec, codes, mu_tilde: float) -> SparseOperator:
     """H - mu_tilde * Q on the basis `codes`; positive mu_tilde favors positive charge."""
     h, q = build_hamiltonian(spec, codes), build_charge(spec, codes)
-    return SparseOperator(dimension=len(codes), matrix=h.matrix - spec.mu_tilde * q.matrix)
+    return SparseOperator(dimension=len(codes), matrix=h.matrix - mu_tilde * q.matrix)

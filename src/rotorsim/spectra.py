@@ -5,20 +5,22 @@ above DYNAMICS_DIM_CAP^2 before it allocates, then solves densely up to
 DENSE_CUTOFF (the oracle for the paths above it; the crossover is frozen so
 the ``method`` label is reproducible), off the diagonal, or by Lanczos.
 
-Every solver works on H alone, one total-M sector at a time: on sector M
+Every solver works on H alone, one total-M sector at a time, and only
+spectrum and ground_state take a chemical potential mu_tilde: on sector M
 the term -mu_tilde Q is the constant -mu_tilde M, and the pi rotation about x
 maps sector M onto -M, which therefore has the same levels.
 """
 
 import math
+import numbers
 import os
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .lattice import (DYNAMICS_DIM_CAP, ChainSpec, DimensionCapError, SparseOperator,
-                      build_hamiltonian, direction_dots, sector_basis)
+from .lattice import (DYNAMICS_DIM_CAP, ChainSpec, DimensionCapError, InvalidSpecError,
+                      SparseOperator, build_hamiltonian, direction_dots, sector_basis)
 
 __all__ = [
     "DENSE_CUTOFF",
@@ -159,21 +161,24 @@ def lowest_eigenpairs(op: SparseOperator, k: int) -> SpectrumResult:
 
 
 def _solve_sector(spec: ChainSpec, m: int, k: int):
-    """Codes of sector M = m and the lowest min(k, dimension) levels of H (no mu_tilde) on it."""
+    """Codes of sector M = m and the lowest min(k, dimension) levels of H on it."""
     codes = sector_basis(spec, m)
     return codes, lowest_eigenpairs(build_hamiltonian(spec, codes), min(k, len(codes)))
 
 
-def spectrum(spec: ChainSpec, k: int) -> SpectrumResult:
+def spectrum(spec: ChainSpec, k: int, mu_tilde: float = 0.0) -> SpectrumResult:
     """k lowest levels of H - mu_tilde Q with their total-M labels; no vectors.
 
-    H is solved once on each sector M = 0 .. N l_max; a level E enters as
-    E - mu_tilde M with label M and, for M > 0, as E + mu_tilde M with label
-    -M. Levels sort by (energy, label); a run of consecutive levels within
-    TIE_TOL * max(1, |E|) of its first level E counts as one energy. method
-    is "dense" only if every sector was solved densely, "iterative" if
-    Lanczos ran on any, and "diagonal" otherwise.
+    A non-finite mu_tilde raises InvalidSpecError. H is solved once on each
+    sector M = 0 .. N l_max; a level E enters as E - mu_tilde M with label M
+    and, for M > 0, as E + mu_tilde M with label -M. Levels sort by (energy,
+    label); a run of consecutive levels within TIE_TOL * max(1, |E|) of its
+    first level E counts as one energy. method is "dense" only if every
+    sector was solved densely, "iterative" if Lanczos ran on any, and
+    "diagonal" otherwise.
     """
+    if not isinstance(mu_tilde, numbers.Real) or not math.isfinite(mu_tilde):
+        raise InvalidSpecError(f"mu_tilde must be a finite number, got {mu_tilde!r}")
     if k < 1:
         raise ValueError(f"need at least one level, got k={k}")
     levels = []  # (energy, M, residual)
@@ -181,7 +186,7 @@ def spectrum(spec: ChainSpec, k: int) -> SpectrumResult:
     for m in range(spec.n_sites * spec.l_max + 1):
         res = _solve_sector(spec, m, k)[1]
         methods.add(res.method)
-        levels += [(e - spec.mu_tilde * label, label, r)
+        levels += [(e - mu_tilde * label, label, r)
                    for e, r in zip(res.eigenvalues, res.residual_norms)
                    for label in ((m, -m) if m else (0,))]
     levels.sort(key=lambda item: item[:2])
@@ -203,24 +208,25 @@ def spectrum(spec: ChainSpec, k: int) -> SpectrumResult:
     )
 
 
-def ground_state(spec: ChainSpec):
+def ground_state(spec: ChainSpec, mu_tilde: float = 0.0):
     """Ground state of H - mu_tilde Q as (energy, codes, sector vector).
 
     The state lies in one total-M sector m: codes are that sector's basis
     (sector_basis) and the vector its components there. At mu_tilde = 0,
     m = 0: the ground multiplet of the SU(2)-invariant H has an M = 0
     member. Otherwise m is the label of spectrum's lowest level (ties: most
-    negative M). The energy is E - mu_tilde m.
+    negative M), and a non-finite mu_tilde raises InvalidSpecError there.
+    The energy is E - mu_tilde m.
     """
-    m = 0 if spec.mu_tilde == 0.0 else int(spectrum(spec, k=1).sector_labels[0])
+    m = 0 if mu_tilde == 0.0 else int(spectrum(spec, 1, mu_tilde).sector_labels[0])
     codes, res = _solve_sector(spec, m, 1)
     # contiguous: vdot over a strided column would sum in another order
-    return (float(res.eigenvalues[0]) - spec.mu_tilde * m, codes,
+    return (float(res.eigenvalues[0]) - mu_tilde * m, codes,
             np.ascontiguousarray(res.eigenvectors[:, 0]))
 
 
 def mass_gap(spec: ChainSpec):
-    """(E1 - E0, degeneracy of E1) at mu_tilde = 0.
+    """(E1 - E0, degeneracy of E1) of H.
 
     Under SU(2) a multiplet of total L has one member in each sector
     |M| <= L, so E0 and E1 are the lowest distinct levels of sector 0, and
@@ -232,8 +238,6 @@ def mass_gap(spec: ChainSpec):
     With c_M the levels of sector M within DEGENERACY_TOL of E1, the
     degeneracy is c_0 + 2 (c_1 + c_2 + ...).
     """
-    if spec.mu_tilde != 0.0:
-        raise ValueError("mass_gap is defined at mu_tilde = 0")
     # the ground level, one member of the E1 multiplet and a level above it
     h0 = build_hamiltonian(spec, sector_basis(spec, 0))
     k = 3
@@ -265,11 +269,9 @@ def charge_scan(spec: ChainSpec, mu_grid) -> ChargeScan:
     Q commutes with H, so with E_M the lowest level of sector M >= 0 at
     mu = 0, the ground energy is min_M (E_M - mu M) and the ground charge
     the smallest M attaining it. critical_mu = min_{M>=1} (E_M - E_0) / M,
-    None when no grid point is charged. The grid sets mu, so spec.mu_tilde
-    must be 0; a grid whose mu * M overflows at M = N l_max is refused.
+    None when no grid point is charged. A grid whose mu * M overflows at
+    M = N l_max is refused.
     """
-    if spec.mu_tilde != 0.0:
-        raise ValueError("charge_scan takes mu from its grid; spec.mu_tilde must be 0")
     mu_grid = np.asarray(mu_grid, dtype=float)
     if mu_grid.ndim != 1 or len(mu_grid) < 1:
         raise ValueError("mu_grid must be a non-empty 1-d grid")
@@ -300,9 +302,7 @@ def charge_scan(spec: ChainSpec, mu_grid) -> ChargeScan:
 
 
 def correlation(spec: ChainSpec, i: int, j: int) -> float:
-    """Ground-state <n_i . n_j> at mu_tilde = 0."""
-    if spec.mu_tilde != 0.0:
-        raise ValueError("correlation is defined at mu_tilde = 0")
+    """<n_i . n_j> in the ground state of H."""
     if not (0 <= i < spec.n_sites and 0 <= j < spec.n_sites):
         raise ValueError(f"site indices out of range: ({i}, {j})")
     _, codes, vec = ground_state(spec)
@@ -311,14 +311,14 @@ def correlation(spec: ChainSpec, i: int, j: int) -> float:
 
 
 def correlation_profile(spec: ChainSpec) -> CorrelationProfile:
-    """Correlations from the central site with a log-linear decay fit.
+    """Ground-state correlations of H from the central site with a log-linear decay fit.
 
     The fit runs over distances >= 1; fitted_xi is withheld when the
     r^2 of the fit drops below 0.9 (non-asymptotic at small sizes) or
     fewer than two usable distances remain.
     """
-    if spec.n_sites < 4 or spec.boundary != "open" or spec.mu_tilde != 0.0:
-        raise ValueError("correlation_profile needs an open chain of >= 4 sites at mu_tilde = 0")
+    if spec.n_sites < 4 or spec.boundary != "open":
+        raise ValueError("correlation_profile needs an open chain of >= 4 sites")
     center = (spec.n_sites - 1) // 2
     _, codes, vec = ground_state(spec)
     distances = np.arange(0, spec.n_sites - center)

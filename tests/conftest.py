@@ -223,11 +223,11 @@ def oracle_charge(spec):
     return _oracle_diagonal(oracle_total_m_values(spec).astype(float))
 
 
-def oracle_grand_canonical(spec):
+def oracle_grand_canonical(spec, mu_tilde):
     """H - mu_tilde * Q; positive mu_tilde favors positive charge."""
     h = oracle_hamiltonian(spec).matrix
-    if spec.mu_tilde != 0.0:
-        h = h - spec.mu_tilde * oracle_charge(spec).matrix
+    if mu_tilde != 0.0:
+        h = h - mu_tilde * oracle_charge(spec).matrix
     return SparseOperator(dimension=spec.dimension, matrix=_oracle_clean(h))
 
 
@@ -250,9 +250,9 @@ def all_codes(spec):
     return np.arange(spec.dimension, dtype=np.int64)
 
 
-def full_ground_state(spec):
+def full_ground_state(spec, mu_tilde=0.0):
     """ground_state's (energy, vector) with the sector vector embedded in the whole space."""
-    energy, codes, sector_vector = ground_state(spec)
+    energy, codes, sector_vector = ground_state(spec, mu_tilde)
     vec = np.zeros(len(all_codes(spec)))
     vec[np.searchsorted(all_codes(spec), codes)] = sector_vector
     return energy, vec

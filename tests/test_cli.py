@@ -209,7 +209,7 @@ class TestSim:
         assert run(["sim", "gap", "--sites", "2", "--lmax", "1",
                     "--from-geometry", micro_config, "--out", out]) == 0
         captured = capsys.readouterr().out
-        assert "kappa = 9/g_eff^4 = 1.34939" in captured
+        assert "kappa = rotor_coupling = 1.34939976" in captured
         doc = json.loads((out / "gap.json").read_text())
         assert doc["config"]["kappa"] == pytest.approx(1.34939976, abs=1e-6)
 
@@ -388,6 +388,34 @@ class TestCapsAndExtremeInput:
                               "1", "--mu", "1.5", "--mu-steps", "3", "--out", tmp_path / "out"],
                              capsys, 2)
         assert "mu_tilde must be 0" in err
+
+    @pytest.mark.parametrize("command", ["gap", "correlation", "ramp"])
+    def test_nonzero_mu_outside_spectrum_exit_2(self, tmp_path, capsys, command):
+        # only spectrum reads mu; every other command works on H alone
+        err = assert_refused(["sim", command, "--sites", "4", "--lmax", "1", "--mu", "0.5",
+                              "--out", tmp_path / "out"], capsys, 2)
+        assert "mu_tilde must be 0" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_nonzero_mu_in_config_outside_spectrum_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "chain.json", {"sites": 2, "lmax": 1, "mu": 0.7})
+        err = assert_refused(["sim", "gap", "--config", cfg, "--out", tmp_path / "out"],
+                             capsys, 2)
+        assert "mu_tilde must be 0" in err
+
+    def test_from_geometry_field_runs_only_spectrum(self, micro_doc, tmp_path, capsys):
+        # 4 mT derives a nonzero mu_tilde: spectrum runs at it, the others refuse it
+        geometry = write_config(tmp_path / "geometry.json",
+                                {**micro_doc, "magnetic_field_T": 0.004})
+        chain = ["--sites", "4", "--lmax", "1", "--from-geometry", geometry]
+        assert run(["sim", "spectrum", *chain, "--out", tmp_path / "spectrum"]) == 0
+        doc = json.loads((tmp_path / "spectrum" / "spectrum.json").read_text())
+        assert doc["config"]["mu"] == 0.648220778
+        capsys.readouterr()
+        for command in ("gap", "charge-scan", "correlation", "ramp"):
+            err = assert_refused(["sim", command, *chain, "--out", tmp_path / command],
+                                 capsys, 2)
+            assert "mu_tilde must be 0" in err
 
     def test_charge_scan_steps_cap_exit_5(self, tmp_path, capsys):
         assert_refused(["sim", "charge-scan", "--sites", "2", "--lmax", "1",

@@ -131,12 +131,9 @@ class TestPropagate:
             assert norm == pytest.approx(1.0, abs=1e-9)
             assert 0.0 <= kappa <= 0.5
 
-    def test_rejects_bad_dt_and_mu(self):
+    def test_rejects_bad_dt(self):
         with pytest.raises(ValueError):
             propagate(TWO_SITE, RampSchedule(0.0, 0.5, duration=1.0), dt=0.0)
-        with pytest.raises(ValueError):
-            propagate(ChainSpec(2, 1, mu_tilde=0.5),
-                      RampSchedule(0.0, 0.5, duration=1.0), dt=0.1)
 
     @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_dt(self, dt):

@@ -1,6 +1,6 @@
 import itertools
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -40,9 +40,9 @@ from conftest import (
 )
 
 
-def whole_space(build, spec):
+def whole_space(build, spec, *args):
     """A library builder's operator on every code of the product space."""
-    return build(spec, all_codes(spec))
+    return build(spec, all_codes(spec), *args)
 
 
 class TestChainSpec:
@@ -63,12 +63,17 @@ class TestChainSpec:
 
     @pytest.mark.parametrize("field, value", [
         ("n_sites", 2.5), ("n_sites", True), ("n_sites", 2.0), ("l_max", False),
-        ("kappa", math.nan), ("kappa", math.inf), ("mu_tilde", math.nan),
-        ("mu_tilde", -math.inf),
+        ("kappa", math.nan), ("kappa", math.inf),
     ])
     def test_rejects_non_integral_or_non_finite(self, field, value):
         with pytest.raises(InvalidSpecError):
             ChainSpec(**{"n_sites": 2, "l_max": 1, field: value})
+
+    def test_fields_describe_the_hamiltonian_alone(self):
+        # mu_tilde is an argument of spectrum, ground_state and build_grand_canonical
+        assert [f.name for f in fields(ChainSpec)] == ["n_sites", "l_max", "kappa", "boundary"]
+        with pytest.raises(TypeError):
+            ChainSpec(2, 1, mu_tilde=0.5)
 
     def test_dimension_cap(self, monkeypatch):
         with pytest.raises(DimensionCapError):
@@ -259,13 +264,13 @@ class TestCharge:
 
 class TestGrandCanonical:
     def test_zero_mu_identical(self):
-        spec = ChainSpec(2, 1, kappa=0.7, mu_tilde=0.0)
+        spec = ChainSpec(2, 1, kappa=0.7)
         h = whole_space(build_hamiltonian, spec)
-        gc = whole_space(build_grand_canonical, spec)
+        gc = whole_space(build_grand_canonical, spec, 0.0)
         assert abs(h.matrix - gc.matrix).max() == 0.0
 
     def test_single_site_level_crossing(self):
-        gc = dense(whole_space(build_grand_canonical, ChainSpec(1, 1, kappa=0.0, mu_tilde=3.0)))
+        gc = dense(whole_space(build_grand_canonical, ChainSpec(1, 1, kappa=0.0), 3.0))
         vals = np.linalg.eigvalsh(gc)
         assert vals[0] == pytest.approx(-1.0, abs=1e-14)
         # the ground state is the maximal-m member of the l=1 triplet
@@ -273,11 +278,9 @@ class TestGrandCanonical:
 
     def test_mu_sign_flip_preserves_spectrum(self):
         up = np.linalg.eigvalsh(dense(whole_space(
-            build_grand_canonical,
-            ChainSpec(2, 1, kappa=0.5, mu_tilde=0.8))))
+            build_grand_canonical, ChainSpec(2, 1, kappa=0.5), 0.8)))
         down = np.linalg.eigvalsh(dense(whole_space(
-            build_grand_canonical,
-            ChainSpec(2, 1, kappa=0.5, mu_tilde=-0.8))))
+            build_grand_canonical, ChainSpec(2, 1, kappa=0.5), -0.8)))
         assert np.allclose(up, down, atol=1e-12)
 
 
@@ -343,18 +346,22 @@ def sectors_of(spec):
     return [(m, sector_basis(spec, m), indices) for m, indices in oracle.items()]
 
 
+# (spec, mu_tilde) pairs
 GRAND_CANONICAL_SPECS = [
-    ChainSpec(3, 1, kappa=0.7, mu_tilde=0.7),
-    ChainSpec(4, 1, kappa=0.7, boundary="periodic", mu_tilde=-0.7),
-    ChainSpec(3, 2, kappa=0.7, mu_tilde=1.3),
-    ChainSpec(2, 3, kappa=0.0, mu_tilde=-0.45),
-    ChainSpec(3, 1, kappa=0.0, mu_tilde=2.0),  # L^2 - mu M = 0 on some states
+    (ChainSpec(3, 1, kappa=0.7), 0.7),
+    (ChainSpec(4, 1, kappa=0.7, boundary="periodic"), -0.7),
+    (ChainSpec(3, 2, kappa=0.7), 1.3),
+    (ChainSpec(2, 3, kappa=0.0), -0.45),
+    (ChainSpec(3, 1, kappa=0.0), 2.0),  # L^2 - mu M = 0 on some states
 ]
-SOLVED_SPECS = GRAND_CANONICAL_SPECS + [replace(s, mu_tilde=0.0) for s in GRAND_CANONICAL_SPECS]
+SOLVED_SPECS = GRAND_CANONICAL_SPECS + [(s, 0.0) for s, _ in GRAND_CANONICAL_SPECS]
 
 
-def solved_id(spec):
-    return f"{spec.n_sites}x{spec.l_max}-k{spec.kappa}-mu{spec.mu_tilde}"
+def solved_id(spec, mu_tilde):
+    return f"{spec.n_sites}x{spec.l_max}-k{spec.kappa}-mu{mu_tilde}"
+
+
+SOLVED_IDS = [solved_id(*case) for case in SOLVED_SPECS]
 
 
 class TestSectorBlocksAgainstFullSpaceOracle:
@@ -393,12 +400,12 @@ class TestSectorBlocksAgainstFullSpaceOracle:
     @pytest.mark.parametrize("mu_tilde", [0.7, -1.3])
     @pytest.mark.parametrize("geometry", geometries(), ids=spec_id)
     def test_charge_and_grand_canonical(self, geometry, mu_tilde):
-        spec = replace(geometry, kappa=0.7, mu_tilde=mu_tilde)
-        charge, grand = oracle_charge(spec), oracle_grand_canonical(spec)
+        spec = replace(geometry, kappa=0.7)
+        charge, grand = oracle_charge(spec), oracle_grand_canonical(spec, mu_tilde)
         for m, codes, indices in sectors_of(spec):
             assert_same_csr(build_charge(spec, codes), charge.restrict(indices))
-            assert_same_csr(build_grand_canonical(spec, codes), grand.restrict(indices))
-        assert_same_csr(whole_space(build_grand_canonical, spec), grand)
+            assert_same_csr(build_grand_canonical(spec, codes, mu_tilde), grand.restrict(indices))
+        assert_same_csr(whole_space(build_grand_canonical, spec, mu_tilde), grand)
 
     @pytest.mark.parametrize("spec", [g for g in geometries() if g.boundary == "open"],
                              ids=spec_id)
@@ -411,8 +418,8 @@ class TestSectorBlocksAgainstFullSpaceOracle:
                 (block,) = direction_dots(spec, codes, [pair])
                 assert_same_csr(SparseOperator(len(codes), block), full.restrict(indices))
 
-    @pytest.mark.parametrize("spec", SOLVED_SPECS, ids=solved_id)
-    def test_spectrum_solves_the_hamiltonian_blocks_once(self, spec, monkeypatch):
+    @pytest.mark.parametrize("spec, mu_tilde", SOLVED_SPECS, ids=SOLVED_IDS)
+    def test_spectrum_solves_the_hamiltonian_blocks_once(self, spec, mu_tilde, monkeypatch):
         import rotorsim.spectra
 
         solved = []
@@ -421,16 +428,16 @@ class TestSectorBlocksAgainstFullSpaceOracle:
             solved.append(block)
             return _solve(block, k)
         monkeypatch.setattr(rotorsim.spectra, "lowest_eigenpairs", recording)
-        rotorsim.spectra.spectrum(spec, k=3)
+        rotorsim.spectra.spectrum(spec, k=3, mu_tilde=mu_tilde)
         full, sectors = oracle_hamiltonian(spec), oracle_sectors(spec)
         assert len(solved) == spec.n_sites * spec.l_max + 1
         for m, block in enumerate(solved):
             assert_same_csr(block, full.restrict(sectors[m]))
 
-    @pytest.mark.parametrize("spec", SOLVED_SPECS, ids=solved_id)
-    def test_spectrum_levels_are_grand_canonical_levels(self, spec):
-        res = spectrum(spec, k=8)
-        full, sectors = oracle_grand_canonical(spec), oracle_sectors(spec)
+    @pytest.mark.parametrize("spec, mu_tilde", SOLVED_SPECS, ids=SOLVED_IDS)
+    def test_spectrum_levels_are_grand_canonical_levels(self, spec, mu_tilde):
+        res = spectrum(spec, k=8, mu_tilde=mu_tilde)
+        full, sectors = oracle_grand_canonical(spec, mu_tilde), oracle_sectors(spec)
         assert res.eigenvectors is None
         lowest = np.linalg.eigvalsh(full.matrix.toarray())[:8]
         assert np.abs(res.eigenvalues - lowest).max() < 1e-10

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import rotorsim.spectra
-from rotorsim.lattice import (ChainSpec, DimensionCapError, build_charge, build_hamiltonian,
-                              sector_basis)
+from rotorsim.lattice import (ChainSpec, DimensionCapError, InvalidSpecError, build_charge,
+                              build_hamiltonian, sector_basis)
 from rotorsim.spectra import (
     DEGENERACY_TOL,
     ChargeScan,
@@ -54,9 +54,8 @@ def dense_gap(spec):
 
 def grand_canonical_ground(spec, mu):
     """Independent oracle: ground energy and <Q> of the dense H - mu Q."""
-    gc = replace(spec, mu_tilde=mu)
-    vals, vecs = np.linalg.eigh(oracle_grand_canonical(gc).matrix.toarray())
-    charge = np.vdot(vecs[:, 0], oracle_charge(gc).matrix @ vecs[:, 0])
+    vals, vecs = np.linalg.eigh(oracle_grand_canonical(spec, mu).matrix.toarray())
+    charge = np.vdot(vecs[:, 0], oracle_charge(spec).matrix @ vecs[:, 0])
     return vals[0], charge.real
 
 
@@ -143,22 +142,28 @@ class TestSpectrum:
         with pytest.raises(ValueError, match=f"k={k}$"):
             spectrum(ChainSpec(2, 1), k=k)
 
+    @pytest.mark.parametrize("mu", [math.nan, -math.inf])
+    @pytest.mark.parametrize("solve", [lambda spec, mu: spectrum(spec, 1, mu), ground_state],
+                             ids=["spectrum", "ground_state"])
+    def test_rejects_non_finite_mu(self, solve, mu):
+        with pytest.raises(InvalidSpecError, match="mu_tilde must be a finite number"):
+            solve(ChainSpec(2, 1), mu)
+
     @pytest.mark.parametrize("mu", [0.0, 0.7])
     def test_vectors_are_real(self, mu):
-        spec = ChainSpec(2, 2, kappa=1.0, mu_tilde=mu)
-        assert ground_state(spec)[2].dtype == np.float64
+        assert ground_state(ChainSpec(2, 2, kappa=1.0), mu)[2].dtype == np.float64
 
     def test_rounding_noise_ties_are_ordered_by_label(self):
         # 4.8 five times: the three E = 8.8 levels of M = 2 and the two E = 6.8
         # levels of M = 1, shifted by -2M; the computed values differ by ~1e-15
-        spec = ChainSpec(3, 1, kappa=0.7, mu_tilde=2.0)
-        res = spectrum(spec, k=20)
+        spec, mu = ChainSpec(3, 1, kappa=0.7), 2.0
+        res = spectrum(spec, k=20, mu_tilde=mu)
         tied = np.abs(res.eigenvalues - 4.8) < 1e-10
         assert list(res.sector_labels[tied]) == [1, 1, 2, 2, 2]
         # the levels themselves are the sector solves' levels, bit for bit
         levels = []
         for m in range(spec.n_sites * spec.l_max + 1):
-            levels += [(e - spec.mu_tilde * label, label)
+            levels += [(e - mu * label, label)
                        for e in rotorsim.spectra._solve_sector(spec, m, 20)[1].eigenvalues
                        for label in ((m, -m) if m else (0,))]
         assert sorted(zip(res.eigenvalues, res.sector_labels)) == sorted(levels)[:20]
@@ -175,9 +180,8 @@ class TestGroundState:
     @pytest.mark.parametrize("mu", [0.7, -0.7, 2.5, -2.5])
     @pytest.mark.parametrize("spec", [ChainSpec(3, 1, kappa=1.0), ChainSpec(2, 2, kappa=1.0)])
     def test_matches_grand_canonical_diagonalization(self, spec, mu):
-        spec = replace(spec, mu_tilde=mu)
-        energy, vec = full_ground_state(spec)
-        label = spectrum(spec, k=1).sector_labels[0]
+        energy, vec = full_ground_state(spec, mu)
+        label = spectrum(spec, k=1, mu_tilde=mu).sector_labels[0]
         expected_energy, _ = grand_canonical_ground(spec, mu)
         assert energy == pytest.approx(expected_energy, abs=1e-10)
         assert np.vdot(vec, build_charge(spec, all_codes(spec)).matrix @ vec) == pytest.approx(
@@ -185,9 +189,9 @@ class TestGroundState:
 
     def test_tie_goes_to_the_most_negative_charge(self):
         # at kappa = 0, mu = -2 the sectors M = 0, -1, -2 share the ground energy 0
-        spec = ChainSpec(2, 1, kappa=0.0, mu_tilde=-2.0)
-        assert spectrum(spec, k=1).sector_labels[0] == -2
-        energy, vec = full_ground_state(spec)
+        spec = ChainSpec(2, 1, kappa=0.0)
+        assert spectrum(spec, k=1, mu_tilde=-2.0).sector_labels[0] == -2
+        energy, vec = full_ground_state(spec, -2.0)
         assert energy == 0.0
         assert np.vdot(vec, build_charge(spec, all_codes(spec)).matrix @ vec) == -2.0
 
@@ -248,10 +252,6 @@ class TestMassGap:
             lo, _ = mass_gap(ChainSpec(2, 1, kappa=float(kappa)))
             hi, _ = mass_gap(ChainSpec(2, 1, kappa=float(kappa) + 1e-4))
             assert abs(hi - lo) < 1e-2
-
-    def test_rejects_nonzero_mu(self):
-        with pytest.raises(ValueError):
-            mass_gap(ChainSpec(2, 1, kappa=0.5, mu_tilde=0.3))
 
     @pytest.mark.parametrize("spec", [
         ChainSpec(4, 1, kappa=0.0),
@@ -400,11 +400,6 @@ class TestChargeScan:
             charge_scan(spec, [1.0, 0.5])
         with pytest.raises(ValueError):
             charge_scan(spec, [-0.5, 0.5])
-
-    def test_rejects_nonzero_mu(self):
-        # the grid sets mu; a spec that carries its own would be ignored
-        with pytest.raises(ValueError, match="mu_tilde must be 0"):
-            charge_scan(ChainSpec(2, 1, kappa=1.0, mu_tilde=1.5), np.linspace(0.0, 3.0, 3))
 
     def test_rejects_grid_whose_charge_term_overflows(self):
         # M reaches N l_max = 2: 2 * 1.7e308 overflows, 2 * 8e307 does not
