@@ -21,6 +21,7 @@ import argparse
 import json
 import math
 import sys
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,7 @@ from . import design
 from .design import SCAN_PARAMETERS, DesignError, Environment, Geometry
 from .dynamics import RampSchedule, propagate
 from .lattice import ChainSpec, DimensionCapError
-from .serialize import write_csv, write_json
+from .serialize import Table, write_csv, write_json
 from .spectra import NonConvergenceError, charge_scan, correlation_profile, mass_gap, spectrum
 
 EXIT_OK = 0
@@ -137,11 +138,11 @@ def cmd_design_report(args) -> int:
 
 def cmd_design_scan(args) -> int:
     geom, env = _resolve_geometry(args)
-    rows = design.scan(geom, env, args.parameter, args.start, args.stop, args.steps)
-    header = list(rows[0].keys())
+    # one Table in both files, so its float cells are formatted once
+    rows = Table(design.scan(geom, env, args.parameter, args.start, args.stop, args.steps))
     _write(args, "design_scan",
            {"config": _geometry_doc(geom, env), "parameter": args.parameter, "rows": rows},
-           header, [[row[h] for h in header] for row in rows])
+           list(rows[0]), rows.csv_rows())
     print(f"wrote {len(rows)} scan rows")
     return EXIT_OK
 
@@ -268,11 +269,23 @@ def _add_geometry_flags(parser):
                             help=f"{attr.replace('_', ' ')}, {unit}")
 
 
+def _add_chain_flags(parser):
+    parser.add_argument("--config", help="chain spec JSON file")
+    parser.add_argument("--sites", type=int)
+    parser.add_argument("--lmax", type=int)
+    parser.add_argument("--kappa", type=float)
+    parser.add_argument("--mu", type=float, help="chemical potential mu_tilde; spectrum only")
+    parser.add_argument("--boundary", choices=["open", "periodic"])
+    parser.add_argument("--from-geometry", dest="from_geometry",
+                        help="derive kappa and mu from a geometry JSON file")
+
+
 def _add_common_flags(parser):
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--format", choices=["json", "csv", "both"], default="both")
 
 
+@cache  # built once per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="rotorsim", description=__doc__)
     top = parser.add_subparsers(dest="command", required=True)
@@ -297,26 +310,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.set_defaults(func=cmd_design_scan)
 
     p_sim = top.add_parser("sim", help="chain simulation")
-    p_sim.add_argument("subcommand",
-                       choices=["spectrum", "gap", "charge-scan", "correlation", "ramp"])
-    p_sim.add_argument("--config", help="chain spec JSON file")
-    p_sim.add_argument("--sites", type=int)
-    p_sim.add_argument("--lmax", type=int)
-    p_sim.add_argument("--kappa", type=float)
-    p_sim.add_argument("--mu", type=float, help="chemical potential mu_tilde; spectrum only")
-    p_sim.add_argument("--boundary", choices=["open", "periodic"])
-    p_sim.add_argument("--from-geometry", dest="from_geometry",
-                       help="derive kappa and mu from a geometry JSON file")
-    p_sim.add_argument("--k", type=int, default=6, help="levels for spectrum")
-    p_sim.add_argument("--mu-start", type=finite_float, default=0.0)
-    p_sim.add_argument("--mu-stop", type=finite_float, default=4.0)
-    p_sim.add_argument("--mu-steps", type=int, default=17)
-    p_sim.add_argument("--kappa-end", type=float, default=0.5)
-    p_sim.add_argument("--duration", type=float, default=100.0)
-    p_sim.add_argument("--dt", type=float, default=0.05)
-    p_sim.add_argument("--shape", choices=["linear", "smoothstep"], default="linear")
-    _add_common_flags(p_sim)
-    p_sim.set_defaults(func=cmd_sim)
+    sim_sub = p_sim.add_subparsers(dest="subcommand", required=True)
+    # each command takes the chain flags and only the flags it reads; no
+    # abbreviations, so --k cannot stand for --kappa where --k is not taken
+    sim = {name: sim_sub.add_parser(name, help=text, allow_abbrev=False) for name, text in [
+        ("spectrum", "low-lying levels"), ("gap", "mass gap and degeneracy"),
+        ("charge-scan", "ground-state charge vs chemical potential"),
+        ("correlation", "correlation profile from the central site"),
+        ("ramp", "adiabatic switch-on propagation")]}
+    for p_cmd in sim.values():
+        _add_chain_flags(p_cmd)
+        _add_common_flags(p_cmd)
+        p_cmd.set_defaults(func=cmd_sim)
+    sim["spectrum"].add_argument("--k", type=int, default=6, help="number of levels")
+    sim["charge-scan"].add_argument("--mu-start", type=finite_float, default=0.0)
+    sim["charge-scan"].add_argument("--mu-stop", type=finite_float, default=4.0)
+    sim["charge-scan"].add_argument("--mu-steps", type=int, default=17)
+    sim["ramp"].add_argument("--kappa-end", type=float, default=0.5)
+    sim["ramp"].add_argument("--duration", type=float, default=100.0)
+    sim["ramp"].add_argument("--dt", type=float, default=0.05)
+    sim["ramp"].add_argument("--shape", choices=["linear", "smoothstep"], default="linear")
 
     return parser
 

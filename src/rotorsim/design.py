@@ -172,32 +172,44 @@ class FeasibilityReport:
     overall_verdict: str
 
 
-def capacitance_denominator(geom: Geometry) -> float:
+def _wire_log(geom):
+    """ln(dx/delta), the logarithm of the long wires."""
+    return _each(math.log, geom.lattice_spacing / geom.wire_radius)
+
+
+def capacitance_denominator(geom: Geometry, wire_log=None) -> float:
     """Capacitance length 4*alpha + dx/ln(dx/delta), in meters.
 
     The first addend comes from the conducting spheres, the second from
-    the long wires.
+    the long wires. wire_log is ln(dx/delta) when the caller has it.
     """
-    log_ratio = _each(math.log, geom.lattice_spacing / geom.wire_radius)
-    return 4.0 * geom.conducting_sphere_radius + geom.lattice_spacing / log_ratio
+    if wire_log is None:
+        wire_log = _wire_log(geom)
+    return 4.0 * geom.conducting_sphere_radius + geom.lattice_spacing / wire_log
 
 
-def interaction_strength(geom: Geometry) -> float:
+# interaction_strength, effective_speed and effective_coupling take
+# capacitance_denominator(geom) as `denominator` when the caller has it
+def interaction_strength(geom: Geometry, denominator=None) -> float:
     """Image-charge bond coefficient K in J/m^2: V(r, r') = K (r' - r)^2."""
+    if denominator is None:
+        denominator = capacitance_denominator(geom)
     return (
         CODATA2018.coulomb_factor
         * _each(pow, geom.conducting_sphere_radius, 2)
-        / (_each(pow, geom.sphere_gap, 4) * capacitance_denominator(geom))
+        / (_each(pow, geom.sphere_gap, 4) * denominator)
     )
 
 
-def effective_speed(geom: Geometry) -> float:
+def effective_speed(geom: Geometry, denominator=None) -> float:
     """Propagation speed of chain excitations, m/s.
 
     Evaluated directly from the geometry; equals
     dx * sqrt(2 K / m) with K = interaction_strength(geom), which the
     test suite checks as an independent route.
     """
+    if denominator is None:
+        denominator = capacitance_denominator(geom)
     ratio = (
         2.0
         * _each(pow, geom.conducting_sphere_radius, 2)
@@ -205,15 +217,17 @@ def effective_speed(geom: Geometry) -> float:
         / _each(pow, geom.sphere_gap, 4)
     )
     return CODATA2018.light_speed * _each(
-        math.sqrt, CODATA2018.classical_electron_radius * ratio / capacitance_denominator(geom)
+        math.sqrt, CODATA2018.classical_electron_radius * ratio / denominator
     )
 
 
-def effective_coupling(geom: Geometry) -> float:
+def effective_coupling(geom: Geometry, denominator=None) -> float:
     """Dimensionless coupling g_eff of the emergent N=3 sigma model."""
+    if denominator is None:
+        denominator = capacitance_denominator(geom)
     inner = (
         CODATA2018.bohr_radius
-        * capacitance_denominator(geom)
+        * denominator
         / (2.0 * _each(pow, geom.conducting_sphere_radius, 2))
     )
     return (math.sqrt(3.0) * (geom.sphere_gap / geom.insulating_sphere_radius)
@@ -243,12 +257,12 @@ def chemical_potential(magnetic_field: float) -> float:
     )
 
 
-def _inductance_ratio(geom, c_eff):
+def _inductance_ratio(geom, c_eff, wire_log):
     return (
         4.0
         * (geom.conducting_sphere_radius / geom.lattice_spacing)
         * _each(pow, c_eff / CODATA2018.light_speed, 2)
-        * _each(math.log, geom.lattice_spacing / geom.wire_radius)
+        * wire_log
     )
 
 
@@ -322,11 +336,15 @@ def _hierarchy_ratios(geom, scale):
     ]
 
 
-def effective_params(geom: Geometry) -> EffectiveParams:
-    """Evaluate every derived parameter for one geometry, each formula once."""
-    strength = interaction_strength(geom)
-    speed = effective_speed(geom)
-    coupling = effective_coupling(geom)
+def effective_params(geom: Geometry, wire_log=None) -> EffectiveParams:
+    """Evaluate every derived parameter for one geometry, each formula once.
+
+    wire_log is ln(dx/delta) when the caller has it.
+    """
+    denominator = capacitance_denominator(geom, wire_log)
+    strength = interaction_strength(geom, denominator)
+    speed = effective_speed(geom, denominator)
+    coupling = effective_coupling(geom, denominator)
     scale = _each(math.exp, -2.0 * math.pi / _each(pow, coupling, 2)) / geom.lattice_spacing
     gap = CODATA2018.hbar * speed * scale
     return EffectiveParams(
@@ -352,9 +370,10 @@ def _report(geom, env):
     """feasibility of floats; of arrays when one field of geom or env is an array."""
     # arithmetic that leaves the float range is invalid input, not a crash
     try:
-        eff = effective_params(geom)
+        wire_log = _wire_log(geom)
+        eff = effective_params(geom, wire_log)
         ratios = _hierarchy_ratios(geom, eff.dynamical_scale)
-        ind_ratio = _inductance_ratio(geom, eff.effective_speed)
+        ind_ratio = _inductance_ratio(geom, eff.effective_speed, wire_log)
     except (ZeroDivisionError, OverflowError):
         raise DesignError("geometry", f"formulas divide by zero or overflow for {geom}") from None
     try:

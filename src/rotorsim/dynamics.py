@@ -156,8 +156,12 @@ def propagate(spec: ChainSpec, schedule: RampSchedule, dt: float,
     step is the two-half-step result. Fidelity is measured against the
     exact ground state at kappa_end. A ramp whose kappa * B is not finite,
     or whose adiabatic ratio could overflow (_check_rate), is refused
-    (ValueError) before any diagonalization.
+    (ValueError) before any diagonalization, and so is a spec whose kappa
+    is not the schedule's kappa_start.
     """
+    if spec.kappa != schedule.kappa_start:
+        raise ValueError(f"the ramp starts at kappa_start = {schedule.kappa_start!r}, "
+                         f"not at the spec's kappa = {spec.kappa!r}")
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be positive and finite, got {dt}")
     _step_count(schedule.duration, dt)  # refuse before anything is built

@@ -10,10 +10,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from rotorsim import bundled_config
-from rotorsim.cli import main
+from rotorsim.cli import build_parser, main
 from rotorsim.design import SCAN_PARAMETERS, SCAN_STEPS_CAP
 
 from conftest import oracle_csv_text, oracle_json_text
+
+
+def test_parser_is_built_once_per_process():
+    assert build_parser() is build_parser()
 
 
 def run(argv):
@@ -397,6 +401,23 @@ class TestCapsAndExtremeInput:
         assert "mu_tilde must be 0" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command, flag", [
+        ("gap", "--k=50"), ("gap", "--dt=7"), ("correlation", "--mu-steps=3"),
+        ("spectrum", "--kappa-end=9"), ("charge-scan", "--shape=smoothstep"),
+        ("ramp", "--k=3"), ("ramp", "--mu-start=0")])
+    def test_flag_the_command_does_not_read_exit_2(self, tmp_path, capsys, command, flag):
+        # no prefix matching either: --k is not --kappa where only --kappa exists
+        err = assert_refused(["sim", command, "--sites", "2", "--lmax", "1", flag,
+                              "--out", tmp_path / "out"], capsys, 2)
+        assert f"unrecognized arguments: {flag}" in err
+
+    def test_every_ignored_flag_is_named(self, tmp_path, capsys):
+        flags = ["--k", "50", "--mu-steps", "3", "--kappa-end", "9", "--shape", "smoothstep",
+                 "--dt", "7"]
+        err = assert_refused(["sim", "gap", "--sites", "2", "--lmax", "1", *flags,
+                              "--out", tmp_path / "out"], capsys, 2)
+        assert "unrecognized arguments: " + " ".join(flags) in err
+
     def test_nonzero_mu_in_config_outside_spectrum_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "chain.json", {"sites": 2, "lmax": 1, "mu": 0.7})
         err = assert_refused(["sim", "gap", "--config", cfg, "--out", tmp_path / "out"],
@@ -506,6 +527,11 @@ SIM_FLOATS = st.one_of(EXTREME_FLOATS, st.sampled_from([1e300, 1e308, 1.7e308]),
 MICRO_GEOMETRY = json.loads(bundled_config("micro").read_text())
 
 
+# the flags of each sim command besides the chain flags and --out/--format
+OWN_FLAGS = {"spectrum": {"--k"}, "charge-scan": {"--mu-start", "--mu-stop", "--mu-steps"},
+             "ramp": {"--kappa-end", "--duration", "--dt", "--shape"}}
+
+
 @st.composite
 def sim_argv(draw):
     """(argv, geometry document or None) for a small chain and hostile floats."""
@@ -526,6 +552,9 @@ def sim_argv(draw):
     dt = draw(SIM_FLOATS)
     steps = draw(st.one_of(st.integers(1, 3), st.integers(PROPERTY_STEP_CAP + 1, 10**13)))
     argv += [f"--dt={dt!r}", f"--duration={dt * steps!r}"]
+    # each command gets the chain flags and its own; the rest would be refused with 2
+    foreign = set().union(*OWN_FLAGS.values()) - OWN_FLAGS.get(argv[1], set())
+    argv = [arg for arg in argv if arg.split("=", 1)[0] not in foreign]
     geometry = None
     if draw(st.booleans()):
         geometry = {**MICRO_GEOMETRY, **draw(st.dictionaries(

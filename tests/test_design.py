@@ -483,12 +483,13 @@ class TestCallCounts:
     def test_feasibility_evaluates_each_formula_once(self, micro, monkeypatch):
         counts = {name: counting(monkeypatch, name)
                   for name in ("effective_speed", "effective_coupling",
-                               "capacitance_denominator", "interaction_strength")}
+                               "capacitance_denominator", "interaction_strength", "_wire_log")}
         feasibility(micro, Environment(temperature=1e-5, magnetic_field=1e-4))
         assert len(counts["effective_speed"]) == 1
         assert len(counts["effective_coupling"]) == 1
         assert len(counts["interaction_strength"]) == 1
-        assert len(counts["capacitance_denominator"]) <= 3
+        assert len(counts["capacitance_denominator"]) == 1
+        assert len(counts["_wire_log"]) == 1
 
     def test_scan_evaluates_a_finite_grid_once(self, micro, monkeypatch):
         point_reports = counting(monkeypatch, "feasibility")

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -93,9 +94,14 @@ class TestRampSchedule:
 
 class TestPropagate:
     def test_stationary_state(self):
-        result = propagate(TWO_SITE, RampSchedule(0.3, 0.3, duration=25.0), dt=0.1)
+        result = propagate(ChainSpec(2, 1, kappa=0.3), RampSchedule(0.3, 0.3, duration=25.0),
+                           dt=0.1)
         assert result.final_fidelity == pytest.approx(1.0, abs=1e-8)
         assert result.norm_drift < 1e-9
+
+    def test_refuses_a_spec_kappa_other_than_kappa_start(self):
+        with pytest.raises(ValueError, match="kappa_start = 0.0, not at the spec's kappa = 0.7"):
+            propagate(ChainSpec(2, 1, kappa=0.7), RampSchedule(0.0, 0.5, duration=1.0), dt=0.05)
 
     def test_slow_ramp_stays_in_ground_state(self):
         result = propagate(TWO_SITE, RampSchedule(0.0, 0.5, duration=200.0), dt=0.05)
@@ -170,6 +176,7 @@ class TestSectorPropagator:
         RampSchedule(0.1, 0.9, duration=1.5, shape="smoothstep"),
     ])
     def test_matches_full_space(self, spec, schedule):
+        spec = replace(spec, kappa=schedule.kappa_start)
         result = propagate(spec, schedule, dt=0.3, record_trace=True, trace_stride=2)
         fidelity, n_steps, step_dt, trace = full_space_ramp(spec, schedule, 0.3, 2)
         assert result.step_count == n_steps

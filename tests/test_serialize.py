@@ -1,5 +1,6 @@
 """The writer against the stdlib oracle it replaced: the same bytes, case by case."""
 
+import json
 import math
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from rotorsim.serialize import to_csv_text, to_json_text, write_csv, write_json
+from rotorsim import serialize
+from rotorsim.serialize import Table, to_csv_text, to_json_text, write_csv, write_json
 
 from conftest import oracle_csv_text, oracle_json_text
 
@@ -194,3 +196,88 @@ TABLES = st.lists(st.sampled_from(COLUMNS), min_size=1, max_size=4).flatmap(
 @given(TABLES)
 def test_csv_matches_oracle_on_one_signature_tables(rows):
     assert_same_csv(["c"] * (len(rows[0]) if rows else 1), rows)
+
+
+# --- the column path: one "%.9g" pass per float column ----------------------
+
+# HARD_FLOATS and the edges of the cases where "%.9g" is not the JSON literal
+EDGE_FLOATS = HARD_FLOATS + [99999999.95, 1e8, 1e17, 9.99999999e16, 12345678.95,
+                             0.99999999995, 2.2250738585072014e-308]
+
+
+def assert_same_table(rows):
+    """Dict rows through to_json_text, their values through to_csv_text, plain and as a Table."""
+    header = list(rows[0]) if rows else []
+    lists = [list(row.values()) for row in rows]
+    assert_same_json({"rows": rows})
+    assert_same_csv(header, lists)
+    table = Table(rows)
+    assert to_csv_text(header, table.csv_rows()) == oracle_csv_text(header, lists)
+    assert to_json_text({"rows": table}) == oracle_json_text({"rows": rows})
+
+
+class TestColumns:
+    def test_edge_floats_in_a_2000_row_table(self):
+        values = (EDGE_FLOATS * (2000 // len(EDGE_FLOATS) + 1))[:2000]
+        rows = [{"x": v, "verdict": "pass" if i % 3 else "warn"} for i, v in enumerate(values)]
+        assert_same_table(rows)
+        assert_same_table([{"x": -v, "verdict": "fail"} for v in values])
+
+    def test_repeated_value_columns(self):
+        for value in (0.0, -0.0, math.nan, math.inf, 1e8, 0.1):
+            assert_same_table([{"c": value, "x": float(i)} for i in range(50)])
+        # equal but for the sign of zero, so not one repeated value
+        assert_same_table([{"c": 0.0}] * 3 + [{"c": -0.0}])
+
+    def test_literal_rule_on_random_bit_patterns_integers_and_decades(self):
+        rng = np.random.default_rng(20261019)
+        values = np.concatenate([
+            rng.integers(0, 2**64, 100_000, dtype=np.uint64).view(np.float64),
+            rng.uniform(-1e10, 1e10, 50_000),
+            rng.integers(-10**9, 10**9, 20_000).astype(float),
+            10.0 ** rng.uniform(-320, 308, 20_000),
+            np.array(EDGE_FLOATS)])
+        cells = serialize._format9(values.tolist())
+        literals = serialize._json_floats(values, cells)
+        assert literals == [json.dumps(float(cell)) for cell in cells]
+
+    def test_a_table_formats_each_float_cell_once(self, monkeypatch):
+        formatted = []
+
+        def counting(values):
+            formatted.append(len(values))
+            return format9(values)
+        format9 = serialize._format9
+        monkeypatch.setattr(serialize, "_format9", counting)
+        rows = [{"x": i / 7, "zero": 0.0, "n": i, "verdict": "pass"} for i in range(300)]
+        table = Table(rows)
+        header = list(rows[0])
+        lists = [list(row.values()) for row in rows]
+        assert to_csv_text(header, table.csv_rows()) == oracle_csv_text(header, lists)
+        assert to_json_text({"config": {}, "rows": table}) == oracle_json_text(
+            {"config": {}, "rows": rows})
+        # x cell by cell, the repeated zero once; the empty config formats nothing
+        assert sorted(formatted) == [0, 1, 300]
+
+    def test_rows_that_are_not_one_table_keep_the_row_path(self):
+        assert_same_csv(["a"], [[0.0], [0.0, 0.0]])
+        assert_same_csv(["a", "b"], [[0.5, "x"], (0.25, "y"), [np.float64(0.1), "z"]])
+        assert_same_csv(["a", "b"], [[1.5, "a,b"], [2.5, "q"], [3.5, 'say "hi"']])
+        assert_same_table([{"a": 1.5, "b": "a,b"}, {"a": 2.5, "b": "\n"}])
+        assert_same_table([{"a": 1.5, "b": np.float32(0.1)}, {"a": 2.5, "b": 3}])
+
+
+FLOAT_COLUMN = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+CELL_COLUMN = st.one_of(st.sampled_from(["pass", "warn", "fail"]), st.text(max_size=3))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(1, 4).flatmap(lambda width: st.lists(
+    st.tuples(st.lists(st.one_of(FLOAT_COLUMN, st.sampled_from(EDGE_FLOATS)),
+                       min_size=width, max_size=width), CELL_COLUMN),
+    min_size=1, max_size=40)))
+def test_float_columns_match_oracle_through_both_writers(rows):
+    """Rows of float columns beside a string column, through the column path of each writer."""
+    assert_same_table([{**{f"x{j}": v for j, v in enumerate(floats)}, "s": cell}
+                       for floats, cell in rows])
