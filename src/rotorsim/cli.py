@@ -30,7 +30,7 @@ from . import design
 from .design import SCAN_PARAMETERS, DesignError, Environment, Geometry
 from .dynamics import RampSchedule, propagate
 from .lattice import ChainSpec, DimensionCapError
-from .serialize import Table, write_csv, write_json
+from .serialize import write_csv, write_json
 from .spectra import NonConvergenceError, charge_scan, correlation_profile, mass_gap, spectrum
 
 EXIT_OK = 0
@@ -139,11 +139,11 @@ def cmd_design_report(args) -> int:
 def cmd_design_scan(args) -> int:
     geom, env = _resolve_geometry(args)
     # one Table in both files, so its float cells are formatted once
-    rows = Table(design.scan(geom, env, args.parameter, args.start, args.stop, args.steps))
+    table = design.scan(geom, env, args.parameter, args.start, args.stop, args.steps)
     _write(args, "design_scan",
-           {"config": _geometry_doc(geom, env), "parameter": args.parameter, "rows": rows},
-           list(rows[0]), rows.csv_rows())
-    print(f"wrote {len(rows)} scan rows")
+           {"config": _geometry_doc(geom, env), "parameter": args.parameter, "rows": table},
+           table.header, table)
+    print(f"wrote {len(table)} scan rows")
     return EXIT_OK
 
 
@@ -293,14 +293,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_design = top.add_parser("design", help="feasibility analysis")
     design_sub = p_design.add_subparsers(dest="subcommand", required=True)
 
-    p_report = design_sub.add_parser("report", help="single feasibility report")
+    # no abbreviations: --sta is not --start, as in every sim command
+    p_report = design_sub.add_parser("report", help="single feasibility report",
+                                     allow_abbrev=False)
     _add_geometry_flags(p_report)
     _add_common_flags(p_report)
     p_report.add_argument("--strict", action="store_true",
                           help="treat warn verdicts as infeasible")
     p_report.set_defaults(func=cmd_design_report)
 
-    p_scan = design_sub.add_parser("scan", help="one-parameter sweep")
+    p_scan = design_sub.add_parser("scan", help="one-parameter sweep", allow_abbrev=False)
     _add_geometry_flags(p_scan)
     _add_common_flags(p_scan)
     p_scan.add_argument("--parameter", required=True)

@@ -31,6 +31,7 @@ import numpy as np
 
 from .constants import CODATA2018
 from .lattice import DimensionCapError
+from .serialize import Table
 
 __all__ = [
     "DesignError",
@@ -423,8 +424,9 @@ def scan(geom: Geometry, env: Environment, parameter: str, start: float, stop: f
     """Sweep one parameter over [start, stop] and report a summary per step.
 
     Spacing is geometric; a zero start is allowed for temperature and
-    magnetic field only, in which case the spacing is linear. Rows come
-    back in grid order, each a dict of summary columns, equal to
+    magnetic field only, in which case the spacing is linear. The result
+    is a serialize.Table of the summary columns in grid order: float64
+    arrays and the overall_verdict strings. Each of its rows equals
     summary_row of feasibility at that point.
 
     The formulas run once, on the whole grid as an array, with numpy's
@@ -471,12 +473,14 @@ def scan(geom: Geometry, env: Environment, parameter: str, start: float, stop: f
     except (ArithmeticError, ValueError):  # FloatingPointError and DesignError among them
         report = None
     if report is None:
-        return [summary_row(parameter, value, feasibility(*at(value)))
-                for value in values.tolist()]
-    keys = (parameter,) + _EFFECTIVE_COLUMNS + _REPORT_COLUMNS
-    columns = [np.broadcast_to(column, values.shape).tolist()
-               for column in [values] + _row_values(report)]
-    return [dict(zip(keys, row)) for row in zip(*columns)]
+        rows = [[value] + _row_values(feasibility(*at(value))) for value in values.tolist()]
+        columns = [np.array(column) for column in zip(*rows)]
+    else:
+        columns = [np.broadcast_to(column, values.shape)
+                   for column in [values] + _row_values(report)]
+    # every column is a float but the last, overall_verdict
+    return Table((parameter,) + _EFFECTIVE_COLUMNS + _REPORT_COLUMNS,
+                 columns[:-1] + [columns[-1].tolist()])
 
 
 def _row_values(report: FeasibilityReport) -> list:

@@ -9,13 +9,10 @@ arrays by lists. `to_csv_text(header, rows)` writes exactly what
 row with its cells rendered as f"{v:.9g}" for floats, str(int(v)) for
 numpy integers and str(v) for anything else.
 
-The per-value work runs in C. A table, either CSV rows of one length or
-a JSON list of flat dicts sharing one key order, is written column by
-column. A column whose values are all Python floats is formatted by one
-"%.9g" format and one split (once in all when it repeats one value), and
-that one list of strings is both its CSV cells and, but for a few cells,
-its JSON literals. For a float v with s = "%.9g" % v, s is already
-json.dumps(float(s)) unless
+A `Table` stands in both writers for its rows. Each float column is
+formatted by one "%.9g" pass, and those strings are its CSV cells and,
+but for a few, its JSON literals. For a float v with s = "%.9g" % v, s is
+already json.dumps(float(s)) unless
 
 - v is not finite (s is "nan" or "inf", the literals NaN and Infinity),
 - |v| < 1e-290 (a subnormal's shortest repr can have fewer digits), or
@@ -26,49 +23,27 @@ json.dumps(float(s)) unless
 Everywhere else float(s) is a normal double that s names exactly, no
 other decimal of at most 9 digits lies within its spacing of about
 1e-16·|x|, so repr picks s, and both switch to an exponent below 1e-4.
-One numpy mask over the column finds these cells, and each distinct
-flagged string goes through the C encoder once. The other columns are
-rendered per value. A CSV row with a cell that csv.writer may quote is
-written by csv.writer. `Table` lets a caller hand one table to both
-writers, which then format its float columns once between them.
-
-Ragged CSV rows go through a "%" template cached per cell-type
-signature, and any other JSON container of scalars through the C
-encoder at once, its floats rounded by one format and one split and its
-indentation given as the item separator. Python walks only the nesting
-above the scalars.
 """
 
 import csv
 import io
 import json
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import chain, compress, repeat
 
 import numpy as np
 
 SCHEMA_VERSION = 1
-INDENT = "  "
-_NESTED = (dict, list, tuple, np.ndarray)
-_FLOATS = (float, np.floating)
 # JSON-encoded scalars never hold a raw newline, so it splits them apart
 _encode_split = json.JSONEncoder(separators=("\n", ":")).encode
-
-
-@lru_cache(maxsize=None)
-def _encode_leaf(level):
-    """C encoder for a container of scalars at nesting `level`, brackets unindented."""
-    return json.JSONEncoder(separators=(",\n" + INDENT * (level + 1), ": ")).encode
+# stands for a Table in the text json.dumps writes; to_json_text raises
+# ValueError on a document string equal to it
+_TABLE = "\x00rotorsim.serialize.Table\x00"
 
 
 def _format9(values):
     """f"{v:.9g}" of each value, by one format and one split."""
     return (("%.9g " * len(values)) % tuple(values)).split()
-
-
-def _round9_all(values):
-    """float(f"{v:.9g}") of each value."""
-    return list(map(float, _format9(values)))
 
 
 def _float_cells(values):
@@ -77,63 +52,6 @@ def _float_cells(values):
     if (bits == bits[0]).all():
         return _format9(values[:1].tolist()) * len(values)
     return _format9(values.tolist())
-
-
-def _columns(rows):
-    """(columns, cells) of a list of rows of one nonzero length; else None.
-
-    columns[j] holds the values of column j, as a float64 array when all
-    are Python floats and then with cells[j] their "%.9g" strings; else
-    as a tuple, with cells[j] None.
-    """
-    if len(set(map(len, rows))) != 1 or not len(rows[0]):
-        return None
-    columns = [np.array(column) if set(map(type, column)) == {float} else column
-               for column in zip(*rows)]
-    return columns, [_float_cells(column) if isinstance(column, np.ndarray) else None
-                     for column in columns]
-
-
-class Table(list):
-    """Rows of flat dicts sharing one key order, handed to both writers.
-
-    Put the table in the JSON document and pass `table.csv_rows()` to
-    write_csv: the two writers then share one column pass, formed when
-    the first of them runs, so the rows must not change after it. Each
-    iterates like the plain rows it stands for, so any writer reads it.
-    """
-
-    @cached_property
-    def columns(self):
-        return _columns(list(map(dict.values, self)))
-
-    def csv_rows(self):
-        return _TableValues(self)
-
-
-class _TableValues:
-    """A Table's rows as CSV rows: each row's values in key order."""
-
-    def __init__(self, table):
-        self.table = table
-
-    def __iter__(self):
-        return map(dict.values, self.table)
-
-
-def _scalars(values):
-    """The values as the JSON encoder should see them; None if one is a container."""
-    kinds = set(map(type, values))
-    if any(issubclass(kind, _NESTED) for kind in kinds):
-        return None
-    floats = [issubclass(kind, _FLOATS) for kind in kinds]
-    if all(floats):
-        return _round9_all(values)
-    if not any(floats) and not any(issubclass(kind, np.integer) for kind in kinds):
-        return values
-    rounded = iter(_round9_all([v for v in values if isinstance(v, _FLOATS)]))
-    return [next(rounded) if isinstance(v, _FLOATS)
-            else int(v) if isinstance(v, np.integer) else v for v in values]
 
 
 def _json_floats(values, cells):
@@ -150,131 +68,112 @@ def _json_floats(values, cells):
     return list(map(literal.get, cells, cells))
 
 
-def _leaf(container, level):
-    text = _encode_leaf(level)(container)
-    if not container:
-        return text
-    return f"{text[0]}\n{INDENT * (level + 1)}{text[1:-1]}\n{INDENT * level}{text[-1]}"
+class _Row(dict):
+    """One row of a Table: a dict whose iteration yields its cells, as a CSV row's does."""
+
+    def __iter__(self):
+        return iter(self.values())
 
 
-def _keys(keys):
-    """Each dict key as the encoder writes it, quotes included."""
-    text = _encode_split(dict.fromkeys(keys, 0))
-    return [item[:-2] for item in text[1:-1].split("\n")]
+class Table(list):
+    """Rows held as columns under one header, handed to both writers.
+
+    Each column is a float64 array or a list of str, all of one length, and
+    there is at least one. The writers read the columns and share `cells`,
+    so each float is formatted once. Anything else that iterates a table
+    sees its rows, each a dict that iterates as its cells, so it reads as
+    the JSON rows or the CSV rows it stands for; index or compare
+    list(table), as the list itself holds nothing.
+    """
+
+    def __init__(self, header, columns):
+        self.header = list(header)
+        self.columns = columns
+
+    def __len__(self):
+        return len(self.columns[0])
+
+    def __iter__(self):
+        columns = [column.tolist() if isinstance(column, np.ndarray) else column
+                   for column in self.columns]
+        return map(_Row, map(zip, repeat(self.header), zip(*columns)))
+
+    @cached_property
+    def cells(self):
+        """Each column's CSV cells: "%.9g" of each float, the strings as they are."""
+        return [_float_cells(column) if isinstance(column, np.ndarray) else column
+                for column in self.columns]
 
 
-def _rows(rows, level):
-    """A list of flat dicts that share one key order, joined column by column; else None."""
-    if set(map(type, rows)) != {dict} or len(set(map(tuple, rows))) != 1 or not rows[0]:
-        return None
-    columns, cells = rows.columns if isinstance(rows, Table) else _columns(
-        list(map(dict.values, rows)))
-    literals = []
-    for column, column_cells in zip(columns, cells):
-        if column_cells is not None:
-            literals.append(_json_floats(column, column_cells))
-            continue
-        values = _scalars(column)
-        if values is None:
-            return None
-        literals.append(_encode_split(values)[1:-1].split("\n"))
-    outer = "\n" + INDENT * (level + 1)
-    inner = outer + INDENT
-    heads = [("," if j else "{") + inner + key + ": " for j, key in enumerate(_keys(rows[0]))]
-    pieces = chain.from_iterable(zip(map(repeat, heads, repeat(len(rows))), literals))
-    texts = map("".join, zip(*pieces, repeat(outer + "}", len(rows))))
-    return f"[{outer}{(',' + outer).join(texts)}\n{INDENT * level}]"
+def _json_rows(table, newline):
+    """The table's rows as json.dumps(indent=2) writes them, each line after `newline`."""
+    if not len(table):
+        return "[]"
+    outer = newline + "  "
+    inner = outer + "  "
+    heads = [("," if j else "{") + inner + json.dumps(key) + ": "
+             for j, key in enumerate(table.header)]
+    literals = [_json_floats(column, cells) if isinstance(column, np.ndarray)
+                else _encode_split(column)[1:-1].split("\n")
+                for column, cells in zip(table.columns, table.cells)]
+    pieces = chain.from_iterable(zip(map(repeat, heads), literals))
+    texts = map("".join, zip(*pieces, repeat(outer + "}")))
+    return f"[{outer}{(',' + outer).join(texts)}{newline}]"
 
 
-def _encode(obj, level):
-    """obj as json.dumps(..., indent=2) writes it at nesting `level`, floats rounded."""
+def _round9(obj, tables):
+    """obj as json.dumps should see it: floats rounded, each Table collected into `tables`."""
+    if isinstance(obj, (float, np.floating)):
+        return float("%.9g" % obj)
+    if isinstance(obj, (str, int)):  # bool among them
+        return obj
     if isinstance(obj, dict):
-        values = _scalars(list(obj.values()))
-        if values is not None:
-            return _leaf(dict(zip(obj, values)), level)
-        items = [f"{key}: {_encode(value, level + 1)}"
-                 for key, value in zip(_keys(obj), obj.values())]
-        brackets = "{}"
-    elif isinstance(obj, _NESTED):
-        if isinstance(obj, np.ndarray):
-            obj = obj.tolist()
-        values = _scalars(obj)
-        if values is not None:
-            return _leaf(values, level)
-        text = _rows(obj, level)
-        if text is not None:
-            return text
-        items = [_encode(value, level + 1) for value in obj]
-        brackets = "[]"
-    else:
-        return _encode_leaf(level)(_scalars([obj])[0])
-    outer = "\n" + INDENT * (level + 1)
-    return f"{brackets[0]}{outer}{(',' + outer).join(items)}\n{INDENT * level}{brackets[1]}"
+        return {key: _round9(value, tables) for key, value in obj.items()}
+    if isinstance(obj, Table):
+        tables.append(obj)
+        return _TABLE
+    if isinstance(obj, (list, tuple)):
+        return [_round9(value, tables) for value in obj]
+    if isinstance(obj, np.ndarray):
+        return _round9(obj.tolist(), tables)
+    return int(obj) if isinstance(obj, np.integer) else obj
 
 
 def to_json_text(document: dict) -> str:
     """Serialize with the schema version stamped in; byte-stable."""
-    payload = {"schema_version": SCHEMA_VERSION}
-    payload.update(document)
-    return _encode(payload, 0) + "\n"
+    tables = []
+    text = json.dumps(_round9({"schema_version": SCHEMA_VERSION, **document}, tables), indent=2)
+    pieces = text.split(json.dumps(_TABLE))
+    parts = [pieces[0]]
+    for table, piece in zip(tables, pieces[1:], strict=True):
+        line = parts[-1].rsplit("\n", 1)[-1]  # the indent, then the key if any
+        parts += [_json_rows(table, "\n" + line[:len(line) - len(line.lstrip())]), piece]
+    return "".join(parts) + "\n"
 
 
-def write_json(path, document: dict):
-    text = to_json_text(document)
+def _write(path, text):
     with open(path, "w") as fh:
         fh.write(text)
     return text
 
 
-def _cell_format(kind):
+def write_json(path, document: dict):
+    return _write(path, to_json_text(document))
+
+
+def _cell(value):
     # str of a numpy integer is str(int(v))
-    return "%.9g" if issubclass(kind, _FLOATS) else "%s"
+    return "%.9g" % value if isinstance(value, (float, np.floating)) else str(value)
 
 
-def _may_be_quoted(line, n_cells):
-    """True when csv.writer may quote a cell of this rendered row.
-
-    A lone carriage return counts too, so the output does not depend on
-    whether this Python's csv module quotes it.
-    """
-    return ('"' in line or "\r" in line or "\n" in line or line.count(",") != n_cells - 1
-            or (n_cells == 1 and line == ""))
-
-
-def _csv_rows(writer, buf, rows):
-    """Each row rendered per cell, through one template cached per cell-type signature."""
-    templates = {}
-    for row in rows:
-        row = tuple(row)
-        signature = tuple(map(type, row))
-        if signature not in templates:
-            formats = tuple(map(_cell_format, signature))
-            templates[signature] = ",".join(formats), formats
-        template, formats = templates[signature]
-        line = template % row
-        if _may_be_quoted(line, len(row)):
-            writer.writerow([fmt % (value,) for fmt, value in zip(formats, row)])
-        else:
-            buf.write(line + "\n")
-
-
-def _csv_columns(writer, buf, columns, cells):
-    """Rows of one length from their columns: float cells given, the others rendered here."""
-    rendered = []
-    for column, column_cells in zip(columns, cells):
-        if column_cells is None:
-            formats = {kind: _cell_format(kind) for kind in set(map(type, column))}
-            column_cells = [formats[type(v)] % (v,) for v in column]
-        rendered.append(column_cells)
-    lines = list(map(",".join, zip(*rendered)))
-    body = "\n".join(lines)
-    n_cells = len(rendered)
-    # the joins add len(lines) - 1 newlines, and n_cells - 1 commas to each line
-    if (body.count("\n") == len(lines) - 1 and body.count(",") == len(lines) * (n_cells - 1)
-            and '"' not in body and "\r" not in body and (n_cells > 1 or "" not in lines)):
-        buf.write(body + "\n")
-    else:  # some row may be quoted: write the rendered rows one by one
-        _csv_rows(writer, buf, zip(*rendered))
+def _quoted(table):
+    """True when csv.writer may quote a string cell; float cells never need it."""
+    strings = [column for column in table.columns if not isinstance(column, np.ndarray)]
+    text = "".join(chain.from_iterable(strings))
+    # a lone CR counts whether or not this Python's csv quotes it; an empty
+    # cell is quoted when it is its row's only one
+    return (any(char in text for char in ',"\r\n')
+            or (len(table.columns) == 1 == len(strings) and "" in strings[0]))
 
 
 def to_csv_text(header, rows) -> str:
@@ -282,20 +181,14 @@ def to_csv_text(header, rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    if isinstance(rows, _TableValues):
-        table = rows.table.columns
-    else:
-        rows = list(map(tuple, rows))
-        table = _columns(rows) if rows else None
-    if table is None:
-        _csv_rows(writer, buf, rows)
-    else:
-        _csv_columns(writer, buf, *table)
+    if not isinstance(rows, Table):
+        writer.writerows(map(_cell, row) for row in rows)
+    elif _quoted(rows):
+        writer.writerows(zip(*rows.cells))
+    elif len(rows):
+        buf.write("\n".join(map(",".join, zip(*rows.cells))) + "\n")
     return buf.getvalue()
 
 
 def write_csv(path, header, rows):
-    text = to_csv_text(header, rows)
-    with open(path, "w") as fh:
-        fh.write(text)
-    return text
+    return _write(path, to_csv_text(header, rows))

@@ -404,12 +404,21 @@ class TestCapsAndExtremeInput:
     @pytest.mark.parametrize("command, flag", [
         ("gap", "--k=50"), ("gap", "--dt=7"), ("correlation", "--mu-steps=3"),
         ("spectrum", "--kappa-end=9"), ("charge-scan", "--shape=smoothstep"),
-        ("ramp", "--k=3"), ("ramp", "--mu-start=0")])
+        ("ramp", "--k=3"), ("ramp", "--mu-start=0"), ("report", "--str")])
     def test_flag_the_command_does_not_read_exit_2(self, tmp_path, capsys, command, flag):
-        # no prefix matching either: --k is not --kappa where only --kappa exists
-        err = assert_refused(["sim", command, "--sites", "2", "--lmax", "1", flag,
-                              "--out", tmp_path / "out"], capsys, 2)
+        # no prefix matching either: --k is not --kappa where only --kappa exists,
+        # and --str is not --strict
+        chain = (["design", command, "--config", bundled_config("micro")] if command == "report"
+                 else ["sim", command, "--sites", "2", "--lmax", "1"])
+        err = assert_refused([*chain, flag, "--out", tmp_path / "out"], capsys, 2)
         assert f"unrecognized arguments: {flag}" in err
+
+    def test_abbreviated_design_scan_flags_exit_2(self, tmp_path, capsys):
+        # --sta is not --start, so the scan finds none of its required flags
+        err = assert_refused(["design", "scan", "--config", bundled_config("micro"), "--param",
+                              "gamma_m", "--sta", "1e-6", "--sto", "8e-6", "--ste", "3",
+                              "--fo", "csv", "--out", tmp_path / "out"], capsys, 2)
+        assert "required: --parameter, --start, --stop, --steps" in err
 
     def test_every_ignored_flag_is_named(self, tmp_path, capsys):
         flags = ["--k", "50", "--mu-steps", "3", "--kappa-end", "9", "--shape", "smoothstep",

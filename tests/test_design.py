@@ -18,6 +18,7 @@ from rotorsim.design import (
     rotational_quantum,
     scan,
 )
+from rotorsim.serialize import Table
 
 from conftest import random_geometries
 
@@ -330,8 +331,8 @@ class TestScan:
 
     def test_endpoints_match_single_point_reports(self, micro, nano):
         env = Environment(temperature=10e-6)
-        rows = scan(micro, env, "dx_m", micro.lattice_spacing,
-                    4 * micro.lattice_spacing, 5)
+        rows = list(scan(micro, env, "dx_m", micro.lattice_spacing,
+                         4 * micro.lattice_spacing, 5))
         for geom_dx, row in ((micro.lattice_spacing, rows[0]),
                              (4 * micro.lattice_spacing, rows[-1])):
             geom = Geometry(**{**vars(micro), "lattice_spacing": geom_dx})
@@ -581,7 +582,7 @@ class TestColumnarScan:
         point_reports = counting(monkeypatch, "feasibility")
         rows = scan(geom, env, parameter, start, stop, 2000)
         assert len(point_reports) == 0
-        assert rows == per_point_rows(geom, env, parameter, grid)
+        assert list(rows) == per_point_rows(geom, env, parameter, grid)
 
     def test_fallback_grid_rows_equal_per_point_rows(self, micro, monkeypatch):
         # the dynamical scale turns subnormal inside this range, where 1/scale
@@ -591,8 +592,13 @@ class TestColumnarScan:
         point_reports = counting(monkeypatch, "feasibility")
         rows = scan(micro, Environment(), "rho_m", 2e-7, 1e-5, 2000)
         assert len(point_reports) == 2000
-        assert rows == expected
+        assert list(rows) == expected
         assert any(row["dynamical_scale"] < sys.float_info.min for row in rows)
+        # the array path returns the same kind of table
+        array_rows = scan(micro, Environment(), "rho_m", 3e-7, 5e-7, 2000)
+        assert len(point_reports) == 2000
+        assert type(rows) is type(array_rows) is Table
+        assert rows.header == array_rows.header == list(expected[0])
 
     @pytest.mark.parametrize("parameter, start, stop", [
         ("delta_m", 1e-8, 1e-3),   # crosses dx = 1.25e-5 mid-grid

@@ -205,15 +205,25 @@ EDGE_FLOATS = HARD_FLOATS + [99999999.95, 1e8, 1e17, 9.99999999e16, 12345678.95,
                              0.99999999995, 2.2250738585072014e-308]
 
 
+def table_of(rows):
+    """Dict rows of float and str cells as a Table: a float64 array or a list per column."""
+    columns = [list(column) for column in zip(*map(dict.values, rows))]
+    return Table(rows[0], [np.array(column) if {type(v) for v in column} == {float} else column
+                           for column in columns])
+
+
 def assert_same_table(rows):
     """Dict rows through to_json_text, their values through to_csv_text, plain and as a Table."""
-    header = list(rows[0]) if rows else []
+    header = list(rows[0])
     lists = [list(row.values()) for row in rows]
     assert_same_json({"rows": rows})
     assert_same_csv(header, lists)
-    table = Table(rows)
-    assert to_csv_text(header, table.csv_rows()) == oracle_csv_text(header, lists)
+    table = table_of(rows)
+    assert to_csv_text(header, table) == oracle_csv_text(header, lists)
     assert to_json_text({"rows": table}) == oracle_json_text({"rows": rows})
+    # anything else that iterates the table reads the rows it stands for
+    assert oracle_csv_text(header, table) == oracle_csv_text(header, lists)
+    assert oracle_json_text({"rows": table}) == oracle_json_text({"rows": rows})
 
 
 class TestColumns:
@@ -228,6 +238,12 @@ class TestColumns:
             assert_same_table([{"c": value, "x": float(i)} for i in range(50)])
         # equal but for the sign of zero, so not one repeated value
         assert_same_table([{"c": 0.0}] * 3 + [{"c": -0.0}])
+
+    def test_tables_at_every_depth_of_a_document(self):
+        rows = [{"x": 1.5, "verdict": "pass"}, {"x": 2.0, "verdict": "warn"}]
+        table = table_of(rows)
+        assert to_json_text({"a": table, "b": [table, {"c": table}], "d": 0.1}) == (
+            oracle_json_text({"a": rows, "b": [rows, {"c": rows}], "d": 0.1}))
 
     def test_literal_rule_on_random_bit_patterns_integers_and_decades(self):
         rng = np.random.default_rng(20261019)
@@ -249,22 +265,28 @@ class TestColumns:
             return format9(values)
         format9 = serialize._format9
         monkeypatch.setattr(serialize, "_format9", counting)
-        rows = [{"x": i / 7, "zero": 0.0, "n": i, "verdict": "pass"} for i in range(300)]
-        table = Table(rows)
-        header = list(rows[0])
+        header = ["x", "zero", "verdict"]
+        table = Table(header, [np.arange(300) / 7, np.zeros(300), ["pass"] * 300])
+        rows = [{"x": i / 7, "zero": 0.0, "verdict": "pass"} for i in range(300)]
         lists = [list(row.values()) for row in rows]
-        assert to_csv_text(header, table.csv_rows()) == oracle_csv_text(header, lists)
-        assert to_json_text({"config": {}, "rows": table}) == oracle_json_text(
-            {"config": {}, "rows": rows})
-        # x cell by cell, the repeated zero once; the empty config formats nothing
-        assert sorted(formatted) == [0, 1, 300]
+        assert to_csv_text(header, table) == oracle_csv_text(header, lists)
+        assert to_json_text({"config": {"a": 0.5}, "rows": table}) == oracle_json_text(
+            {"config": {"a": 0.5}, "rows": rows})
+        # x cell by cell and the repeated zero once, for both writers
+        assert sorted(formatted) == [1, 300]
 
     def test_rows_that_are_not_one_table_keep_the_row_path(self):
         assert_same_csv(["a"], [[0.0], [0.0, 0.0]])
         assert_same_csv(["a", "b"], [[0.5, "x"], (0.25, "y"), [np.float64(0.1), "z"]])
         assert_same_csv(["a", "b"], [[1.5, "a,b"], [2.5, "q"], [3.5, 'say "hi"']])
         assert_same_table([{"a": 1.5, "b": "a,b"}, {"a": 2.5, "b": "\n"}])
-        assert_same_table([{"a": 1.5, "b": np.float32(0.1)}, {"a": 2.5, "b": 3}])
+        assert_same_json({"rows": [{"a": 1.5, "b": np.float32(0.1)}, {"a": 2.5, "b": 3}]})
+
+    def test_table_string_cells_that_may_be_quoted(self):
+        for cell in ('"', "\r", ""):
+            assert_same_table([{"a": 1.5, "b": "x"}, {"a": 2.5, "b": cell}])
+        # a row's only cell is quoted when empty
+        assert_same_table([{"s": "x"}, {"s": ""}])
 
 
 FLOAT_COLUMN = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
