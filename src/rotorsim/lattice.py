@@ -52,6 +52,7 @@ __all__ = [
     "sector_basis",
     "sector_decompose",
     "even_block",
+    "raising_operator",
     "build_hamiltonian",
     "direction_dots",
     "build_kinetic",
@@ -232,6 +233,22 @@ def _powers(spec: ChainSpec) -> np.ndarray:
 def _site_states(spec: ChainSpec, codes) -> np.ndarray:
     """Site state l^2 + l + m of each site (rows, site 0 first) in each code."""
     return codes // _powers(spec)[:, None] % spec.site_dim
+
+
+def raising_operator(spec: ChainSpec, codes) -> sp.csr_matrix:
+    """L_+ = sum_i L_i^+ from M = 0 codes (sector_basis(spec, 0)) onto sector_basis(spec, 1).
+
+    L_i^+ adds d^(N-1-i) to a code with coefficient sqrt(l(l+1) - m(m+1)); one
+    searchsorted finds the targets, and a code raised out of sector 1 is refused.
+    """
+    coefficient = np.sqrt([l * (l + 1.0) - m * (m + 1.0) for l, m in site_basis(spec.l_max)])
+    states = _site_states(spec, codes)
+    site, col = np.nonzero(coefficient[states])
+    target, raised = sector_basis(spec, 1), codes[col] + _powers(spec)[site]
+    row = np.searchsorted(target, raised)
+    if not np.array_equal(target.take(row, mode="clip"), raised):
+        raise ValueError("L_+ takes the basis out of sector 1; pass the M = 0 sector_basis")
+    return sp.csr_matrix((coefficient[states[site, col]], (row, col)), (len(target), len(codes)))
 
 
 def even_block(spec: ChainSpec, codes) -> sp.csc_matrix:

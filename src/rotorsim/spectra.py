@@ -20,7 +20,8 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .lattice import (DYNAMICS_DIM_CAP, ChainSpec, DimensionCapError, InvalidSpecError,
-                      SparseOperator, build_hamiltonian, direction_dots, sector_basis)
+                      SparseOperator, build_hamiltonian, direction_dots, raising_operator,
+                      sector_basis)
 
 __all__ = [
     "DENSE_CUTOFF",
@@ -226,41 +227,35 @@ def ground_state(spec: ChainSpec, mu_tilde: float = 0.0):
 
 
 def mass_gap(spec: ChainSpec):
-    """(E1 - E0, degeneracy of E1) of H.
+    """(E1 - E0, degeneracy of E1) of H, solved on the M = 0 sector alone.
 
-    Under SU(2) a multiplet of total L has one member in each sector
-    |M| <= L, so E0 and E1 are the lowest distinct levels of sector 0, and
-    sector M holds no more levels up to E1 than sector M - 1. Sector 0 is
-    solved for k = 3, 6, 12, ... levels until one lies clearly above E1;
-    sector M >= 1 for as many levels as sector M - 1 has below
-    E1 + DEGENERACY_TOL, and the first sector asked for none ends the count.
-    Each sector's H is built once.
-    With c_M the levels of sector M within DEGENERACY_TOL of E1, the
-    degeneracy is c_0 + 2 (c_1 + c_2 + ...).
+    Each SU(2) multiplet has exactly one M = 0 member, so E0 and E1 are the
+    lowest distinct levels of sector 0, solved for k = 3, 6, 12, ... levels
+    until one lies clearly above E1. On M = 0, L^2 = L_- L_+: with W = L_+ V
+    (raising_operator) over the vectors V within DEGENERACY_TOL of E1, W^T W
+    has eigenvalues L(L + 1), one per E1 multiplet, exactly degenerate ones
+    included, and the degeneracy is the sum of 2L + 1. An L that is not an
+    integer within DEGENERACY_TOL raises NonConvergenceError.
     """
+    codes = sector_basis(spec, 0)
+    h0 = build_hamiltonian(spec, codes)
     # the ground level, one member of the E1 multiplet and a level above it
-    h0 = build_hamiltonian(spec, sector_basis(spec, 0))
     k = 3
     while True:
-        vals = lowest_eigenpairs(h0, min(k, h0.dimension)).eigenvalues
+        res = lowest_eigenpairs(h0, min(k, h0.dimension))
+        vals = res.eigenvalues
         above = vals[vals > vals[0] + DEGENERACY_TOL]
         if (len(above) and vals[-1] - above[0] >= DEGENERACY_TOL) or len(vals) == h0.dimension:
             break
         k *= 2
-    del h0  # freed before the other sectors are built, to keep the peak memory
-    if not len(above):
-        raise NonConvergenceError("no level above the ground multiplet found")
+    # `above` is never empty: H's diagonal on sector 0 holds sum_i L_i^2 = 0 and 2
+    # (plus the same bond constant), so its levels span at least 2
     e0, e1 = vals[0], above[0]
-    degeneracy = 0
-    for m in range(spec.n_sites * spec.l_max + 1):
-        if m > 0:
-            k = int(np.sum(vals < e1 + DEGENERACY_TOL))
-            if k == 0:
-                break
-            vals = _solve_sector(spec, m, k)[1].eigenvalues
-        count = int(np.sum(np.abs(vals - e1) < DEGENERACY_TOL))
-        degeneracy += count if m == 0 else 2 * count
-    return float(e1 - e0), degeneracy
+    w = raising_operator(spec, codes) @ res.eigenvectors[:, np.abs(vals - e1) < DEGENERACY_TOL]
+    spins = (np.sqrt(4.0 * np.linalg.eigvalsh(w.T @ w) + 1.0) - 1.0) / 2.0
+    if not np.all(np.abs(spins - np.round(spins)) <= DEGENERACY_TOL):
+        raise NonConvergenceError(f"the E1 vectors of sector 0 have non-integral L = {spins}")
+    return float(e1 - e0), int(np.sum(2 * np.round(spins) + 1))
 
 
 def charge_scan(spec: ChainSpec, mu_grid) -> ChargeScan:

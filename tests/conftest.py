@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import scipy.sparse as sp
 from scipy.special import sph_harm_y
 
 from rotorsim import Geometry
-from rotorsim.lattice import SparseOperator, direction_matrices, site_basis
+from rotorsim.lattice import SparseOperator, direction_matrices, site_basis, site_index
 from rotorsim.spectra import ground_state
 
 MICRO = dict(
@@ -221,6 +222,35 @@ def oracle_hamiltonian(spec):
 def oracle_charge(spec):
     """Noether charge Q = sum_i L_i^z, integer-diagonal."""
     return _oracle_diagonal(oracle_total_m_values(spec).astype(float))
+
+
+def total_transverse_angular_momentum(spec):
+    """Total L_x and L_y, sparse, from <l, m+1| L_+ |l, m> = sqrt(l(l+1) - m(m+1))."""
+    basis = site_basis(spec.l_max)
+    l_plus = sp.lil_matrix((len(basis), len(basis)))
+    for l, m in basis:
+        if m < l:
+            l_plus[site_index(l, m + 1), site_index(l, m)] = math.sqrt(l * (l + 1) - m * (m + 1))
+    l_plus = l_plus.tocsr()
+    site_x, site_y = (l_plus + l_plus.T) / 2.0, (l_plus - l_plus.T) / 2.0j
+    totals = []
+    for site_op in (site_x, site_y):
+        total = sp.csr_matrix((spec.dimension, spec.dimension), dtype=complex)
+        for i in range(spec.n_sites):
+            left = sp.identity(spec.site_dim**i)
+            right = sp.identity(spec.site_dim ** (spec.n_sites - 1 - i))
+            total = total + sp.kron(sp.kron(left, site_op), right, format="csr")
+        totals.append(total)
+    return totals
+
+
+def oracle_casimir(spec):
+    """Total L^2 = L_x^2 + L_y^2 + Q^2 on the full product space, real and sparse."""
+    lx, ly = total_transverse_angular_momentum(spec)
+    q = oracle_charge(spec).matrix
+    casimir = lx @ lx + ly @ ly + q @ q
+    assert abs(casimir.imag).max() < 1e-12
+    return SparseOperator(dimension=spec.dimension, matrix=_oracle_clean(casimir.real))
 
 
 def oracle_grand_canonical(spec, mu_tilde):

@@ -37,6 +37,7 @@ from conftest import (
     oracle_kinetic,
     oracle_sectors,
     quadrature_direction_element,
+    total_transverse_angular_momentum,
 )
 
 
@@ -145,26 +146,6 @@ class TestDirectionMatrices:
 
 def dense(op):
     return op.matrix.toarray()
-
-
-def total_transverse_angular_momentum(spec):
-    """Total L_x and L_y, sparse, from <l, m+1| L_+ |l, m> = sqrt(l(l+1) - m(m+1))."""
-    basis = site_basis(spec.l_max)
-    l_plus = sp.lil_matrix((len(basis), len(basis)))
-    for l, m in basis:
-        if m < l:
-            l_plus[site_index(l, m + 1), site_index(l, m)] = math.sqrt(l * (l + 1) - m * (m + 1))
-    l_plus = l_plus.tocsr()
-    site_x, site_y = (l_plus + l_plus.T) / 2.0, (l_plus - l_plus.T) / 2.0j
-    totals = []
-    for site_op in (site_x, site_y):
-        total = sp.csr_matrix((spec.dimension, spec.dimension), dtype=complex)
-        for i in range(spec.n_sites):
-            left = sp.identity(spec.site_dim**i)
-            right = sp.identity(spec.site_dim ** (spec.n_sites - 1 - i))
-            total = total + sp.kron(sp.kron(left, site_op), right, format="csr")
-        totals.append(total)
-    return totals
 
 
 class TestHamiltonian:

@@ -6,10 +6,11 @@ import pytest
 
 import rotorsim.spectra
 from rotorsim.lattice import (ChainSpec, DimensionCapError, InvalidSpecError, build_charge,
-                              build_hamiltonian, sector_basis)
+                              build_hamiltonian, raising_operator, sector_basis)
 from rotorsim.spectra import (
     DEGENERACY_TOL,
     ChargeScan,
+    NonConvergenceError,
     charge_scan,
     correlation,
     correlation_profile,
@@ -22,10 +23,12 @@ from rotorsim.spectra import (
 from conftest import (
     all_codes,
     full_ground_state,
+    oracle_casimir,
     oracle_charge,
     oracle_grand_canonical,
     oracle_hamiltonian,
     oracle_sectors,
+    total_transverse_angular_momentum,
 )
 
 
@@ -261,6 +264,8 @@ class TestMassGap:
         ChainSpec(3, 2, kappa=1.3, boundary="periodic"),
         ChainSpec(3, 2, kappa=0.4),
         ChainSpec(2, 3, kappa=2.0),
+        ChainSpec(5, 1, kappa=3.0, boundary="periodic"),
+        ChainSpec(3, 3, kappa=1.0),
     ])
     def test_matches_dense_spectrum_of_every_sector(self, spec):
         gap, degeneracy = mass_gap(spec)
@@ -279,24 +284,42 @@ class TestMassGap:
         assert gap == pytest.approx(oracle_gap, abs=1e-10)
         assert degeneracy == oracle_degeneracy
 
-    @pytest.mark.parametrize("spec, requests", [
-        (ChainSpec(8, 1, kappa=1.0), [(12870, 3), (11440, 2), (8008, 1)]),
-        (ChainSpec(4, 2, kappa=1.0, boundary="periodic"), [(1107, 3), (1016, 2), (784, 1)]),
+    @pytest.mark.parametrize("spec", [
+        ChainSpec(4, 1), ChainSpec(3, 2), ChainSpec(4, 2, boundary="periodic"), ChainSpec(2, 3),
     ])
-    def test_sector_requests_follow_su2(self, spec, requests, monkeypatch):
-        # sector M is asked for as many levels as sector M - 1 has up to E1
-        solved = []
+    def test_raising_operator_squares_to_the_casimir_oracle(self, spec):
+        # on M = 0, L^2 = L_- L_+: (L_+ V)^T (L_+ V) = V^T L^2 V, here with V the
+        # eigenvectors of the Kronecker-built L^2 on sector 0, so the Gram
+        # matrix is diagonal in the integral L(L + 1)
+        casimir = oracle_casimir(spec).restrict(oracle_sectors(spec)[0]).matrix.toarray()
+        values, v = np.linalg.eigh(casimir)
+        w = raising_operator(spec, sector_basis(spec, 0)) @ v
+        assert abs(w.T @ w - v.T @ casimir @ v).max() < 1e-10
+        assert abs(w.T @ w - np.diag(values)).max() < 1e-10
+        spins = (np.sqrt(4.0 * values + 1.0) - 1.0) / 2.0
+        assert abs(spins - np.round(spins)).max() < 1e-10
 
-        def recording(op, k, _solve=rotorsim.spectra.lowest_eigenpairs):
-            solved.append((op.dimension, k))
-            return _solve(op, k)
-        monkeypatch.setattr(rotorsim.spectra, "lowest_eigenpairs", recording)
-        assert mass_gap(spec)[1] == 3
-        assert solved == requests
+    @pytest.mark.parametrize("spec", [
+        ChainSpec(3, 1), ChainSpec(2, 2), ChainSpec(2, 3), ChainSpec(4, 1, boundary="periodic"),
+    ])
+    def test_raising_operator_is_the_oracle_block(self, spec):
+        lx, ly = total_transverse_angular_momentum(spec)
+        sectors = oracle_sectors(spec)
+        block = (lx + 1j * ly)[np.ix_(sectors[1], sectors[0])].toarray()
+        assert abs(raising_operator(spec, sector_basis(spec, 0)).toarray() - block).max() < 1e-14
 
-    def test_builds_each_sector_once(self, monkeypatch):
+    @pytest.mark.parametrize("m", [1, -1, 2])
+    def test_raising_operator_refuses_another_sector(self, m):
+        spec = ChainSpec(3, 1)
+        with pytest.raises(ValueError, match="out of sector 1"):
+            raising_operator(spec, sector_basis(spec, m))
+
+    @pytest.mark.parametrize("spec, degeneracy, solves", [
         # at kappa = 0 the sector-0 window doubles (k = 3, 6) on one build of H
-        spec = ChainSpec(4, 1, kappa=0.0)
+        (ChainSpec(4, 1, kappa=0.0), 12, [(70, 3), (70, 6)]),
+        (ChainSpec(8, 1, kappa=1.0), 3, [(12870, 3)]),
+    ])
+    def test_builds_and_solves_sector_0_only(self, spec, degeneracy, solves, monkeypatch):
         built, solved = [], []
 
         def counted(spec, codes, _build=rotorsim.spectra.build_hamiltonian):
@@ -308,11 +331,21 @@ class TestMassGap:
             return _solve(op, k)
         monkeypatch.setattr(rotorsim.spectra, "build_hamiltonian", counted)
         monkeypatch.setattr(rotorsim.spectra, "lowest_eigenpairs", recording)
-        gap, degeneracy = mass_gap(spec)
-        assert gap == pytest.approx(2.0, abs=1e-12)
-        assert degeneracy == 3 * spec.n_sites
-        assert built == [list(sector_basis(spec, m)) for m in range(3)]
-        assert solved == [(70, 3), (70, 6), (56, 5), (28, 4)]
+        assert mass_gap(spec)[1] == degeneracy
+        assert built == [list(sector_basis(spec, 0))]
+        assert solved == solves
+
+    def test_mixed_e1_vector_is_refused(self, monkeypatch):
+        # a normalized mix of the singlet E0 and triplet E1 vectors has
+        # <L^2> = 1, i.e. no integral L: the degeneracy must not be read off it
+        def mixing(op, k, _solve=rotorsim.spectra.lowest_eigenpairs):
+            res = _solve(op, k)
+            vecs = res.eigenvectors
+            vecs[:, 1] = (vecs[:, 0] + vecs[:, 1]) / math.sqrt(2.0)
+            return res
+        monkeypatch.setattr(rotorsim.spectra, "lowest_eigenpairs", mixing)
+        with pytest.raises(NonConvergenceError, match="non-integral L"):
+            mass_gap(ChainSpec(3, 1, kappa=1.0))
 
     @pytest.mark.parametrize("spec, hopping", [
         (ChainSpec(4, 1), math.cos(math.pi / 5)),
