@@ -55,6 +55,11 @@ def dense_gap(spec):
     return e1 - levels[0], int(np.sum(np.abs(levels - e1) < DEGENERACY_TOL))
 
 
+def sector0_casimir(spec):
+    """Independent oracle: the Kronecker-built total L^2 on the M = 0 sector, dense."""
+    return oracle_casimir(spec).restrict(oracle_sectors(spec)[0]).matrix.toarray()
+
+
 def grand_canonical_ground(spec, mu):
     """Independent oracle: ground energy and <Q> of the dense H - mu Q."""
     vals, vecs = np.linalg.eigh(oracle_grand_canonical(spec, mu).matrix.toarray())
@@ -291,11 +296,10 @@ class TestMassGap:
         # on M = 0, L^2 = L_- L_+: (L_+ V)^T (L_+ V) = V^T L^2 V, here with V the
         # eigenvectors of the Kronecker-built L^2 on sector 0, so the Gram
         # matrix is diagonal in the integral L(L + 1)
-        casimir = oracle_casimir(spec).restrict(oracle_sectors(spec)[0]).matrix.toarray()
+        casimir = sector0_casimir(spec)
         values, v = np.linalg.eigh(casimir)
         w = raising_operator(spec, sector_basis(spec, 0)) @ v
         assert abs(w.T @ w - v.T @ casimir @ v).max() < 1e-10
-        assert abs(w.T @ w - np.diag(values)).max() < 1e-10
         spins = (np.sqrt(4.0 * values + 1.0) - 1.0) / 2.0
         assert abs(spins - np.round(spins)).max() < 1e-10
 
@@ -346,6 +350,21 @@ class TestMassGap:
         monkeypatch.setattr(rotorsim.spectra, "lowest_eigenpairs", mixing)
         with pytest.raises(NonConvergenceError, match="non-integral L"):
             mass_gap(ChainSpec(3, 1, kappa=1.0))
+
+    def test_degeneracy_counts_2l_plus_1_members_per_multiplet(self, monkeypatch):
+        # every E1 multiplet of the chain is a triplet, so here the two E1 vectors
+        # of sector 0 (2x2 at kappa = 0) are swapped for two L = 2 vectors of the
+        # Kronecker-built L^2: they must count as 2 * 5 members, not 2 * 3
+        spec = ChainSpec(2, 2, kappa=0.0)
+        values, v = np.linalg.eigh(sector0_casimir(spec))
+        quintets = v[:, np.abs(values - 6.0) < 1e-9][:, :2]
+
+        def swapping(op, k, _solve=rotorsim.spectra.lowest_eigenpairs):
+            res = _solve(op, k)
+            res.eigenvectors[:, 1:3] = quintets
+            return res
+        monkeypatch.setattr(rotorsim.spectra, "lowest_eigenpairs", swapping)
+        assert mass_gap(spec) == (2.0, 10)
 
     @pytest.mark.parametrize("spec, hopping", [
         (ChainSpec(4, 1), math.cos(math.pi / 5)),
