@@ -10,6 +10,10 @@ state, which lies in the (R+, P+) block of that sector. K and B are built on
 the M = 0 sector, whose size DYNAMICS_DIM_CAP bounds, and the time steps run
 on their (R+, P+) block (lattice.even_block), about a quarter of the sector.
 DYNAMICS_STEP_CAP bounds the number of time steps.
+
+kappa(t) is a known schedule, so each fixed-dt pass diagonalizes the H(t) of
+its steps ahead of the state loop, in stacked eigh chunks that double from 1
+step up to a byte budget; the results are bit for bit those of one eigh per step.
 """
 
 import math
@@ -39,6 +43,9 @@ STEP_ERROR_TOL = 1e-8
 DEGENERATE_GAP = 1e-9
 # rate * B|psi0> is squared inside the norm of the adiabatic matrix element
 RATE_NORM_LIMIT = math.sqrt(sys.float_info.max)
+# bytes of float64 matrices in one stacked eigh of the time steps: chunks of
+# about 42 to 75 steps on the 6- and 8-state blocks, 1 step from 37 states up
+_CHUNK_BYTES = 64 * 1024
 
 
 @dataclass(frozen=True)
@@ -132,12 +139,33 @@ def _step_count(duration, dt):
     return max(1, math.ceil(steps))
 
 
-def _step(kinetic, bond, schedule, psi, t, dt):
-    """Midpoint-exponential step: exactly unitary for any dt."""
-    h = kinetic + schedule.kappa(t + 0.5 * dt) * bond
-    vals, vecs = np.linalg.eigh(h)
-    phases = np.exp(-1j * vals * dt)
-    return vecs @ (phases * (vecs.T @ psi))  # h is real symmetric, so vecs are real
+def _pass_solves(k_block, b_block, schedule, n_steps, step_dt):
+    """Yield (phases, vecs) per step, each stacked over (full, first half, second half).
+
+    H = K + kappa * B at each sub-step's midpoint. One stacked eigh solves a
+    chunk of steps. A chunk doubles from 1 step up to _CHUNK_BYTES of stacked
+    matrices, so a rejected pass solves at most about twice the steps it took.
+    """
+    limit = max(1, _CHUNK_BYTES // (3 * k_block.nbytes))
+    half_dt = 0.5 * step_dt
+    dts = np.array([step_dt, half_dt, half_dt])[:, None]
+    t, step, size = 0.0, 0, 1
+    while step < n_steps:
+        size = min(size, limit, n_steps - step)
+        kappas = []
+        for _ in range(size):
+            kappas.append((schedule.kappa(t + 0.5 * step_dt), schedule.kappa(t + 0.5 * half_dt),
+                           schedule.kappa((t + half_dt) + 0.5 * half_dt)))
+            t += step_dt
+        vals, vecs = np.linalg.eigh(k_block + np.array(kappas)[..., None, None] * b_block)
+        yield from zip(np.exp(-1j * vals * dts), vecs)
+        step += size
+        size *= 2
+
+
+def _rotate(vecs, phases, psi):
+    """exp(-i H dt) psi from H's eigenvectors: exactly unitary for any dt."""
+    return vecs @ (phases * (vecs.T @ psi))  # H is real symmetric, so vecs are real
 
 
 def propagate(spec: ChainSpec, schedule: RampSchedule, dt: float,
@@ -153,7 +181,8 @@ def propagate(spec: ChainSpec, schedule: RampSchedule, dt: float,
     STEP_ERROR_TOL the step size is halved (globally, to stay
     deterministic) and the run restarts, unless the step count would pass
     DYNAMICS_STEP_CAP (DimensionCapError). The accepted state of each
-    step is the two-half-step result. Fidelity is measured against the
+    step is the two-half-step result, from H(t) diagonalized ahead of the
+    state loop in stacked chunks (_pass_solves). Fidelity is measured against the
     exact ground state at kappa_end. A ramp whose kappa * B is not finite,
     or whose adiabatic ratio could overflow (_check_rate), is refused
     (ValueError) before any diagonalization, and so is a spec whose kappa
@@ -190,10 +219,10 @@ def propagate(spec: ChainSpec, schedule: RampSchedule, dt: float,
         step_dt = schedule.duration / n_steps
         psi, t = psi0, 0.0
         trace = [] if record_trace else None
-        for step in range(n_steps):
-            full = _step(k_block, b_block, schedule, psi, t, step_dt)
-            half = _step(k_block, b_block, schedule, psi, t, 0.5 * step_dt)
-            half = _step(k_block, b_block, schedule, half, t + 0.5 * step_dt, 0.5 * step_dt)
+        solves = _pass_solves(k_block, b_block, schedule, n_steps, step_dt)
+        for step, (phases, vecs) in enumerate(solves):
+            full = _rotate(vecs[0], phases[0], psi)
+            half = _rotate(vecs[2], phases[2], _rotate(vecs[1], phases[1], psi))
             if not np.linalg.norm(full - half) <= STEP_ERROR_TOL:  # NaN fails too
                 break
             psi = half

@@ -9,7 +9,10 @@ import scipy.sparse as sp
 from scipy.special import sph_harm_y
 
 from rotorsim import Geometry
-from rotorsim.lattice import SparseOperator, direction_matrices, site_basis, site_index
+from rotorsim.dynamics import (STEP_ERROR_TOL, EvolutionResult, _sector_parts, _step_count,
+                               adiabatic_ratio)
+from rotorsim.lattice import (SparseOperator, direction_matrices, even_block, site_basis,
+                              site_index)
 from rotorsim.spectra import ground_state
 
 MICRO = dict(
@@ -286,3 +289,60 @@ def full_ground_state(spec, mu_tilde=0.0):
     vec = np.zeros(len(all_codes(spec)))
     vec[np.searchsorted(all_codes(spec), codes)] = sector_vector
     return energy, vec
+
+
+def oracle_step(kinetic, bond, schedule, psi, t, dt):
+    """Midpoint-exponential step: exactly unitary for any dt."""
+    h = kinetic + schedule.kappa(t + 0.5 * dt) * bond
+    vals, vecs = np.linalg.eigh(h)
+    phases = np.exp(-1j * vals * dt)
+    return vecs @ (phases * (vecs.T @ psi))  # h is real symmetric, so vecs are real
+
+
+def oracle_propagate(spec, schedule, dt, record_trace=False, trace_stride=50):
+    """propagate with one eigh per step and sub-step, solved as the state loop reaches it.
+
+    The setup (sector parts, (R+, P+) block, end states) is the library's;
+    the step loop is the sequential one. Returns the EvolutionResult and the
+    (n_steps, step) of every rejected pass.
+    """
+    codes, kinetic, bond = _sector_parts(spec)
+    v = even_block(spec, codes)
+    psi0, target = (v.T @ np.linalg.eigh(kinetic + kappa * bond)[1][:, 0]
+                    for kappa in (schedule.kappa_start, schedule.kappa_end))
+    psi0 = psi0.astype(complex)
+    k_block, b_block = v.T @ (v.T @ kinetic).T, v.T @ (v.T @ bond).T
+    rejected = []
+    while True:
+        n_steps = _step_count(schedule.duration, dt)
+        step_dt = schedule.duration / n_steps
+        psi, t = psi0, 0.0
+        trace = [] if record_trace else None
+        for step in range(n_steps):
+            full = oracle_step(k_block, b_block, schedule, psi, t, step_dt)
+            half = oracle_step(k_block, b_block, schedule, psi, t, 0.5 * step_dt)
+            half = oracle_step(k_block, b_block, schedule, half, t + 0.5 * step_dt, 0.5 * step_dt)
+            if not np.linalg.norm(full - half) <= STEP_ERROR_TOL:  # NaN fails too
+                rejected.append((n_steps, step))
+                break
+            psi = half
+            t += step_dt
+            if record_trace and (step % trace_stride == 0 or step == n_steps - 1):
+                _, vecs = np.linalg.eigh(k_block + schedule.kappa(t) * b_block)
+                fid_inst = abs(np.vdot(vecs[:, 0], psi)) ** 2
+                trace.append((t, fid_inst, float(np.linalg.norm(psi)),
+                              schedule.kappa(t)))
+        else:  # every step accepted
+            break
+        dt = 0.5 * step_dt
+    norm = float(np.linalg.norm(psi))
+    result = EvolutionResult(
+        final_fidelity=float(abs(np.vdot(target, psi)) ** 2),
+        norm_drift=abs(norm - 1.0),
+        max_adiabatic_ratio=adiabatic_ratio(spec, schedule, samples=16,
+                                            parts=(kinetic, bond))[0],
+        step_count=n_steps,
+        accepted_dt=step_dt,
+        trace=trace,
+    )
+    return result, rejected

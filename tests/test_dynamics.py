@@ -16,7 +16,7 @@ from rotorsim.dynamics import (
 )
 from rotorsim.lattice import ChainSpec, DimensionCapError, build_interaction, build_kinetic
 
-from conftest import all_codes
+from conftest import all_codes, oracle_propagate
 
 
 TWO_SITE = ChainSpec(2, 1, kappa=0.0)
@@ -49,6 +49,19 @@ def full_space_ramp(spec, schedule, dt, trace_stride):
                 trace.append((t, fid, np.linalg.norm(psi), schedule.kappa(t)))
         else:
             return abs(np.vdot(ground(schedule.kappa_end), psi)) ** 2, n_steps, h, trace
+
+
+def record_step_stacks(monkeypatch):
+    """Record the shape (steps, 3, b, b) of every stacked eigh of the time steps."""
+    shapes = []
+
+    def recording(matrix, eigh=np.linalg.eigh):
+        if matrix.ndim > 2:  # the full step and its two halves, per step of a chunk
+            assert matrix.shape[1] == 3
+            shapes.append(matrix.shape)
+        return eigh(matrix)
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    return shapes
 
 
 class TestRampSchedule:
@@ -188,19 +201,66 @@ class TestSectorPropagator:
             assert row == pytest.approx(oracle_row, abs=1e-12)
 
 
+class TestStackedSolves:
+    """propagate against the sequential stepper (conftest.oracle_propagate), bit for bit."""
+
+    LINEAR = RampSchedule(0.0, 0.5, duration=10.0)
+    SMOOTH = RampSchedule(0.0, 0.5, duration=10.0, shape="smoothstep")
+    STEP_0 = [(200, 0), (400, 0), (800, 0)]
+
+    @pytest.mark.parametrize("spec, schedule, rejected", [
+        (ChainSpec(3, 1), LINEAR, STEP_0),
+        (ChainSpec(2, 2), LINEAR, STEP_0),
+        # the dt = 0.0125 pass fails inside the chunks of steps 15-30 and 31-62
+        (ChainSpec(3, 1), SMOOTH, [(200, 0), (400, 0), (800, 23)]),
+        (ChainSpec(2, 2), SMOOTH, [(200, 0), (400, 0), (800, 47)]),
+        (ChainSpec(4, 1, kappa=0.2, boundary="periodic"),
+         RampSchedule(0.2, 1.3, duration=10.0, shape="smoothstep"),
+         [(200, 0), (400, 0), (800, 0), (1600, 187)]),
+    ])
+    def test_matches_the_sequential_stepper(self, spec, schedule, rejected):
+        result = propagate(spec, schedule, dt=0.05, record_trace=True, trace_stride=7)
+        oracle, oracle_rejected = oracle_propagate(spec, schedule, 0.05, record_trace=True,
+                                                   trace_stride=7)
+        assert oracle_rejected == rejected
+        assert result.final_fidelity == oracle.final_fidelity
+        assert result.norm_drift == oracle.norm_drift
+        assert result.max_adiabatic_ratio == oracle.max_adiabatic_ratio
+        assert result.step_count == oracle.step_count
+        assert result.accepted_dt == oracle.accepted_dt
+        assert result.trace == oracle.trace
+
+    def test_chunks_double_up_to_the_byte_budget(self, monkeypatch):
+        stacks = record_step_stacks(monkeypatch)
+        result = propagate(ChainSpec(3, 1), self.LINEAR, dt=0.05)
+        limit = rotorsim.dynamics._CHUNK_BYTES // (3 * 8 * 6 * 6)
+        sizes = [shape[0] for shape in stacks]
+        # three passes rejected at step 0, then 1600 accepted steps
+        assert sizes[:3] == [1, 1, 1]
+        assert sizes[3:10] == [1, 2, 4, 8, 16, 32, 64]
+        assert set(sizes[10:-1]) == {limit}
+        assert 0 < sizes[-1] <= limit
+        assert sum(sizes[3:]) == result.step_count == 1600
+
+    def test_large_block_steps_one_at_a_time(self, monkeypatch):
+        # the 66-state block of 5x1: one step's three matrices pass the budget
+        stacks = record_step_stacks(monkeypatch)
+        schedule = RampSchedule(0.0, 0.5, duration=1.0)
+        result = propagate(ChainSpec(5, 1), schedule, dt=0.05)
+        assert 3 * 8 * 66 * 66 > rotorsim.dynamics._CHUNK_BYTES
+        assert {shape[0] for shape in stacks} == {1}
+        oracle, _ = oracle_propagate(ChainSpec(5, 1), schedule, 0.05)
+        assert result == oracle
+
+
 class TestEvenBlockStepping:
     """Every step runs on the (R+, P+) block of the M = 0 sector."""
 
     @pytest.mark.parametrize("spec, size", [(ChainSpec(3, 1), 6), (ChainSpec(2, 2), 8)])
     def test_steps_run_on_the_block(self, spec, size, monkeypatch):
-        sizes = set()
-
-        def recording(kinetic, bond, schedule, psi, t, dt, _step=rotorsim.dynamics._step):
-            sizes.add(len(psi))
-            return _step(kinetic, bond, schedule, psi, t, dt)
-        monkeypatch.setattr(rotorsim.dynamics, "_step", recording)
+        stacks = record_step_stacks(monkeypatch)
         propagate(spec, RampSchedule(0.0, 0.6, duration=0.5), dt=0.1)
-        assert sizes == {size}
+        assert {shape[-2:] for shape in stacks} == {(size, size)}
 
     def test_start_state_outside_the_block_is_refused(self, monkeypatch, tmp_path, capsys):
         # an isometry without the first code, the all-l = 0 ground state at kappa = 0
@@ -315,8 +375,13 @@ class TestOverflow:
         assert math.isfinite(result.max_adiabatic_ratio)
 
     def test_nan_step_error_is_rejected_not_accepted(self, monkeypatch):
-        # a NaN error estimate halves dt until the step cap, like any failed step
-        monkeypatch.setattr(rotorsim.dynamics, "_step", lambda k, b, s, psi, t, dt: psi * np.nan)
+        # NaN eigenvalues in the stacked step solves make a NaN error estimate,
+        # which halves dt until the step cap, like any failed step
+        def nan_steps(matrix, eigh=np.linalg.eigh):
+            vals, vecs = eigh(matrix)
+            return (vals * np.nan if matrix.ndim > 2 else vals), vecs
+
+        monkeypatch.setattr(np.linalg, "eigh", nan_steps)
         monkeypatch.setattr(rotorsim.dynamics, "DYNAMICS_STEP_CAP", 16)
         with pytest.raises(DimensionCapError, match="step cap"):
             propagate(TWO_SITE, RampSchedule(0.0, 0.5, duration=0.5), dt=0.05)
