@@ -227,7 +227,8 @@ def cmd_sim(args) -> int:
             "fitted_xi": profile.fitted_xi,
             "fit_quality": profile.fit_quality,
         }, ["distance", "value"], list(zip(profile.distances, profile.values)))
-        print(f"fitted_xi = {profile.fitted_xi}")
+        xi = profile.fitted_xi
+        print("fitted_xi = None" if xi is None else f"fitted_xi = {xi:.9g}")
     else:  # ramp
         schedule = RampSchedule(kappa_start=spec.kappa, kappa_end=args.kappa_end,
                                 duration=args.duration, shape=args.shape)

@@ -22,7 +22,9 @@ Two more symmetries commute with H: the pi rotation about y,
 R = exp(i pi L_y), which maps each site's |l, m> to (-1)^(l-m) |l, -m>, and
 the site reflection P: i -> N-1-i, for open and periodic chains alike. Both
 map the M = 0 sector onto itself, and even_block spans their joint +1
-eigenspace (R+, P+) there, which holds the ground state and the whole ramp.
+eigenspace (R+, P+) there, which holds the ground state and the whole ramp:
+spectra.ground_state solves H on it at mu_tilde = 0, rotorsim.dynamics
+propagates in it.
 
 No solver calls build_grand_canonical, build_charge, sector_decompose or
 SparseOperator.restrict. They stay because the benchmark's tracer names them
@@ -265,8 +267,10 @@ def even_block(spec: ChainSpec, codes) -> sp.csc_matrix:
     states = _site_states(spec, codes)
     flipped, powers = flip[states], _powers(spec)
     images = np.stack([powers @ flipped, powers @ states[::-1], powers @ flipped[::-1]])
-    index = np.searchsorted(codes, images)  # images under R, P and RP
-    if not np.array_equal(codes.take(index, mode="clip"), images):
+    # R, P and RP are involutions that permute a closed basis, so the permutation
+    # sorting a row of images is also the position of each image in the codes
+    index = np.argsort(images, axis=1)
+    if not (np.take_along_axis(images, index, axis=1) == codes).all():
         raise ValueError("the basis is not closed under R and P; pass the M = 0 sector_basis")
     rep = np.flatnonzero(np.arange(len(codes)) <= index.min(axis=0))
     sign = 1.0 - 2.0 * (odd[states].sum(axis=0)[rep] % 2)  # R and RP; P has none

@@ -198,6 +198,15 @@ class TestSim:
         doc = json.loads((out / "correlation.json").read_text())
         assert doc["fitted_xi"] == pytest.approx(1.21094, abs=1e-3)
 
+    @pytest.mark.parametrize("sites, kappa, line", [
+        ("8", "1", "fitted_xi = 1.25283974"),  # 9 digits, like the gap line
+        ("6", "0", "fitted_xi = None"),  # decoupled sites: no fit
+    ])
+    def test_correlation_prints_fitted_xi(self, tmp_path, capsys, sites, kappa, line):
+        assert run(["sim", "correlation", "--sites", sites, "--lmax", "1", "--kappa", kappa,
+                    "--out", tmp_path / "out"]) == 0
+        assert line in capsys.readouterr().out.splitlines()
+
     def test_ramp(self, tmp_path):
         out = tmp_path / "out"
         assert run(["sim", "ramp", "--sites", "2", "--lmax", "1", "--kappa", "0",

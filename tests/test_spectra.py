@@ -1,8 +1,10 @@
+import functools
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import rotorsim.spectra
 from rotorsim.lattice import (ChainSpec, DimensionCapError, InvalidSpecError, build_charge,
@@ -27,6 +29,8 @@ from conftest import (
     oracle_charge,
     oracle_grand_canonical,
     oracle_hamiltonian,
+    oracle_interaction,
+    oracle_kinetic,
     oracle_sectors,
     total_transverse_angular_momentum,
 )
@@ -65,6 +69,17 @@ def grand_canonical_ground(spec, mu):
     vals, vecs = np.linalg.eigh(oracle_grand_canonical(spec, mu).matrix.toarray())
     charge = np.vdot(vecs[:, 0], oracle_charge(spec).matrix @ vecs[:, 0])
     return vals[0], charge.real
+
+
+def record_solves(monkeypatch):
+    """(dimension, k) of every lowest_eigenpairs call made by rotorsim.spectra, in order."""
+    solved = []
+
+    def recording(op, k, _solve=rotorsim.spectra.lowest_eigenpairs):
+        solved.append((op.dimension, k))
+        return _solve(op, k)
+    monkeypatch.setattr(rotorsim.spectra, "lowest_eigenpairs", recording)
+    return solved
 
 
 class TestLowestEigenpairs:
@@ -229,6 +244,57 @@ class TestGroundState:
             lowest_eigenpairs(block, 1)
 
 
+# l_max 1-3, open and periodic (N >= 3): sector 0 up to 1107 states, its (R+, P+) block up to 302
+GROUND_STATE_GRID = [ChainSpec(n, l_max, boundary=boundary)
+                     for l_max, sizes in ((1, range(2, 7)), (2, range(2, 5)), (3, (2, 3)))
+                     for n in sizes for boundary in ("open", "periodic")
+                     if boundary == "open" or n >= 3]
+
+
+@functools.cache
+def oracle_sector0_parts(spec):
+    """Independent oracle: sum L^2 and the bond operator on the M = 0 sector, dense."""
+    index = oracle_sectors(spec)[0]
+    return tuple(part(spec).restrict(index).matrix.toarray()
+                 for part in (oracle_kinetic, oracle_interaction))
+
+
+class TestGroundStateBlock:
+    """At mu_tilde = 0 ground_state solves the (R+, P+) block of sector 0 alone."""
+
+    @pytest.mark.parametrize("kappa", [0.0, 0.01, 1.0, 1.349, 10.0, 1000.0])
+    @pytest.mark.parametrize("spec", GROUND_STATE_GRID,
+                             ids=lambda s: f"{s.n_sites}x{s.l_max}-{s.boundary}")
+    def test_matches_the_dense_sector_0_ground_state(self, spec, kappa):
+        kinetic, bond = oracle_sector0_parts(spec)
+        vals, vecs = scipy.linalg.eigh(kinetic + kappa * bond, subset_by_index=[0, 0])
+        energy, codes, vec = ground_state(replace(spec, kappa=kappa))
+        assert np.array_equal(codes, oracle_sectors(spec)[0])
+        assert abs(energy - vals[0]) <= 1e-10 * max(1.0, abs(vals[0]))
+        assert abs(abs(np.vdot(vec, vecs[:, 0])) - 1.0) <= 1e-10
+
+    def test_solves_one_block_not_the_sector(self, monkeypatch):
+        solved = record_solves(monkeypatch)
+        spec = ChainSpec(8, 1, kappa=1.0)
+        _, codes, vec = ground_state(spec)
+        # the 12870-state sector 0 is never solved; the vector is embedded back in it
+        assert solved == [(3299, 1)]
+        assert len(codes) == len(vec) == 12870
+        assert abs(np.linalg.norm(vec) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("mu", [2.5, -2.5])
+    def test_nonzero_mu_solves_the_labelled_sector(self, mu, monkeypatch):
+        spec = ChainSpec(3, 1, kappa=1.0)
+        label = int(spectrum(spec, 1, mu).sector_labels[0])
+        assert label != 0
+        solved = record_solves(monkeypatch)
+        _, codes, vec = ground_state(spec, mu)
+        # spectrum's one solve per sector M = 0 .. N l_max, then the whole labelled sector
+        sectors = [(len(sector_basis(spec, m)), 1) for m in range(spec.n_sites * spec.l_max + 1)]
+        assert solved == sectors + [(len(sector_basis(spec, label)), 1)]
+        assert np.array_equal(codes, sector_basis(spec, label)) and len(vec) == len(codes)
+
+
 class TestMassGap:
     @pytest.mark.parametrize("n_sites", [1, 2, 3, 4])
     def test_free_chain(self, n_sites):
@@ -324,17 +390,13 @@ class TestMassGap:
         (ChainSpec(8, 1, kappa=1.0), 3, [(12870, 3)]),
     ])
     def test_builds_and_solves_sector_0_only(self, spec, degeneracy, solves, monkeypatch):
-        built, solved = [], []
+        built = []
 
         def counted(spec, codes, _build=rotorsim.spectra.build_hamiltonian):
             built.append(list(codes))
             return _build(spec, codes)
-
-        def recording(op, k, _solve=rotorsim.spectra.lowest_eigenpairs):
-            solved.append((op.dimension, k))
-            return _solve(op, k)
         monkeypatch.setattr(rotorsim.spectra, "build_hamiltonian", counted)
-        monkeypatch.setattr(rotorsim.spectra, "lowest_eigenpairs", recording)
+        solved = record_solves(monkeypatch)
         assert mass_gap(spec)[1] == degeneracy
         assert built == [list(sector_basis(spec, 0))]
         assert solved == solves
