@@ -2,7 +2,7 @@
 
 from importlib import resources
 
-from .constants import CODATA2018, Constants
+from .constants import CODATA2018
 from .design import (
     DesignError,
     EffectiveParams,

@@ -23,8 +23,7 @@ R = exp(i pi L_y), which maps each site's |l, m> to (-1)^(l-m) |l, -m>, and
 the site reflection P: i -> N-1-i, for open and periodic chains alike. Both
 map the M = 0 sector onto itself, and even_block spans their joint +1
 eigenspace (R+, P+) there, which holds the ground state and the whole ramp:
-spectra.ground_state solves H on it at mu_tilde = 0, rotorsim.dynamics
-propagates in it.
+spectra.ground_state solves H on it, rotorsim.dynamics propagates in it.
 
 No solver calls build_grand_canonical, build_charge, sector_decompose or
 SparseOperator.restrict. They stay because the benchmark's tracer names them
@@ -90,8 +89,9 @@ class ChainSpec:
     """Dimensionless description of a rotor chain's Hamiltonian H.
 
     kappa is the bond strength 2 K m rho^4 / hbar^2. The chemical potential
-    mu_tilde is not part of H ([H, Q] = 0): spectrum, ground_state and
-    build_grand_canonical take it as an argument.
+    mu_tilde is not part of H ([H, Q] = 0): spectrum and build_grand_canonical
+    take it as an argument. A dimension d^N above the cap raises
+    DimensionCapError, and d^N is computed only below cap^2.
     """
 
     n_sites: int
@@ -116,10 +116,12 @@ class ChainSpec:
             raise InvalidSpecError(f"boundary must be 'open' or 'periodic', got {self.boundary!r}")
         if self.boundary == "periodic" and self.n_sites < 3:
             raise InvalidSpecError("periodic boundary requires n_sites >= 3")
-        if self.site_dim ** self.n_sites > _dim_cap():
+        d, cap = self.site_dim, _dim_cap()
+        # d^N >= 2^(N (bits(d) - 1)) >= 2^bits(cap) > cap refuses a long chain unpowered
+        if self.n_sites * (d.bit_length() - 1) >= cap.bit_length() or d**self.n_sites > cap:
             raise DimensionCapError(
-                f"total dimension {self.site_dim}^{self.n_sites} exceeds the cap "
-                f"{_dim_cap()} (override via ${DIM_CAP_ENV})"
+                f"total dimension {d}^{self.n_sites} exceeds the cap "
+                f"{cap} (override via ${DIM_CAP_ENV})"
             )
 
     @property

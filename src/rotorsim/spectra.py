@@ -6,12 +6,11 @@ DENSE_CUTOFF (the oracle for the paths above it; the crossover is frozen so
 the ``method`` label is reproducible), off the diagonal, or by Lanczos.
 
 Every solver works on H alone, one total-M sector at a time, and only
-spectrum and ground_state take a chemical potential mu_tilde: on sector M
-the term -mu_tilde Q is the constant -mu_tilde M, and the pi rotation about x
-maps sector M onto -M, which therefore has the same levels. At mu_tilde = 0
-ground_state solves only the (R+, P+) block of sector 0 (lattice.even_block),
-about a quarter of it; mass_gap needs a level of every block, so it solves
-the whole sector once.
+spectrum takes a chemical potential mu_tilde: on sector M the term
+-mu_tilde Q is the constant -mu_tilde M, and the pi rotation about x maps
+sector M onto -M, which therefore has the same levels. ground_state solves
+only the (R+, P+) block of sector 0 (lattice.even_block), about a quarter of
+it; mass_gap needs a level of every block, so it solves the whole sector once.
 """
 
 import math
@@ -164,10 +163,10 @@ def lowest_eigenpairs(op: SparseOperator, k: int) -> SpectrumResult:
     )
 
 
-def _solve_sector(spec: ChainSpec, m: int, k: int):
-    """Codes of sector M = m and the lowest min(k, dimension) levels of H on it."""
+def _solve_sector(spec: ChainSpec, m: int, k: int) -> SpectrumResult:
+    """The lowest min(k, dimension) levels of H on sector M = m."""
     codes = sector_basis(spec, m)
-    return codes, lowest_eigenpairs(build_hamiltonian(spec, codes), min(k, len(codes)))
+    return lowest_eigenpairs(build_hamiltonian(spec, codes), min(k, len(codes)))
 
 
 def spectrum(spec: ChainSpec, k: int, mu_tilde: float = 0.0) -> SpectrumResult:
@@ -188,7 +187,7 @@ def spectrum(spec: ChainSpec, k: int, mu_tilde: float = 0.0) -> SpectrumResult:
     levels = []  # (energy, M, residual)
     methods = set()
     for m in range(spec.n_sites * spec.l_max + 1):
-        res = _solve_sector(spec, m, k)[1]
+        res = _solve_sector(spec, m, k)
         methods.add(res.method)
         levels += [(e - mu_tilde * label, label, r)
                    for e, r in zip(res.eigenvalues, res.residual_norms)
@@ -212,32 +211,25 @@ def spectrum(spec: ChainSpec, k: int, mu_tilde: float = 0.0) -> SpectrumResult:
     )
 
 
-def ground_state(spec: ChainSpec, mu_tilde: float = 0.0):
-    """Ground state of H - mu_tilde Q as (energy, codes, sector vector).
+def ground_state(spec: ChainSpec):
+    """Ground state of H as (energy, codes, sector vector).
 
-    The state lies in one total-M sector m: codes are that sector's basis
-    (sector_basis) and the vector its components there. At mu_tilde = 0,
-    m = 0, and H is solved on the (R+, P+) block V = even_block of that
-    sector alone, as V^T H V, with V u embedded back: the ground state is an
-    SU(2) singlet, whose M = 0 state has R = (-1)^L = +1. That it is also
-    P+ was checked against the dense sector-0 minimum for l_max 1-3, open
-    and periodic chains, kappa 0 to 1000 (tests/test_spectra.py), not proven.
-    Otherwise m is the label of spectrum's lowest level (ties: most negative
-    M), H is solved on that whole sector, and a non-finite mu_tilde raises
-    InvalidSpecError there. The energy is E - mu_tilde m.
+    The state lies in the M = 0 sector: codes are its basis (sector_basis)
+    and the vector its components there. H is solved on the (R+, P+) block
+    V = even_block of that sector alone, as V^T H V, with V u embedded back:
+    the ground state is an SU(2) singlet, whose M = 0 state has
+    R = (-1)^L = +1. That it is also P+ was checked against the dense
+    sector-0 minimum for l_max 1-3, open and periodic chains, kappa 0 to
+    1000 (tests/test_spectra.py), not proven. The ground state of
+    H - mu_tilde Q is H's lowest level on the sector M that
+    spectrum(spec, 1, mu_tilde) labels.
     """
-    if mu_tilde == 0.0:
-        codes = sector_basis(spec, 0)
-        v = even_block(spec, codes)
-        block = v.T @ build_hamiltonian(spec, codes).matrix @ v  # V^T is CSR, so is the product
-        res = lowest_eigenpairs(SparseOperator(dimension=block.shape[0], matrix=block), 1)
-        # v @ u is a new contiguous vector, unlike a column of the eigenvectors
-        return float(res.eigenvalues[0]), codes, v @ res.eigenvectors[:, 0]
-    m = int(spectrum(spec, 1, mu_tilde).sector_labels[0])
-    codes, res = _solve_sector(spec, m, 1)
-    # contiguous: vdot over a strided column would sum in another order
-    return (float(res.eigenvalues[0]) - mu_tilde * m, codes,
-            np.ascontiguousarray(res.eigenvectors[:, 0]))
+    codes = sector_basis(spec, 0)
+    v = even_block(spec, codes)
+    block = v.T @ build_hamiltonian(spec, codes).matrix @ v  # V^T is CSR, so is the product
+    res = lowest_eigenpairs(SparseOperator(dimension=block.shape[0], matrix=block), 1)
+    # v @ u is a new contiguous vector, unlike a column of the eigenvectors
+    return float(res.eigenvalues[0]), codes, v @ res.eigenvectors[:, 0]
 
 
 def mass_gap(spec: ChainSpec):
@@ -295,7 +287,7 @@ def charge_scan(spec: ChainSpec, mu_grid) -> ChargeScan:
         raise ValueError(f"mu * M overflows: mu up to {mu_grid[-1]:.9g} at charge {max_charge}")
 
     charges = np.arange(max_charge + 1)
-    lowest = np.array([_solve_sector(spec, m, 1)[1].eigenvalues[0] for m in charges])
+    lowest = np.array([_solve_sector(spec, m, 1).eigenvalues[0] for m in charges])
     energies = lowest[None, :] - mu_grid[:, None] * charges[None, :]
     ground = np.argmin(energies, axis=1)
 

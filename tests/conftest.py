@@ -283,9 +283,9 @@ def all_codes(spec):
     return np.arange(spec.dimension, dtype=np.int64)
 
 
-def full_ground_state(spec, mu_tilde=0.0):
+def full_ground_state(spec):
     """ground_state's (energy, vector) with the sector vector embedded in the whole space."""
-    energy, codes, sector_vector = ground_state(spec, mu_tilde)
+    energy, codes, sector_vector = ground_state(spec)
     vec = np.zeros(len(all_codes(spec)))
     vec[np.searchsorted(all_codes(spec), codes)] = sector_vector
     return energy, vec

@@ -347,6 +347,12 @@ class TestCapsAndExtremeInput:
         assert_refused(["sim", "ramp", "--sites", "2", "--lmax", "1", "--duration", "1e300",
                         "--out", tmp_path / "out"], capsys, 5)
 
+    def test_dimension_cap_exit_5(self, tmp_path, capsys):
+        # 4^(10^9) is never computed: the refusal is immediate
+        err = assert_refused(["sim", "gap", "--sites", "1000000000", "--lmax", "1",
+                              "--out", tmp_path / "out"], capsys, 5)
+        assert err.startswith("error: total dimension 4^1000000000 exceeds the cap ")
+
     def test_scan_steps_cap_exit_5(self, micro_config, tmp_path, capsys):
         assert_refused(["design", "scan", "--config", micro_config, "--parameter", "gamma_m",
                         "--start", "2e-6", "--stop", "3e-6", "--steps", "1000000000000",
@@ -466,10 +472,15 @@ class TestCapsAndExtremeInput:
                              capsys, 2)
         assert "kappa * B" in err
 
-    def test_ramp_too_fast_for_its_adiabatic_ratio_exit_2(self, tmp_path, capsys):
-        err = assert_refused(["sim", "ramp", "--sites", "2", "--lmax", "1", "--duration",
-                              "1e-300", "--out", tmp_path / "out"], capsys, 2)
-        assert "adiabatic matrix element" in err
+    @pytest.mark.parametrize("flags, bound", [
+        (["--duration", "1e-300"], "2e+300"),
+        # the bound on the adiabatic matrix element overflows itself
+        (["--kappa-end", "5e307", "--duration", "1"], "inf"),
+    ])
+    def test_ramp_too_fast_for_its_adiabatic_ratio_exit_2(self, tmp_path, capsys, flags, bound):
+        err = assert_refused(["sim", "ramp", "--sites", "2", "--lmax", "1", *flags,
+                              "--out", tmp_path / "out"], capsys, 2)
+        assert f"adiabatic matrix element may reach {bound}," in err
 
     def test_overflowing_charge_scan_grid_exit_2(self, tmp_path, capsys):
         err = assert_refused(["sim", "charge-scan", "--sites", "2", "--lmax", "1",
@@ -543,6 +554,9 @@ PROPERTY_STEP_CAP = 16
 SIM_FLOATS = st.one_of(EXTREME_FLOATS, st.sampled_from([1e300, 1e308, 1.7e308]),
                        st.floats(0.0, 4.0))
 MICRO_GEOMETRY = json.loads(bundled_config("micro").read_text())
+# small chains, or chains past the dimension cap (4^11 > 2^21 for l_max 1 and 2),
+# which are refused before d^N is computed
+SITES = st.one_of(st.integers(1, 3), st.integers(11, 10**13))
 
 
 # the flags of each sim command besides the chain flags and --out/--format
@@ -555,7 +569,7 @@ def sim_argv(draw):
     """(argv, geometry document or None) for a small chain and hostile floats."""
     argv = ["sim", draw(st.sampled_from(["spectrum", "gap", "charge-scan", "correlation",
                                          "ramp"])),
-            f"--sites={draw(st.integers(1, 3))}", f"--lmax={draw(st.integers(1, 2))}",
+            f"--sites={draw(SITES)}", f"--lmax={draw(st.integers(1, 2))}",
             f"--k={draw(st.integers(-1, 8))}", f"--mu-steps={draw(SCAN_STEPS)}",
             f"--shape={draw(st.sampled_from(['linear', 'smoothstep']))}"]
     for flag in ("--kappa", "--mu-start", "--mu-stop", "--kappa-end"):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 from dataclasses import fields, replace
 
 import numpy as np
@@ -71,7 +72,7 @@ class TestChainSpec:
             ChainSpec(**{"n_sites": 2, "l_max": 1, field: value})
 
     def test_fields_describe_the_hamiltonian_alone(self):
-        # mu_tilde is an argument of spectrum, ground_state and build_grand_canonical
+        # mu_tilde is an argument of spectrum and build_grand_canonical
         assert [f.name for f in fields(ChainSpec)] == ["n_sites", "l_max", "kappa", "boundary"]
         with pytest.raises(TypeError):
             ChainSpec(2, 1, mu_tilde=0.5)
@@ -84,6 +85,33 @@ class TestChainSpec:
             ChainSpec(n_sites=2, l_max=1)
         monkeypatch.setenv(DIM_CAP_ENV, "100")
         assert ChainSpec(n_sites=2, l_max=1).dimension == 16
+
+    def test_long_chain_refused_without_its_dimension(self, monkeypatch):
+        # 4^(10^9) has 2 * 10^9 bits: computing it exactly takes seconds and about 1 GB
+        monkeypatch.delenv(DIM_CAP_ENV, raising=False)
+        start = time.perf_counter()
+        with pytest.raises(DimensionCapError, match=r"^total dimension 4\^1000000000 exceeds "
+                                                    r"the cap 2097152 \(override via "):
+            ChainSpec(10**9, 1)
+        assert time.perf_counter() - start < 1.0
+
+    # d = 4, 9, 16, 64 and 65536; caps at and next to powers of d, and around 2^21
+    CAP_GRID_CAPS = sorted({-1, 0, 1, 2, 3, 2**21, 10**40} | {
+        d**n + delta for d in (4, 9, 16) for n in (1, 2, 5, 10, 30) for delta in (-1, 0, 1)})
+
+    @pytest.mark.parametrize("l_max", [1, 2, 3, 7, 255])
+    def test_cap_refuses_exactly_when_d_to_the_n_exceeds_it(self, monkeypatch, l_max):
+        d = (l_max + 1) ** 2
+        for cap in self.CAP_GRID_CAPS:
+            monkeypatch.setenv(DIM_CAP_ENV, str(cap))
+            for n_sites in range(1, 140):
+                if d**n_sites <= cap:
+                    assert ChainSpec(n_sites, l_max).dimension == d**n_sites
+                    continue
+                with pytest.raises(DimensionCapError) as refused:
+                    ChainSpec(n_sites, l_max)
+                assert str(refused.value) == (f"total dimension {d}^{n_sites} exceeds the cap "
+                                              f"{cap} (override via ${DIM_CAP_ENV})")
 
 
 class TestSiteBasis:

@@ -166,15 +166,16 @@ class TestSpectrum:
             spectrum(ChainSpec(2, 1), k=k)
 
     @pytest.mark.parametrize("mu", [math.nan, -math.inf])
-    @pytest.mark.parametrize("solve", [lambda spec, mu: spectrum(spec, 1, mu), ground_state],
-                             ids=["spectrum", "ground_state"])
-    def test_rejects_non_finite_mu(self, solve, mu):
+    def test_rejects_non_finite_mu(self, mu):
         with pytest.raises(InvalidSpecError, match="mu_tilde must be a finite number"):
-            solve(ChainSpec(2, 1), mu)
+            spectrum(ChainSpec(2, 1), 1, mu)
 
-    @pytest.mark.parametrize("mu", [0.0, 0.7])
-    def test_vectors_are_real(self, mu):
-        assert ground_state(ChainSpec(2, 2, kappa=1.0), mu)[2].dtype == np.float64
+    def test_vectors_are_real(self):
+        assert ground_state(ChainSpec(2, 2, kappa=1.0))[2].dtype == np.float64
+
+    def test_tie_goes_to_the_most_negative_charge(self):
+        # at kappa = 0, mu = -2 the sectors M = 0, -1, -2 share the ground energy 0
+        assert spectrum(ChainSpec(2, 1, kappa=0.0), k=1, mu_tilde=-2.0).sector_labels[0] == -2
 
     def test_rounding_noise_ties_are_ordered_by_label(self):
         # 4.8 five times: the three E = 8.8 levels of M = 2 and the two E = 6.8
@@ -187,7 +188,7 @@ class TestSpectrum:
         levels = []
         for m in range(spec.n_sites * spec.l_max + 1):
             levels += [(e - mu * label, label)
-                       for e in rotorsim.spectra._solve_sector(spec, m, 20)[1].eigenvalues
+                       for e in rotorsim.spectra._solve_sector(spec, m, 20).eigenvalues
                        for label in ((m, -m) if m else (0,))]
         assert sorted(zip(res.eigenvalues, res.sector_labels)) == sorted(levels)[:20]
 
@@ -203,20 +204,16 @@ class TestGroundState:
     @pytest.mark.parametrize("mu", [0.7, -0.7, 2.5, -2.5])
     @pytest.mark.parametrize("spec", [ChainSpec(3, 1, kappa=1.0), ChainSpec(2, 2, kappa=1.0)])
     def test_matches_grand_canonical_diagonalization(self, spec, mu):
-        energy, vec = full_ground_state(spec, mu)
-        label = spectrum(spec, k=1, mu_tilde=mu).sector_labels[0]
+        # README's charged ground state: spectrum's label m, then the lowest level of H on M = m
+        label = int(spectrum(spec, k=1, mu_tilde=mu).sector_labels[0])
+        codes = sector_basis(spec, label)
+        res = lowest_eigenpairs(build_hamiltonian(spec, codes), 1)
+        vec = np.zeros(spec.dimension)
+        vec[codes] = res.eigenvectors[:, 0]
         expected_energy, _ = grand_canonical_ground(spec, mu)
-        assert energy == pytest.approx(expected_energy, abs=1e-10)
+        assert res.eigenvalues[0] - mu * label == pytest.approx(expected_energy, abs=1e-10)
         assert np.vdot(vec, build_charge(spec, all_codes(spec)).matrix @ vec) == pytest.approx(
             label, abs=1e-10)
-
-    def test_tie_goes_to_the_most_negative_charge(self):
-        # at kappa = 0, mu = -2 the sectors M = 0, -1, -2 share the ground energy 0
-        spec = ChainSpec(2, 1, kappa=0.0)
-        assert spectrum(spec, k=1, mu_tilde=-2.0).sector_labels[0] == -2
-        energy, vec = full_ground_state(spec, -2.0)
-        assert energy == 0.0
-        assert np.vdot(vec, build_charge(spec, all_codes(spec)).matrix @ vec) == -2.0
 
     def test_solve_cap_bounds_k_times_dimension(self, monkeypatch):
         # 8^2 = 64 stored values: the 70-state M = 0 block of 4x1 is refused
@@ -260,7 +257,7 @@ def oracle_sector0_parts(spec):
 
 
 class TestGroundStateBlock:
-    """At mu_tilde = 0 ground_state solves the (R+, P+) block of sector 0 alone."""
+    """ground_state solves the (R+, P+) block of sector 0 alone."""
 
     @pytest.mark.parametrize("kappa", [0.0, 0.01, 1.0, 1.349, 10.0, 1000.0])
     @pytest.mark.parametrize("spec", GROUND_STATE_GRID,
@@ -281,18 +278,6 @@ class TestGroundStateBlock:
         assert solved == [(3299, 1)]
         assert len(codes) == len(vec) == 12870
         assert abs(np.linalg.norm(vec) - 1.0) <= 1e-12
-
-    @pytest.mark.parametrize("mu", [2.5, -2.5])
-    def test_nonzero_mu_solves_the_labelled_sector(self, mu, monkeypatch):
-        spec = ChainSpec(3, 1, kappa=1.0)
-        label = int(spectrum(spec, 1, mu).sector_labels[0])
-        assert label != 0
-        solved = record_solves(monkeypatch)
-        _, codes, vec = ground_state(spec, mu)
-        # spectrum's one solve per sector M = 0 .. N l_max, then the whole labelled sector
-        sectors = [(len(sector_basis(spec, m)), 1) for m in range(spec.n_sites * spec.l_max + 1)]
-        assert solved == sectors + [(len(sector_basis(spec, label)), 1)]
-        assert np.array_equal(codes, sector_basis(spec, label)) and len(vec) == len(codes)
 
 
 class TestMassGap:
