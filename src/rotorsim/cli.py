@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import design
-from .design import SCAN_PARAMETERS, DesignError, Environment, Geometry
+from .design import SCAN_PARAMETERS, Environment, Geometry
 from .dynamics import RampSchedule, propagate
 from .lattice import ChainSpec, DimensionCapError
 from .serialize import write_csv, write_json
@@ -156,13 +156,9 @@ def _chain_spec(args):
     params = {key: doc.get(key, default) if getattr(args, key) is None else getattr(args, key)
               for key, (_, default) in SIM_KEYS.items()}
     if args.from_geometry:
-        geom, env = _geometry_environment(_load_config(args.from_geometry))
-        try:
-            eff = design.effective_params(geom)
-            mu_tilde = design.chemical_potential(env.magnetic_field) / eff.rotational_quantum
-        except (ZeroDivisionError, OverflowError):
-            raise DesignError("geometry", f"kappa or mu_tilde divides by zero or overflows "
-                                          f"for {geom}") from None
+        report = design.feasibility(*_geometry_environment(_load_config(args.from_geometry)))
+        eff = report.effective
+        mu_tilde = report.chemical_potential / eff.rotational_quantum
         print(f"derived from geometry: g_eff = {eff.effective_coupling:.9g}, "
               f"kappa = rotor_coupling = {eff.rotor_coupling:.9g}, mu_tilde = {mu_tilde:.9g}")
         params.update(kappa=eff.rotor_coupling, mu=mu_tilde)

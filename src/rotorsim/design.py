@@ -14,11 +14,14 @@ parameter. The formulas they compose (capacitance_denominator, interaction_stren
 effective_speed, effective_coupling, rotational_quantum, chemical_potential) are public.
 
 Every formula takes a float or a numpy array in any one length, temperature
-or field, and feasibility and scan evaluate the same expressions: scan once
-over its whole grid. Array arithmetic keeps to the operations that numpy
-rounds as Python does (+, -, *, / and sqrt); log, exp and powers apply the
-libm function to each element (_each). A grid row therefore equals the
-report of its point bit for bit.
+or field. feasibility and scan evaluate the same expressions on arrays: scan
+once over its whole grid, feasibility on a one-point grid whose row 0 it
+reads. Array arithmetic keeps to the operations that numpy rounds as Python
+does (+, -, *, / and sqrt); log, exp and powers apply the libm function to
+each element (_each). A report therefore equals the float composition of the
+formulas bit for bit. Where they divide by zero or overflow, the arrays carry
+inf and NaN on, and a point with a non-finite effective parameter or a NaN
+ratio is refused.
 """
 
 import math
@@ -280,48 +283,37 @@ def _each(fn, x, *args):
 
     log, exp and every power of a quantity that may be an array go through
     here: numpy's own versions differ from libm in the last bit on some
-    inputs. The Python functions also raise OverflowError where numpy's
-    would return inf, which sends scan to its per-point path.
+    inputs. On a float the Python function raises OverflowError where numpy's
+    would return inf; on an array that element reads NaN instead.
     """
-    if isinstance(x, np.ndarray):
-        return np.fromiter(map(fn, x.tolist(), *map(repeat, args)), float, x.size)
-    return fn(x, *args)
+    if not isinstance(x, np.ndarray):
+        return fn(x, *args)
+    values = x.tolist()
+    try:
+        return np.fromiter(map(fn, values, *map(repeat, args)), float, x.size)
+    except OverflowError:
+        return np.array([_nan_on_overflow(fn, value, *args) for value in values])
+
+
+def _nan_on_overflow(fn, *args):
+    try:
+        return fn(*args)
+    except OverflowError:
+        return math.nan
 
 
 def _per(numerator, denominator):
-    """numerator / denominator, reading 0 for a zero numerator and inf for a
-    denominator that is not positive (the dynamical scale and the gap
-    underflow to 0 deep in the weak-coupling regime).
-
-    Arrays divide plainly: scan evaluates them with divide and invalid
-    flags raised, and redoes the grid point by point when one is.
-    """
-    if isinstance(numerator, np.ndarray) or isinstance(denominator, np.ndarray):
-        return numerator / denominator
-    if numerator == 0.0:
-        return 0.0
-    return numerator / denominator if denominator > 0.0 else math.inf
+    """numerator / denominator on arrays, reading 0 for a zero numerator and inf
+    for a zero denominator (the dynamical scale and the gap underflow to 0 deep
+    in the weak-coupling regime); a NaN numerator stays NaN."""
+    return np.where(numerator == 0.0, 0.0, numerator / denominator)
 
 
 def _severity(ratio, pass_at, warn_at, larger_is_better=True):
-    """Index into VERDICTS of one check (a NaN ratio fails); elementwise on arrays."""
+    """Index into VERDICTS of one check, elementwise (a NaN ratio fails)."""
     if larger_is_better:
         return 2 - (ratio >= warn_at) - (ratio >= pass_at)
     return 2 - (ratio < warn_at) - (ratio < pass_at)
-
-
-def _verdicts(severity):
-    """The VERDICTS entry of a severity, or an array of them for an array."""
-    if isinstance(severity, np.ndarray):
-        return np.array(VERDICTS)[severity]
-    return VERDICTS[severity]
-
-
-def _worst(severities):
-    """The largest severity; elementwise when one of them is an array."""
-    if any(isinstance(severity, np.ndarray) for severity in severities):
-        return reduce(np.maximum, severities)
-    return max(severities)
 
 
 def _hierarchy_ratios(geom, scale):
@@ -363,41 +355,59 @@ def effective_params(geom: Geometry, wire_log=None) -> EffectiveParams:
 
 
 def feasibility(geom: Geometry, env: Environment) -> FeasibilityReport:
-    """Full design check: effective parameters plus every validity condition."""
-    return _report(geom, env)
+    """Full design check: effective parameters plus every validity condition.
+
+    Row 0 of a one-point scan, as floats.
+    """
+    return _report(_grid(geom), _grid(env), lambda i: (geom, env), lambda column: column[0].item())
 
 
-def _report(geom, env):
-    """feasibility of floats; of arrays when one field of geom or env is an array."""
-    # arithmetic that leaves the float range is invalid input, not a crash
-    try:
+def _grid(owner):
+    """The fields of a Geometry or Environment as one-element arrays."""
+    return SimpleNamespace(**{name: np.array([value]) for name, value in vars(owner).items()})
+
+
+def _report(geom, env, point, pick=lambda column: column):
+    """The FeasibilityReport of grid points, each field pick(array over them).
+
+    geom and env hold one-element arrays and at most one grid column; point(i)
+    is the (Geometry, Environment) of grid point i. The first point where an
+    effective parameter is not finite or a ratio is NaN is refused as
+    geometry, and the first where the Zeeman term is NaN as magnetic_field.
+    """
+    with np.errstate(all="ignore"):
         wire_log = _wire_log(geom)
         eff = effective_params(geom, wire_log)
         ratios = _hierarchy_ratios(geom, eff.dynamical_scale)
         ind_ratio = _inductance_ratio(geom, eff.effective_speed, wire_log)
-    except (ZeroDivisionError, OverflowError):
-        raise DesignError("geometry", f"formulas divide by zero or overflow for {geom}") from None
-    try:
+        temp_ratio = _per(CODATA2018.boltzmann * env.temperature, eff.gap_energy)
         zeeman = _second_order_zeeman_ratio(env.magnetic_field, geom, eff.gap_energy)
-    except OverflowError:
-        raise DesignError("magnetic_field", f"Zeeman term overflows at {env.magnetic_field!r} T"
-                          ) from None
-    temp_ratio = _per(CODATA2018.boltzmann * env.temperature, eff.gap_energy)
+    bad_geometry = reduce(np.logical_or, [~np.isfinite(value) for value in vars(eff).values()]
+                          + [np.isnan(ratio) for _, ratio in ratios]
+                          + [np.isnan(ind_ratio), np.isnan(temp_ratio)])
+    bad_geometry, bad_field = np.broadcast_arrays(bad_geometry, np.isnan(zeeman))
+    failing = np.flatnonzero(bad_geometry | bad_field)
+    if failing.size:
+        geom, env = point(failing[0])
+        if bad_geometry[failing[0]]:
+            raise DesignError("geometry", f"formulas divide by zero or overflow for {geom}")
+        raise DesignError("magnetic_field", f"Zeeman term overflows at {env.magnetic_field!r} T")
 
     hierarchy = [_severity(ratio, HIERARCHY_PASS, HIERARCHY_WARN) for _, ratio in ratios]
     ind = _severity(ind_ratio, INDUCTANCE_PASS, INDUCTANCE_WARN, larger_is_better=False)
     temp = _severity(temp_ratio, TEMPERATURE_PASS, TEMPERATURE_WARN, larger_is_better=False)
+    verdicts = np.array(VERDICTS)
     return FeasibilityReport(
-        effective=eff,
-        hierarchy_ratios=tuple((name, ratio, _verdicts(severity))
+        effective=EffectiveParams(*map(pick, vars(eff).values())),
+        hierarchy_ratios=tuple((name, pick(ratio), pick(verdicts[severity]))
                                for (name, ratio), severity in zip(ratios, hierarchy)),
-        inductance_ratio=ind_ratio,
-        inductance_verdict=_verdicts(ind),
-        temperature_ratio=temp_ratio,
-        temperature_verdict=_verdicts(temp),
-        chemical_potential=chemical_potential(env.magnetic_field),
-        second_order_zeeman_ratio=zeeman,
-        overall_verdict=_verdicts(_worst(hierarchy + [ind, temp])),
+        inductance_ratio=pick(ind_ratio),
+        inductance_verdict=pick(verdicts[ind]),
+        temperature_ratio=pick(temp_ratio),
+        temperature_verdict=pick(verdicts[temp]),
+        chemical_potential=pick(chemical_potential(env.magnetic_field)),
+        second_order_zeeman_ratio=pick(zeeman),
+        overall_verdict=pick(verdicts[reduce(np.maximum, hierarchy + [ind, temp])]),
     )
 
 
@@ -427,14 +437,11 @@ def scan(geom: Geometry, env: Environment, parameter: str, start: float, stop: f
     magnetic field only, in which case the spacing is linear. The result
     is a serialize.Table of the summary columns in grid order: float64
     arrays and the overall_verdict strings. Each of its rows equals
-    summary_row of feasibility at that point.
+    feasibility at that point, bit for bit.
 
-    The formulas run once, on the whole grid as an array, with numpy's
-    divide, overflow and invalid flags raised. When a grid extreme is not a
-    valid Geometry or Environment, a flag is raised (a zero dynamical scale
-    or gap raises one), or a formula raises, the grid is redone point by
-    point through feasibility. That path refuses the first failing point
-    and returns the inf fields that Python float arithmetic produces.
+    The formulas run once, on the whole grid as an array. A grid extreme
+    that is not a valid Geometry or Environment refuses the scan, and so
+    does the first point that feasibility would refuse.
     """
     if parameter not in SCAN_PARAMETERS:
         raise DesignError("parameter", f"unknown scan parameter {parameter!r}; "
@@ -454,30 +461,28 @@ def scan(geom: Geometry, env: Environment, parameter: str, start: float, stop: f
         values = np.linspace(start, stop, steps)
     else:
         values = np.geomspace(start, stop, steps)
+    owner = geom if target == "geometry" else env
 
-    def at(value):
-        """(geom, env) with the scanned field set to value; validated unless an array."""
-        owner = geom if target == "geometry" else env
-        fields = {**vars(owner), attr: value}
-        changed = (SimpleNamespace(**fields) if isinstance(value, np.ndarray)
-                   else type(owner)(**fields))
+    def at(i):
+        """(geom, env) of grid point i, validated."""
+        changed = type(owner)(**{**vars(owner), attr: values[i].item()})
         return (changed, env) if target == "geometry" else (geom, changed)
 
+    # each validity condition bounds the scanned field on one side only, so
+    # the grid is valid when its two extremes are
+    at(0)
     try:
-        # each validity condition bounds the scanned field on one side only,
-        # so the grid is valid when its two extremes are
-        at(float(values.min()))
-        at(float(values.max()))
-        with np.errstate(divide="raise", over="raise", invalid="raise", under="ignore"):
-            report = _report(*at(values))
-    except (ArithmeticError, ValueError):  # FloatingPointError and DesignError among them
-        report = None
-    if report is None:
-        rows = [[value] + _row_values(feasibility(*at(value))) for value in values.tolist()]
-        columns = [np.array(column) for column in zip(*rows)]
-    else:
-        columns = [np.broadcast_to(column, values.shape)
-                   for column in [values] + _row_values(report)]
+        at(-1)
+    except DesignError:
+        # dx > delta, the one condition that varies along a grid, fails at its
+        # end. delta enters the formulas only through ln(dx/delta), so only
+        # the first point is checked for a refusal that comes before it
+        _report(*map(_grid, at(0)), at)
+        raise
+    grids = {"geometry": _grid(geom), "environment": _grid(env)}
+    setattr(grids[target], attr, values)
+    report = _report(grids["geometry"], grids["environment"], at)
+    columns = [np.broadcast_to(column, values.shape) for column in [values] + _row_values(report)]
     # every column is a float but the last, overall_verdict
     return Table((parameter,) + _EFFECTIVE_COLUMNS + _REPORT_COLUMNS,
                  columns[:-1] + [columns[-1].tolist()])
@@ -487,9 +492,3 @@ def _row_values(report: FeasibilityReport) -> list:
     eff = report.effective
     return ([getattr(eff, name) for name in _EFFECTIVE_COLUMNS]
             + [getattr(report, name) for name in _REPORT_COLUMNS])
-
-
-def summary_row(parameter: str, value: float, report: FeasibilityReport) -> dict:
-    """Flatten one FeasibilityReport into a scan-table row."""
-    return dict(zip((parameter,) + _EFFECTIVE_COLUMNS + _REPORT_COLUMNS,
-                    [value] + _row_values(report)))

@@ -27,7 +27,9 @@ spectra.ground_state solves H on it, rotorsim.dynamics propagates in it.
 
 No solver calls build_grand_canonical, build_charge, sector_decompose or
 SparseOperator.restrict. They stay because the benchmark's tracer names them
-(perfbench/spans.py TARGETS) and its self-test fails on a missing name.
+(perfbench/spans.py TARGETS): a name it cannot find is listed as missing, and
+its self-test (perfbench/test_perfbench.py) reads SparseOperator.restrict by
+name.
 """
 
 import functools
@@ -79,9 +81,12 @@ class DimensionCapError(RuntimeError):
     pass
 
 
-def _dim_cap() -> int:
-    raw = os.environ.get(DIM_CAP_ENV)
-    return int(raw) if raw else DEFAULT_DIM_CAP
+def env_cap(name: str, default: int) -> int:
+    """The positive integer in environment variable name; default when it is unset or empty."""
+    raw = os.environ.get(name) or str(default)
+    if not (raw.isdecimal() and int(raw) > 0):
+        raise InvalidSpecError(f"{name} must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 @dataclass(frozen=True)
@@ -116,7 +121,7 @@ class ChainSpec:
             raise InvalidSpecError(f"boundary must be 'open' or 'periodic', got {self.boundary!r}")
         if self.boundary == "periodic" and self.n_sites < 3:
             raise InvalidSpecError("periodic boundary requires n_sites >= 3")
-        d, cap = self.site_dim, _dim_cap()
+        d, cap = self.site_dim, env_cap(DIM_CAP_ENV, DEFAULT_DIM_CAP)
         # d^N >= 2^(N (bits(d) - 1)) >= 2^bits(cap) > cap refuses a long chain unpowered
         if self.n_sites * (d.bit_length() - 1) >= cap.bit_length() or d**self.n_sites > cap:
             raise DimensionCapError(

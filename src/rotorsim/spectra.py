@@ -15,15 +15,14 @@ it; mass_gap needs a level of every block, so it solves the whole sector once.
 
 import math
 import numbers
-import os
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse.linalg as spla
 
 from .lattice import (DYNAMICS_DIM_CAP, ChainSpec, DimensionCapError, InvalidSpecError,
-                      SparseOperator, build_hamiltonian, direction_dots, even_block,
-                      raising_operator, sector_basis)
+                      SparseOperator, build_hamiltonian, direction_dots, env_cap,
+                      even_block, raising_operator, sector_basis)
 
 __all__ = [
     "DENSE_CUTOFF",
@@ -51,11 +50,6 @@ ITERATION_CAP_ENV = "ROTORSIM_MAX_ITER"
 DEFAULT_ITERATION_CAP = 100_000
 # deterministic Lanczos start vector, fixed seed policy
 _SEED = 0x5EED
-
-
-def _iteration_cap() -> int:
-    raw = os.environ.get(ITERATION_CAP_ENV)
-    return int(raw) if raw else DEFAULT_ITERATION_CAP
 
 
 class NonConvergenceError(RuntimeError):
@@ -136,7 +130,7 @@ def lowest_eigenpairs(op: SparseOperator, k: int) -> SpectrumResult:
         try:
             vals, vecs = spla.eigsh(
                 op.matrix, k=k, which="SA", tol=0,
-                v0=_start_vector(dim), maxiter=_iteration_cap(),
+                v0=_start_vector(dim), maxiter=env_cap(ITERATION_CAP_ENV, DEFAULT_ITERATION_CAP),
             )
         except spla.ArpackNoConvergence as exc:
             raise NonConvergenceError(

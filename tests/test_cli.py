@@ -353,6 +353,18 @@ class TestCapsAndExtremeInput:
                               "--out", tmp_path / "out"], capsys, 5)
         assert err.startswith("error: total dimension 4^1000000000 exceeds the cap ")
 
+    @pytest.mark.parametrize("variable, argv", [
+        ("ROTORSIM_DIM_CAP", ["sim", "gap", "--sites", "2", "--lmax", "1"]),
+        # sector 0 of 8x1 is above DENSE_CUTOFF, so Lanczos reads the iteration cap
+        ("ROTORSIM_MAX_ITER", ["sim", "gap", "--sites", "8", "--lmax", "1", "--kappa", "1"]),
+    ])
+    @pytest.mark.parametrize("value", ["abc", "-5", "0", "1.5"])
+    def test_malformed_cap_variable_exit_2(self, tmp_path, capsys, monkeypatch, variable, argv,
+                                           value):
+        monkeypatch.setenv(variable, value)
+        err = assert_refused(argv + ["--out", tmp_path / "out"], capsys, 2)
+        assert err == f"error: {variable} must be a positive integer, got {value!r}\n"
+
     def test_scan_steps_cap_exit_5(self, micro_config, tmp_path, capsys):
         assert_refused(["design", "scan", "--config", micro_config, "--parameter", "gamma_m",
                         "--start", "2e-6", "--stop", "3e-6", "--steps", "1000000000000",

@@ -1,11 +1,13 @@
 import json
 import math
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from rotorsim import CODATA2018, DesignError, Environment, Geometry, design
+from rotorsim import CODATA2018, DesignError, Environment, Geometry, bundled_config, design
+from rotorsim.cli import main as cli_main
 from rotorsim.design import (
     capacitance_denominator,
     chemical_potential,
@@ -432,6 +434,12 @@ def oracle_feasibility(geom, env):
     )
 
 
+def summary_row(parameter, value, report):
+    """One FeasibilityReport flattened into a scan-table row."""
+    return dict(zip((parameter,) + design._EFFECTIVE_COLUMNS + design._REPORT_COLUMNS,
+                    [value] + design._row_values(report)))
+
+
 ORACLE_ENVIRONMENTS = [
     Environment(),
     Environment(temperature=10e-6, magnetic_field=1e-4),
@@ -465,7 +473,73 @@ class TestChainOracle:
                 g = Geometry(**{**vars(geom), attr: float(value)})
             else:
                 e = Environment(**{**vars(env), attr: float(value)})
-            assert row == design.summary_row(parameter, float(value), oracle_feasibility(g, e))
+            assert row == summary_row(parameter, float(value), oracle_feasibility(g, e))
+
+
+def oracle_outcome(geom, env):
+    """How the float composition ends at one point: None when feasibility must
+    accept it, else "raises" (ZeroDivisionError or OverflowError), "not finite"
+    (an effective field is inf or NaN) or "nan" (a ratio is NaN)."""
+    try:
+        report = oracle_feasibility(geom, env)
+    except (ZeroDivisionError, OverflowError):
+        return "raises"
+    if not all(map(math.isfinite, vars(report.effective).values())):
+        return "not finite"
+    ratios = [ratio for _, ratio, _ in report.hierarchy_ratios]
+    if any(map(math.isnan, ratios + [report.inductance_ratio, report.temperature_ratio])):
+        return "nan"
+    return None
+
+
+# finite effective fields, but (alpha/dx) (c_eff/c)^2 underflows to 0 and ln(dx/delta)
+# overflows to inf, so the inductance ratio is NaN; about 1 in 2000 valid random geometries
+NAN_INDUCTANCE_RATIO = [2.3404836802661766e-234, 3.3382683937565123e-35, 1.57646817943644e-133,
+                        1.0182410303498434e+50, 2.6601953858983824e+140]
+
+
+class TestArrayPathAgainstOracle:
+    """feasibility refuses exactly where the float composition raises, leaves an
+    effective field non-finite or a ratio NaN, and otherwise equals it bit for bit."""
+
+    def test_log_uniform_geometries(self):
+        rng = np.random.default_rng(21)
+        environments = ORACLE_ENVIRONMENTS + [Environment(magnetic_field=1e300)]
+        seen = Counter()
+        draws = (10.0 ** rng.uniform(-300, 300, (3000, 5))).tolist()
+        for fields in draws + [NAN_INDUCTANCE_RATIO]:
+            try:
+                geom = Geometry(*fields)
+            except DesignError:
+                continue
+            # the geometry is refused before the field, as at B = T = 0
+            geometry_outcome = oracle_outcome(geom, Environment())
+            for env in environments:
+                outcome = geometry_outcome or oracle_outcome(geom, env)
+                try:
+                    report = feasibility(geom, env)
+                except DesignError as exc:
+                    expected = "geometry" if geometry_outcome else "magnetic_field"
+                    assert (exc.field_name, outcome) == (expected, outcome or "accepted")
+                    seen[expected, outcome] += 1
+                else:
+                    assert outcome is None
+                    # repr tells the float type, -0.0 from 0.0 and every bit
+                    assert repr(report) == repr(oracle_feasibility(geom, env))
+                    seen["accepted"] += 1
+        assert set(seen) == {"accepted", ("geometry", "raises"), ("geometry", "not finite"),
+                             ("geometry", "nan"), ("magnetic_field", "raises")}
+        assert min(seen.values()) >= len(environments)
+
+    def test_nan_gap_refused_by_the_cli(self, tmp_path, capsys):
+        geom = Geometry(1e-7, 4e-7, 1e150, 2.5e-6, 1e150)  # micro with alpha = dx = 1e150
+        assert math.isnan(oracle_feasibility(geom, Environment()).effective.gap_energy)
+        out = tmp_path / "out"
+        assert cli_main(["design", "report", "--config", str(bundled_config("micro")),
+                         "--alpha", "1e150", "--dx", "1e150", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("error: geometry: formulas divide by zero or "
+                                           f"overflow for {geom}\n")
+        assert not out.exists()
 
 
 def counting(monkeypatch, name):
@@ -558,7 +632,7 @@ def point(geom, env, parameter, value):
 
 
 def per_point_rows(geom, env, parameter, grid):
-    return [design.summary_row(parameter, value, feasibility(*point(geom, env, parameter, value)))
+    return [summary_row(parameter, value, feasibility(*point(geom, env, parameter, value)))
             for value in grid.tolist()]
 
 
@@ -586,19 +660,16 @@ class TestColumnarScan:
 
     def test_fallback_grid_rows_equal_per_point_rows(self, micro, monkeypatch):
         # the dynamical scale turns subnormal inside this range, where 1/scale
-        # overflows: numpy raises its flag and scan redoes the grid point by point
+        # overflows; the grid still runs once, on arrays
         grid = np.geomspace(2e-7, 1e-5, 2000)
         expected = per_point_rows(micro, Environment(), "rho_m", grid)
         point_reports = counting(monkeypatch, "feasibility")
         rows = scan(micro, Environment(), "rho_m", 2e-7, 1e-5, 2000)
-        assert len(point_reports) == 2000
+        assert len(point_reports) == 0
         assert list(rows) == expected
         assert any(row["dynamical_scale"] < sys.float_info.min for row in rows)
-        # the array path returns the same kind of table
-        array_rows = scan(micro, Environment(), "rho_m", 3e-7, 5e-7, 2000)
-        assert len(point_reports) == 2000
-        assert type(rows) is type(array_rows) is Table
-        assert rows.header == array_rows.header == list(expected[0])
+        assert type(rows) is Table
+        assert rows.header == list(expected[0])
 
     @pytest.mark.parametrize("parameter, start, stop", [
         ("delta_m", 1e-8, 1e-3),   # crosses dx = 1.25e-5 mid-grid
@@ -616,3 +687,12 @@ class TestColumnarScan:
         with pytest.raises(DesignError) as err:
             scan(micro, Environment(), parameter, start, stop, 2000)
         assert str(err.value) == expected
+
+    def test_formula_refusal_before_an_invalid_end(self, micro):
+        # gamma^4 underflows to 0 at every point, and delta passes dx at the grid's end:
+        # the first point is refused for its formulas, as point by point
+        tiny_gap = Geometry(**{**vars(micro), "sphere_gap": 1e-300})
+        first = Geometry(**{**vars(tiny_gap), "wire_radius": 1e-8})
+        with pytest.raises(DesignError) as err:
+            scan(tiny_gap, Environment(), "delta_m", 1e-8, 1e-3, 50)
+        assert str(err.value) == f"geometry: formulas divide by zero or overflow for {first}"
