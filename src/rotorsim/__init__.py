@@ -15,16 +15,14 @@ from .design import (
 )
 from .dynamics import EvolutionResult, RampSchedule, adiabatic_ratio, physical_ramp_time, propagate
 from .lattice import (
+    Basis,
     ChainSpec,
     DimensionCapError,
     InvalidSpecError,
     SparseOperator,
-    build_charge,
-    build_grand_canonical,
     build_hamiltonian,
     direction_matrices,
     sector_basis,
-    sector_decompose,
     site_basis,
 )
 from .spectra import (

@@ -106,15 +106,14 @@ class EvolutionResult:
 
 
 def _sector_parts(spec: ChainSpec):
-    """M = 0 sector codes, with K = sum_i L_i^2 and B dense on them; the cap is checked first."""
-    codes = sector_basis(spec, 0)
-    if len(codes) > DYNAMICS_DIM_CAP:
-        raise DimensionCapError(
-            f"M = 0 sector dimension {len(codes)} exceeds the dynamics cap {DYNAMICS_DIM_CAP}"
-        )
-    kinetic = build_kinetic(spec, codes).matrix.toarray()
-    bond = build_interaction(spec, codes).matrix.toarray()
-    return codes, kinetic, bond
+    """M = 0 sector_basis, with K = sum_i L_i^2 and B dense on it; the cap is checked first."""
+    basis = sector_basis(spec, 0)
+    if len(basis.codes) > DYNAMICS_DIM_CAP:
+        raise DimensionCapError(f"M = 0 sector dimension {len(basis.codes)} exceeds the "
+                                f"dynamics cap {DYNAMICS_DIM_CAP}")
+    kinetic = build_kinetic(basis).matrix.toarray()
+    bond = build_interaction(basis).matrix.toarray()
+    return basis, kinetic, bond
 
 
 def _check_rate(schedule, bond):
@@ -194,7 +193,7 @@ def propagate(spec: ChainSpec, schedule: RampSchedule, dt: float,
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be positive and finite, got {dt}")
     _step_count(schedule.duration, dt)  # refuse before anything is built
-    codes, kinetic, bond = _sector_parts(spec)
+    basis, kinetic, bond = _sector_parts(spec)
     # kappa(t) stays between its end values, so this bounds every entry of H(t);
     # Python floats overflow to inf without a numpy warning
     kappa_max = max(schedule.kappa_start, schedule.kappa_end)
@@ -202,7 +201,7 @@ def propagate(spec: ChainSpec, schedule: RampSchedule, dt: float,
         raise ValueError(f"kappa * B is not finite for kappa up to {kappa_max:.9g}")
     _check_rate(schedule, bond)
 
-    v = even_block(spec, codes)
+    v = even_block(basis)
     ends = []
     for kappa in (schedule.kappa_start, schedule.kappa_end):
         ground = v.T @ np.linalg.eigh(kinetic + kappa * bond)[1][:, 0]

@@ -13,10 +13,12 @@ internal axis is unitarily equivalent to this one.
 
 A product state is labelled by its code sum_i s_i d^(N-1-i), with
 d = (l_max + 1)^2 and site state s_i = l^2 + l + m: site 0 is the slowest
-digit and the code is the state's full-space index. [H, Q] = 0, so each
-operator is built on one total-M sector's ascending codes (sector_basis),
-never on the full space. ChainSpec's dimension cap still counts d^N, though
-nothing in the package allocates a d^N array any more.
+digit and the code is the state's full-space index. A Basis holds the spec
+and ascending codes; it decodes them into site states once, on first use,
+and locate is the one search of codes, refusing a code outside the basis.
+[H, Q] = 0, so each operator is built on one total-M sector's Basis
+(sector_basis), never on the full space. ChainSpec's dimension cap still
+counts d^N, though nothing in the package allocates a d^N array any more.
 
 Two more symmetries commute with H: the pi rotation about y,
 R = exp(i pi L_y), which maps each site's |l, m> to (-1)^(l-m) |l, -m>, and
@@ -25,17 +27,18 @@ map the M = 0 sector onto itself, and even_block spans their joint +1
 eigenspace (R+, P+) there, which holds the ground state and the whole ramp:
 spectra.ground_state solves H on it, rotorsim.dynamics propagates in it.
 
-No solver calls build_grand_canonical, build_charge, sector_decompose or
-SparseOperator.restrict. They stay because the benchmark's tracer names them
-(perfbench/spans.py TARGETS): a name it cannot find is listed as missing, and
-its self-test (perfbench/test_perfbench.py) reads SparseOperator.restrict by
-name.
+No solver calls sector_decompose, build_charge, build_grand_canonical or
+SparseOperator.restrict, and the package does not export them. They stay
+because the benchmark's tracer names them (perfbench/spans.py TARGETS), and
+its self-test (perfbench/test_perfbench.py) expects the tracer to find every
+name it lists and reads SparseOperator.restrict by name.
 """
 
 import functools
 import math
 import numbers
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,19 +52,17 @@ __all__ = [
     "DimensionCapError",
     "ChainSpec",
     "SparseOperator",
+    "Basis",
     "site_basis",
     "site_index",
     "direction_matrices",
     "sector_basis",
-    "sector_decompose",
     "even_block",
     "raising_operator",
     "build_hamiltonian",
     "direction_dots",
     "build_kinetic",
     "build_interaction",
-    "build_charge",
-    "build_grand_canonical",
 ]
 
 DIM_CAP_ENV = "ROTORSIM_DIM_CAP"
@@ -84,7 +85,9 @@ class DimensionCapError(RuntimeError):
 def env_cap(name: str, default: int) -> int:
     """The positive integer in environment variable name; default when it is unset or empty."""
     raw = os.environ.get(name) or str(default)
-    if not (raw.isdecimal() and int(raw) > 0):
+    # int() refuses a string over the interpreter's digit limit (0: none) with its own message
+    if not (raw.isdecimal() and len(raw) <= (sys.get_int_max_str_digits() or len(raw))
+            and int(raw) > 0):
         raise InvalidSpecError(f"{name} must be a positive integer, got {raw!r}")
     return int(raw)
 
@@ -212,8 +215,38 @@ def direction_matrices(l_max: int):
     return sp.csr_matrix(nz), sp.csr_matrix(nplus), sp.csr_matrix(nplus.T)
 
 
-def sector_basis(spec: ChainSpec, m: int) -> np.ndarray:
-    """Ascending int64 codes of the product states with total M = m.
+@dataclass(frozen=True, eq=False)
+class Basis:
+    """Ascending int64 codes of product states of spec's chain: the basis of an operator.
+
+    Any code array closed under the operator will do, the whole space
+    np.arange(spec.dimension) included. states, the site-state decode, is
+    computed on first use, so a basis that is only searched is never decoded.
+    """
+
+    spec: ChainSpec
+    codes: np.ndarray
+
+    @functools.cached_property
+    def powers(self) -> np.ndarray:
+        """Place value of each site's digit in a code, site 0 first."""
+        return self.spec.site_dim ** np.arange(self.spec.n_sites - 1, -1, -1, dtype=np.int64)
+
+    @functools.cached_property
+    def states(self) -> np.ndarray:
+        """Site state l^2 + l + m of each site (rows, site 0 first) in each code."""
+        return self.codes // self.powers[:, None] % self.spec.site_dim
+
+    def locate(self, targets, refusal: str) -> np.ndarray:
+        """Position of each target code in codes; ValueError(refusal) if one is not a code."""
+        positions = np.searchsorted(self.codes, targets)
+        if not np.array_equal(self.codes.take(positions, mode="clip"), targets):
+            raise ValueError(refusal)
+        return positions
+
+
+def sector_basis(spec: ChainSpec, m: int) -> Basis:
+    """The Basis of the product states with total M = m.
 
     Built site by site from site 0; a prefix is dropped once the sites
     still to come can no longer bring its partial M to m.
@@ -225,7 +258,7 @@ def sector_basis(spec: ChainSpec, m: int) -> np.ndarray:
         partial = (partial[:, None] + site_m).ravel()
         keep = np.abs(m - partial) <= remaining * spec.l_max
         codes, partial = codes[keep], partial[keep]
-    return codes
+    return Basis(spec, codes)
 
 
 def sector_decompose(spec: ChainSpec) -> dict:
@@ -234,57 +267,46 @@ def sector_decompose(spec: ChainSpec) -> dict:
     return {m: sector_basis(spec, m) for m in range(-max_m, max_m + 1)}
 
 
-def _powers(spec: ChainSpec) -> np.ndarray:
-    """Place value of each site's digit in a code, site 0 first."""
-    return spec.site_dim ** np.arange(spec.n_sites - 1, -1, -1, dtype=np.int64)
+def raising_operator(basis: Basis) -> sp.csr_matrix:
+    """L_+ = sum_i L_i^+ from the M = 0 sector_basis onto sector_basis(spec, 1).
 
-
-def _site_states(spec: ChainSpec, codes) -> np.ndarray:
-    """Site state l^2 + l + m of each site (rows, site 0 first) in each code."""
-    return codes // _powers(spec)[:, None] % spec.site_dim
-
-
-def raising_operator(spec: ChainSpec, codes) -> sp.csr_matrix:
-    """L_+ = sum_i L_i^+ from M = 0 codes (sector_basis(spec, 0)) onto sector_basis(spec, 1).
-
-    L_i^+ adds d^(N-1-i) to a code with coefficient sqrt(l(l+1) - m(m+1)); one
-    searchsorted finds the targets, and a code raised out of sector 1 is refused.
+    L_i^+ adds d^(N-1-i) to a code with coefficient sqrt(l(l+1) - m(m+1)); the
+    raised codes are located in sector 1, which is never decoded, and a code
+    raised out of it is refused.
     """
-    coefficient = np.sqrt([l * (l + 1.0) - m * (m + 1.0) for l, m in site_basis(spec.l_max)])
-    states = _site_states(spec, codes)
+    states = basis.states
+    coefficient = np.sqrt([l * (l + 1.0) - m * (m + 1.0) for l, m in site_basis(basis.spec.l_max)])
     site, col = np.nonzero(coefficient[states])
-    target, raised = sector_basis(spec, 1), codes[col] + _powers(spec)[site]
-    row = np.searchsorted(target, raised)
-    if not np.array_equal(target.take(row, mode="clip"), raised):
-        raise ValueError("L_+ takes the basis out of sector 1; pass the M = 0 sector_basis")
-    return sp.csr_matrix((coefficient[states[site, col]], (row, col)), (len(target), len(codes)))
+    target = sector_basis(basis.spec, 1)
+    row = target.locate(basis.codes[col] + basis.powers[site],
+                        "L_+ takes the basis out of sector 1; pass the M = 0 sector_basis")
+    return sp.csr_matrix((coefficient[states[site, col]], (row, col)),
+                         (len(target.codes), len(basis.codes)))
 
 
-def even_block(spec: ChainSpec, codes) -> sp.csc_matrix:
-    """Isometry V (len(codes) x b) onto the (R+, P+) block of the M = 0 sector `codes`.
+def even_block(basis: Basis) -> sp.csc_matrix:
+    """Isometry V (len(codes) x b) onto the (R+, P+) block of the M = 0 sector_basis.
 
     Column j is (1 + R)(1 + P)/4 applied to the smallest code of one orbit
     under {1, R, P, RP}, normalized; orbits it annihilates are dropped, so the
     entries are exactly +-1, +-1/sqrt(2) or +-1/2. R maps sector M to -M, so
     any basis but the M = 0 sector is refused as not closed under R.
     """
-    basis = site_basis(spec.l_max)
-    flip = np.array([site_index(l, -m) for l, m in basis])
-    odd = np.array([(l - m) % 2 for l, m in basis])
-    states = _site_states(spec, codes)
-    flipped, powers = flip[states], _powers(spec)
+    site_states = site_basis(basis.spec.l_max)
+    flip = np.array([site_index(l, -m) for l, m in site_states])
+    odd = np.array([(l - m) % 2 for l, m in site_states])
+    states, powers = basis.states, basis.powers
+    flipped = flip[states]
     images = np.stack([powers @ flipped, powers @ states[::-1], powers @ flipped[::-1]])
-    # R, P and RP are involutions that permute a closed basis, so the permutation
-    # sorting a row of images is also the position of each image in the codes
-    index = np.argsort(images, axis=1)
-    if not (np.take_along_axis(images, index, axis=1) == codes).all():
-        raise ValueError("the basis is not closed under R and P; pass the M = 0 sector_basis")
-    rep = np.flatnonzero(np.arange(len(codes)) <= index.min(axis=0))
+    index = basis.locate(images, "the basis is not closed under R and P; "
+                                 "pass the M = 0 sector_basis")
+    # R, P and RP are involutions: an orbit's smallest position is its representative
+    rep = np.flatnonzero(np.arange(len(basis.codes)) <= index.min(axis=0))
     sign = 1.0 - 2.0 * (odd[states].sum(axis=0)[rep] % 2)  # R and RP; P has none
     rows = np.concatenate([rep, *index[:, rep]])
     values = np.concatenate([np.ones(len(rep)), sign, np.ones(len(rep)), sign])
     cols = np.tile(np.arange(len(rep)), 4)
-    block = sp.csc_matrix((values, (rows, cols)), shape=(len(codes), len(rep)))
+    block = sp.csc_matrix((values, (rows, cols)), shape=(len(basis.codes), len(rep)))
     norms = np.sqrt(np.asarray(block.multiply(block).sum(axis=0)).ravel())
     return sp.csc_matrix(block[:, norms > 0] @ sp.diags(1.0 / norms[norms > 0]))
 
@@ -311,23 +333,21 @@ def _dot_table(l_max: int, n_sites: int):
     return arrays
 
 
-def _apply_dot(spec: ChainSpec, codes, states, i: int, j: int):
-    """(row, col, value) entries of n_i . n_j on the basis `codes` with _site_states `states`.
+def _apply_dot(basis: Basis, i: int, j: int):
+    """(row, col, value) entries of n_i . n_j on basis.
 
-    One gather collects every state's table entries and one searchsorted
-    finds the target codes; a basis not closed under n_i . n_j is refused.
+    One gather collects every state's table entries and one locate finds the
+    target codes; a basis not closed under n_i . n_j is refused.
     """
     sites = (i,) if i == j else (i, j)
-    indptr, shift, value = _dot_table(spec.l_max, len(sites))
-    local = states[i] if i == j else states[i] * spec.site_dim + states[j]
+    states = basis.states
+    indptr, shift, value = _dot_table(basis.spec.l_max, len(sites))
+    local = states[i] if i == j else states[i] * basis.spec.site_dim + states[j]
     start, counts = indptr[local], indptr[local + 1] - indptr[local]
-    col = np.repeat(np.arange(len(codes)), counts)
+    col = np.repeat(np.arange(len(basis.codes)), counts)
     entry = np.arange(len(col)) + (start - np.cumsum(counts) + counts)[col]
-    weights = spec.site_dim ** (spec.n_sites - 1 - np.array(sites, dtype=np.int64))
-    target = codes[col] + (shift @ weights)[entry]
-    row = np.searchsorted(codes, target)
-    if not np.array_equal(codes.take(row, mode="clip"), target):
-        raise ValueError("the basis is not closed under n_i . n_j; pass a sector_basis")
+    target = basis.codes[col] + (shift @ basis.powers[list(sites)])[entry]
+    row = basis.locate(target, "the basis is not closed under n_i . n_j; pass a sector_basis")
     return row, col, value[entry]
 
 
@@ -341,60 +361,57 @@ def _operator(diagonal, entries=()) -> SparseOperator:
     return SparseOperator(dimension=len(diagonal), matrix=matrix)
 
 
-def direction_dots(spec: ChainSpec, codes, pairs):
-    """Yield n_i . n_j = n_z n_z + (n_+ n_- + n_- n_+) / 2 on the basis `codes` per (i, j)."""
-    states = _site_states(spec, codes)
+def direction_dots(basis: Basis, pairs):
+    """Yield n_i . n_j = n_z n_z + (n_+ n_- + n_- n_+) / 2 on basis per (i, j)."""
     for i, j in pairs:
-        yield _operator(np.zeros(len(codes)), [_apply_dot(spec, codes, states, i, j)]).matrix
+        yield _operator(np.zeros(len(basis.codes)), [_apply_dot(basis, i, j)]).matrix
 
 
-def _bonds(spec: ChainSpec, codes, states, scale: float) -> list:
+def _bonds(basis: Basis, scale: float) -> list:
     """scale * n_i . n_j entries of every bond; none is diagonal."""
     return [(row, col, scale * value) for row, col, value in
-            (_apply_dot(spec, codes, states, i, j) for i, j in spec.bonds)]
+            (_apply_dot(basis, i, j) for i, j in basis.spec.bonds)]
 
 
-def _site_sum(spec: ChainSpec, states, value) -> np.ndarray:
+def _site_sum(basis: Basis, value) -> np.ndarray:
     """sum_i value(l_i, m_i) per code (exact: a sum of small integers)."""
-    site_values = np.array([value(l, m) for l, m in site_basis(spec.l_max)], dtype=float)
-    return site_values[states].sum(axis=0)
+    site_values = np.array([value(l, m) for l, m in site_basis(basis.spec.l_max)], dtype=float)
+    return site_values[basis.states].sum(axis=0)
 
 
 def _l_squared(l, m):
     return l * (l + 1.0)
 
 
-def build_kinetic(spec: ChainSpec, codes) -> SparseOperator:
-    """Rotor kinetic term sum_i L_i^2 on the basis `codes` (diagonal)."""
-    return _operator(_site_sum(spec, _site_states(spec, codes), _l_squared))
+def build_kinetic(basis: Basis) -> SparseOperator:
+    """Rotor kinetic term sum_i L_i^2 on basis (diagonal)."""
+    return _operator(_site_sum(basis, _l_squared))
 
 
-def build_charge(spec: ChainSpec, codes) -> SparseOperator:
-    """Noether charge Q = sum_i L_i^z on the basis `codes`; M on a sector."""
-    return _operator(_site_sum(spec, _site_states(spec, codes), lambda l, m: m))
+def build_charge(basis: Basis) -> SparseOperator:
+    """Noether charge Q = sum_i L_i^z on basis; M on a sector."""
+    return _operator(_site_sum(basis, lambda l, m: m))
 
 
-def build_interaction(spec: ChainSpec, codes) -> SparseOperator:
-    """Bond operator sum_<i,j> (2 - 2 n_i . n_j), i.e. dH/dkappa, on the basis `codes`.
+def build_interaction(basis: Basis) -> SparseOperator:
+    """Bond operator sum_<i,j> (2 - 2 n_i . n_j), i.e. dH/dkappa, on basis.
 
     Separated out because the time-dependent switching ramp multiplies
     exactly this operator by kappa(t).
     """
-    return _operator(np.full(len(codes), 2.0 * len(spec.bonds)),
-                     _bonds(spec, codes, _site_states(spec, codes), -2.0))
+    return _operator(np.full(len(basis.codes), 2.0 * len(basis.spec.bonds)), _bonds(basis, -2.0))
 
 
-def build_hamiltonian(spec: ChainSpec, codes) -> SparseOperator:
-    """H (module docstring) on `codes`, summed in the oracle's order."""
-    states = _site_states(spec, codes)
-    diagonal, bonds = _site_sum(spec, states, _l_squared), []
+def build_hamiltonian(basis: Basis) -> SparseOperator:
+    """H (module docstring) of basis.spec on basis, summed in the oracle's order."""
+    spec, diagonal, bonds = basis.spec, _site_sum(basis, _l_squared), []
     if spec.kappa != 0.0:  # at kappa = 0 no off-diagonal entry is stored
         diagonal = diagonal + spec.kappa * (2.0 * len(spec.bonds))
-        bonds = _bonds(spec, codes, states, -2.0 * spec.kappa)
+        bonds = _bonds(basis, -2.0 * spec.kappa)
     return _operator(diagonal, bonds)
 
 
-def build_grand_canonical(spec: ChainSpec, codes, mu_tilde: float) -> SparseOperator:
-    """H - mu_tilde * Q on the basis `codes`; positive mu_tilde favors positive charge."""
-    h, q = build_hamiltonian(spec, codes), build_charge(spec, codes)
-    return SparseOperator(dimension=len(codes), matrix=h.matrix - mu_tilde * q.matrix)
+def build_grand_canonical(basis: Basis, mu_tilde: float) -> SparseOperator:
+    """H - mu_tilde * Q on basis; positive mu_tilde favors positive charge."""
+    h, q = build_hamiltonian(basis), build_charge(basis)
+    return SparseOperator(dimension=len(basis.codes), matrix=h.matrix - mu_tilde * q.matrix)

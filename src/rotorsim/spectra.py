@@ -99,15 +99,22 @@ def _start_vector(dim: int) -> np.ndarray:
 def lowest_eigenpairs(op: SparseOperator, k: int) -> SpectrumResult:
     """k lowest eigenpairs of a Hermitian operator, 1 <= k <= dimension.
 
-    k * dimension above DYNAMICS_DIM_CAP^2 (134 MB of floats: a dense matrix
-    or about k Lanczos vectors) raises DimensionCapError before anything is
-    allocated. method is "dense" when k = dimension or dimension <=
-    DENSE_CUTOFF; above the cutoff "diagonal" when no off-diagonal entry is
-    stored (sorted diagonal, unit vectors: Lanczos from one start vector
-    cannot resolve exactly degenerate levels), else "iterative" (restarted
-    Lanczos, deterministic start vector). A residual norm above
-    RESIDUAL_TOL raises NonConvergenceError.
+    The iteration cap ROTORSIM_MAX_ITER is read (lattice.env_cap) first, so
+    a malformed value, or one above ARPACK's 2^31 - 1, is refused on every
+    solve. k * dimension above
+    DYNAMICS_DIM_CAP^2 (134 MB of floats: a dense matrix or about k Lanczos
+    vectors) raises DimensionCapError before anything is allocated. method
+    is "dense" when k = dimension or dimension <= DENSE_CUTOFF; above the
+    cutoff "diagonal" when no off-diagonal entry is stored (sorted diagonal,
+    unit vectors: Lanczos from one start vector cannot resolve exactly
+    degenerate levels), else "iterative" (restarted Lanczos, deterministic
+    start vector). A residual norm above RESIDUAL_TOL raises
+    NonConvergenceError.
     """
+    max_iter = env_cap(ITERATION_CAP_ENV, DEFAULT_ITERATION_CAP)
+    if max_iter > 2**31 - 1:  # ARPACK's maxiter is a 32-bit integer; 2^31 wraps negative
+        raise InvalidSpecError(f"{ITERATION_CAP_ENV} must be a positive integer up to "
+                               f"{2**31 - 1}, got {str(max_iter)!r}")
     dim = op.dimension
     if not 1 <= k <= dim:
         raise ValueError(f"need 1 <= k <= dimension, got k={k}, dimension={dim}")
@@ -128,10 +135,8 @@ def lowest_eigenpairs(op: SparseOperator, k: int) -> SpectrumResult:
     else:
         method = "iterative"
         try:
-            vals, vecs = spla.eigsh(
-                op.matrix, k=k, which="SA", tol=0,
-                v0=_start_vector(dim), maxiter=env_cap(ITERATION_CAP_ENV, DEFAULT_ITERATION_CAP),
-            )
+            vals, vecs = spla.eigsh(op.matrix, k=k, which="SA", tol=0, v0=_start_vector(dim),
+                                    maxiter=max_iter)
         except spla.ArpackNoConvergence as exc:
             raise NonConvergenceError(
                 f"Lanczos did not converge for k={k}, dim={dim}: {exc}"
@@ -159,8 +164,8 @@ def lowest_eigenpairs(op: SparseOperator, k: int) -> SpectrumResult:
 
 def _solve_sector(spec: ChainSpec, m: int, k: int) -> SpectrumResult:
     """The lowest min(k, dimension) levels of H on sector M = m."""
-    codes = sector_basis(spec, m)
-    return lowest_eigenpairs(build_hamiltonian(spec, codes), min(k, len(codes)))
+    basis = sector_basis(spec, m)
+    return lowest_eigenpairs(build_hamiltonian(basis), min(k, len(basis.codes)))
 
 
 def spectrum(spec: ChainSpec, k: int, mu_tilde: float = 0.0) -> SpectrumResult:
@@ -206,10 +211,10 @@ def spectrum(spec: ChainSpec, k: int, mu_tilde: float = 0.0) -> SpectrumResult:
 
 
 def ground_state(spec: ChainSpec):
-    """Ground state of H as (energy, codes, sector vector).
+    """Ground state of H as (energy, basis, sector vector).
 
-    The state lies in the M = 0 sector: codes are its basis (sector_basis)
-    and the vector its components there. H is solved on the (R+, P+) block
+    The state lies in the M = 0 sector: basis is its sector_basis and the
+    vector its components there. H is solved on the (R+, P+) block
     V = even_block of that sector alone, as V^T H V, with V u embedded back:
     the ground state is an SU(2) singlet, whose M = 0 state has
     R = (-1)^L = +1. That it is also P+ was checked against the dense
@@ -218,12 +223,12 @@ def ground_state(spec: ChainSpec):
     H - mu_tilde Q is H's lowest level on the sector M that
     spectrum(spec, 1, mu_tilde) labels.
     """
-    codes = sector_basis(spec, 0)
-    v = even_block(spec, codes)
-    block = v.T @ build_hamiltonian(spec, codes).matrix @ v  # V^T is CSR, so is the product
+    basis = sector_basis(spec, 0)
+    v = even_block(basis)
+    block = v.T @ build_hamiltonian(basis).matrix @ v  # V^T is CSR, so is the product
     res = lowest_eigenpairs(SparseOperator(dimension=block.shape[0], matrix=block), 1)
     # v @ u is a new contiguous vector, unlike a column of the eigenvectors
-    return float(res.eigenvalues[0]), codes, v @ res.eigenvectors[:, 0]
+    return float(res.eigenvalues[0]), basis, v @ res.eigenvectors[:, 0]
 
 
 def mass_gap(spec: ChainSpec):
@@ -237,8 +242,8 @@ def mass_gap(spec: ChainSpec):
     included, and the degeneracy is the sum of 2L + 1. An L that is not an
     integer within DEGENERACY_TOL raises NonConvergenceError.
     """
-    codes = sector_basis(spec, 0)
-    h0 = build_hamiltonian(spec, codes)
+    basis = sector_basis(spec, 0)
+    h0 = build_hamiltonian(basis)
     # the ground level, one member of the E1 multiplet and a level above it
     k = 3
     while True:
@@ -251,7 +256,7 @@ def mass_gap(spec: ChainSpec):
     # `above` is never empty: H's diagonal on sector 0 holds sum_i L_i^2 = 0 and 2
     # (plus the same bond constant), so its levels span at least 2
     e0, e1 = vals[0], above[0]
-    w = raising_operator(spec, codes) @ res.eigenvectors[:, np.abs(vals - e1) < DEGENERACY_TOL]
+    w = raising_operator(basis) @ res.eigenvectors[:, np.abs(vals - e1) < DEGENERACY_TOL]
     spins = (np.sqrt(4.0 * np.linalg.eigvalsh(w.T @ w) + 1.0) - 1.0) / 2.0
     if not np.all(np.abs(spins - np.round(spins)) <= DEGENERACY_TOL):
         raise NonConvergenceError(f"the E1 vectors of sector 0 have non-integral L = {spins}")
@@ -300,8 +305,8 @@ def correlation(spec: ChainSpec, i: int, j: int) -> float:
     """<n_i . n_j> in the ground state of H."""
     if not (0 <= i < spec.n_sites and 0 <= j < spec.n_sites):
         raise ValueError(f"site indices out of range: ({i}, {j})")
-    _, codes, vec = ground_state(spec)
-    (op,) = direction_dots(spec, codes, [(i, j)])
+    _, basis, vec = ground_state(spec)
+    (op,) = direction_dots(basis, [(i, j)])
     return float(np.vdot(vec, op @ vec))
 
 
@@ -315,9 +320,9 @@ def correlation_profile(spec: ChainSpec) -> CorrelationProfile:
     if spec.n_sites < 4 or spec.boundary != "open":
         raise ValueError("correlation_profile needs an open chain of >= 4 sites")
     center = (spec.n_sites - 1) // 2
-    _, codes, vec = ground_state(spec)
+    _, basis, vec = ground_state(spec)
     distances = np.arange(0, spec.n_sites - center)
-    ops = direction_dots(spec, codes, [(center, center + d) for d in distances])
+    ops = direction_dots(basis, [(center, center + d) for d in distances])
     values = np.array([float(np.vdot(vec, op @ vec)) for op in ops])
 
     fitted_xi, quality = _fit_exponential(distances[1:], values[1:])

@@ -275,19 +275,19 @@ def oracle_sectors(spec):
 
 
 def all_codes(spec):
-    """The whole product space as a basis: every code, ascending.
+    """Every code of the whole product space, ascending.
 
-    The library builders accept it like a sector, so a full-space matrix of
-    the library's own operator needs no oracle.
+    Basis(spec, all_codes(spec)) is a closed basis like a sector, so a
+    full-space matrix of the library's own operator needs no oracle.
     """
     return np.arange(spec.dimension, dtype=np.int64)
 
 
 def full_ground_state(spec):
     """ground_state's (energy, vector) with the sector vector embedded in the whole space."""
-    energy, codes, sector_vector = ground_state(spec)
+    energy, basis, sector_vector = ground_state(spec)
     vec = np.zeros(len(all_codes(spec)))
-    vec[np.searchsorted(all_codes(spec), codes)] = sector_vector
+    vec[np.searchsorted(all_codes(spec), basis.codes)] = sector_vector
     return energy, vec
 
 
@@ -306,8 +306,8 @@ def oracle_propagate(spec, schedule, dt, record_trace=False, trace_stride=50):
     the step loop is the sequential one. Returns the EvolutionResult and the
     (n_steps, step) of every rejected pass.
     """
-    codes, kinetic, bond = _sector_parts(spec)
-    v = even_block(spec, codes)
+    basis, kinetic, bond = _sector_parts(spec)
+    v = even_block(basis)
     psi0, target = (v.T @ np.linalg.eigh(kinetic + kappa * bond)[1][:, 0]
                     for kappa in (schedule.kappa_start, schedule.kappa_end))
     psi0 = psi0.astype(complex)

@@ -357,13 +357,36 @@ class TestCapsAndExtremeInput:
         ("ROTORSIM_DIM_CAP", ["sim", "gap", "--sites", "2", "--lmax", "1"]),
         # sector 0 of 8x1 is above DENSE_CUTOFF, so Lanczos reads the iteration cap
         ("ROTORSIM_MAX_ITER", ["sim", "gap", "--sites", "8", "--lmax", "1", "--kappa", "1"]),
+        # a dense solve reads it too
+        ("ROTORSIM_MAX_ITER", ["sim", "gap", "--sites", "2", "--lmax", "1"]),
     ])
-    @pytest.mark.parametrize("value", ["abc", "-5", "0", "1.5"])
+    # 5000 nines exceed the 4300 digits that int() converts by default
+    @pytest.mark.parametrize("value", ["abc", "-5", "0", "1.5", "9" * 5000],
+                             ids=["abc", "-5", "0", "1.5", "5000-nines"])
     def test_malformed_cap_variable_exit_2(self, tmp_path, capsys, monkeypatch, variable, argv,
                                            value):
         monkeypatch.setenv(variable, value)
         err = assert_refused(argv + ["--out", tmp_path / "out"], capsys, 2)
         assert err == f"error: {variable} must be a positive integer, got {value!r}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["sim", "gap", "--sites", "8", "--lmax", "1", "--kappa", "1"],
+        ["sim", "gap", "--sites", "2", "--lmax", "1"],
+    ], ids=["lanczos", "dense"])
+    # ARPACK's maxiter is a 32-bit integer: 2^31 wrapped negative (ARPACK error -4),
+    # 20 digits overflowed its conversion (SystemError)
+    @pytest.mark.parametrize("value", [str(2**31), "9" * 20])
+    def test_iteration_cap_above_arpack_limit_exit_2(self, tmp_path, capsys, monkeypatch, argv,
+                                                     value):
+        monkeypatch.setenv("ROTORSIM_MAX_ITER", value)
+        err = assert_refused(argv + ["--out", tmp_path / "out"], capsys, 2)
+        assert err == ("error: ROTORSIM_MAX_ITER must be a positive integer up to 2147483647, "
+                       f"got {value!r}\n")
+
+    def test_iteration_cap_at_arpack_limit_runs(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("ROTORSIM_MAX_ITER", str(2**31 - 1))
+        assert run(["sim", "gap", "--sites", "8", "--lmax", "1", "--kappa", "1",
+                    "--out", tmp_path / "out"]) == 0
 
     def test_scan_steps_cap_exit_5(self, micro_config, tmp_path, capsys):
         assert_refused(["design", "scan", "--config", micro_config, "--parameter", "gamma_m",

@@ -14,7 +14,7 @@ from rotorsim.dynamics import (
     physical_ramp_time,
     propagate,
 )
-from rotorsim.lattice import ChainSpec, DimensionCapError, build_interaction, build_kinetic
+from rotorsim.lattice import Basis, ChainSpec, DimensionCapError, build_interaction, build_kinetic
 
 from conftest import all_codes, oracle_propagate
 
@@ -24,8 +24,9 @@ TWO_SITE = ChainSpec(2, 1, kappa=0.0)
 
 def full_space_ramp(spec, schedule, dt, trace_stride):
     """The midpoint-exponential ramp in the whole product space, no sectors."""
-    kinetic = build_kinetic(spec, all_codes(spec)).matrix.toarray()
-    bond = build_interaction(spec, all_codes(spec)).matrix.toarray()
+    basis = Basis(spec, all_codes(spec))
+    kinetic = build_kinetic(basis).matrix.toarray()
+    bond = build_interaction(basis).matrix.toarray()
 
     def ground(kappa):
         return np.linalg.eigh(kinetic + kappa * bond)[1][:, 0]
@@ -170,7 +171,7 @@ class TestPropagate:
         class Built(Exception):
             pass
 
-        def refuse(spec, codes):
+        def refuse(basis):
             raise Built
 
         monkeypatch.setattr(rotorsim.dynamics, "build_kinetic", refuse)
@@ -264,8 +265,8 @@ class TestEvenBlockStepping:
 
     def test_start_state_outside_the_block_is_refused(self, monkeypatch, tmp_path, capsys):
         # an isometry without the first code, the all-l = 0 ground state at kappa = 0
-        def leaving(spec, codes):
-            return sp.identity(len(codes), format="csc")[:, 1:7]
+        def leaving(basis):
+            return sp.identity(len(basis.codes), format="csc")[:, 1:7]
         monkeypatch.setattr(rotorsim.dynamics, "even_block", leaving)
         with pytest.raises(ValueError, match=r"not in the \(R\+, P\+\) block"):
             propagate(ChainSpec(3, 1), RampSchedule(0.0, 0.6, duration=0.5), dt=0.1)

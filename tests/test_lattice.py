@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import time
@@ -11,6 +12,7 @@ from rotorsim.lattice import (
     ChainSpec,
     DIM_CAP_ENV,
     DimensionCapError,
+    Basis,
     InvalidSpecError,
     SparseOperator,
     build_charge,
@@ -26,7 +28,8 @@ from rotorsim.lattice import (
     site_basis,
     site_index,
 )
-from rotorsim.spectra import spectrum
+from rotorsim.dynamics import RampSchedule, propagate
+from rotorsim.spectra import correlation_profile, mass_gap, spectrum
 
 from conftest import (
     all_codes,
@@ -44,7 +47,7 @@ from conftest import (
 
 def whole_space(build, spec, *args):
     """A library builder's operator on every code of the product space."""
-    return build(spec, all_codes(spec), *args)
+    return build(Basis(spec, all_codes(spec)), *args)
 
 
 class TestChainSpec:
@@ -213,7 +216,7 @@ class TestHamiltonian:
     def test_hermiticity(self, n_sites, l_max, kappa):
         spec = ChainSpec(n_sites, l_max, kappa)
         for m in range(-n_sites * l_max, n_sites * l_max + 1):
-            h = build_hamiltonian(spec, sector_basis(spec, m))
+            h = build_hamiltonian(sector_basis(spec, m))
             assert abs(h.matrix - h.matrix.getH()).max() < 1e-14
 
     @pytest.mark.parametrize("spec", [
@@ -227,7 +230,7 @@ class TestHamiltonian:
         # the charge along z stands for the charge along any internal axis
         h = whole_space(build_hamiltonian, spec).matrix
         lx, ly = total_transverse_angular_momentum(spec)
-        lz = whole_space(build_charge, spec).matrix
+        lz = oracle_charge(spec).matrix
         assert abs(lx @ ly - ly @ lx - 1j * lz).max() < 1e-12  # the test's L_x, L_y against Q
         for component in (lx, ly):
             assert abs(h @ component - component @ h).max() < 1e-12
@@ -267,7 +270,7 @@ class TestCharge:
     def test_commutes_with_hamiltonian(self, n_sites, l_max):
         spec = ChainSpec(n_sites, l_max, kappa=1.3)
         h = dense(whole_space(build_hamiltonian, spec))
-        q = dense(whole_space(build_charge, spec))
+        q = dense(oracle_charge(spec))
         assert abs(h @ q - q @ h).max() < 1e-12
 
 
@@ -295,14 +298,14 @@ class TestGrandCanonical:
 
 class TestSectors:
     def test_single_site_sectors(self):
-        sizes = {m: len(sector_basis(ChainSpec(1, 1), m)) for m in (-1, 0, 1)}
+        sizes = {m: len(sector_basis(ChainSpec(1, 1), m).codes) for m in (-1, 0, 1)}
         assert sizes == {-1: 1, 0: 2, 1: 1}
 
     def test_partition(self):
         spec = ChainSpec(2, 1)
-        sectors = [sector_basis(spec, m) for m in range(-2, 3)]
+        sectors = [sector_basis(spec, m).codes for m in range(-2, 3)]
         assert all(len(codes) for codes in sectors)
-        assert len(sector_basis(spec, 3)) == len(sector_basis(spec, -3)) == 0
+        assert len(sector_basis(spec, 3).codes) == len(sector_basis(spec, -3).codes) == 0
         combined = np.sort(np.concatenate(sectors))
         assert np.array_equal(combined, np.arange(spec.dimension))
 
@@ -350,7 +353,7 @@ def assert_same_csr(block, oracle):
 
 
 def sectors_of(spec):
-    """(M, library codes, oracle indices) for every sector."""
+    """(M, library sector_basis, oracle indices) for every sector."""
     oracle = oracle_sectors(spec)
     return [(m, sector_basis(spec, m), indices) for m, indices in oracle.items()]
 
@@ -378,21 +381,21 @@ class TestSectorBlocksAgainstFullSpaceOracle:
 
     @pytest.mark.parametrize("spec", geometries(), ids=spec_id)
     def test_sector_basis_is_the_total_m_partition(self, spec):
-        for m, codes, indices in sectors_of(spec):
-            assert codes.dtype == np.int64
-            assert np.array_equal(codes, indices)
+        for m, basis, indices in sectors_of(spec):
+            assert basis.spec is spec and basis.codes.dtype == np.int64
+            assert np.array_equal(basis.codes, indices)
         decomposed = sector_decompose(spec)
         assert list(decomposed) == list(oracle_sectors(spec))
-        for m, codes, indices in sectors_of(spec):
-            assert np.array_equal(decomposed[m], indices)
+        for m, basis, indices in sectors_of(spec):
+            assert np.array_equal(decomposed[m].codes, indices)
 
     @pytest.mark.parametrize("kappa", [0.0, 0.7])
     @pytest.mark.parametrize("geometry", geometries(), ids=spec_id)
     def test_hamiltonian(self, geometry, kappa):
         spec = replace(geometry, kappa=kappa)
         full = oracle_hamiltonian(spec)
-        for m, codes, indices in sectors_of(spec):
-            block = build_hamiltonian(spec, codes)
+        for m, basis, indices in sectors_of(spec):
+            block = build_hamiltonian(basis)
             assert_same_csr(block, full.restrict(indices))
             if kappa == 0.0:  # the diagonal label of lowest_eigenpairs relies on this
                 assert block.matrix.nnz == np.count_nonzero(block.matrix.diagonal())
@@ -402,18 +405,18 @@ class TestSectorBlocksAgainstFullSpaceOracle:
     @pytest.mark.parametrize("spec", geometries(), ids=spec_id)
     def test_kinetic_and_interaction(self, spec):
         kinetic, bond = oracle_kinetic(spec), oracle_interaction(spec)
-        for m, codes, indices in sectors_of(spec):
-            assert_same_csr(build_kinetic(spec, codes), kinetic.restrict(indices))
-            assert_same_csr(build_interaction(spec, codes), bond.restrict(indices))
+        for m, basis, indices in sectors_of(spec):
+            assert_same_csr(build_kinetic(basis), kinetic.restrict(indices))
+            assert_same_csr(build_interaction(basis), bond.restrict(indices))
 
     @pytest.mark.parametrize("mu_tilde", [0.7, -1.3])
     @pytest.mark.parametrize("geometry", geometries(), ids=spec_id)
     def test_charge_and_grand_canonical(self, geometry, mu_tilde):
         spec = replace(geometry, kappa=0.7)
         charge, grand = oracle_charge(spec), oracle_grand_canonical(spec, mu_tilde)
-        for m, codes, indices in sectors_of(spec):
-            assert_same_csr(build_charge(spec, codes), charge.restrict(indices))
-            assert_same_csr(build_grand_canonical(spec, codes, mu_tilde), grand.restrict(indices))
+        for m, basis, indices in sectors_of(spec):
+            assert_same_csr(build_charge(basis), charge.restrict(indices))
+            assert_same_csr(build_grand_canonical(basis, mu_tilde), grand.restrict(indices))
         assert_same_csr(whole_space(build_grand_canonical, spec, mu_tilde), grand)
 
     @pytest.mark.parametrize("spec", [g for g in geometries() if g.boundary == "open"],
@@ -423,9 +426,9 @@ class TestSectorBlocksAgainstFullSpaceOracle:
         sectors = sectors_of(spec)
         for pair, full in zip(pairs, oracle_direction_dots(spec, pairs)):
             full = SparseOperator(spec.dimension, full)
-            for m, codes, indices in sectors:
-                (block,) = direction_dots(spec, codes, [pair])
-                assert_same_csr(SparseOperator(len(codes), block), full.restrict(indices))
+            for m, basis, indices in sectors:
+                (block,) = direction_dots(basis, [pair])
+                assert_same_csr(SparseOperator(len(basis.codes), block), full.restrict(indices))
 
     @pytest.mark.parametrize("spec, mu_tilde", SOLVED_SPECS, ids=SOLVED_IDS)
     def test_spectrum_solves_the_hamiltonian_blocks_once(self, spec, mu_tilde, monkeypatch):
@@ -456,11 +459,12 @@ class TestSectorBlocksAgainstFullSpaceOracle:
 
     def test_basis_not_closed_under_the_operator_is_refused(self):
         spec = ChainSpec(3, 1, kappa=1.0)
-        codes = sector_basis(spec, 0)
+        codes = sector_basis(spec, 0).codes
+        half = Basis(spec, codes[: len(codes) // 2])
         with pytest.raises(ValueError, match="not closed"):
-            build_hamiltonian(spec, codes[: len(codes) // 2])
+            build_hamiltonian(half)
         with pytest.raises(ValueError, match="not closed"):
-            next(direction_dots(spec, codes[: len(codes) // 2], [(0, 2)]))
+            next(direction_dots(half, [(0, 2)]))
 
 
 # (n_sites, l_max, boundary): (M = 0 sector states, (R+, P+) block states)
@@ -496,25 +500,25 @@ class TestEvenBlock:
 
     @pytest.mark.parametrize("spec", EVEN_BLOCK_SPECS, ids=spec_id)
     def test_sizes(self, spec):
-        codes = sector_basis(spec, 0)
-        v = even_block(spec, codes)
-        assert (len(codes), v.shape[1]) == EVEN_BLOCK_SIZES[spec.n_sites, spec.l_max,
-                                                             spec.boundary]
-        assert v.shape[0] == len(codes)
+        basis = sector_basis(spec, 0)
+        v = even_block(basis)
+        assert (len(basis.codes), v.shape[1]) == EVEN_BLOCK_SIZES[spec.n_sites, spec.l_max,
+                                                                   spec.boundary]
+        assert v.shape[0] == len(basis.codes)
 
     @pytest.mark.parametrize("spec", EVEN_BLOCK_SPECS, ids=spec_id)
     def test_orthonormal_with_exact_entries(self, spec):
-        v = even_block(spec, sector_basis(spec, 0))
+        v = even_block(sector_basis(spec, 0))
         assert sp.issparse(v)
         assert np.abs((v.T @ v).toarray() - np.eye(v.shape[1])).max() <= 1e-15
         assert set(np.abs(v.data)) <= {1.0, 1.0 / math.sqrt(2.0), 0.5}
 
     @pytest.mark.parametrize("spec", EVEN_BLOCK_SPECS, ids=spec_id)
     def test_projector_commutes_with_kinetic_and_bond(self, spec):
-        codes = sector_basis(spec, 0)
-        v = even_block(spec, codes)
+        basis = sector_basis(spec, 0)
+        v = even_block(basis)
         projector = (v @ v.T).toarray()
-        for op in (build_kinetic(spec, codes), build_interaction(spec, codes)):
+        for op in (build_kinetic(basis), build_interaction(basis)):
             a = dense(op)
             assert np.linalg.norm(projector @ a - a @ projector) <= 1e-14
 
@@ -522,10 +526,10 @@ class TestEvenBlock:
     def test_spans_the_joint_plus_one_eigenspace(self, spec):
         # R and P, built independently, commute with H, fix every column, and
         # the block has the dimension of their joint +1 eigenspace
-        codes = sector_basis(spec, 0)
-        v = even_block(spec, codes).toarray()
+        codes = sector_basis(spec, 0).codes
+        v = even_block(Basis(spec, codes)).toarray()
         rotation, reflection = oracle_rotation_and_reflection(spec, codes)
-        h = dense(build_hamiltonian(replace(spec, kappa=0.7), codes))
+        h = dense(build_hamiltonian(Basis(replace(spec, kappa=0.7), codes)))
         for op in (rotation, reflection):
             assert np.abs(op @ h - h @ op).max() < 1e-14
             assert np.abs(op @ v - v).max() < 1e-15
@@ -535,9 +539,9 @@ class TestEvenBlock:
     @pytest.mark.parametrize("spec", EVEN_BLOCK_SPECS, ids=spec_id)
     def test_block_levels_are_m0_levels(self, spec):
         spec = replace(spec, kappa=0.7)
-        codes = sector_basis(spec, 0)
-        v = even_block(spec, codes)
-        block = v.T @ (v.T @ dense(build_hamiltonian(spec, codes))).T
+        basis = sector_basis(spec, 0)
+        v = even_block(basis)
+        block = v.T @ (v.T @ dense(build_hamiltonian(basis))).T
         oracle = np.linalg.eigvalsh(
             oracle_hamiltonian(spec).restrict(oracle_sectors(spec)[0]).matrix.toarray())
         for level in np.linalg.eigvalsh(block):
@@ -548,12 +552,40 @@ class TestEvenBlock:
         for m in range(1, spec.n_sites * spec.l_max + 1):
             for sector in (m, -m):
                 with pytest.raises(ValueError, match="M = 0 sector_basis"):
-                    even_block(spec, sector_basis(spec, sector))
+                    even_block(sector_basis(spec, sector))
 
     @pytest.mark.parametrize("kappa", [0.0, 0.1, 0.5, 1.0, 2.0, 5.0, 20.0])
     @pytest.mark.parametrize("spec", EVEN_BLOCK_SPECS, ids=spec_id)
     def test_sector_ground_state_lies_in_the_block(self, spec, kappa):
         spec = replace(spec, kappa=kappa)
-        codes = sector_basis(spec, 0)
-        ground = np.linalg.eigh(dense(build_hamiltonian(spec, codes)))[1][:, 0]
-        assert abs(np.linalg.norm(even_block(spec, codes).T @ ground) - 1.0) <= 1e-12
+        basis = sector_basis(spec, 0)
+        ground = np.linalg.eigh(dense(build_hamiltonian(basis)))[1][:, 0]
+        assert abs(np.linalg.norm(even_block(basis).T @ ground) - 1.0) <= 1e-12
+
+
+def record_decodes(monkeypatch):
+    """Every Basis whose site states get decoded, in order."""
+    decoded, decode = [], Basis.states.func
+
+    def counted(basis):
+        decoded.append(basis)
+        return decode(basis)
+    states = functools.cached_property(counted)
+    states.__set_name__(Basis, "states")
+    monkeypatch.setattr(Basis, "states", states)
+    return decoded
+
+
+class TestBasis:
+    @pytest.mark.parametrize("run", [
+        mass_gap,
+        correlation_profile,
+        lambda spec: propagate(spec, RampSchedule(1.0, 1.5, duration=0.5), dt=0.1),
+    ], ids=["mass_gap", "correlation_profile", "propagate"])
+    def test_one_decode_per_call(self, run, monkeypatch):
+        # H, K, B, L_+, n_i . n_j and even_block share one M = 0 basis; L_+
+        # locates its targets in sector 1 without decoding that sector
+        spec = ChainSpec(4, 1, kappa=1.0)
+        decoded = record_decodes(monkeypatch)
+        run(spec)
+        assert [list(basis.codes) for basis in decoded] == [list(sector_basis(spec, 0).codes)]

@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg
 
 import rotorsim.spectra
-from rotorsim.lattice import (ChainSpec, DimensionCapError, InvalidSpecError, build_charge,
+from rotorsim.lattice import (Basis, ChainSpec, DimensionCapError, InvalidSpecError,
                               build_hamiltonian, raising_operator, sector_basis)
 from rotorsim.spectra import (
     DEGENERACY_TOL,
@@ -38,7 +38,7 @@ from conftest import (
 
 def full_hamiltonian(spec):
     """The library's H on the whole product space."""
-    return build_hamiltonian(spec, all_codes(spec))
+    return build_hamiltonian(Basis(spec, all_codes(spec)))
 
 
 def sector_minimum(spec, m):
@@ -206,13 +206,13 @@ class TestGroundState:
     def test_matches_grand_canonical_diagonalization(self, spec, mu):
         # README's charged ground state: spectrum's label m, then the lowest level of H on M = m
         label = int(spectrum(spec, k=1, mu_tilde=mu).sector_labels[0])
-        codes = sector_basis(spec, label)
-        res = lowest_eigenpairs(build_hamiltonian(spec, codes), 1)
+        basis = sector_basis(spec, label)
+        res = lowest_eigenpairs(build_hamiltonian(basis), 1)
         vec = np.zeros(spec.dimension)
-        vec[codes] = res.eigenvectors[:, 0]
+        vec[basis.codes] = res.eigenvectors[:, 0]
         expected_energy, _ = grand_canonical_ground(spec, mu)
         assert res.eigenvalues[0] - mu * label == pytest.approx(expected_energy, abs=1e-10)
-        assert np.vdot(vec, build_charge(spec, all_codes(spec)).matrix @ vec) == pytest.approx(
+        assert np.vdot(vec, oracle_charge(spec).matrix @ vec) == pytest.approx(
             label, abs=1e-10)
 
     def test_solve_cap_bounds_k_times_dimension(self, monkeypatch):
@@ -222,7 +222,7 @@ class TestGroundState:
         spec = ChainSpec(4, 1, kappa=1.0)
         with pytest.raises(DimensionCapError, match=r"solve cap k \* dimension <= 8\^2"):
             rotorsim.spectra._solve_sector(spec, 0, 1)
-        block = build_hamiltonian(spec, sector_basis(spec, 1))
+        block = build_hamiltonian(sector_basis(spec, 1))
         assert lowest_eigenpairs(block, 1).eigenvalues.shape == (1,)
         with pytest.raises(DimensionCapError):
             lowest_eigenpairs(block, 2)
@@ -235,7 +235,7 @@ class TestGroundState:
         monkeypatch.setattr(np.linalg, "eigh", refuse)
         monkeypatch.setattr(rotorsim.spectra.spla, "eigsh", refuse)
         spec = ChainSpec(4, 1, kappa=1.0)
-        block = build_hamiltonian(spec, sector_basis(spec, 0))
+        block = build_hamiltonian(sector_basis(spec, 0))
         assert block.dimension == 70
         with pytest.raises(DimensionCapError, match=r"solve cap k \* dimension <= 8\^2"):
             lowest_eigenpairs(block, 1)
@@ -265,18 +265,18 @@ class TestGroundStateBlock:
     def test_matches_the_dense_sector_0_ground_state(self, spec, kappa):
         kinetic, bond = oracle_sector0_parts(spec)
         vals, vecs = scipy.linalg.eigh(kinetic + kappa * bond, subset_by_index=[0, 0])
-        energy, codes, vec = ground_state(replace(spec, kappa=kappa))
-        assert np.array_equal(codes, oracle_sectors(spec)[0])
+        energy, basis, vec = ground_state(replace(spec, kappa=kappa))
+        assert np.array_equal(basis.codes, oracle_sectors(spec)[0])
         assert abs(energy - vals[0]) <= 1e-10 * max(1.0, abs(vals[0]))
         assert abs(abs(np.vdot(vec, vecs[:, 0])) - 1.0) <= 1e-10
 
     def test_solves_one_block_not_the_sector(self, monkeypatch):
         solved = record_solves(monkeypatch)
         spec = ChainSpec(8, 1, kappa=1.0)
-        _, codes, vec = ground_state(spec)
+        _, basis, vec = ground_state(spec)
         # the 12870-state sector 0 is never solved; the vector is embedded back in it
         assert solved == [(3299, 1)]
-        assert len(codes) == len(vec) == 12870
+        assert len(basis.codes) == len(vec) == 12870
         assert abs(np.linalg.norm(vec) - 1.0) <= 1e-12
 
 
@@ -349,7 +349,7 @@ class TestMassGap:
         # matrix is diagonal in the integral L(L + 1)
         casimir = sector0_casimir(spec)
         values, v = np.linalg.eigh(casimir)
-        w = raising_operator(spec, sector_basis(spec, 0)) @ v
+        w = raising_operator(sector_basis(spec, 0)) @ v
         assert abs(w.T @ w - v.T @ casimir @ v).max() < 1e-10
         spins = (np.sqrt(4.0 * values + 1.0) - 1.0) / 2.0
         assert abs(spins - np.round(spins)).max() < 1e-10
@@ -361,13 +361,13 @@ class TestMassGap:
         lx, ly = total_transverse_angular_momentum(spec)
         sectors = oracle_sectors(spec)
         block = (lx + 1j * ly)[np.ix_(sectors[1], sectors[0])].toarray()
-        assert abs(raising_operator(spec, sector_basis(spec, 0)).toarray() - block).max() < 1e-14
+        assert abs(raising_operator(sector_basis(spec, 0)).toarray() - block).max() < 1e-14
 
     @pytest.mark.parametrize("m", [1, -1, 2])
     def test_raising_operator_refuses_another_sector(self, m):
         spec = ChainSpec(3, 1)
         with pytest.raises(ValueError, match="out of sector 1"):
-            raising_operator(spec, sector_basis(spec, m))
+            raising_operator(sector_basis(spec, m))
 
     @pytest.mark.parametrize("spec, degeneracy, solves", [
         # at kappa = 0 the sector-0 window doubles (k = 3, 6) on one build of H
@@ -377,13 +377,13 @@ class TestMassGap:
     def test_builds_and_solves_sector_0_only(self, spec, degeneracy, solves, monkeypatch):
         built = []
 
-        def counted(spec, codes, _build=rotorsim.spectra.build_hamiltonian):
-            built.append(list(codes))
-            return _build(spec, codes)
+        def counted(basis, _build=rotorsim.spectra.build_hamiltonian):
+            built.append(list(basis.codes))
+            return _build(basis)
         monkeypatch.setattr(rotorsim.spectra, "build_hamiltonian", counted)
         solved = record_solves(monkeypatch)
         assert mass_gap(spec)[1] == degeneracy
-        assert built == [list(sector_basis(spec, 0))]
+        assert built == [list(sector_basis(spec, 0).codes)]
         assert solved == solves
 
     def test_mixed_e1_vector_is_refused(self, monkeypatch):
@@ -481,12 +481,12 @@ class TestChargeScan:
         spec = ChainSpec(3, 1, kappa=1.0)
         calls = []
 
-        def counted(spec, codes, _build=rotorsim.spectra.build_hamiltonian):
-            calls.append(list(codes))
-            return _build(spec, codes)
+        def counted(basis, _build=rotorsim.spectra.build_hamiltonian):
+            calls.append(list(basis.codes))
+            return _build(basis)
         monkeypatch.setattr(rotorsim.spectra, "build_hamiltonian", counted)
         charge_scan(spec, np.linspace(0.0, 4.0, 9))
-        assert calls == [list(sector_basis(spec, m)) for m in range(4)]
+        assert calls == [list(sector_basis(spec, m).codes) for m in range(4)]
 
     @pytest.mark.parametrize("grid", [[0.0, np.nan], [0.0, np.inf], [np.nan]])
     def test_rejects_non_finite_grid(self, grid):
@@ -564,5 +564,5 @@ class TestSymmetryProperties:
     ])
     def test_neutral_ground_state(self, spec):
         _, vec = full_ground_state(spec)
-        q = build_charge(spec, all_codes(spec)).matrix
+        q = oracle_charge(spec).matrix
         assert abs(np.vdot(vec, q @ vec)) < 1e-10
