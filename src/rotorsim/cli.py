@@ -13,11 +13,14 @@ Inputs are JSON config files plus flag overrides (flags win); the geometry
 and environment keys are those of design.SCAN_PARAMETERS, the chain keys
 those of SIM_KEYS. Every command writes <name>.csv when --format is csv or
 both and it has a table, and <name>.json unless --format csv picked a table.
+A document's fields after the config are its command's result record's, in
+order; sim gap and design scan, which have no record, list theirs literally.
 Exit codes, mapped in main only: 0 ok, 2 invalid input, 3 infeasible design,
 4 solver non-convergence, 5 resource cap exceeded.
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -114,22 +117,17 @@ def _write(args, stem, doc, header=None, rows=None):
         write_json(out / f"{stem}.json", doc)
 
 
+def _record(result, omit=None) -> dict:
+    """dataclasses.asdict(result) less the field named omit."""
+    return {key: value for key, value in dataclasses.asdict(result).items() if key != omit}
+
+
 def cmd_design_report(args) -> int:
     geom, env = _resolve_geometry(args)
     report = design.feasibility(geom, env)
     _write(args, "feasibility_report", {
-        "config": _geometry_doc(geom, env),
-        "effective": vars(report.effective),
-        "hierarchy_ratios": [list(entry) for entry in report.hierarchy_ratios],
-        "inductance_ratio": report.inductance_ratio,
-        "inductance_verdict": report.inductance_verdict,
-        "temperature_ratio": report.temperature_ratio,
-        "temperature_verdict": report.temperature_verdict,
-        "chemical_potential": report.chemical_potential,
-        "second_order_zeeman_ratio": report.second_order_zeeman_ratio,
-        "critical_field_is_order_estimate": True,
-        "overall_verdict": report.overall_verdict,
-    })
+        "config": _geometry_doc(geom, env), **_record(report, "overall_verdict"),
+        "critical_field_is_order_estimate": True, "overall_verdict": report.overall_verdict})
     print(f"overall verdict: {report.overall_verdict}")
     if report.overall_verdict == "fail" or (report.overall_verdict == "warn" and args.strict):
         return EXIT_INFEASIBLE
@@ -186,15 +184,10 @@ def cmd_sim(args) -> int:
                                      f"{config['mu']!r}; only sim spectrum takes mu")
     if args.subcommand == "spectrum":
         res = spectrum(spec, k=args.k, mu_tilde=config["mu"])
-        _write(args, "spectrum", {
-            "config": config,
-            "method": res.method,
-            "eigenvalues": res.eigenvalues,
-            "sector_labels": res.sector_labels,
-            "residual_norms": res.residual_norms,
-        }, ["index", "energy", "sector", "residual"],
-            [[i, energy, int(label), residual] for i, (energy, label, residual)
-             in enumerate(zip(res.eigenvalues, res.sector_labels, res.residual_norms))])
+        _write(args, "spectrum", {"config": config, **_record(res, "eigenvectors")},
+               ["index", "energy", "sector", "residual"],
+               [[i, energy, int(label), residual] for i, (energy, label, residual)
+                in enumerate(zip(res.eigenvalues, res.sector_labels, res.residual_norms))])
         print(f"lowest level: {res.eigenvalues[0]:.9g}")
     elif args.subcommand == "gap":
         gap, degeneracy = mass_gap(spec)
@@ -205,24 +198,14 @@ def cmd_sim(args) -> int:
             raise CliError(EXIT_RESOURCE_CAP, f"{args.mu_steps} mu steps exceed the scan "
                                               f"cap {design.SCAN_STEPS_CAP}")
         scan_res = charge_scan(spec, np.linspace(args.mu_start, args.mu_stop, args.mu_steps))
-        _write(args, "charge_scan", {
-            "config": config,
-            "mu_values": scan_res.mu_values,
-            "ground_charge": scan_res.ground_charge,
-            "ground_energy": scan_res.ground_energy,
-            "critical_mu": scan_res.critical_mu,
-        }, ["mu", "Q", "energy"],
-            list(zip(scan_res.mu_values, scan_res.ground_charge, scan_res.ground_energy)))
+        _write(args, "charge_scan", {"config": config, **_record(scan_res)},
+               ["mu", "Q", "energy"],
+               list(zip(scan_res.mu_values, scan_res.ground_charge, scan_res.ground_energy)))
         print(f"critical_mu = {scan_res.critical_mu}")
     elif args.subcommand == "correlation":
         profile = correlation_profile(spec)
-        _write(args, "correlation", {
-            "config": config,
-            "distances": profile.distances,
-            "values": profile.values,
-            "fitted_xi": profile.fitted_xi,
-            "fit_quality": profile.fit_quality,
-        }, ["distance", "value"], list(zip(profile.distances, profile.values)))
+        _write(args, "correlation", {"config": config, **_record(profile)},
+               ["distance", "value"], list(zip(profile.distances, profile.values)))
         xi = profile.fitted_xi
         print("fitted_xi = None" if xi is None else f"fitted_xi = {xi:.9g}")
     else:  # ramp
@@ -233,11 +216,7 @@ def cmd_sim(args) -> int:
         _write(args, "ramp", {
             "config": {**config, "kappa_end": args.kappa_end, "duration": args.duration,
                        "dt": args.dt, "shape": args.shape},
-            "final_fidelity": result.final_fidelity,
-            "norm_drift": result.norm_drift,
-            "max_adiabatic_ratio": result.max_adiabatic_ratio,
-            "step_count": result.step_count,
-            "accepted_dt": result.accepted_dt,
+            **_record(result, "trace"),
         }, ["t", "fidelity_to_instantaneous_gs", "norm", "kappa"], result.trace)
         print(f"final fidelity = {result.final_fidelity:.9g}")
     return EXIT_OK

@@ -99,7 +99,8 @@ class ChainSpec:
     kappa is the bond strength 2 K m rho^4 / hbar^2. The chemical potential
     mu_tilde is not part of H ([H, Q] = 0): spectrum and build_grand_canonical
     take it as an argument. A dimension d^N above the cap raises
-    DimensionCapError, and d^N is computed only below cap^2.
+    DimensionCapError, and d^N is computed only below cap^2. A kappa whose bound
+    N l_max (l_max + 1) + kappa * 2 n_bonds on H's entries overflows is invalid.
     """
 
     n_sites: int
@@ -131,6 +132,11 @@ class ChainSpec:
                 f"total dimension {d}^{self.n_sites} exceeds the cap "
                 f"{cap} (override via ${DIM_CAP_ENV})"
             )
+        n_bonds = self.n_sites - 1 if self.boundary == "open" else self.n_sites
+        # Python floats overflow to inf without a numpy warning
+        if not math.isfinite(self.n_sites * self.l_max * (self.l_max + 1)
+                             + 2 * n_bonds * float(self.kappa)):
+            raise InvalidSpecError(f"kappa * B is not finite for kappa {self.kappa:.9g}")
 
     @property
     def site_dim(self) -> int:

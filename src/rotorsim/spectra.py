@@ -1,9 +1,10 @@
 """Eigensolvers and ground-state observables for the rotor chain.
 
-lowest_eigenpairs is the one eigensolver entry: it refuses k * dimension
-above DYNAMICS_DIM_CAP^2 before it allocates, then solves densely up to
-DENSE_CUTOFF (the oracle for the paths above it; the crossover is frozen so
-the ``method`` label is reproducible), off the diagonal, or by Lanczos.
+lowest_eigenpairs solves H on each sector or block (mass_gap's L_+ Gram matrix
+and rotorsim.dynamics' dense M = 0 matrices go to np.linalg directly): it refuses
+k * dimension above DYNAMICS_DIM_CAP^2 before it allocates, then solves densely up
+to DENSE_CUTOFF (the oracle for the paths above it; the crossover is frozen so the
+``method`` label is reproducible), off the diagonal, or by Lanczos.
 
 Every solver works on H alone, one total-M sector at a time, and only
 spectrum takes a chemical potential mu_tilde: on sector M the term
@@ -61,14 +62,14 @@ class SpectrumResult:
     """Low-lying levels, ascending in energy (units E0).
 
     lowest_eigenpairs fills eigenvectors (columns), spectrum sector_labels;
-    the other is None.
+    the other is None. Its fields but eigenvectors, in order, are sim spectrum's JSON.
     """
 
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray | None
-    residual_norms: np.ndarray
     method: str
-    sector_labels: np.ndarray | None = None
+    eigenvalues: np.ndarray
+    sector_labels: np.ndarray | None
+    residual_norms: np.ndarray
+    eigenvectors: np.ndarray | None
 
 
 @dataclass
@@ -155,10 +156,11 @@ def lowest_eigenpairs(op: SparseOperator, k: int) -> SpectrumResult:
             f"RESIDUAL_TOL = {RESIDUAL_TOL:g} for k={k}, dim={dim}"
         )
     return SpectrumResult(
-        eigenvalues=np.asarray(vals, dtype=float),
-        eigenvectors=vecs,
-        residual_norms=residuals,
         method=method,
+        eigenvalues=np.asarray(vals, dtype=float),
+        sector_labels=None,
+        residual_norms=residuals,
+        eigenvectors=vecs,
     )
 
 
@@ -168,21 +170,28 @@ def _solve_sector(spec: ChainSpec, m: int, k: int) -> SpectrumResult:
     return lowest_eigenpairs(build_hamiltonian(basis), min(k, len(basis.codes)))
 
 
+def _check_charge_term(spec: ChainSpec, mu: float):
+    max_charge = spec.n_sites * spec.l_max
+    if not math.isfinite(abs(mu) * max_charge):
+        raise ValueError(f"mu * M overflows: mu up to {mu:.9g} at charge {max_charge}")
+
+
 def spectrum(spec: ChainSpec, k: int, mu_tilde: float = 0.0) -> SpectrumResult:
     """k lowest levels of H - mu_tilde Q with their total-M labels; no vectors.
 
-    A non-finite mu_tilde raises InvalidSpecError. H is solved once on each
-    sector M = 0 .. N l_max; a level E enters as E - mu_tilde M with label M
-    and, for M > 0, as E + mu_tilde M with label -M. Levels sort by (energy,
-    label); a run of consecutive levels within TIE_TOL * max(1, |E|) of its
-    first level E counts as one energy. method is "dense" only if every
-    sector was solved densely, "iterative" if Lanczos ran on any, and
-    "diagonal" otherwise.
+    A non-finite mu_tilde raises InvalidSpecError, and one whose |mu_tilde| N l_max
+    overflows ValueError, as in charge_scan. H is solved once on each sector
+    M = 0 .. N l_max; a level E enters as E - mu_tilde M with label M and, for
+    M > 0, as E + mu_tilde M with label -M. Levels sort by (energy, label); a run
+    of consecutive levels within TIE_TOL * max(1, |E|) of its first level E
+    counts as one energy. method is "dense" only if every sector was solved
+    densely, "iterative" if Lanczos ran on any, and "diagonal" otherwise.
     """
     if not isinstance(mu_tilde, numbers.Real) or not math.isfinite(mu_tilde):
         raise InvalidSpecError(f"mu_tilde must be a finite number, got {mu_tilde!r}")
     if k < 1:
         raise ValueError(f"need at least one level, got k={k}")
+    _check_charge_term(spec, mu_tilde)
     levels = []  # (energy, M, residual)
     methods = set()
     for m in range(spec.n_sites * spec.l_max + 1):
@@ -202,11 +211,11 @@ def spectrum(spec: ChainSpec, k: int, mu_tilde: float = 0.0) -> SpectrumResult:
             groups.append([level])
     levels = [level for group in groups for level in sorted(group, key=lambda item: item[1])][:k]
     return SpectrumResult(
-        eigenvalues=np.array([e for e, _, _ in levels]),
-        eigenvectors=None,
-        residual_norms=np.array([r for _, _, r in levels]),
         method=max(methods, key=("dense", "diagonal", "iterative").index),
+        eigenvalues=np.array([e for e, _, _ in levels]),
         sector_labels=np.array([m for _, m, _ in levels]),
+        residual_norms=np.array([r for _, _, r in levels]),
+        eigenvectors=None,
     )
 
 
@@ -281,11 +290,9 @@ def charge_scan(spec: ChainSpec, mu_grid) -> ChargeScan:
         raise ValueError("mu_grid must be strictly ascending")
     if mu_grid[0] < 0:
         raise ValueError("mu_grid must be non-negative")
-    max_charge = spec.n_sites * spec.l_max
-    if not math.isfinite(float(mu_grid[-1]) * max_charge):
-        raise ValueError(f"mu * M overflows: mu up to {mu_grid[-1]:.9g} at charge {max_charge}")
+    _check_charge_term(spec, float(mu_grid[-1]))
 
-    charges = np.arange(max_charge + 1)
+    charges = np.arange(spec.n_sites * spec.l_max + 1)
     lowest = np.array([_solve_sector(spec, m, 1).eigenvalues[0] for m in charges])
     energies = lowest[None, :] - mu_grid[:, None] * charges[None, :]
     ground = np.argmin(energies, axis=1)

@@ -523,6 +523,22 @@ class TestCapsAndExtremeInput:
                               "--out", tmp_path / "out"], capsys, 2)
         assert "mu * M" in err
 
+    def test_overflowing_spectrum_mu_exit_2(self, tmp_path, capsys):
+        # refused as the charge scan's grid is, not solved into an infinite lowest level
+        err = assert_refused(["sim", "spectrum", "--sites", "3", "--lmax", "1", "--mu", "6e307",
+                              "--k", "3", "--out", tmp_path / "out"], capsys, 2)
+        assert "mu * M overflows: mu up to 6e+307 at charge 3" in err
+
+    @pytest.mark.parametrize("command, sites", [
+        ("gap", "8"),  # sector 0 above DENSE_CUTOFF: Lanczos
+        ("gap", "2"),  # dense eigh
+        ("correlation", "8"), ("spectrum", "7")])
+    def test_overflowing_kappa_exit_2(self, tmp_path, capsys, command, sites):
+        # ChainSpec refuses H before any solver sees it
+        err = assert_refused(["sim", command, "--sites", sites, "--lmax", "1", "--kappa",
+                              "1e308", "--out", tmp_path / "out"], capsys, 2)
+        assert "kappa * B is not finite for kappa 1e+308" in err
+
     def test_spectrum_solve_cap_exit_5(self, tmp_path, capsys, monkeypatch):
         # k = 50000 would densify the 48620-state M = 0 block of 9x1 (18.9 GB);
         # the cap refuses it before any eigensolver runs
@@ -675,6 +691,34 @@ def run_and_collect(root, capsys, micro_config):
         files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
         results[name] = (code, capsys.readouterr().out, files)
     return results
+
+
+# each document's top-level keys in order; the records' fields after the config
+DOCUMENT_KEYS = {
+    "feasibility_report.json": [
+        "schema_version", "config", "effective", "hierarchy_ratios", "inductance_ratio",
+        "inductance_verdict", "temperature_ratio", "temperature_verdict", "chemical_potential",
+        "second_order_zeeman_ratio", "critical_field_is_order_estimate", "overall_verdict"],
+    "design_scan.json": ["schema_version", "config", "parameter", "rows"],
+    "spectrum.json": ["schema_version", "config", "method", "eigenvalues", "sector_labels",
+                      "residual_norms"],
+    "gap.json": ["schema_version", "config", "gap", "degeneracy"],
+    "charge_scan.json": ["schema_version", "config", "mu_values", "ground_charge",
+                         "ground_energy", "critical_mu"],
+    "correlation.json": ["schema_version", "config", "distances", "values", "fitted_xi",
+                         "fit_quality"],
+    "ramp.json": ["schema_version", "config", "final_fidelity", "norm_drift",
+                  "max_adiabatic_ratio", "step_count", "accepted_dt"],
+}
+
+
+def test_every_document_lists_its_keys_in_order(tmp_path, capsys, micro_config):
+    results = run_and_collect(tmp_path, capsys, micro_config)
+    documents = {(name, file): json.loads(data) for name, (_, _, files) in results.items()
+                 for file, data in files.items() if file.endswith(".json")}
+    assert len(documents) == len(BYTE_IDENTITY_RUNS)
+    for (name, file), doc in documents.items():
+        assert list(doc) == DOCUMENT_KEYS[file], name
 
 
 def test_cli_outputs_byte_identical_to_the_stdlib_writer(tmp_path, capsys, micro_config):

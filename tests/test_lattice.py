@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import re
 import time
 from dataclasses import fields, replace
 
@@ -73,6 +74,22 @@ class TestChainSpec:
     def test_rejects_non_integral_or_non_finite(self, field, value):
         with pytest.raises(InvalidSpecError):
             ChainSpec(**{"n_sites": 2, "l_max": 1, field: value})
+
+    @pytest.mark.parametrize("n_sites, l_max, boundary, kappa, refused", [
+        # N l_max (l_max + 1) + kappa * 2 n_bonds, n_bonds = N - 1 open, N periodic
+        (2, 1, "open", 8e307, False), (2, 1, "open", 1e308, True),
+        (8, 1, "open", 1e308, True), (8, 1, "open", 1e307, False),
+        (3, 1, "periodic", 2.9e307, False), (3, 1, "periodic", 3e307, True),
+        (1, 1, "open", 1.7e308, False),  # no bond
+    ])
+    def test_rejects_kappa_whose_bond_term_overflows(self, n_sites, l_max, boundary, kappa,
+                                                     refused):
+        if not refused:
+            assert ChainSpec(n_sites, l_max, kappa, boundary).kappa == kappa
+            return
+        message = f"kappa * B is not finite for kappa {kappa:.9g}"
+        with pytest.raises(InvalidSpecError, match=f"^{re.escape(message)}$"):
+            ChainSpec(n_sites, l_max, kappa, boundary)
 
     def test_fields_describe_the_hamiltonian_alone(self):
         # mu_tilde is an argument of spectrum and build_grand_canonical

@@ -170,6 +170,16 @@ class TestSpectrum:
         with pytest.raises(InvalidSpecError, match="mu_tilde must be a finite number"):
             spectrum(ChainSpec(2, 1), 1, mu)
 
+    def test_rejects_mu_whose_charge_term_overflows(self):
+        # M reaches N l_max: 3 * 6e307 overflows, 2 * 8e307 does not; an infinite
+        # first level would pull every later one into its run of ties
+        with pytest.raises(ValueError, match=r"^mu \* M overflows: mu up to 6e\+307 at charge 3$"):
+            spectrum(ChainSpec(3, 1), 3, 6e307)
+        with pytest.raises(ValueError, match="overflows"):
+            spectrum(ChainSpec(2, 1), 3, -1e308)
+        res = spectrum(ChainSpec(2, 1), 3, 8e307)
+        assert np.all(np.isfinite(res.eigenvalues)) and list(res.sector_labels[:1]) == [2]
+
     def test_vectors_are_real(self):
         assert ground_state(ChainSpec(2, 2, kappa=1.0))[2].dtype == np.float64
 
