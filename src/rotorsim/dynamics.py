@@ -4,16 +4,20 @@ Time is measured in units of hbar/E0. The Hamiltonian along the ramp is
 H(t) = sum_i L_i^2 + kappa(t) * B with B the bond operator, so only a
 single scalar varies and dH/dt = kappa'(t) * B.
 
-H(t) conserves total M and commutes with the pi rotation R and the site
-reflection P (see rotorsim.lattice), and the ramp starts in the M = 0 ground
-state, which lies in the (R+, P+) block of that sector. K and B are built on
-the M = 0 sector, whose size DYNAMICS_DIM_CAP bounds, and the time steps run
-on their (R+, P+) block (lattice.even_block), about a quarter of the sector.
-DYNAMICS_STEP_CAP bounds the number of time steps.
+H(t) conserves total M and L^2 and commutes with the pi rotation R and the
+site reflection P (see rotorsim.lattice), and the ramp starts in the M = 0
+ground state, a singlet in the (R+, P+) block of that sector. K and B are
+built on the M = 0 sector, whose size DYNAMICS_DIM_CAP bounds, and the time
+steps run on the singlets of its (R+, P+) block: the null space of L_+ V,
+with V = lattice.even_block and L_+ = lattice.raising_operator (3 states on
+3x1 and 2x2, 76 of 924 on 6x1). DYNAMICS_STEP_CAP bounds the number of time
+steps.
 
 kappa(t) is a known schedule, so each fixed-dt pass diagonalizes the H(t) of
 its steps ahead of the state loop, in stacked eigh chunks that double from 1
-step up to a byte budget; the results are bit for bit those of one eigh per step.
+step up to a byte budget. The state loop takes the two half steps of each
+step; the full steps, and the error test that compares them with the half
+steps, run once per chunk on the whole stack.
 """
 
 import math
@@ -25,7 +29,7 @@ import numpy as np
 from .constants import CODATA2018
 from .design import Geometry, rotational_quantum
 from .lattice import (DYNAMICS_DIM_CAP, ChainSpec, DimensionCapError, build_interaction,
-                      build_kinetic, even_block, sector_basis)
+                      build_kinetic, even_block, raising_operator, sector_basis)
 
 __all__ = [
     "DYNAMICS_DIM_CAP",
@@ -44,7 +48,7 @@ DEGENERATE_GAP = 1e-9
 # rate * B|psi0> is squared inside the norm of the adiabatic matrix element
 RATE_NORM_LIMIT = math.sqrt(sys.float_info.max)
 # bytes of float64 matrices in one stacked eigh of the time steps: chunks of
-# about 42 to 75 steps on the 6- and 8-state blocks, 1 step from 37 states up
+# up to 303 steps on the 3-singlet blocks of 3x1 and 2x2, 1 step from 37 states up
 _CHUNK_BYTES = 64 * 1024
 
 
@@ -131,6 +135,33 @@ def _check_rate(schedule, bond):
                          f"element may reach {bound:.9g}, whose square overflows")
 
 
+def _ramp_setup(spec, schedule):
+    """(K, B) on the M = 0 sector, both on its singlet block, and the end states there.
+
+    The singlet block is V S, V = even_block: at M = 0, W^T W with W = L_+ V
+    is L^2 on the (R+, P+) block, with eigenvalues l(l + 1) at even l, and S
+    holds its eigenvectors below 1. An end state (the sector's ground state
+    at kappa_start or kappa_end) whose projection's norm is off 1 by more
+    than 1e-12 is refused (ValueError).
+    """
+    basis, kinetic, bond = _sector_parts(spec)
+    _check_rate(schedule, bond)
+    v = even_block(basis)
+    w = raising_operator(basis) @ v
+    vals, vecs = np.linalg.eigh((w.T @ w).toarray())
+    s = vecs[:, vals < 1.0]
+    ends = []
+    for kappa in (schedule.kappa_start, schedule.kappa_end):
+        ground = s.T @ (v.T @ np.linalg.eigh(kinetic + kappa * bond)[1][:, 0])
+        if abs(np.linalg.norm(ground) - 1.0) > 1e-12:
+            raise ValueError(f"the M = 0 ground state at kappa = {kappa:.9g} is not in the "
+                             "(R+, P+) block's singlets")
+        ends.append(ground)
+    # K and B are symmetric, so (V^T K)^T = K V
+    k_block, b_block = (s.T @ (v.T @ (v.T @ part).T) @ s for part in (kinetic, bond))
+    return kinetic, bond, k_block, b_block, ends[0].astype(complex), ends[1]
+
+
 def _step_count(duration, dt):
     steps = duration / dt
     if not steps <= DYNAMICS_STEP_CAP:
@@ -139,11 +170,12 @@ def _step_count(duration, dt):
 
 
 def _pass_solves(k_block, b_block, schedule, n_steps, step_dt):
-    """Yield (phases, vecs) per step, each stacked over (full, first half, second half).
+    """Yield (phases, vecs) per chunk of steps, stacked (step, sub-step, ...).
 
-    H = K + kappa * B at each sub-step's midpoint. One stacked eigh solves a
-    chunk of steps. A chunk doubles from 1 step up to _CHUNK_BYTES of stacked
-    matrices, so a rejected pass solves at most about twice the steps it took.
+    The sub-steps are (full, first half, second half), each with H = K +
+    kappa * B at its midpoint. One stacked eigh solves a chunk of steps. A
+    chunk doubles from 1 step up to _CHUNK_BYTES of stacked matrices, so a
+    rejected pass solves at most about twice the steps it took.
     """
     limit = max(1, _CHUNK_BYTES // (3 * k_block.nbytes))
     half_dt = 0.5 * step_dt
@@ -157,7 +189,7 @@ def _pass_solves(k_block, b_block, schedule, n_steps, step_dt):
                            schedule.kappa((t + half_dt) + 0.5 * half_dt)))
             t += step_dt
         vals, vecs = np.linalg.eigh(k_block + np.array(kappas)[..., None, None] * b_block)
-        yield from zip(np.exp(-1j * vals * dts), vecs)
+        yield np.exp(-1j * vals * dts), vecs
         step += size
         size *= 2
 
@@ -172,20 +204,22 @@ def propagate(spec: ChainSpec, schedule: RampSchedule, dt: float,
     """Evolve from the ground state at kappa_start through the ramp.
 
     K and B are built on the M = 0 sector; the ground states at kappa_start
-    and kappa_end are found there and projected onto its (R+, P+) block,
-    where every step and trace row then runs. A start or end state with
-    weight outside the block (norm off 1 by more than 1e-12) is refused
-    (ValueError). Fixed-step unitary stepping with an embedded half-step
-    error estimate; if a step's full/half discrepancy exceeds
-    STEP_ERROR_TOL the step size is halved (globally, to stay
+    and kappa_end are found there and projected onto the singlets of its
+    (R+, P+) block (_ramp_setup), where every step and trace row then runs.
+    A start or end state with weight outside them (norm off 1 by more than
+    1e-12) is refused (ValueError). Fixed-step unitary stepping with an
+    embedded half-step error estimate; if a step's full/half discrepancy
+    exceeds STEP_ERROR_TOL the step size is halved (globally, to stay
     deterministic) and the run restarts, unless the step count would pass
-    DYNAMICS_STEP_CAP (DimensionCapError). The accepted state of each
-    step is the two-half-step result, from H(t) diagonalized ahead of the
-    state loop in stacked chunks (_pass_solves). Fidelity is measured against the
-    exact ground state at kappa_end. A ramp whose kappa * B is not finite (ChainSpec,
-    at the larger end kappa), or whose adiabatic ratio could overflow (_check_rate),
-    is refused (ValueError) before any diagonalization, and so is a spec whose
-    kappa is not the schedule's kappa_start.
+    DYNAMICS_STEP_CAP (DimensionCapError). The accepted state of each step
+    is the two-half-step result, from H(t) diagonalized ahead of the state
+    loop in stacked chunks (_pass_solves); the full steps and the error test
+    run once per chunk, on the stack of its steps' start states. Fidelity
+    is measured against the exact ground state at kappa_end. A ramp whose
+    kappa * B is not finite (ChainSpec, at the larger end kappa), or whose
+    adiabatic ratio could overflow (_check_rate), is refused (ValueError)
+    before any diagonalization, and so is a spec whose kappa is not the
+    schedule's kappa_start.
     """
     if spec.kappa != schedule.kappa_start:
         raise ValueError(f"the ramp starts at kappa_start = {schedule.kappa_start!r}, "
@@ -196,39 +230,32 @@ def propagate(spec: ChainSpec, schedule: RampSchedule, dt: float,
     # so ChainSpec's bound at the larger one bounds every entry of H(t)
     _step_count(schedule.duration, dt)
     replace(spec, kappa=max(schedule.kappa_start, schedule.kappa_end))
-    basis, kinetic, bond = _sector_parts(spec)
-    _check_rate(schedule, bond)
-
-    v = even_block(basis)
-    ends = []
-    for kappa in (schedule.kappa_start, schedule.kappa_end):
-        ground = v.T @ np.linalg.eigh(kinetic + kappa * bond)[1][:, 0]
-        if abs(np.linalg.norm(ground) - 1.0) > 1e-12:
-            raise ValueError(f"the M = 0 ground state at kappa = {kappa:.9g} is not in the "
-                             "(R+, P+) block")
-        ends.append(ground)
-    psi0, target = ends[0].astype(complex), ends[1]
-    # K and B are symmetric, so (V^T K)^T = K V
-    k_block, b_block = v.T @ (v.T @ kinetic).T, v.T @ (v.T @ bond).T
+    kinetic, bond, k_block, b_block, psi0, target = _ramp_setup(spec, schedule)
 
     while True:
         n_steps = _step_count(schedule.duration, dt)
         step_dt = schedule.duration / n_steps
-        psi, t = psi0, 0.0
+        psi, t, step = psi0, 0.0, 0
         trace = [] if record_trace else None
-        solves = _pass_solves(k_block, b_block, schedule, n_steps, step_dt)
-        for step, (phases, vecs) in enumerate(solves):
-            full = _rotate(vecs[0], phases[0], psi)
-            half = _rotate(vecs[2], phases[2], _rotate(vecs[1], phases[1], psi))
-            if not np.linalg.norm(full - half) <= STEP_ERROR_TOL:  # NaN fails too
+        for phases, vecs in _pass_solves(k_block, b_block, schedule, n_steps, step_dt):
+            starts = np.empty((len(vecs), len(psi)), dtype=complex)
+            for start, sub_phases, sub_vecs in zip(starts, phases, vecs):
+                start[:] = psi
+                psi = _rotate(sub_vecs[2], sub_phases[2],
+                              _rotate(sub_vecs[1], sub_phases[1], psi))
+                t += step_dt
+                if record_trace and (step % trace_stride == 0 or step == n_steps - 1):
+                    _, ground = np.linalg.eigh(k_block + schedule.kappa(t) * b_block)
+                    fid_inst = abs(np.vdot(ground[:, 0], psi)) ** 2
+                    trace.append((t, fid_inst, float(np.linalg.norm(psi)),
+                                  schedule.kappa(t)))
+                step += 1
+            # every full step of the chunk at once, against the half steps' end states
+            full = np.einsum("sij,sj->si", vecs[:, 0],
+                             phases[:, 0] * np.einsum("sji,sj->si", vecs[:, 0], starts))
+            halves = np.concatenate([starts[1:], psi[None]])
+            if not np.all(np.linalg.norm(full - halves, axis=1) <= STEP_ERROR_TOL):  # NaN fails
                 break
-            psi = half
-            t += step_dt
-            if record_trace and (step % trace_stride == 0 or step == n_steps - 1):
-                _, vecs = np.linalg.eigh(k_block + schedule.kappa(t) * b_block)
-                fid_inst = abs(np.vdot(vecs[:, 0], psi)) ** 2
-                trace.append((t, fid_inst, float(np.linalg.norm(psi)),
-                              schedule.kappa(t)))
         else:  # every step accepted
             break
         dt = 0.5 * step_dt

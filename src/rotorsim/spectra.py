@@ -109,8 +109,8 @@ def lowest_eigenpairs(op: SparseOperator, k: int) -> SpectrumResult:
     cutoff "diagonal" when no off-diagonal entry is stored (sorted diagonal,
     unit vectors: Lanczos from one start vector cannot resolve exactly
     degenerate levels), else "iterative" (restarted Lanczos, deterministic
-    start vector). A residual norm above RESIDUAL_TOL raises
-    NonConvergenceError.
+    start vector). An ARPACK error, non-convergence included, or a residual
+    norm above RESIDUAL_TOL raises NonConvergenceError.
     """
     max_iter = env_cap(ITERATION_CAP_ENV, DEFAULT_ITERATION_CAP)
     if max_iter > 2**31 - 1:  # ARPACK's maxiter is a 32-bit integer; 2^31 wraps negative
@@ -138,17 +138,19 @@ def lowest_eigenpairs(op: SparseOperator, k: int) -> SpectrumResult:
         try:
             vals, vecs = spla.eigsh(op.matrix, k=k, which="SA", tol=0, v0=_start_vector(dim),
                                     maxiter=max_iter)
-        except spla.ArpackNoConvergence as exc:
+        except spla.ArpackError as exc:  # ArpackNoConvergence included
             raise NonConvergenceError(
                 f"Lanczos did not converge for k={k}, dim={dim}: {exc}"
             ) from exc
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
 
-    residuals = np.array([
-        np.linalg.norm(op.matrix @ vecs[:, i] - vals[i] * vecs[:, i])
-        for i in range(k)
-    ])
+    # entries near the float limit overflow here; an inf or NaN residual fails the gate
+    with np.errstate(over="ignore", invalid="ignore"):
+        residuals = np.array([
+            np.linalg.norm(op.matrix @ vecs[:, i] - vals[i] * vecs[:, i])
+            for i in range(k)
+        ])
     # written so that a NaN residual fails the gate too
     if not np.all(residuals <= RESIDUAL_TOL):
         raise NonConvergenceError(

@@ -9,10 +9,9 @@ import scipy.sparse as sp
 from scipy.special import sph_harm_y
 
 from rotorsim import Geometry
-from rotorsim.dynamics import (STEP_ERROR_TOL, EvolutionResult, _sector_parts, _step_count,
+from rotorsim.dynamics import (STEP_ERROR_TOL, EvolutionResult, _ramp_setup, _step_count,
                                adiabatic_ratio)
-from rotorsim.lattice import (SparseOperator, direction_matrices, even_block, site_basis,
-                              site_index)
+from rotorsim.lattice import SparseOperator, direction_matrices, site_basis, site_index
 from rotorsim.spectra import ground_state
 
 MICRO = dict(
@@ -302,16 +301,11 @@ def oracle_step(kinetic, bond, schedule, psi, t, dt):
 def oracle_propagate(spec, schedule, dt, record_trace=False, trace_stride=50):
     """propagate with one eigh per step and sub-step, solved as the state loop reaches it.
 
-    The setup (sector parts, (R+, P+) block, end states) is the library's;
-    the step loop is the sequential one. Returns the EvolutionResult and the
-    (n_steps, step) of every rejected pass.
+    The setup (sector parts, singlet block, end states) is the library's
+    (_ramp_setup); the step loop is the sequential one. Returns the
+    EvolutionResult and the (n_steps, step) of every rejected pass.
     """
-    basis, kinetic, bond = _sector_parts(spec)
-    v = even_block(basis)
-    psi0, target = (v.T @ np.linalg.eigh(kinetic + kappa * bond)[1][:, 0]
-                    for kappa in (schedule.kappa_start, schedule.kappa_end))
-    psi0 = psi0.astype(complex)
-    k_block, b_block = v.T @ (v.T @ kinetic).T, v.T @ (v.T @ bond).T
+    kinetic, bond, k_block, b_block, psi0, target = _ramp_setup(spec, schedule)
     rejected = []
     while True:
         n_steps = _step_count(schedule.duration, dt)

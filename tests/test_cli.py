@@ -539,6 +539,18 @@ class TestCapsAndExtremeInput:
                               "1e308", "--out", tmp_path / "out"], capsys, 2)
         assert "kappa * B is not finite for kappa 1e+308" in err
 
+    @pytest.mark.parametrize("command, sites, kappa, message", [
+        ("gap", "8", "1e307", "ARPACK error 3"),  # Lanczos: no shifts could be applied
+        ("correlation", "8", "1e307", "ARPACK error 3"),
+        ("gap", "2", "8e307", "dense eigenpair residual inf"),  # the residual overflows
+    ])
+    def test_overflowing_solve_exit_4(self, tmp_path, capsys, command, sites, kappa, message):
+        # kappa just inside ChainSpec's bound: H is finite, its solve is not; stderr
+        # holds the one error line, with no traceback and no overflow warning
+        err = assert_refused(["sim", command, "--sites", sites, "--lmax", "1", "--kappa", kappa,
+                              "--out", tmp_path / "out"], capsys, 4)
+        assert message in err and err.count("\n") == 1
+
     def test_spectrum_solve_cap_exit_5(self, tmp_path, capsys, monkeypatch):
         # k = 50000 would densify the 48620-state M = 0 block of 9x1 (18.9 GB);
         # the cap refuses it before any eigensolver runs

@@ -10,11 +10,13 @@ from rotorsim.cli import main
 from rotorsim.dynamics import (
     STEP_ERROR_TOL,
     RampSchedule,
+    _ramp_setup,
     adiabatic_ratio,
     physical_ramp_time,
     propagate,
 )
-from rotorsim.lattice import Basis, ChainSpec, DimensionCapError, build_interaction, build_kinetic
+from rotorsim.lattice import (Basis, ChainSpec, DimensionCapError, build_interaction,
+                              build_kinetic, even_block, raising_operator, sector_basis)
 
 from conftest import all_codes, oracle_propagate
 
@@ -190,6 +192,15 @@ class TestSectorPropagator:
         RampSchedule(0.1, 0.9, duration=1.5, shape="smoothstep"),
     ])
     def test_matches_full_space(self, spec, schedule):
+        self.check(spec, schedule)
+
+    def test_matches_full_space_on_a_periodic_chain(self):
+        # 256 product states: a short ramp (128 steps) keeps the oracle to a few seconds
+        self.check(ChainSpec(4, 1, boundary="periodic"),
+                   RampSchedule(0.2, 0.8, duration=0.15))
+
+    @staticmethod
+    def check(spec, schedule):
         spec = replace(spec, kappa=schedule.kappa_start)
         result = propagate(spec, schedule, dt=0.3, record_trace=True, trace_stride=2)
         fidelity, n_steps, step_dt, trace = full_space_ramp(spec, schedule, 0.3, 2)
@@ -234,30 +245,31 @@ class TestStackedSolves:
     def test_chunks_double_up_to_the_byte_budget(self, monkeypatch):
         stacks = record_step_stacks(monkeypatch)
         result = propagate(ChainSpec(3, 1), self.LINEAR, dt=0.05)
-        limit = rotorsim.dynamics._CHUNK_BYTES // (3 * 8 * 6 * 6)
+        limit = rotorsim.dynamics._CHUNK_BYTES // (3 * 8 * 3 * 3)  # the 3-singlet block
         sizes = [shape[0] for shape in stacks]
         # three passes rejected at step 0, then 1600 accepted steps
+        assert limit == 303
         assert sizes[:3] == [1, 1, 1]
-        assert sizes[3:10] == [1, 2, 4, 8, 16, 32, 64]
-        assert set(sizes[10:-1]) == {limit}
+        assert sizes[3:12] == [1, 2, 4, 8, 16, 32, 64, 128, 256]
+        assert set(sizes[12:-1]) == {limit}
         assert 0 < sizes[-1] <= limit
         assert sum(sizes[3:]) == result.step_count == 1600
 
     def test_large_block_steps_one_at_a_time(self, monkeypatch):
-        # the 66-state block of 5x1: one step's three matrices pass the budget
+        # the 76-singlet block of 6x1: one step's three matrices pass the budget
         stacks = record_step_stacks(monkeypatch)
-        schedule = RampSchedule(0.0, 0.5, duration=1.0)
-        result = propagate(ChainSpec(5, 1), schedule, dt=0.05)
-        assert 3 * 8 * 66 * 66 > rotorsim.dynamics._CHUNK_BYTES
-        assert {shape[0] for shape in stacks} == {1}
-        oracle, _ = oracle_propagate(ChainSpec(5, 1), schedule, 0.05)
+        schedule = RampSchedule(0.0, 0.5, duration=0.2)
+        result = propagate(ChainSpec(6, 1), schedule, dt=0.05)
+        assert 3 * 8 * 76 * 76 > rotorsim.dynamics._CHUNK_BYTES
+        assert {shape for shape in stacks} == {(1, 3, 76, 76)}
+        oracle, _ = oracle_propagate(ChainSpec(6, 1), schedule, 0.05)
         assert result == oracle
 
 
 class TestEvenBlockStepping:
-    """Every step runs on the (R+, P+) block of the M = 0 sector."""
+    """Every step runs on the singlets of the (R+, P+) block of the M = 0 sector."""
 
-    @pytest.mark.parametrize("spec, size", [(ChainSpec(3, 1), 6), (ChainSpec(2, 2), 8)])
+    @pytest.mark.parametrize("spec, size", [(ChainSpec(3, 1), 3), (ChainSpec(2, 2), 3)])
     def test_steps_run_on_the_block(self, spec, size, monkeypatch):
         stacks = record_step_stacks(monkeypatch)
         propagate(spec, RampSchedule(0.0, 0.6, duration=0.5), dt=0.1)
@@ -278,6 +290,39 @@ class TestEvenBlockStepping:
         assert captured.err.startswith("error:") and "block" in captured.err
         assert captured.out == ""
         assert not out.exists() or not any(out.iterdir())
+
+    def test_end_state_outside_the_singlets_is_refused(self, monkeypatch):
+        # with L_+ = 1, W^T W = 1 on the block and no state counts as a singlet
+        monkeypatch.setattr(rotorsim.dynamics, "raising_operator",
+                            lambda basis: sp.identity(len(basis.codes), format="csr"))
+        with pytest.raises(ValueError, match=r"\(R\+, P\+\) block's singlets"):
+            propagate(ChainSpec(3, 1), RampSchedule(0.0, 0.6, duration=0.5), dt=0.1)
+
+
+class TestSingletBlock:
+    """The singlet block is the null space of W = L_+ V on the (R+, P+) block V."""
+
+    SINGLETS = [(ChainSpec(3, 1), 3), (ChainSpec(2, 2), 3), (ChainSpec(4, 1), 10),
+                (ChainSpec(3, 2), 9)]
+
+    @pytest.mark.parametrize("spec, count", SINGLETS)
+    def test_singlet_counts(self, spec, count):
+        _, _, k_block, b_block, psi0, target = _ramp_setup(
+            spec, RampSchedule(0.0, 0.5, duration=1.0))
+        assert k_block.shape == b_block.shape == (count, count)
+        assert psi0.shape == target.shape == (count,)
+
+    @pytest.mark.parametrize("spec, count", SINGLETS)
+    def test_casimir_spectrum_is_even_l(self, spec, count):
+        # W^T W = V^T L_- L_+ V is L^2 on the block: l(l + 1) at even l only
+        basis = sector_basis(spec, 0)
+        w = raising_operator(basis) @ even_block(basis)
+        vals = np.linalg.eigvalsh((w.T @ w).toarray())
+        even = np.array([l * (l + 1.0) for l in range(0, 2 * spec.n_sites * spec.l_max + 1, 2)])
+        assert np.abs(vals[:, None] - even[None, :]).min(axis=1).max() <= 1e-9
+        assert np.count_nonzero(vals < 1.0) == count
+        assert np.abs(vals[:count]).max() <= 1e-9
+        assert vals[count] >= 6.0 - 1e-9
 
 
 class TestAdiabaticRatio:
