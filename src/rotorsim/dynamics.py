@@ -8,16 +8,12 @@ H(t) conserves total M and L^2 and commutes with the pi rotation R and the
 site reflection P (see rotorsim.lattice), and the ramp starts in the M = 0
 ground state, a singlet in the (R+, P+) block of that sector. K and B are
 built on the M = 0 sector, whose size DYNAMICS_DIM_CAP bounds, and the time
-steps run on the singlets of its (R+, P+) block: the null space of L_+ V,
-with V = lattice.even_block and L_+ = lattice.raising_operator (3 states on
-3x1 and 2x2, 76 of 924 on 6x1). DYNAMICS_STEP_CAP bounds the number of time
-steps.
+steps run on the singlets of its (R+, P+) block (3 states on 3x1 and 2x2, 76
+of 924 on 6x1). DYNAMICS_STEP_CAP bounds the number of time steps.
 
 kappa(t) is a known schedule, so each fixed-dt pass diagonalizes the H(t) of
 its steps ahead of the state loop, in stacked eigh chunks that double from 1
-step up to a byte budget. The state loop takes the two half steps of each
-step; the full steps, and the error test that compares them with the half
-steps, run once per chunk on the whole stack.
+step up to a byte budget, and tests the step errors once per chunk.
 """
 
 import math
@@ -203,19 +199,17 @@ def propagate(spec: ChainSpec, schedule: RampSchedule, dt: float,
               record_trace: bool = False, trace_stride: int = 50) -> EvolutionResult:
     """Evolve from the ground state at kappa_start through the ramp.
 
-    K and B are built on the M = 0 sector; the ground states at kappa_start
-    and kappa_end are found there and projected onto the singlets of its
-    (R+, P+) block (_ramp_setup), where every step and trace row then runs.
-    A start or end state with weight outside them (norm off 1 by more than
-    1e-12) is refused (ValueError). Fixed-step unitary stepping with an
-    embedded half-step error estimate; if a step's full/half discrepancy
-    exceeds STEP_ERROR_TOL the step size is halved (globally, to stay
-    deterministic) and the run restarts, unless the step count would pass
-    DYNAMICS_STEP_CAP (DimensionCapError). The accepted state of each step
-    is the two-half-step result, from H(t) diagonalized ahead of the state
-    loop in stacked chunks (_pass_solves); the full steps and the error test
-    run once per chunk, on the stack of its steps' start states. Fidelity
-    is measured against the exact ground state at kappa_end. A ramp whose
+    Every step and trace row runs on the singlet block of _ramp_setup, which
+    refuses an end state with weight outside it (ValueError). Fixed-step
+    unitary stepping with an embedded half-step error estimate; if a step's
+    full/half discrepancy exceeds STEP_ERROR_TOL the step size is halved
+    (globally, to stay deterministic) and the run restarts, unless the step
+    count would pass DYNAMICS_STEP_CAP (DimensionCapError). The accepted
+    state of each step is the two-half-step result, from H(t) diagonalized
+    ahead of the state loop in stacked chunks (_pass_solves); the full steps
+    and the error test run once per chunk, on the stack of its steps' start
+    states. Fidelity is measured against the exact ground state at
+    kappa_end. A ramp whose
     kappa * B is not finite (ChainSpec, at the larger end kappa), or whose
     adiabatic ratio could overflow (_check_rate), is refused (ValueError)
     before any diagonalization, and so is a spec whose kappa is not the

@@ -292,9 +292,9 @@ class TestEvenBlockStepping:
         assert not out.exists() or not any(out.iterdir())
 
     def test_end_state_outside_the_singlets_is_refused(self, monkeypatch):
-        # with L_+ = 1, W^T W = 1 on the block and no state counts as a singlet
+        # with L_+ = 2, W^T W = 4 on the block and no state counts as a singlet
         monkeypatch.setattr(rotorsim.dynamics, "raising_operator",
-                            lambda basis: sp.identity(len(basis.codes), format="csr"))
+                            lambda basis: 2.0 * sp.identity(len(basis.codes), format="csr"))
         with pytest.raises(ValueError, match=r"\(R\+, P\+\) block's singlets"):
             propagate(ChainSpec(3, 1), RampSchedule(0.0, 0.6, duration=0.5), dt=0.1)
 
@@ -318,7 +318,7 @@ class TestSingletBlock:
         basis = sector_basis(spec, 0)
         w = raising_operator(basis) @ even_block(basis)
         vals = np.linalg.eigvalsh((w.T @ w).toarray())
-        even = np.array([l * (l + 1.0) for l in range(0, 2 * spec.n_sites * spec.l_max + 1, 2)])
+        even = np.array([l * (l + 1.0) for l in range(0, spec.n_sites * spec.l_max + 1, 2)])
         assert np.abs(vals[:, None] - even[None, :]).min(axis=1).max() <= 1e-9
         assert np.count_nonzero(vals < 1.0) == count
         assert np.abs(vals[:count]).max() <= 1e-9
