@@ -11,9 +11,9 @@ built on the M = 0 sector, whose size DYNAMICS_DIM_CAP bounds, and the time
 steps run on the singlets of its (R+, P+) block (3 states on 3x1 and 2x2, 76
 of 924 on 6x1). DYNAMICS_STEP_CAP bounds the number of time steps.
 
-kappa(t) is a known schedule, so each fixed-dt pass diagonalizes the H(t) of
-its steps ahead of the state loop, in stacked eigh chunks that double from 1
-step up to a byte budget, and tests the step errors once per chunk.
+kappa(t) is a known schedule, so each fixed-dt pass diagonalizes its H(t)
+ahead of the state loop in stacked eigh chunks that double up to a byte
+budget, applies one composed matrix per step and tests step errors per chunk.
 """
 
 import math
@@ -50,7 +50,7 @@ _CHUNK_BYTES = 64 * 1024
 
 @dataclass(frozen=True)
 class RampSchedule:
-    """Coupling ramp kappa(t) over t in [0, duration] (units hbar/E0)."""
+    """Coupling ramp kappa(t), t a float or an array, over [0, duration] (units hbar/E0)."""
 
     kappa_start: float
     kappa_end: float
@@ -76,10 +76,10 @@ class RampSchedule:
                              f"{self.kappa_start!r} -> {self.kappa_end!r} over duration "
                              f"{self.duration!r}")
 
-    def kappa(self, t: float) -> float:
-        s = min(max(t / self.duration, 0.0), 1.0)
+    def kappa(self, t):
+        s = np.clip(t / self.duration, 0.0, 1.0)
         if self.shape == "smoothstep":
-            s = 3.0 * s**2 - 2.0 * s**3
+            s = s * s * (3.0 - 2.0 * s)  # no pow: equal bits for a float and an array
         return self.kappa_start + (self.kappa_end - self.kappa_start) * s
 
     def rate(self, t: float) -> float:
@@ -165,34 +165,33 @@ def _step_count(duration, dt):
     return max(1, math.ceil(steps))
 
 
-def _pass_solves(k_block, b_block, schedule, n_steps, step_dt):
-    """Yield (phases, vecs) per chunk of steps, stacked (step, sub-step, ...).
+def _pass_solves(k_block, b_block, schedule, ends):
+    """Yield (chunk, steps, phases, vecs) per chunk (a slice) of the steps ending at `ends`.
 
-    The sub-steps are (full, first half, second half), each with H = K +
-    kappa * B at its midpoint. One stacked eigh solves a chunk of steps. A
-    chunk doubles from 1 step up to _CHUNK_BYTES of stacked matrices, so a
-    rejected pass solves at most about twice the steps it took.
+    Sub-steps (full, first half, second half) take H = K + kappa * B at their
+    midpoints, every kappa of the pass from one call. One stacked eigh solves a
+    chunk; chunks double from 1 step up to _CHUNK_BYTES of stacked matrices, so
+    a rejected pass solves at most about twice the steps it took. `steps` holds
+    each step's two halves as one matrix, V2 (P2 (V2^T V1) P1) V1^T with P =
+    exp(-i vals dt / 2); `phases` and `vecs` are the full steps' P^2 and V.
     """
-    limit = max(1, _CHUNK_BYTES // (3 * k_block.nbytes))
-    half_dt = 0.5 * step_dt
+    step_dt, half_dt = ends[0], 0.5 * ends[0]
+    starts = np.concatenate([[0.0], ends[:-1]])
+    kappas = schedule.kappa(np.stack([starts + 0.5 * step_dt, starts + 0.5 * half_dt,
+                                      (starts + half_dt) + 0.5 * half_dt], axis=1))
     dts = np.array([step_dt, half_dt, half_dt])[:, None]
-    t, step, size = 0.0, 0, 1
-    while step < n_steps:
-        size = min(size, limit, n_steps - step)
-        kappas = []
-        for _ in range(size):
-            kappas.append((schedule.kappa(t + 0.5 * step_dt), schedule.kappa(t + 0.5 * half_dt),
-                           schedule.kappa((t + half_dt) + 0.5 * half_dt)))
-            t += step_dt
-        vals, vecs = np.linalg.eigh(k_block + np.array(kappas)[..., None, None] * b_block)
-        yield np.exp(-1j * vals * dts), vecs
-        step += size
-        size *= 2
-
-
-def _rotate(vecs, phases, psi):
-    """exp(-i H dt) psi from H's eigenvectors: exactly unitary for any dt."""
-    return vecs @ (phases * (vecs.T @ psi))  # H is real symmetric, so vecs are real
+    limit = max(1, _CHUNK_BYTES // (3 * k_block.nbytes))
+    step, size = 0, 1
+    while step < len(ends):
+        chunk = slice(step, step + min(size, limit, len(ends) - step))
+        vals, vecs = np.linalg.eigh(k_block + kappas[chunk, :, None, None] * b_block)
+        phases = np.exp(-1j * vals * dts)
+        # V1 C^T with C^T = P1 (V1^T V2) P2, then V2 (V1 C^T)^T, each a real matmul
+        core = (phases[:, 1, :, None] * (np.swapaxes(vecs[:, 1], 1, 2) @ vecs[:, 2])
+                * phases[:, 2, None, :])
+        left = np.swapaxes((vecs[:, 1] @ core.view(float)).view(complex), 1, 2).copy()
+        yield chunk, (vecs[:, 2] @ left.view(float)).view(complex), phases[:, 0], vecs[:, 0]
+        step, size = chunk.stop, 2 * size
 
 
 def propagate(spec: ChainSpec, schedule: RampSchedule, dt: float,
@@ -205,21 +204,23 @@ def propagate(spec: ChainSpec, schedule: RampSchedule, dt: float,
     full/half discrepancy exceeds STEP_ERROR_TOL the step size is halved
     (globally, to stay deterministic) and the run restarts, unless the step
     count would pass DYNAMICS_STEP_CAP (DimensionCapError). The accepted
-    state of each step is the two-half-step result, from H(t) diagonalized
-    ahead of the state loop in stacked chunks (_pass_solves); the full steps
-    and the error test run once per chunk, on the stack of its steps' start
-    states. Fidelity is measured against the exact ground state at
-    kappa_end. A ramp whose
-    kappa * B is not finite (ChainSpec, at the larger end kappa), or whose
-    adiabatic ratio could overflow (_check_rate), is refused (ValueError)
-    before any diagonalization, and so is a spec whose kappa is not the
-    schedule's kappa_start.
+    state of each step is the two-half-step result, one matrix per step from
+    H(t) diagonalized ahead of the state loop in stacked chunks
+    (_pass_solves); the full steps and the error test run once per chunk, on
+    its steps' start states. Trace rows (every trace_stride-th step and the
+    last) come from chunks that passed, one stacked eigh each. Fidelity is to
+    the exact ground state at kappa_end. A ramp whose kappa * B is not finite
+    (ChainSpec, at the larger end kappa) or whose adiabatic ratio could
+    overflow (_check_rate), a trace_stride below 1 and a spec kappa other than
+    kappa_start are refused (ValueError) before any eigh.
     """
     if spec.kappa != schedule.kappa_start:
         raise ValueError(f"the ramp starts at kappa_start = {schedule.kappa_start!r}, "
                          f"not at the spec's kappa = {spec.kappa!r}")
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be positive and finite, got {dt}")
+    if not trace_stride >= 1:
+        raise ValueError(f"trace_stride must be at least 1, got {trace_stride!r}")
     # refuse before anything is built; kappa(t) stays between its end values,
     # so ChainSpec's bound at the larger one bounds every entry of H(t)
     _step_count(schedule.duration, dt)
@@ -229,27 +230,25 @@ def propagate(spec: ChainSpec, schedule: RampSchedule, dt: float,
     while True:
         n_steps = _step_count(schedule.duration, dt)
         step_dt = schedule.duration / n_steps
-        psi, t, step = psi0, 0.0, 0
-        trace = [] if record_trace else None
-        for phases, vecs in _pass_solves(k_block, b_block, schedule, n_steps, step_dt):
-            starts = np.empty((len(vecs), len(psi)), dtype=complex)
-            for start, sub_phases, sub_vecs in zip(starts, phases, vecs):
+        ends = np.cumsum(np.full(n_steps, step_dt))  # the running t += step_dt, bit for bit
+        traced = np.r_[np.arange(n_steps - 1) % trace_stride == 0, True]
+        psi, trace = psi0, [] if record_trace else None
+        for chunk, steps, phases, vecs in _pass_solves(k_block, b_block, schedule, ends):
+            starts = np.empty((len(steps), len(psi)), dtype=complex)
+            for start, step in zip(starts, steps):
                 start[:] = psi
-                psi = _rotate(sub_vecs[2], sub_phases[2],
-                              _rotate(sub_vecs[1], sub_phases[1], psi))
-                t += step_dt
-                if record_trace and (step % trace_stride == 0 or step == n_steps - 1):
-                    _, ground = np.linalg.eigh(k_block + schedule.kappa(t) * b_block)
-                    fid_inst = abs(np.vdot(ground[:, 0], psi)) ** 2
-                    trace.append((t, fid_inst, float(np.linalg.norm(psi)),
-                                  schedule.kappa(t)))
-                step += 1
+                psi = step @ psi
             # every full step of the chunk at once, against the half steps' end states
-            full = np.einsum("sij,sj->si", vecs[:, 0],
-                             phases[:, 0] * np.einsum("sji,sj->si", vecs[:, 0], starts))
+            full = np.einsum("sij,sj->si", vecs, phases * np.einsum("sji,sj->si", vecs, starts))
             halves = np.concatenate([starts[1:], psi[None]])
             if not np.all(np.linalg.norm(full - halves, axis=1) <= STEP_ERROR_TOL):  # NaN fails
                 break
+            if record_trace:
+                times, states = ends[chunk][traced[chunk]], halves[traced[chunk]]
+                kappas = schedule.kappa(times)
+                ground = np.linalg.eigh(k_block + kappas[:, None, None] * b_block)[1][..., 0]
+                trace += zip(times.tolist(), (np.abs((ground * states).sum(1)) ** 2).tolist(),
+                             np.linalg.norm(states, axis=1).tolist(), kappas.tolist())
         else:  # every step accepted
             break
         dt = 0.5 * step_dt

@@ -101,6 +101,12 @@ class TestRampSchedule:
         assert RampSchedule(0.0, 1.1e308, duration=1.0, shape="smoothstep").rate(0.5) == \
             pytest.approx(1.65e308)
 
+    @pytest.mark.parametrize("shape", ["linear", "smoothstep"])
+    def test_kappa_of_an_array_is_kappa_of_each_time(self, shape):
+        ramp = RampSchedule(0.1, 0.7, duration=3.0, shape=shape)
+        times = np.linspace(-0.5, 3.5, 97)
+        assert ramp.kappa(times).tolist() == [ramp.kappa(float(t)) for t in times]
+
     def test_smoothstep_flat_endpoints(self):
         ramp = RampSchedule(0.0, 1.0, duration=4.0, shape="smoothstep")
         assert ramp.rate(0.0) == 0.0
@@ -152,6 +158,16 @@ class TestPropagate:
             assert 0.0 <= fid <= 1.0 + 1e-10
             assert norm == pytest.approx(1.0, abs=1e-9)
             assert 0.0 <= kappa <= 0.5
+
+    @pytest.mark.parametrize("stride", [0, -3])
+    def test_rejects_a_trace_stride_below_one(self, stride, monkeypatch):
+        def refuse(spec):
+            raise AssertionError("built")
+
+        monkeypatch.setattr(rotorsim.dynamics, "_sector_parts", refuse)
+        with pytest.raises(ValueError, match=f"trace_stride must be at least 1, got {stride}"):
+            propagate(TWO_SITE, RampSchedule(0.0, 0.5, duration=1.0), dt=0.05,
+                      record_trace=True, trace_stride=stride)
 
     def test_rejects_bad_dt(self):
         with pytest.raises(ValueError):
@@ -214,11 +230,26 @@ class TestSectorPropagator:
 
 
 class TestStackedSolves:
-    """propagate against the sequential stepper (conftest.oracle_propagate), bit for bit."""
+    """propagate against the sequential stepper (conftest.oracle_propagate).
+
+    One matrix per step rounds differently from the oracle's two rotations,
+    so the step decisions are compared exactly and the values within 1e-12.
+    """
 
     LINEAR = RampSchedule(0.0, 0.5, duration=10.0)
     SMOOTH = RampSchedule(0.0, 0.5, duration=10.0, shape="smoothstep")
     STEP_0 = [(200, 0), (400, 0), (800, 0)]
+
+    @staticmethod
+    def assert_matches(result, oracle):
+        assert result.step_count == oracle.step_count
+        assert result.accepted_dt == oracle.accepted_dt
+        assert result.max_adiabatic_ratio == oracle.max_adiabatic_ratio
+        assert result.final_fidelity == pytest.approx(oracle.final_fidelity, abs=1e-12)
+        assert result.norm_drift <= 1e-12
+        assert (result.trace is None) == (oracle.trace is None)
+        for row, oracle_row in zip(result.trace or [], oracle.trace or [], strict=True):
+            assert row == pytest.approx(oracle_row, abs=1e-12)
 
     @pytest.mark.parametrize("spec, schedule, rejected", [
         (ChainSpec(3, 1), LINEAR, STEP_0),
@@ -235,12 +266,23 @@ class TestStackedSolves:
         oracle, oracle_rejected = oracle_propagate(spec, schedule, 0.05, record_trace=True,
                                                    trace_stride=7)
         assert oracle_rejected == rejected
-        assert result.final_fidelity == oracle.final_fidelity
-        assert result.norm_drift == oracle.norm_drift
-        assert result.max_adiabatic_ratio == oracle.max_adiabatic_ratio
-        assert result.step_count == oracle.step_count
-        assert result.accepted_dt == oracle.accepted_dt
-        assert result.trace == oracle.trace
+        self.assert_matches(result, oracle)
+
+    def test_trace_rows_are_solved_only_for_accepted_steps(self, monkeypatch):
+        # the 3x3 matrices outside the stacked steps are the trace rows' alone; the
+        # dt = 0.0125 pass fails at step 23, inside the chunk of steps 15-30, so its
+        # rows at steps 0, 7 and 14 are solved and those at 21 and 28 are not
+        solved = []
+
+        def recording(matrix, eigh=np.linalg.eigh):
+            if matrix.ndim < 4 and matrix.shape[-1] == 3:
+                solved.append(math.prod(matrix.shape[:-2]))
+            return eigh(matrix)
+        monkeypatch.setattr(np.linalg, "eigh", recording)
+        result = propagate(ChainSpec(3, 1), self.SMOOTH, dt=0.05, record_trace=True,
+                           trace_stride=7)
+        assert len(result.trace) == len(range(0, 1600, 7)) + 1  # and the last step
+        assert sum(solved) == len(result.trace) + 3
 
     def test_chunks_double_up_to_the_byte_budget(self, monkeypatch):
         stacks = record_step_stacks(monkeypatch)
@@ -263,7 +305,13 @@ class TestStackedSolves:
         assert 3 * 8 * 76 * 76 > rotorsim.dynamics._CHUNK_BYTES
         assert {shape for shape in stacks} == {(1, 3, 76, 76)}
         oracle, _ = oracle_propagate(ChainSpec(6, 1), schedule, 0.05)
-        assert result == oracle
+        self.assert_matches(result, oracle)
+
+    def test_long_ramp_keeps_its_norm(self):
+        # 6400 accepted steps of one composed matrix each on the 10-singlet block
+        result = propagate(ChainSpec(4, 1), RampSchedule(0.0, 0.5, duration=40.0), dt=0.05)
+        assert result.step_count == 6400
+        assert result.norm_drift <= 1e-12
 
 
 class TestEvenBlockStepping:
