@@ -14,20 +14,18 @@ parameter. The formulas they compose (capacitance_denominator, interaction_stren
 effective_speed, effective_coupling, rotational_quantum, chemical_potential) are public.
 
 Every formula takes a float or a numpy array in any one length, temperature
-or field. feasibility and scan evaluate the same expressions on arrays: scan
-once over its whole grid, feasibility on a one-point grid whose row 0 it
-reads. Array arithmetic keeps to the operations that numpy rounds as Python
-does (+, -, *, / and sqrt); log, exp and powers apply the libm function to
-each element (_each). A report therefore equals the float composition of the
-formulas bit for bit. Where they divide by zero or overflow, the arrays carry
-inf and NaN on, and a point with a non-finite effective parameter or a NaN
-ratio is refused.
+or field, and applies numpy's functions to it: np.log, np.exp, np.sqrt, and
+np.power through _pow, which reads NaN where a finite base overflows (Python's
+pow would raise there). feasibility and scan evaluate the same expressions on
+arrays: scan once over its whole grid, feasibility on a one-point grid whose
+row 0 it reads, so a report equals its point's scan row bit for bit. Where the
+formulas divide by zero or overflow, the arrays carry inf and NaN on, and a
+point with a non-finite effective parameter or a NaN ratio is refused.
 """
 
 import math
 from dataclasses import dataclass
 from functools import reduce
-from itertools import repeat
 from types import SimpleNamespace
 
 import numpy as np
@@ -176,130 +174,100 @@ class FeasibilityReport:
     overall_verdict: str
 
 
-def _wire_log(geom):
-    """ln(dx/delta), the logarithm of the long wires."""
-    return _each(math.log, geom.lattice_spacing / geom.wire_radius)
-
-
-def capacitance_denominator(geom: Geometry, wire_log=None) -> float:
+def capacitance_denominator(geom: Geometry) -> float:
     """Capacitance length 4*alpha + dx/ln(dx/delta), in meters.
 
     The first addend comes from the conducting spheres, the second from
-    the long wires. wire_log is ln(dx/delta) when the caller has it.
+    the long wires.
     """
-    if wire_log is None:
-        wire_log = _wire_log(geom)
-    return 4.0 * geom.conducting_sphere_radius + geom.lattice_spacing / wire_log
+    return (4.0 * geom.conducting_sphere_radius
+            + geom.lattice_spacing / np.log(geom.lattice_spacing / geom.wire_radius))
 
 
-# interaction_strength, effective_speed and effective_coupling take
-# capacitance_denominator(geom) as `denominator` when the caller has it
-def interaction_strength(geom: Geometry, denominator=None) -> float:
+def interaction_strength(geom: Geometry) -> float:
     """Image-charge bond coefficient K in J/m^2: V(r, r') = K (r' - r)^2."""
-    if denominator is None:
-        denominator = capacitance_denominator(geom)
     return (
         CODATA2018.coulomb_factor
-        * _each(pow, geom.conducting_sphere_radius, 2)
-        / (_each(pow, geom.sphere_gap, 4) * denominator)
+        * _pow(geom.conducting_sphere_radius, 2)
+        / (_pow(geom.sphere_gap, 4) * capacitance_denominator(geom))
     )
 
 
-def effective_speed(geom: Geometry, denominator=None) -> float:
+def effective_speed(geom: Geometry) -> float:
     """Propagation speed of chain excitations, m/s.
 
     Evaluated directly from the geometry; equals
     dx * sqrt(2 K / m) with K = interaction_strength(geom), which the
     test suite checks as an independent route.
     """
-    if denominator is None:
-        denominator = capacitance_denominator(geom)
     ratio = (
         2.0
-        * _each(pow, geom.conducting_sphere_radius, 2)
-        * _each(pow, geom.lattice_spacing, 2)
-        / _each(pow, geom.sphere_gap, 4)
+        * _pow(geom.conducting_sphere_radius, 2)
+        * _pow(geom.lattice_spacing, 2)
+        / _pow(geom.sphere_gap, 4)
     )
-    return CODATA2018.light_speed * _each(
-        math.sqrt, CODATA2018.classical_electron_radius * ratio / denominator
+    return CODATA2018.light_speed * np.sqrt(
+        CODATA2018.classical_electron_radius * ratio / capacitance_denominator(geom)
     )
 
 
-def effective_coupling(geom: Geometry, denominator=None) -> float:
+def effective_coupling(geom: Geometry) -> float:
     """Dimensionless coupling g_eff of the emergent N=3 sigma model."""
-    if denominator is None:
-        denominator = capacitance_denominator(geom)
     inner = (
         CODATA2018.bohr_radius
-        * denominator
-        / (2.0 * _each(pow, geom.conducting_sphere_radius, 2))
+        * capacitance_denominator(geom)
+        / (2.0 * _pow(geom.conducting_sphere_radius, 2))
     )
     return (math.sqrt(3.0) * (geom.sphere_gap / geom.insulating_sphere_radius)
-            * _each(pow, inner, 0.25))
+            * _pow(inner, 0.25))
 
 
 def rotational_quantum(geom: Geometry) -> float:
     """Single-sphere energy unit E0 = hbar^2 / (2 m rho^2), J."""
     return CODATA2018.hbar**2 / (
-        2.0 * CODATA2018.electron_mass * _each(pow, geom.insulating_sphere_radius, 2)
+        2.0 * CODATA2018.electron_mass * _pow(geom.insulating_sphere_radius, 2)
     )
 
 
 def energy_level(ell: int, geom: Geometry) -> float:
     """Single-sphere level E_ell = hbar^2 ell(ell+1) / (2 m rho^2), J."""
-    if ell < 0 or ell != int(ell):
+    if isinstance(ell, bool) or not (math.isfinite(ell) and ell >= 0 and ell == int(ell)):
         raise DesignError("ell", f"must be a non-negative integer, got {ell!r}")
     return rotational_quantum(geom) * ell * (ell + 1)
 
 
 def chemical_potential(magnetic_field: float) -> float:
     """Effective chemical potential e*hbar*B/(3m) realized by a field B, J."""
-    if np.any(magnetic_field < 0):
-        raise DesignError("magnetic_field", f"must be non-negative, got {magnetic_field!r}")
+    if not np.all(np.isfinite(magnetic_field) & (magnetic_field >= 0)):
+        raise DesignError("magnetic_field",
+                          f"must be non-negative and finite, got {magnetic_field!r}")
     return CODATA2018.electron_charge * CODATA2018.hbar * magnetic_field / (
         3.0 * CODATA2018.electron_mass
     )
 
 
-def _inductance_ratio(geom, c_eff, wire_log):
+def _inductance_ratio(geom, c_eff):
     return (
         4.0
         * (geom.conducting_sphere_radius / geom.lattice_spacing)
-        * _each(pow, c_eff / CODATA2018.light_speed, 2)
-        * wire_log
+        * _pow(c_eff / CODATA2018.light_speed, 2)
+        * np.log(geom.lattice_spacing / geom.wire_radius)
     )
 
 
 def _second_order_zeeman_ratio(magnetic_field, geom, gap):
     vector_potential = magnetic_field * geom.insulating_sphere_radius / 3.0
-    quadratic = _each(pow, CODATA2018.electron_charge * vector_potential, 2) / (
+    quadratic = _pow(CODATA2018.electron_charge * vector_potential, 2) / (
         2.0 * CODATA2018.electron_mass
     )
     return _per(quadratic, gap)
 
 
-def _each(fn, x, *args):
-    """fn(x, *args) for a float; for an array, the same call on each element.
-
-    log, exp and every power of a quantity that may be an array go through
-    here: numpy's own versions differ from libm in the last bit on some
-    inputs. On a float the Python function raises OverflowError where numpy's
-    would return inf; on an array that element reads NaN instead.
-    """
-    if not isinstance(x, np.ndarray):
-        return fn(x, *args)
-    values = x.tolist()
-    try:
-        return np.fromiter(map(fn, values, *map(repeat, args)), float, x.size)
-    except OverflowError:
-        return np.array([_nan_on_overflow(fn, value, *args) for value in values])
-
-
-def _nan_on_overflow(fn, *args):
-    try:
-        return fn(*args)
-    except OverflowError:
-        return math.nan
+def _pow(x, p):
+    """np.power(x, p) in floats, reading NaN where a finite x overflows (Python's pow
+    raises there)."""
+    y = np.power(x, p, dtype=float)
+    return np.where(np.isinf(y) & np.isfinite(x), np.nan, y)
 
 
 def _per(numerator, denominator):
@@ -329,16 +297,12 @@ def _hierarchy_ratios(geom, scale):
     ]
 
 
-def effective_params(geom: Geometry, wire_log=None) -> EffectiveParams:
-    """Evaluate every derived parameter for one geometry, each formula once.
-
-    wire_log is ln(dx/delta) when the caller has it.
-    """
-    denominator = capacitance_denominator(geom, wire_log)
-    strength = interaction_strength(geom, denominator)
-    speed = effective_speed(geom, denominator)
-    coupling = effective_coupling(geom, denominator)
-    scale = _each(math.exp, -2.0 * math.pi / _each(pow, coupling, 2)) / geom.lattice_spacing
+def effective_params(geom: Geometry) -> EffectiveParams:
+    """Evaluate every derived parameter for one geometry, each public formula once."""
+    strength = interaction_strength(geom)
+    speed = effective_speed(geom)
+    coupling = effective_coupling(geom)
+    scale = np.exp(-2.0 * math.pi / _pow(coupling, 2)) / geom.lattice_spacing
     gap = CODATA2018.hbar * speed * scale
     return EffectiveParams(
         interaction_strength=strength,
@@ -347,7 +311,7 @@ def effective_params(geom: Geometry, wire_log=None) -> EffectiveParams:
         dynamical_scale=scale,
         rotational_quantum=rotational_quantum(geom),
         rotor_coupling=(2.0 * strength * CODATA2018.electron_mass
-                        * _each(pow, geom.insulating_sphere_radius, 4) / CODATA2018.hbar**2),
+                        * _pow(geom.insulating_sphere_radius, 4) / CODATA2018.hbar**2),
         gap_energy=gap,
         gap_temperature=gap / CODATA2018.boltzmann,
         critical_field=CODATA2018.electron_mass * speed * scale / CODATA2018.electron_charge,
@@ -374,12 +338,13 @@ def _report(geom, env, point, pick=lambda column: column):
     is the (Geometry, Environment) of grid point i. The first point where an
     effective parameter is not finite or a ratio is NaN is refused as
     geometry, and the first where the Zeeman term is NaN as magnetic_field.
+    The numpy functions run with their warnings off: a division by zero or an
+    overflow is read off the inf and NaN it leaves.
     """
     with np.errstate(all="ignore"):
-        wire_log = _wire_log(geom)
-        eff = effective_params(geom, wire_log)
+        eff = effective_params(geom)
         ratios = _hierarchy_ratios(geom, eff.dynamical_scale)
-        ind_ratio = _inductance_ratio(geom, eff.effective_speed, wire_log)
+        ind_ratio = _inductance_ratio(geom, eff.effective_speed)
         temp_ratio = _per(CODATA2018.boltzmann * env.temperature, eff.gap_energy)
         zeeman = _second_order_zeeman_ratio(env.magnetic_field, geom, eff.gap_energy)
     bad_geometry = reduce(np.logical_or, [~np.isfinite(value) for value in vars(eff).values()]
@@ -437,7 +402,8 @@ def scan(geom: Geometry, env: Environment, parameter: str, start: float, stop: f
     magnetic field only, in which case the spacing is linear. The result
     is a serialize.Table of the summary columns in grid order: float64
     arrays and the overall_verdict strings. Each of its rows equals
-    feasibility at that point, bit for bit.
+    feasibility at that point bit for bit: both run the same numpy
+    expressions, which round an element alike at any grid length.
 
     The formulas run once, on the whole grid as an array. A grid extreme
     that is not a valid Geometry or Environment refuses the scan, and so

@@ -169,29 +169,30 @@ def _pass_solves(k_block, b_block, schedule, ends):
     """Yield (chunk, steps, phases, vecs) per chunk (a slice) of the steps ending at `ends`.
 
     Sub-steps (full, first half, second half) take H = K + kappa * B at their
-    midpoints, every kappa of the pass from one call. One stacked eigh solves a
+    midpoints, a chunk's kappas from one call. One stacked eigh solves a
     chunk; chunks double from 1 step up to _CHUNK_BYTES of stacked matrices, so
     a rejected pass solves at most about twice the steps it took. `steps` holds
     each step's two halves as one matrix, V2 (P2 (V2^T V1) P1) V1^T with P =
     exp(-i vals dt / 2); `phases` and `vecs` are the full steps' P^2 and V.
     """
     step_dt, half_dt = ends[0], 0.5 * ends[0]
-    starts = np.concatenate([[0.0], ends[:-1]])
-    kappas = schedule.kappa(np.stack([starts + 0.5 * step_dt, starts + 0.5 * half_dt,
-                                      (starts + half_dt) + 0.5 * half_dt], axis=1))
-    dts = np.array([step_dt, half_dt, half_dt])[:, None]
+    dts = np.array([step_dt, half_dt, half_dt])
+    # the midpoints from a step's start t: t + dt/2, t + dt/4 and (t + dt/2) + dt/4
+    shifts = np.array([0.0, 0.0, half_dt])
     limit = max(1, _CHUNK_BYTES // (3 * k_block.nbytes))
-    step, size = 0, 1
+    step, size, start = 0, 1, 0.0
     while step < len(ends):
         chunk = slice(step, step + min(size, limit, len(ends) - step))
-        vals, vecs = np.linalg.eigh(k_block + kappas[chunk, :, None, None] * b_block)
-        phases = np.exp(-1j * vals * dts)
+        starts = np.concatenate([[start], ends[step:chunk.stop - 1]])
+        kappas = schedule.kappa((starts[:, None] + shifts) + 0.5 * dts)
+        vals, vecs = np.linalg.eigh(k_block + kappas[:, :, None, None] * b_block)
+        phases = np.exp(-1j * vals * dts[:, None])
         # V1 C^T with C^T = P1 (V1^T V2) P2, then V2 (V1 C^T)^T, each a real matmul
         core = (phases[:, 1, :, None] * (np.swapaxes(vecs[:, 1], 1, 2) @ vecs[:, 2])
                 * phases[:, 2, None, :])
         left = np.swapaxes((vecs[:, 1] @ core.view(float)).view(complex), 1, 2).copy()
         yield chunk, (vecs[:, 2] @ left.view(float)).view(complex), phases[:, 0], vecs[:, 0]
-        step, size = chunk.stop, 2 * size
+        step, size, start = chunk.stop, 2 * size, ends[chunk.stop - 1]
 
 
 def propagate(spec: ChainSpec, schedule: RampSchedule, dt: float,
@@ -306,6 +307,6 @@ def adiabatic_ratio(spec: ChainSpec, schedule: RampSchedule, samples: int, *,
 
 def physical_ramp_time(geom: Geometry, duration: float) -> float:
     """Convert a dimensionless duration to seconds: t = duration * hbar / E0."""
-    if duration < 0:
-        raise ValueError(f"duration must be non-negative, got {duration}")
+    if not (math.isfinite(duration) and duration >= 0):
+        raise ValueError(f"duration must be non-negative and finite, got {duration!r}")
     return duration * CODATA2018.hbar / rotational_quantum(geom)

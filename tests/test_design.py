@@ -1,12 +1,16 @@
+import importlib.util
 import json
 import math
 import sys
 from collections import Counter
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from rotorsim import CODATA2018, DesignError, Environment, Geometry, bundled_config, design
+from rotorsim.cli import _geometry_environment, _load_config
 from rotorsim.cli import main as cli_main
 from rotorsim.design import (
     capacitance_denominator,
@@ -17,7 +21,6 @@ from rotorsim.design import (
     energy_level,
     feasibility,
     interaction_strength,
-    rotational_quantum,
     scan,
 )
 from rotorsim.serialize import Table
@@ -160,9 +163,12 @@ class TestEnergyLevel:
         for geom in (micro, nano):
             assert energy_level(2, geom) / energy_level(1, geom) == pytest.approx(3.0)
 
-    def test_rejects_negative(self, micro):
-        with pytest.raises(DesignError):
-            energy_level(-1, micro)
+    # a bool is refused as ChainSpec refuses one; inf and NaN name ell, never a bare error
+    @pytest.mark.parametrize("ell", [-1, 1.5, math.inf, -math.inf, math.nan, True, False])
+    def test_rejects_non_level(self, micro, ell):
+        with pytest.raises(DesignError) as err:
+            energy_level(ell, micro)
+        assert err.value.field_name == "ell"
 
 
 class TestChemicalPotential:
@@ -171,6 +177,12 @@ class TestChemicalPotential:
 
     def test_millitesla(self, micro):
         assert chemical_potential(1e-3) == pytest.approx(6.2e-27, rel=0.01)
+
+    @pytest.mark.parametrize("field", [-1e-3, math.inf, math.nan])
+    def test_rejects_negative_or_non_finite(self, field):
+        with pytest.raises(DesignError) as err:
+            chemical_potential(field)
+        assert err.value.field_name == "magnetic_field"
 
     def test_comparable_to_gap_at_critical_field(self, micro):
         mu = chemical_potential(effective_params(micro).critical_field)
@@ -364,26 +376,64 @@ def oracle_verdict(ratio, pass_at, warn_at, larger_is_better=True):
     return "pass" if good(pass_at) else "warn" if good(warn_at) else "fail"
 
 
-def oracle_feasibility(geom, env):
-    """Reference composition: every derived quantity rebuilt from the primitive
-    formulas, with the expressions feasibility must reproduce bit for bit."""
+def on_one_element(ufunc):
+    """ufunc on a one-element array, as a float; like Python's math functions and
+    pow it raises OverflowError where a finite argument gives inf."""
+    def apply(x, *args):
+        with np.errstate(all="ignore"):  # the tests may run with warnings as errors
+            value = ufunc(np.array([x]), *args)[0].item()
+        if math.isinf(value) and math.isfinite(x):
+            raise OverflowError(f"{ufunc.__name__}{(x,) + args} overflows")
+        return value
+    return apply
+
+
+# the function sets of the float composition: Python's libm functions, and numpy's,
+# which design applies to its arrays and which differ from libm in the last bit
+LIBM = SimpleNamespace(log=math.log, exp=math.exp, sqrt=math.sqrt, pow=pow)
+NUMPY = SimpleNamespace(log=on_one_element(np.log), exp=on_one_element(np.exp),
+                        sqrt=on_one_element(np.sqrt), pow=on_one_element(np.power))
+
+
+def oracle_feasibility(geom, env, fn):
+    """Reference composition: every derived quantity rebuilt from the paper's
+    formulas in floats, with log, exp, sqrt and pow from the function set fn.
+    Under NUMPY, feasibility must reproduce it bit for bit."""
+    alpha, dx, gamma = geom.conducting_sphere_radius, geom.lattice_spacing, geom.sphere_gap
+    rho = geom.insulating_sphere_radius
+
+    def denominator():
+        return 4.0 * alpha + dx / fn.log(dx / geom.wire_radius)
+
+    def strength():
+        return (CODATA2018.coulomb_factor * fn.pow(alpha, 2)
+                / (fn.pow(gamma, 4) * denominator()))
+
+    def speed():
+        ratio = 2.0 * fn.pow(alpha, 2) * fn.pow(dx, 2) / fn.pow(gamma, 4)
+        return CODATA2018.light_speed * fn.sqrt(
+            CODATA2018.classical_electron_radius * ratio / denominator())
+
+    def coupling():
+        inner = CODATA2018.bohr_radius * denominator() / (2.0 * fn.pow(alpha, 2))
+        return math.sqrt(3.0) * (gamma / rho) * fn.pow(inner, 0.25)
+
     def scale():
-        g = effective_coupling(geom)
-        return math.exp(-2.0 * math.pi / g**2) / geom.lattice_spacing
+        return fn.exp(-2.0 * math.pi / fn.pow(coupling(), 2)) / dx
 
     def gap():
-        return CODATA2018.hbar * effective_speed(geom) * scale()
+        return CODATA2018.hbar * speed() * scale()
 
-    kappa = (2.0 * interaction_strength(geom) * CODATA2018.electron_mass
-             * geom.insulating_sphere_radius**4 / CODATA2018.hbar**2)
-    b_crit = (CODATA2018.electron_mass * effective_speed(geom) * scale()
-              / CODATA2018.electron_charge)
+    kappa = (2.0 * strength() * CODATA2018.electron_mass
+             * fn.pow(rho, 4) / CODATA2018.hbar**2)
+    b_crit = CODATA2018.electron_mass * speed() * scale() / CODATA2018.electron_charge
     eff = design.EffectiveParams(
-        interaction_strength=interaction_strength(geom),
-        effective_speed=effective_speed(geom),
-        effective_coupling=effective_coupling(geom),
+        interaction_strength=strength(),
+        effective_speed=speed(),
+        effective_coupling=coupling(),
         dynamical_scale=scale(),
-        rotational_quantum=rotational_quantum(geom),
+        rotational_quantum=CODATA2018.hbar**2 / (2.0 * CODATA2018.electron_mass
+                                                 * fn.pow(rho, 2)),
         rotor_coupling=kappa,
         gap_energy=gap(),
         gap_temperature=gap() / CODATA2018.boltzmann,
@@ -400,9 +450,8 @@ def oracle_feasibility(geom, env):
     ]
     hierarchy = tuple((name, r, oracle_verdict(r, design.HIERARCHY_PASS, design.HIERARCHY_WARN))
                       for name, r in ratios)
-    ind_ratio = (4.0 * (geom.conducting_sphere_radius / geom.lattice_spacing)
-                 * (effective_speed(geom) / CODATA2018.light_speed) ** 2
-                 * math.log(geom.lattice_spacing / geom.wire_radius))
+    ind_ratio = (4.0 * (alpha / dx) * fn.pow(speed() / CODATA2018.light_speed, 2)
+                 * fn.log(dx / geom.wire_radius))
     ind_verdict = oracle_verdict(ind_ratio, design.INDUCTANCE_PASS, design.INDUCTANCE_WARN,
                                  larger_is_better=False)
     thermal = CODATA2018.boltzmann * env.temperature
@@ -413,7 +462,7 @@ def oracle_feasibility(geom, env):
     temp_verdict = oracle_verdict(temp_ratio, design.TEMPERATURE_PASS,
                                   design.TEMPERATURE_WARN, larger_is_better=False)
     vector_potential = env.magnetic_field * geom.insulating_sphere_radius / 3.0
-    quadratic = ((CODATA2018.electron_charge * vector_potential) ** 2
+    quadratic = (fn.pow(CODATA2018.electron_charge * vector_potential, 2)
                  / (2.0 * CODATA2018.electron_mass))
     if quadratic == 0.0:
         zeeman = 0.0
@@ -453,7 +502,7 @@ class TestChainOracle:
     def test_random_geometries_exact(self):
         for geom in random_geometries(200):
             for env in ORACLE_ENVIRONMENTS:
-                assert feasibility(geom, env) == oracle_feasibility(geom, env)
+                assert feasibility(geom, env) == oracle_feasibility(geom, env, NUMPY)
 
     @pytest.mark.parametrize("parameter", sorted(design.SCAN_PARAMETERS))
     @pytest.mark.parametrize("name", ["micro", "nano"])
@@ -473,7 +522,45 @@ class TestChainOracle:
                 g = Geometry(**{**vars(geom), attr: float(value)})
             else:
                 e = Environment(**{**vars(env), attr: float(value)})
-            assert row == summary_row(parameter, float(value), oracle_feasibility(g, e))
+            assert row == summary_row(parameter, float(value), oracle_feasibility(g, e, NUMPY))
+
+
+def load_workloads():
+    """perfbench/workloads.py, which is not a package module."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+WORKLOADS = load_workloads()
+
+
+def printed(row):
+    """A scan row's cells as the CLI writes them: floats at 9 digits."""
+    return [cell if isinstance(cell, str) else f"{cell:.9g}" for cell in row.values()]
+
+
+class TestPrintedDigits:
+    """numpy's log, exp, sqrt and pow differ from libm's in the last bit on some
+    inputs, but the 9 digits a scan prints are those of the libm composition."""
+
+    @pytest.mark.parametrize("parameter", sorted(design.SCAN_PARAMETERS))
+    @pytest.mark.parametrize("name", WORKLOADS.DESIGN_CONFIGS)
+    def test_benchmark_size_scans_print_the_libm_digits(self, parameter, name):
+        geom, env = _geometry_environment(_load_config(bundled_config(name)))
+        target, attr = design.SCAN_PARAMETERS[parameter]
+        lo, hi = WORKLOADS.DESIGN_SCAN_RANGES[parameter]
+        scale = getattr(geom if target == "geometry" else env, attr) or 1.0
+        steps = WORKLOADS.DESIGN_SCAN_STEPS
+        rows = scan(geom, env, parameter, lo * scale, hi * scale, steps)
+        assert len(rows) == steps
+        for row in rows:
+            value = float(row[parameter])
+            expected = summary_row(parameter, value, oracle_feasibility(
+                *point(geom, env, parameter, value), LIBM))
+            assert printed(row) == printed(expected)
 
 
 def oracle_outcome(geom, env):
@@ -481,7 +568,7 @@ def oracle_outcome(geom, env):
     accept it, else "raises" (ZeroDivisionError or OverflowError), "not finite"
     (an effective field is inf or NaN) or "nan" (a ratio is NaN)."""
     try:
-        report = oracle_feasibility(geom, env)
+        report = oracle_feasibility(geom, env, NUMPY)
     except (ZeroDivisionError, OverflowError):
         return "raises"
     if not all(map(math.isfinite, vars(report.effective).values())):
@@ -525,7 +612,7 @@ class TestArrayPathAgainstOracle:
                 else:
                     assert outcome is None
                     # repr tells the float type, -0.0 from 0.0 and every bit
-                    assert repr(report) == repr(oracle_feasibility(geom, env))
+                    assert repr(report) == repr(oracle_feasibility(geom, env, NUMPY))
                     seen["accepted"] += 1
         assert set(seen) == {"accepted", ("geometry", "raises"), ("geometry", "not finite"),
                              ("geometry", "nan"), ("magnetic_field", "raises")}
@@ -533,7 +620,7 @@ class TestArrayPathAgainstOracle:
 
     def test_nan_gap_refused_by_the_cli(self, tmp_path, capsys):
         geom = Geometry(1e-7, 4e-7, 1e150, 2.5e-6, 1e150)  # micro with alpha = dx = 1e150
-        assert math.isnan(oracle_feasibility(geom, Environment()).effective.gap_energy)
+        assert math.isnan(oracle_feasibility(geom, Environment(), NUMPY).effective.gap_energy)
         out = tmp_path / "out"
         assert cli_main(["design", "report", "--config", str(bundled_config("micro")),
                          "--alpha", "1e150", "--dx", "1e150", "--out", str(out)]) == 2
@@ -558,13 +645,13 @@ class TestCallCounts:
     def test_feasibility_evaluates_each_formula_once(self, micro, monkeypatch):
         counts = {name: counting(monkeypatch, name)
                   for name in ("effective_speed", "effective_coupling",
-                               "capacitance_denominator", "interaction_strength", "_wire_log")}
+                               "capacitance_denominator", "interaction_strength")}
         feasibility(micro, Environment(temperature=1e-5, magnetic_field=1e-4))
         assert len(counts["effective_speed"]) == 1
         assert len(counts["effective_coupling"]) == 1
         assert len(counts["interaction_strength"]) == 1
-        assert len(counts["capacitance_denominator"]) == 1
-        assert len(counts["_wire_log"]) == 1
+        # each of the three formulas above computes its own denominator
+        assert len(counts["capacitance_denominator"]) == 3
 
     def test_scan_evaluates_a_finite_grid_once(self, micro, monkeypatch):
         point_reports = counting(monkeypatch, "feasibility")

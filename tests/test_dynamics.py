@@ -297,6 +297,20 @@ class TestStackedSolves:
         assert 0 < sizes[-1] <= limit
         assert sum(sizes[3:]) == result.step_count == 1600
 
+    def test_kappas_are_taken_per_chunk(self, monkeypatch):
+        # a pass's kappas are formed chunk by chunk, not for all its steps at once,
+        # so the memory of a long ramp does not grow with its step count
+        sizes = []
+        kappa = RampSchedule.kappa
+
+        def recording(schedule, t):
+            sizes.append(np.size(t))
+            return kappa(schedule, t)
+        monkeypatch.setattr(RampSchedule, "kappa", recording)
+        result = propagate(ChainSpec(3, 1), self.LINEAR, dt=0.05, record_trace=True)
+        assert result.step_count == 1600
+        assert 0 < max(sizes) <= 3 * 303  # (full, half, half) of the 3-singlet chunk limit
+
     def test_large_block_steps_one_at_a_time(self, monkeypatch):
         # the 76-singlet block of 6x1: one step's three matrices pass the budget
         stacks = record_step_stacks(monkeypatch)
@@ -409,9 +423,10 @@ class TestPhysicalRampTime:
     def test_zero_duration(self, micro):
         assert physical_ramp_time(micro, 0.0) == 0.0
 
-    def test_rejects_negative(self, micro):
-        with pytest.raises(ValueError):
-            physical_ramp_time(micro, -1.0)
+    @pytest.mark.parametrize("duration", [-1.0, math.inf, math.nan])
+    def test_rejects_negative_or_non_finite(self, micro, duration):
+        with pytest.raises(ValueError, match="duration"):
+            physical_ramp_time(micro, duration)
 
 
 class TestStepCap:
