@@ -74,11 +74,8 @@ def _load_config(path) -> dict:
 
 def _fields(doc: dict, target: str) -> dict:
     """The config values of one SCAN_PARAMETERS target as floats, by attribute."""
-    try:
-        return {attr: float(doc.get(key, 0.0))
-                for key, (owner, attr) in SCAN_PARAMETERS.items() if owner == target}
-    except (TypeError, ValueError) as exc:
-        raise CliError(EXIT_INVALID, f"invalid geometry config value: {exc}")
+    return {attr: _convert(key, doc.get(key, 0.0), float, "geometry")
+            for key, (owner, attr) in SCAN_PARAMETERS.items() if owner == target}
 
 
 def _geometry_environment(doc: dict):
@@ -168,13 +165,16 @@ def _chain_spec(args):
     return spec, config
 
 
-def _convert(key, value, kind):
-    """kind(value); a JSON value of the wrong type (null, list, object) is invalid input."""
-    try:
-        return kind(value)
-    except TypeError:
-        raise CliError(EXIT_INVALID, f"sim config key {key!r}: cannot convert {value!r} "
-                                     f"to {kind.__name__}") from None
+def _convert(key, value, kind, section="sim"):
+    """kind(value); a JSON value of the wrong type (true, false, null, list, object) is
+    invalid input."""
+    if not isinstance(value, bool):
+        try:
+            return kind(value)
+        except TypeError:
+            pass
+    raise CliError(EXIT_INVALID, f"{section} config key {key!r}: cannot convert {value!r} "
+                                 f"to {kind.__name__}")
 
 
 def cmd_sim(args) -> int:

@@ -99,7 +99,9 @@ class Geometry:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+            # a bool is refused, as ChainSpec refuses one
+            if isinstance(value, bool) or not (isinstance(value, (int, float))
+                                               and math.isfinite(value) and value > 0):
                 raise DesignError(name, f"must be a positive finite length, got {value!r}")
         if self.lattice_spacing <= self.wire_radius:
             raise DesignError(
@@ -117,7 +119,8 @@ class Environment:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value >= 0):
+            if isinstance(value, bool) or not (isinstance(value, (int, float))
+                                               and math.isfinite(value) and value >= 0):
                 raise DesignError(name, f"must be non-negative and finite, got {value!r}")
 
 
@@ -298,24 +301,33 @@ def _hierarchy_ratios(geom, scale):
 
 
 def effective_params(geom: Geometry) -> EffectiveParams:
-    """Evaluate every derived parameter for one geometry, each public formula once."""
-    strength = interaction_strength(geom)
-    speed = effective_speed(geom)
-    coupling = effective_coupling(geom)
-    scale = np.exp(-2.0 * math.pi / _pow(coupling, 2)) / geom.lattice_spacing
-    gap = CODATA2018.hbar * speed * scale
-    return EffectiveParams(
-        interaction_strength=strength,
-        effective_speed=speed,
-        effective_coupling=coupling,
-        dynamical_scale=scale,
-        rotational_quantum=rotational_quantum(geom),
-        rotor_coupling=(2.0 * strength * CODATA2018.electron_mass
-                        * _pow(geom.insulating_sphere_radius, 4) / CODATA2018.hbar**2),
-        gap_energy=gap,
-        gap_temperature=gap / CODATA2018.boltzmann,
-        critical_field=CODATA2018.electron_mass * speed * scale / CODATA2018.electron_charge,
-    )
+    """Evaluate every derived parameter for one geometry, each public formula once.
+
+    A Geometry whose formulas divide by zero or overflow is refused with
+    DesignError("geometry"), as feasibility refuses it, without a numpy
+    warning. On a grid of arrays (_report's) inf and NaN carry on.
+    """
+    with np.errstate(all="ignore"):
+        strength = interaction_strength(geom)
+        speed = effective_speed(geom)
+        coupling = effective_coupling(geom)
+        scale = np.exp(-2.0 * math.pi / _pow(coupling, 2)) / geom.lattice_spacing
+        gap = CODATA2018.hbar * speed * scale
+        eff = EffectiveParams(
+            interaction_strength=strength,
+            effective_speed=speed,
+            effective_coupling=coupling,
+            dynamical_scale=scale,
+            rotational_quantum=rotational_quantum(geom),
+            rotor_coupling=(2.0 * strength * CODATA2018.electron_mass
+                            * _pow(geom.insulating_sphere_radius, 4) / CODATA2018.hbar**2),
+            gap_energy=gap,
+            gap_temperature=gap / CODATA2018.boltzmann,
+            critical_field=CODATA2018.electron_mass * speed * scale / CODATA2018.electron_charge,
+        )
+    if isinstance(geom, Geometry) and not all(map(math.isfinite, vars(eff).values())):
+        raise DesignError("geometry", f"formulas divide by zero or overflow for {geom}")
+    return eff
 
 
 def feasibility(geom: Geometry, env: Environment) -> FeasibilityReport:

@@ -113,7 +113,8 @@ class ChainSpec:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise InvalidSpecError(f"{name} must be an integer, got {value!r}")
-        if not isinstance(self.kappa, numbers.Real) or not math.isfinite(self.kappa):
+        if isinstance(self.kappa, bool) or not (isinstance(self.kappa, numbers.Real)
+                                                and math.isfinite(self.kappa)):
             raise InvalidSpecError(f"kappa must be a finite number, got {self.kappa!r}")
         if self.n_sites < 1:
             raise InvalidSpecError(f"n_sites must be >= 1, got {self.n_sites}")

@@ -3,8 +3,9 @@
 lowest_eigenpairs solves H on each sector or block (mass_gap's L_+ Gram matrix
 and rotorsim.dynamics' dense M = 0 matrices go to np.linalg directly): it refuses
 k * dimension above DYNAMICS_DIM_CAP^2 before it allocates, then solves densely up
-to DENSE_CUTOFF (the oracle for the paths above it; the crossover is frozen so the
-``method`` label is reproducible), off the diagonal, or by Lanczos.
+to DENSE_CUTOFF (the k lowest pairs from LAPACK dsyevr; the oracle for the paths
+above it; the crossover is frozen so the ``method`` label is reproducible), off the
+diagonal, or by Lanczos.
 
 Every solver works on H alone, one total-M sector at a time, and only
 spectrum takes a chemical potential mu_tilde: on sector M the term
@@ -19,6 +20,7 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse.linalg as spla
 
 from .lattice import (DYNAMICS_DIM_CAP, ChainSpec, DimensionCapError, InvalidSpecError,
@@ -105,12 +107,15 @@ def lowest_eigenpairs(op: SparseOperator, k: int) -> SpectrumResult:
     solve. k * dimension above
     DYNAMICS_DIM_CAP^2 (134 MB of floats: a dense matrix or about k Lanczos
     vectors) raises DimensionCapError before anything is allocated. method
-    is "dense" when k = dimension or dimension <= DENSE_CUTOFF; above the
+    is "dense" when k = dimension or dimension <= DENSE_CUTOFF: one
+    scipy.linalg.eigh call on the dense matrix takes the k lowest pairs from
+    LAPACK dsyevr (MRRR after tridiagonalization), for any k; above the
     cutoff "diagonal" when no off-diagonal entry is stored (sorted diagonal,
     unit vectors: Lanczos from one start vector cannot resolve exactly
     degenerate levels), else "iterative" (restarted Lanczos, deterministic
-    start vector). An ARPACK error, non-convergence included, or a residual
-    norm above RESIDUAL_TOL raises NonConvergenceError.
+    start vector). A LAPACK error of the dense solve, an ARPACK error,
+    non-convergence included, or a residual norm above RESIDUAL_TOL raises
+    NonConvergenceError.
     """
     max_iter = env_cap(ITERATION_CAP_ENV, DEFAULT_ITERATION_CAP)
     if max_iter > 2**31 - 1:  # ARPACK's maxiter is a 32-bit integer; 2^31 wraps negative
@@ -124,8 +129,12 @@ def lowest_eigenpairs(op: SparseOperator, k: int) -> SpectrumResult:
                                 f"k * dimension <= {DYNAMICS_DIM_CAP}^2")
     if k == dim or dim <= DENSE_CUTOFF:
         method = "dense"
-        vals, vecs = np.linalg.eigh(op.matrix.toarray())
-        vals, vecs = vals[:k], vecs[:, :k]
+        try:
+            vals, vecs = scipy.linalg.eigh(op.matrix.toarray(), subset_by_index=[0, k - 1],
+                                           driver="evr")
+        except np.linalg.LinAlgError as exc:  # a ValueError: main would exit 2 on it
+            raise NonConvergenceError(f"dense LAPACK solve failed for k={k}, dim={dim}: "
+                                      f"{exc}") from exc
     # no stored off-diagonal nonzero; count_nonzero() would sort op in place
     elif np.count_nonzero(op.matrix.data) == np.count_nonzero(op.matrix.diagonal()):
         method = "diagonal"
@@ -189,7 +198,8 @@ def spectrum(spec: ChainSpec, k: int, mu_tilde: float = 0.0) -> SpectrumResult:
     counts as one energy. method is "dense" only if every sector was solved
     densely, "iterative" if Lanczos ran on any, and "diagonal" otherwise.
     """
-    if not isinstance(mu_tilde, numbers.Real) or not math.isfinite(mu_tilde):
+    if isinstance(mu_tilde, bool) or not (isinstance(mu_tilde, numbers.Real)
+                                          and math.isfinite(mu_tilde)):
         raise InvalidSpecError(f"mu_tilde must be a finite number, got {mu_tilde!r}")
     if k < 1:
         raise ValueError(f"need at least one level, got k={k}")

@@ -5,6 +5,7 @@ import time
 import warnings
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -251,6 +252,15 @@ class TestSim:
         assert run(["sim", "spectrum", "--sites", "7", "--lmax", "1",
                     "--kappa", "0.7", "--k", "2", "--out", tmp_path / "out"]) == 4
 
+    def test_dense_lapack_error_exit_4(self, tmp_path, capsys, monkeypatch):
+        # LinAlgError is a ValueError, which alone would map to 2 (invalid input)
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("internal error")
+        monkeypatch.setattr("scipy.linalg.eigh", failing)
+        err = assert_refused(["sim", "gap", "--sites", "3", "--lmax", "1", "--kappa", "1",
+                              "--out", tmp_path / "out"], capsys, 4)
+        assert err.startswith("error: dense LAPACK solve failed")
+
     def test_residual_gate_exit_4(self, tmp_path, monkeypatch):
         monkeypatch.setattr("rotorsim.spectra.RESIDUAL_TOL", 1e-30)
         assert run(["sim", "gap", "--sites", "2", "--lmax", "1",
@@ -298,6 +308,27 @@ class TestSim:
         err = assert_refused(["sim", "gap", "--config", cfg, "--out", tmp_path / "out"],
                              capsys, 2)
         assert err == f"error: sim config key 'kappa': cannot convert {kappa!r} to float\n"
+
+    # a JSON true or false is no number: kappa = true would run as 1.0
+    @pytest.mark.parametrize("key", ["kappa", "mu"])
+    @pytest.mark.parametrize("value", [True, False])
+    def test_bool_in_sim_config_exit_2(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path / "chain.json", {"sites": 2, "lmax": 1, key: value})
+        err = assert_refused(["sim", "spectrum", "--config", cfg, "--out", tmp_path / "out"],
+                             capsys, 2)
+        assert err == f"error: sim config key {key!r}: cannot convert {value!r} to float\n"
+
+    @pytest.mark.parametrize("key", ["temperature_K", "magnetic_field_T", "rho_m", "dx_m"])
+    def test_bool_in_geometry_config_exit_2(self, tmp_path, capsys, micro_doc, key):
+        cfg = write_config(tmp_path / "micro.json", {**micro_doc, key: True})
+        err = assert_refused(["design", "report", "--config", cfg, "--out", tmp_path / "out"],
+                             capsys, 2)
+        assert err == f"error: geometry config key {key!r}: cannot convert True to float\n"
+
+    def test_bool_in_from_geometry_config_exit_2(self, tmp_path, capsys, micro_doc):
+        geometry = write_config(tmp_path / "micro.json", {**micro_doc, "temperature_K": True})
+        assert_refused(["sim", "gap", "--sites", "2", "--lmax", "1", "--from-geometry",
+                        geometry, "--out", tmp_path / "out"], capsys, 2)
 
     def test_unparsable_string_in_config_keeps_its_message(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "chain.json", {"sites": 2, "lmax": 1, "mu": "abc"})

@@ -2,6 +2,7 @@ import importlib.util
 import json
 import math
 import sys
+import warnings
 from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
@@ -45,6 +46,23 @@ class TestValidation:
     def test_rejects_negative_temperature(self):
         with pytest.raises(DesignError):
             Environment(temperature=-1.0)
+
+    # a bool is refused as ChainSpec refuses one: True would be 1 m, 1 K or 1 T
+    @pytest.mark.parametrize("field", ["wire_radius", "insulating_sphere_radius",
+                                       "conducting_sphere_radius", "sphere_gap",
+                                       "lattice_spacing"])
+    @pytest.mark.parametrize("value", [True, False])
+    def test_rejects_bool_length(self, micro, field, value):
+        with pytest.raises(DesignError) as err:
+            Geometry(**{**vars(micro), field: value})
+        assert err.value.field_name == field
+
+    @pytest.mark.parametrize("field", ["temperature", "magnetic_field"])
+    @pytest.mark.parametrize("value", [True, False])
+    def test_rejects_bool_environment(self, field, value):
+        with pytest.raises(DesignError) as err:
+            Environment(**{field: value})
+        assert err.value.field_name == field
 
 
 class TestCapacitanceDenominator:
@@ -663,6 +681,25 @@ class TestCallCounts:
 
 
 class TestExtremeInput:
+    @pytest.mark.parametrize("gamma", [1e-300, 1e300])
+    def test_effective_params_refuses_what_feasibility_refuses(self, micro, gamma):
+        geom = Geometry(**{**vars(micro), "sphere_gap": gamma})
+        with pytest.raises(DesignError) as refused:
+            feasibility(geom, Environment())
+        # no numpy warning on the way: it would be an error here
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DesignError) as err:
+                effective_params(geom)
+        assert err.value.field_name == refused.value.field_name == "geometry"
+        assert str(err.value) == str(refused.value)
+
+    def test_effective_params_keeps_an_underflowed_scale(self, micro):
+        # Lambda underflows to 0, which is finite: feasibility accepts it too
+        geom = Geometry(**{**vars(micro), "sphere_gap": 1e-9, "insulating_sphere_radius": 1e-6})
+        assert effective_params(geom) == feasibility(geom, Environment()).effective
+        assert effective_params(geom).dynamical_scale == 0.0
+
     def test_division_by_zero_names_geometry(self, micro):
         tiny_gap = Geometry(**{**vars(micro), "sphere_gap": 1e-300})
         with pytest.raises(DesignError) as err:

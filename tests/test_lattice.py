@@ -69,7 +69,7 @@ class TestChainSpec:
 
     @pytest.mark.parametrize("field, value", [
         ("n_sites", 2.5), ("n_sites", True), ("n_sites", 2.0), ("l_max", False),
-        ("kappa", math.nan), ("kappa", math.inf),
+        ("kappa", math.nan), ("kappa", math.inf), ("kappa", True),
     ])
     def test_rejects_non_integral_or_non_finite(self, field, value):
         with pytest.raises(InvalidSpecError):

@@ -11,6 +11,7 @@ from rotorsim.lattice import (Basis, ChainSpec, DimensionCapError, InvalidSpecEr
                               build_hamiltonian, raising_operator, sector_basis)
 from rotorsim.spectra import (
     DEGENERACY_TOL,
+    RESIDUAL_TOL,
     ChargeScan,
     NonConvergenceError,
     charge_scan,
@@ -130,6 +131,75 @@ class TestLowestEigenpairs:
             lowest_eigenpairs(op, k=5)
 
 
+def sector_operators(spec):
+    """H on each sector M = 0 .. N l_max, as the library builds it."""
+    return [build_hamiltonian(sector_basis(spec, m))
+            for m in range(spec.n_sites * spec.l_max + 1)]
+
+
+def assert_first_k_of_full(op, k, res):
+    """res holds the first k levels of np.linalg.eigh on op within 1e-12 max(1, |E|),
+    with k orthonormal vectors that pass the residual gate."""
+    full = np.linalg.eigh(op.matrix.toarray())[0][:k]
+    assert res.method == "dense"
+    assert res.eigenvalues.shape == res.residual_norms.shape == (k,)
+    assert np.all(np.abs(res.eigenvalues - full) <= 1e-12 * np.maximum(1.0, np.abs(full)))
+    assert res.eigenvectors.shape == (op.dimension, k)
+    assert abs(res.eigenvectors.T @ res.eigenvectors - np.eye(k)).max() < 1e-12
+    assert np.all(res.residual_norms <= RESIDUAL_TOL)
+
+
+class TestDenseSubset:
+    """The dense branch asks LAPACK (dsyevr) for the k lowest pairs only."""
+
+    @pytest.mark.parametrize("spec", [
+        ChainSpec(3, 2, kappa=1.0), ChainSpec(5, 1, kappa=0.3, boundary="periodic"),
+        ChainSpec(2, 3, kappa=2.5),
+    ], ids=["3x2", "5x1", "2x3"])
+    # k = 4096 exceeds every sector's dimension, so each solve takes k == dim
+    @pytest.mark.parametrize("k", [1, 3, 8, 4096])
+    def test_every_sector_matches_the_full_decomposition(self, spec, k):
+        for op in sector_operators(spec):
+            levels = min(k, op.dimension)
+            assert_first_k_of_full(op, levels, lowest_eigenpairs(op, levels))
+
+    @pytest.mark.parametrize("spec", [ChainSpec(3, 2, kappa=0.0), ChainSpec(2, 3, kappa=0.0)],
+                             ids=["3x2", "2x3"])
+    def test_degenerate_clusters_cut_by_k(self, spec):
+        # at kappa = 0 the levels are integers with large multiplicities, so
+        # most k cut a cluster of equal levels; k runs over every value
+        straddled = 0
+        for op in sector_operators(spec)[:3]:
+            levels = np.linalg.eigvalsh(op.matrix.toarray())
+            for k in range(1, op.dimension + 1):
+                assert_first_k_of_full(op, k, lowest_eigenpairs(op, k))
+                straddled += k < op.dimension and levels[k] - levels[k - 1] < 1e-12
+        assert straddled > 50
+
+    @pytest.mark.parametrize("spec", [ChainSpec(3, 2, kappa=1.0), ChainSpec(4, 2, kappa=0.0),
+                                      ChainSpec(4, 2, kappa=1.0, boundary="periodic")],
+                             ids=["3x2", "4x2-free", "4x2-periodic"])
+    def test_mass_gap_solves(self, spec, monkeypatch):
+        solved = []
+
+        def recording(op, k, _solve=rotorsim.spectra.lowest_eigenpairs):
+            solved.append((op, k, _solve(op, k)))
+            return solved[-1][2]
+        monkeypatch.setattr(rotorsim.spectra, "lowest_eigenpairs", recording)
+        mass_gap(spec)
+        # the free 4x2 chain doubles its window from k = 3 on
+        assert len(solved) >= 1 + (spec.kappa == 0.0)
+        for op, k, res in solved:
+            assert_first_k_of_full(op, k, res)
+
+    def test_lapack_error_is_non_convergence(self, monkeypatch):
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("internal error")
+        monkeypatch.setattr(scipy.linalg, "eigh", failing)
+        with pytest.raises(NonConvergenceError, match="dense LAPACK solve failed"):
+            lowest_eigenpairs(full_hamiltonian(ChainSpec(2, 1, kappa=1.0)), k=2)
+
+
 class TestSpectrum:
     def test_sector_labels_single_site(self):
         res = spectrum(ChainSpec(1, 1), k=4)
@@ -165,7 +235,7 @@ class TestSpectrum:
         with pytest.raises(ValueError, match=f"k={k}$"):
             spectrum(ChainSpec(2, 1), k=k)
 
-    @pytest.mark.parametrize("mu", [math.nan, -math.inf])
+    @pytest.mark.parametrize("mu", [math.nan, -math.inf, True])
     def test_rejects_non_finite_mu(self, mu):
         with pytest.raises(InvalidSpecError, match="mu_tilde must be a finite number"):
             spectrum(ChainSpec(2, 1), 1, mu)
