@@ -13,7 +13,7 @@ from .design import (
     feasibility,
     scan,
 )
-from .dynamics import EvolutionResult, RampSchedule, adiabatic_ratio, physical_ramp_time, propagate
+from .dynamics import EvolutionResult, RampSchedule, physical_ramp_time, propagate
 from .lattice import (
     Basis,
     ChainSpec,

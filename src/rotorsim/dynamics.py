@@ -7,9 +7,9 @@ single scalar varies and dH/dt = kappa'(t) * B.
 H(t) conserves total M and L^2 and commutes with the pi rotation R and the
 site reflection P (see rotorsim.lattice), and the ramp starts in the M = 0
 ground state, a singlet in the (R+, P+) block of that sector. K and B are
-built on the M = 0 sector, whose size DYNAMICS_DIM_CAP bounds, and the time
-steps run on the singlets of its (R+, P+) block (3 states on 3x1 and 2x2, 76
-of 924 on 6x1). DYNAMICS_STEP_CAP bounds the number of time steps.
+dense on the M = 0 sector, whose size DYNAMICS_DIM_CAP bounds, in _ramp_setup
+alone, and the time steps run on the singlets of its (R+, P+) block (3 states
+on 3x1 and 2x2, 76 of 924 on 6x1). DYNAMICS_STEP_CAP bounds the step count.
 
 kappa(t) is a known schedule, so each fixed-dt pass diagonalizes its H(t)
 ahead of the state loop in stacked eigh chunks that double up to a byte
@@ -17,6 +17,7 @@ budget, applies one composed matrix per step and tests step errors per chunk.
 """
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass, replace
 
@@ -33,19 +34,28 @@ __all__ = [
     "RampSchedule",
     "EvolutionResult",
     "propagate",
-    "adiabatic_ratio",
     "physical_ramp_time",
 ]
 
 # steps per ramp, checked before anything is built and after each dt halving
 DYNAMICS_STEP_CAP = 1_000_000
 STEP_ERROR_TOL = 1e-8
+# trace rows: every TRACE_STRIDE-th step and the last
+TRACE_STRIDE = 50
+# evenly spaced times of the adiabatic ratio, both ends included
+ADIABATIC_SAMPLES = 16
 DEGENERATE_GAP = 1e-9
 # rate * B|psi0> is squared inside the norm of the adiabatic matrix element
 RATE_NORM_LIMIT = math.sqrt(sys.float_info.max)
 # bytes of float64 matrices in one stacked eigh of the time steps: chunks of
 # up to 303 steps on the 3-singlet blocks of 3x1 and 2x2, 1 step from 37 states up
 _CHUNK_BYTES = 64 * 1024
+
+
+def _check_real(name, value):
+    """Refuse a bool or a non-real value with a ValueError naming it, as ChainSpec does."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -59,6 +69,7 @@ class RampSchedule:
 
     def __post_init__(self):
         for name in ("kappa_start", "kappa_end", "duration"):
+            _check_real(name, getattr(self, name))
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.duration <= 0:
@@ -105,17 +116,6 @@ class EvolutionResult:
     trace: list | None = None  # (t, fidelity_to_instantaneous_gs, norm, kappa)
 
 
-def _sector_parts(spec: ChainSpec):
-    """M = 0 sector_basis, with K = sum_i L_i^2 and B dense on it; the cap is checked first."""
-    basis = sector_basis(spec, 0)
-    if len(basis.codes) > DYNAMICS_DIM_CAP:
-        raise DimensionCapError(f"M = 0 sector dimension {len(basis.codes)} exceeds the "
-                                f"dynamics cap {DYNAMICS_DIM_CAP}")
-    kinetic = build_kinetic(basis).matrix.toarray()
-    bond = build_interaction(basis).matrix.toarray()
-    return basis, kinetic, bond
-
-
 def _check_rate(schedule, bond):
     """Refuse a ramp whose peak rate * B|psi0> could overflow the adiabatic ratio.
 
@@ -132,15 +132,23 @@ def _check_rate(schedule, bond):
 
 
 def _ramp_setup(spec, schedule):
-    """(K, B) on the M = 0 sector, both on its singlet block, and the end states there.
+    """(K, B) on the singlet block, the end states there and the adiabatic ratio.
 
-    The singlet block is V S, V = even_block: at M = 0, W^T W with W = L_+ V
-    is L^2 on the (R+, P+) block, with eigenvalues l(l + 1) at even l, and S
+    The one holder of K and B dense on the M = 0 sector, built after its
+    size is checked against DYNAMICS_DIM_CAP; _check_rate runs on B. The
+    singlet block is V S, V = even_block: at M = 0, W^T W with W = L_+ V is
+    L^2 on the (R+, P+) block, with eigenvalues l(l + 1) at even l, and S
     holds its eigenvectors below 1. An end state (the sector's ground state
     at kappa_start or kappa_end) whose projection's norm is off 1 by more
-    than 1e-12 is refused (ValueError).
+    than 1e-12 is refused (ValueError). The ratio is adiabatic_ratio of K and
+    B, NaN at a degenerate gap.
     """
-    basis, kinetic, bond = _sector_parts(spec)
+    basis = sector_basis(spec, 0)
+    if len(basis.codes) > DYNAMICS_DIM_CAP:
+        raise DimensionCapError(f"M = 0 sector dimension {len(basis.codes)} exceeds the "
+                                f"dynamics cap {DYNAMICS_DIM_CAP}")
+    kinetic = build_kinetic(basis).matrix.toarray()
+    bond = build_interaction(basis).matrix.toarray()
     _check_rate(schedule, bond)
     v = even_block(basis)
     w = raising_operator(basis) @ v
@@ -155,7 +163,11 @@ def _ramp_setup(spec, schedule):
         ends.append(ground)
     # K and B are symmetric, so (V^T K)^T = K V
     k_block, b_block = (s.T @ (v.T @ (v.T @ part).T) @ s for part in (kinetic, bond))
-    return kinetic, bond, k_block, b_block, ends[0].astype(complex), ends[1]
+    try:
+        max_ratio = adiabatic_ratio(schedule, kinetic, bond)
+    except ValueError:
+        max_ratio = float("nan")
+    return k_block, b_block, ends[0].astype(complex), ends[1], max_ratio
 
 
 def _step_count(duration, dt):
@@ -196,7 +208,7 @@ def _pass_solves(k_block, b_block, schedule, ends):
 
 
 def propagate(spec: ChainSpec, schedule: RampSchedule, dt: float,
-              record_trace: bool = False, trace_stride: int = 50) -> EvolutionResult:
+              record_trace: bool = False) -> EvolutionResult:
     """Evolve from the ground state at kappa_start through the ramp.
 
     Every step and trace row runs on the singlet block of _ramp_setup, which
@@ -208,31 +220,30 @@ def propagate(spec: ChainSpec, schedule: RampSchedule, dt: float,
     state of each step is the two-half-step result, one matrix per step from
     H(t) diagonalized ahead of the state loop in stacked chunks
     (_pass_solves); the full steps and the error test run once per chunk, on
-    its steps' start states. Trace rows (every trace_stride-th step and the
+    its steps' start states. Trace rows (every TRACE_STRIDE-th step and the
     last) come from chunks that passed, one stacked eigh each. Fidelity is to
     the exact ground state at kappa_end. A ramp whose kappa * B is not finite
     (ChainSpec, at the larger end kappa) or whose adiabatic ratio could
-    overflow (_check_rate), a trace_stride below 1 and a spec kappa other than
-    kappa_start are refused (ValueError) before any eigh.
+    overflow (_check_rate), a dt that is not a positive finite real and a spec
+    kappa other than kappa_start are refused (ValueError) before any eigh.
     """
     if spec.kappa != schedule.kappa_start:
         raise ValueError(f"the ramp starts at kappa_start = {schedule.kappa_start!r}, "
                          f"not at the spec's kappa = {spec.kappa!r}")
+    _check_real("dt", dt)
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be positive and finite, got {dt}")
-    if not trace_stride >= 1:
-        raise ValueError(f"trace_stride must be at least 1, got {trace_stride!r}")
     # refuse before anything is built; kappa(t) stays between its end values,
     # so ChainSpec's bound at the larger one bounds every entry of H(t)
     _step_count(schedule.duration, dt)
     replace(spec, kappa=max(schedule.kappa_start, schedule.kappa_end))
-    kinetic, bond, k_block, b_block, psi0, target = _ramp_setup(spec, schedule)
+    k_block, b_block, psi0, target, max_ratio = _ramp_setup(spec, schedule)
 
     while True:
         n_steps = _step_count(schedule.duration, dt)
         step_dt = schedule.duration / n_steps
         ends = np.cumsum(np.full(n_steps, step_dt))  # the running t += step_dt, bit for bit
-        traced = np.r_[np.arange(n_steps - 1) % trace_stride == 0, True]
+        traced = np.r_[np.arange(n_steps - 1) % TRACE_STRIDE == 0, True]
         psi, trace = psi0, [] if record_trace else None
         for chunk, steps, phases, vecs in _pass_solves(k_block, b_block, schedule, ends):
             starts = np.empty((len(steps), len(psi)), dtype=complex)
@@ -256,10 +267,6 @@ def propagate(spec: ChainSpec, schedule: RampSchedule, dt: float,
 
     norm = float(np.linalg.norm(psi))
     fidelity = float(abs(np.vdot(target, psi)) ** 2)
-    try:
-        max_ratio = adiabatic_ratio(spec, schedule, samples=16, parts=(kinetic, bond))[0]
-    except ValueError:
-        max_ratio = float("nan")
     return EvolutionResult(
         final_fidelity=fidelity,
         norm_drift=abs(norm - 1.0),
@@ -270,25 +277,19 @@ def propagate(spec: ChainSpec, schedule: RampSchedule, dt: float,
     )
 
 
-def adiabatic_ratio(spec: ChainSpec, schedule: RampSchedule, samples: int, *,
-                    parts=None):
-    """Worst adiabaticity quotient |<psi0| dH/dt |psi1>| / (E1 - E0)^2.
+def adiabatic_ratio(schedule: RampSchedule, kinetic, bond) -> float:
+    """Worst adiabaticity quotient |<psi0| dH/dt |psi1>| / (E1 - E0)^2 of H = K + kappa B.
 
-    Sampled at `samples` evenly spaced times; the first excited level
-    may be degenerate, so the matrix element is taken as the norm of the
-    dH/dt image of the ground state projected onto the whole E1
-    eigenspace (basis-independent, reduces to the plain matrix element
-    in the non-degenerate case). Every SU(2) multiplet has an M = 0
-    member, so the M = 0 sector, or its (K, B) passed as `parts`, gives
-    the whole space's value. Returns (max_ratio, time_of_max).
+    Sampled at ADIABATIC_SAMPLES evenly spaced times; the first excited
+    level may be degenerate, so the matrix element is taken as the norm of
+    the dH/dt image of the ground state projected onto the whole E1
+    eigenspace (basis-independent, reduces to the plain matrix element in
+    the non-degenerate case). Every SU(2) multiplet has an M = 0 member, so
+    K and B dense on the M = 0 sector give the whole space's value. A gap
+    below DEGENERATE_GAP is refused (ValueError).
     """
-    if samples < 2:
-        raise ValueError(f"need samples >= 2, got {samples}")
-    kinetic, bond = parts if parts is not None else _sector_parts(spec)[1:]
-    _check_rate(schedule, bond)
-    times = np.linspace(0.0, schedule.duration, samples)
-    best = (0.0, 0.0)
-    for t in times:
+    best = 0.0
+    for t in np.linspace(0.0, schedule.duration, ADIABATIC_SAMPLES):
         rate = schedule.rate(t)
         if rate == 0.0:
             continue
@@ -299,14 +300,13 @@ def adiabatic_ratio(spec: ChainSpec, schedule: RampSchedule, samples: int, *,
         excited = np.abs(vals - vals[1]) < 1e-9
         image = rate * (bond @ vecs[:, 0])
         element = float(np.linalg.norm(vecs[:, excited].conj().T @ image))
-        ratio = element / gap**2
-        if ratio > best[0]:
-            best = (ratio, float(t))
+        best = max(best, element / gap**2)
     return best
 
 
 def physical_ramp_time(geom: Geometry, duration: float) -> float:
     """Convert a dimensionless duration to seconds: t = duration * hbar / E0."""
+    _check_real("duration", duration)
     if not (math.isfinite(duration) and duration >= 0):
         raise ValueError(f"duration must be non-negative and finite, got {duration!r}")
     return duration * CODATA2018.hbar / rotational_quantum(geom)

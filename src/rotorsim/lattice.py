@@ -67,10 +67,10 @@ __all__ = [
 
 DIM_CAP_ENV = "ROTORSIM_DIM_CAP"
 DEFAULT_DIM_CAP = 2**21
-# M = 0 sector states of a ramp (rotorsim.dynamics); K and B are held dense on the
-# whole sector, 134 MB each at the cap, before they are projected onto its (R+, P+)
-# block. Its square also bounds k * dimension of every eigensolve
-# (rotorsim.spectra.lowest_eigenpairs).
+# M = 0 sector states of a ramp (rotorsim.dynamics); its set-up alone (_ramp_setup)
+# holds K and B dense on the whole sector, 134 MB each at the cap, for the end
+# states and the adiabatic ratio and to project them onto its (R+, P+) block. Its
+# square also bounds k * dimension of every eigensolve (rotorsim.spectra.lowest_eigenpairs).
 DYNAMICS_DIM_CAP = 4096
 
 

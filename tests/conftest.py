@@ -9,8 +9,7 @@ import scipy.sparse as sp
 from scipy.special import sph_harm_y
 
 from rotorsim import Geometry
-from rotorsim.dynamics import (STEP_ERROR_TOL, EvolutionResult, _ramp_setup, _step_count,
-                               adiabatic_ratio)
+from rotorsim.dynamics import STEP_ERROR_TOL, EvolutionResult, _ramp_setup, _step_count
 from rotorsim.lattice import SparseOperator, direction_matrices, site_basis, site_index
 from rotorsim.spectra import ground_state
 
@@ -301,11 +300,12 @@ def oracle_step(kinetic, bond, schedule, psi, t, dt):
 def oracle_propagate(spec, schedule, dt, record_trace=False, trace_stride=50):
     """propagate with one eigh per step and sub-step, solved as the state loop reaches it.
 
-    The setup (sector parts, singlet block, end states) is the library's
-    (_ramp_setup); the step loop is the sequential one. Returns the
-    EvolutionResult and the (n_steps, step) of every rejected pass.
+    The setup (singlet block, end states, adiabatic ratio) is the library's
+    (_ramp_setup); the step loop is the sequential one, with trace rows every
+    trace_stride-th step and the last. Returns the EvolutionResult and the
+    (n_steps, step) of every rejected pass.
     """
-    kinetic, bond, k_block, b_block, psi0, target = _ramp_setup(spec, schedule)
+    k_block, b_block, psi0, target, max_ratio = _ramp_setup(spec, schedule)
     rejected = []
     while True:
         n_steps = _step_count(schedule.duration, dt)
@@ -333,8 +333,7 @@ def oracle_propagate(spec, schedule, dt, record_trace=False, trace_stride=50):
     result = EvolutionResult(
         final_fidelity=float(abs(np.vdot(target, psi)) ** 2),
         norm_drift=abs(norm - 1.0),
-        max_adiabatic_ratio=adiabatic_ratio(spec, schedule, samples=16,
-                                            parts=(kinetic, bond))[0],
+        max_adiabatic_ratio=max_ratio,
         step_count=n_steps,
         accepted_dt=step_dt,
         trace=trace,

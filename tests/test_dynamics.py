@@ -25,10 +25,21 @@ TWO_SITE = ChainSpec(2, 1, kappa=0.0)
 
 
 def full_space_ramp(spec, schedule, dt, trace_stride):
-    """The midpoint-exponential ramp in the whole product space, no sectors."""
+    """The midpoint-exponential ramp in the whole product space, no sectors.
+
+    Returns (fidelity, n_steps, step dt, trace, adiabatic ratio). The ratio is
+    the largest |<E1 eigenspace| dH/dt |psi0>| / (E1 - E0)^2 of the whole
+    space at 16 evenly spaced times, both ends included.
+    """
     basis = Basis(spec, all_codes(spec))
     kinetic = build_kinetic(basis).matrix.toarray()
     bond = build_interaction(basis).matrix.toarray()
+    ratio = 0.0
+    for t in np.linspace(0.0, schedule.duration, 16):
+        vals, vecs = np.linalg.eigh(kinetic + schedule.kappa(t) * bond)
+        image = schedule.rate(t) * (bond @ vecs[:, 0])
+        element = np.linalg.norm(vecs[:, np.abs(vals - vals[1]) < 1e-9].T @ image)
+        ratio = max(ratio, element / (vals[1] - vals[0]) ** 2)
 
     def ground(kappa):
         return np.linalg.eigh(kinetic + kappa * bond)[1][:, 0]
@@ -51,7 +62,7 @@ def full_space_ramp(spec, schedule, dt, trace_stride):
                 fid = abs(np.vdot(ground(schedule.kappa(t)), psi)) ** 2
                 trace.append((t, fid, np.linalg.norm(psi), schedule.kappa(t)))
         else:
-            return abs(np.vdot(ground(schedule.kappa_end), psi)) ** 2, n_steps, h, trace
+            return abs(np.vdot(ground(schedule.kappa_end), psi)) ** 2, n_steps, h, trace, ratio
 
 
 def record_step_stacks(monkeypatch):
@@ -88,6 +99,18 @@ class TestRampSchedule:
         args = {"kappa_start": 0.0, "kappa_end": 0.5, "duration": 1.0, field: value}
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             RampSchedule(**args)
+
+    @pytest.mark.parametrize("field", ["kappa_start", "kappa_end", "duration"])
+    @pytest.mark.parametrize("value", [True, "0"])
+    def test_rejects_bool_or_non_real(self, field, value):
+        # True would otherwise be kappa 1 or duration 1, and "0" a bare TypeError
+        args = {"kappa_start": 0.0, "kappa_end": 0.5, "duration": 10.0, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be a real number, got {value!r}"):
+            RampSchedule(**args)
+
+    def test_admits_numpy_reals(self):
+        ramp = RampSchedule(np.float64(0.0), np.int64(1), np.float32(2.0))
+        assert ramp.rate(1.0) == 0.5
 
     @pytest.mark.parametrize("kappa_end, duration, shape", [
         (0.5, 1e-320, "linear"), (1.7e308, 0.1, "linear"), (1.7e308, 1.0, "smoothstep"),
@@ -150,24 +173,25 @@ class TestPropagate:
         fine = propagate(TWO_SITE, ramp, dt=0.01).final_fidelity
         assert abs(coarse - fine) < 1e-6
 
-    def test_trace_recording(self):
+    def test_trace_recording(self, monkeypatch):
+        monkeypatch.setattr(rotorsim.dynamics, "TRACE_STRIDE", 10)
         result = propagate(TWO_SITE, RampSchedule(0.0, 0.5, duration=5.0), dt=0.05,
-                           record_trace=True, trace_stride=10)
+                           record_trace=True)
         assert result.trace is not None and len(result.trace) >= 2
         for t, fid, norm, kappa in result.trace:
             assert 0.0 <= fid <= 1.0 + 1e-10
             assert norm == pytest.approx(1.0, abs=1e-9)
             assert 0.0 <= kappa <= 0.5
 
-    @pytest.mark.parametrize("stride", [0, -3])
-    def test_rejects_a_trace_stride_below_one(self, stride, monkeypatch):
-        def refuse(spec):
+    @pytest.mark.parametrize("dt", [True, "0.05"])
+    def test_rejects_bool_or_non_real_dt(self, dt, monkeypatch):
+        # dt = True would otherwise step at dt = 1
+        def refuse(spec, m):
             raise AssertionError("built")
 
-        monkeypatch.setattr(rotorsim.dynamics, "_sector_parts", refuse)
-        with pytest.raises(ValueError, match=f"trace_stride must be at least 1, got {stride}"):
-            propagate(TWO_SITE, RampSchedule(0.0, 0.5, duration=1.0), dt=0.05,
-                      record_trace=True, trace_stride=stride)
+        monkeypatch.setattr(rotorsim.dynamics, "sector_basis", refuse)
+        with pytest.raises(ValueError, match=f"dt must be a real number, got {dt!r}"):
+            propagate(TWO_SITE, RampSchedule(0.0, 0.5, duration=2.0), dt=dt)
 
     def test_rejects_bad_dt(self):
         with pytest.raises(ValueError):
@@ -200,30 +224,42 @@ class TestPropagate:
 
 
 class TestSectorPropagator:
-    """The M = 0 propagator against the same stepping in the full space."""
+    """The M = 0 propagator against the same stepping in the full space.
 
-    @pytest.mark.parametrize("spec", [ChainSpec(3, 1), ChainSpec(2, 2)])
+    The adiabatic ratio is compared too, against the whole space's E1
+    eigenspace. It is a selection-rule zero on every spec here: B|psi0> is a
+    singlet and the E1 eigenspace holds none, so a ratio over the ground
+    state's own symmetry block has to change this test on purpose.
+    """
+
+    @pytest.mark.parametrize("spec", [ChainSpec(3, 1), ChainSpec(2, 2), ChainSpec(2, 1)])
     @pytest.mark.parametrize("schedule", [
         RampSchedule(0.0, 0.6, duration=1.5),
         RampSchedule(0.1, 0.9, duration=1.5, shape="smoothstep"),
     ])
-    def test_matches_full_space(self, spec, schedule):
-        self.check(spec, schedule)
+    def test_matches_full_space(self, spec, schedule, monkeypatch):
+        self.check(spec, schedule, monkeypatch)
 
-    def test_matches_full_space_on_a_periodic_chain(self):
+    def test_matches_full_space_on_a_periodic_chain(self, monkeypatch):
         # 256 product states: a short ramp (128 steps) keeps the oracle to a few seconds
         self.check(ChainSpec(4, 1, boundary="periodic"),
-                   RampSchedule(0.2, 0.8, duration=0.15))
+                   RampSchedule(0.2, 0.8, duration=0.15), monkeypatch)
+
+    def test_matches_full_space_on_a_periodic_chain_under_smoothstep(self, monkeypatch):
+        self.check(ChainSpec(4, 1, boundary="periodic"),
+                   RampSchedule(0.2, 0.8, duration=0.15, shape="smoothstep"), monkeypatch)
 
     @staticmethod
-    def check(spec, schedule):
+    def check(spec, schedule, monkeypatch):
         spec = replace(spec, kappa=schedule.kappa_start)
-        result = propagate(spec, schedule, dt=0.3, record_trace=True, trace_stride=2)
-        fidelity, n_steps, step_dt, trace = full_space_ramp(spec, schedule, 0.3, 2)
+        monkeypatch.setattr(rotorsim.dynamics, "TRACE_STRIDE", 2)
+        result = propagate(spec, schedule, dt=0.3, record_trace=True)
+        fidelity, n_steps, step_dt, trace, ratio = full_space_ramp(spec, schedule, 0.3, 2)
         assert result.step_count == n_steps
         assert result.accepted_dt == step_dt
         assert result.accepted_dt < 0.3  # the error test halved dt at least once
         assert result.final_fidelity == pytest.approx(fidelity, abs=1e-12)
+        assert abs(result.max_adiabatic_ratio - ratio) <= 1e-12
         assert len(result.trace) == len(trace)
         for row, oracle_row in zip(result.trace, trace):
             assert row == pytest.approx(oracle_row, abs=1e-12)
@@ -261,8 +297,9 @@ class TestStackedSolves:
          RampSchedule(0.2, 1.3, duration=10.0, shape="smoothstep"),
          [(200, 0), (400, 0), (800, 0), (1600, 187)]),
     ])
-    def test_matches_the_sequential_stepper(self, spec, schedule, rejected):
-        result = propagate(spec, schedule, dt=0.05, record_trace=True, trace_stride=7)
+    def test_matches_the_sequential_stepper(self, spec, schedule, rejected, monkeypatch):
+        monkeypatch.setattr(rotorsim.dynamics, "TRACE_STRIDE", 7)
+        result = propagate(spec, schedule, dt=0.05, record_trace=True)
         oracle, oracle_rejected = oracle_propagate(spec, schedule, 0.05, record_trace=True,
                                                    trace_stride=7)
         assert oracle_rejected == rejected
@@ -279,8 +316,8 @@ class TestStackedSolves:
                 solved.append(math.prod(matrix.shape[:-2]))
             return eigh(matrix)
         monkeypatch.setattr(np.linalg, "eigh", recording)
-        result = propagate(ChainSpec(3, 1), self.SMOOTH, dt=0.05, record_trace=True,
-                           trace_stride=7)
+        monkeypatch.setattr(rotorsim.dynamics, "TRACE_STRIDE", 7)
+        result = propagate(ChainSpec(3, 1), self.SMOOTH, dt=0.05, record_trace=True)
         assert len(result.trace) == len(range(0, 1600, 7)) + 1  # and the last step
         assert sum(solved) == len(result.trace) + 3
 
@@ -369,7 +406,7 @@ class TestSingletBlock:
 
     @pytest.mark.parametrize("spec, count", SINGLETS)
     def test_singlet_counts(self, spec, count):
-        _, _, k_block, b_block, psi0, target = _ramp_setup(
+        k_block, b_block, psi0, target, _ = _ramp_setup(
             spec, RampSchedule(0.0, 0.5, duration=1.0))
         assert k_block.shape == b_block.shape == (count, count)
         assert psi0.shape == target.shape == (count,)
@@ -388,27 +425,31 @@ class TestSingletBlock:
 
 
 class TestAdiabaticRatio:
+    """adiabatic_ratio(schedule, K, B) with K and B dense on the M = 0 sector."""
+
+    @staticmethod
+    def sector_parts(spec):
+        basis = sector_basis(spec, 0)
+        return build_kinetic(basis).matrix.toarray(), build_interaction(basis).matrix.toarray()
+
     def test_zero_rate(self):
-        ratio, _ = adiabatic_ratio(TWO_SITE, RampSchedule(0.4, 0.4, duration=5.0), 8)
+        ratio = adiabatic_ratio(RampSchedule(0.4, 0.4, duration=5.0), *self.sector_parts(TWO_SITE))
         assert ratio == 0.0
 
     def test_halves_when_duration_doubles(self):
-        short, _ = adiabatic_ratio(TWO_SITE, RampSchedule(0.0, 0.5, duration=100.0), 32)
-        long, _ = adiabatic_ratio(TWO_SITE, RampSchedule(0.0, 0.5, duration=200.0), 32)
+        parts = self.sector_parts(TWO_SITE)
+        short = adiabatic_ratio(RampSchedule(0.0, 0.5, duration=100.0), *parts)
+        long = adiabatic_ratio(RampSchedule(0.0, 0.5, duration=200.0), *parts)
         assert short == pytest.approx(2.0 * long, rel=1e-9)
 
     def test_joint_criterion_with_fidelity(self):
         # small criterion value must go hand in hand with high fidelity
         for duration in (50.0, 200.0):
             ramp = RampSchedule(0.0, 0.5, duration=duration)
-            ratio, _ = adiabatic_ratio(TWO_SITE, ramp, 16)
+            ratio = adiabatic_ratio(ramp, *self.sector_parts(TWO_SITE))
             result = propagate(TWO_SITE, ramp, dt=0.05)
             assert ratio < 0.05
             assert result.final_fidelity > 0.99
-
-    def test_rejects_too_few_samples(self):
-        with pytest.raises(ValueError):
-            adiabatic_ratio(TWO_SITE, RampSchedule(0.0, 0.5, duration=1.0), 1)
 
 
 class TestPhysicalRampTime:
@@ -428,16 +469,22 @@ class TestPhysicalRampTime:
         with pytest.raises(ValueError, match="duration"):
             physical_ramp_time(micro, duration)
 
+    @pytest.mark.parametrize("duration", [True, "1"])
+    def test_rejects_bool_or_non_real(self, micro, duration):
+        # True would otherwise read as a duration of 1, 2.76e-9 s on micro
+        with pytest.raises(ValueError, match=f"duration must be a real number, got {duration!r}"):
+            physical_ramp_time(micro, duration)
+
 
 class TestStepCap:
     def test_refused_before_anything_is_built(self, monkeypatch):
         class Built(Exception):
             pass
 
-        def refuse(spec):
+        def refuse(spec, m):
             raise Built
 
-        monkeypatch.setattr(rotorsim.dynamics, "_sector_parts", refuse)
+        monkeypatch.setattr(rotorsim.dynamics, "sector_basis", refuse)
         with pytest.raises(DimensionCapError, match="step cap"):
             propagate(TWO_SITE, RampSchedule(0.0, 0.5, duration=1e300), dt=0.05)
         with pytest.raises(Built):
@@ -475,8 +522,6 @@ class TestOverflow:
         schedule = RampSchedule(0.0, 0.5, duration=1e-300, shape=shape)
         with pytest.raises(ValueError, match="adiabatic matrix element"):
             propagate(TWO_SITE, schedule, dt=0.05)
-        with pytest.raises(ValueError, match="adiabatic matrix element"):
-            adiabatic_ratio(TWO_SITE, schedule, samples=4)
 
     @pytest.mark.filterwarnings("error")
     def test_fast_rate_below_the_limit_gives_a_finite_ratio(self):
