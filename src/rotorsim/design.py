@@ -24,6 +24,7 @@ point with a non-finite effective parameter or a NaN ratio is refused.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import reduce
 from types import SimpleNamespace
@@ -424,6 +425,11 @@ def scan(geom: Geometry, env: Environment, parameter: str, start: float, stop: f
     if parameter not in SCAN_PARAMETERS:
         raise DesignError("parameter", f"unknown scan parameter {parameter!r}; "
                           f"choose one of {sorted(SCAN_PARAMETERS)}")
+    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral):
+        raise DesignError("steps", f"need an integer, got {steps!r}")
+    for name, value in (("start", start), ("stop", stop)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise DesignError(name, f"need a real number, got {value!r}")
     if steps < 2:
         raise DesignError("steps", f"need at least 2 steps, got {steps}")
     if steps > SCAN_STEPS_CAP:

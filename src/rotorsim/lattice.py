@@ -17,8 +17,11 @@ digit and the code is the state's full-space index. A Basis holds the spec
 and ascending codes; it decodes them into site states once, on first use,
 and locate is the one search of codes, refusing a code outside the basis.
 [H, Q] = 0, so each operator is built on one total-M sector's Basis
-(sector_basis), never on the full space. ChainSpec's dimension cap still
-counts d^N, though nothing in the package allocates a d^N array any more.
+(sector_basis), never on the full space. n_i . n_j has one form on a Basis,
+its (row, col, value) entries (direction_dots): the bonds of H and of
+build_interaction and the ground-state correlations of rotorsim.spectra
+all read them. ChainSpec's dimension cap still counts d^N, though nothing
+in the package allocates a d^N array any more.
 
 Two more symmetries commute with H: the pi rotation about y,
 R = exp(i pi L_y), which maps each site's |l, m> to (-1)^(l-m) |l, -m>, and
@@ -92,6 +95,12 @@ def env_cap(name: str, default: int) -> int:
     return int(raw)
 
 
+def check_integer(name: str, value):
+    """Refuse a bool or a non-integral value of argument name with InvalidSpecError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidSpecError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ChainSpec:
     """Dimensionless description of a rotor chain's Hamiltonian H.
@@ -110,9 +119,7 @@ class ChainSpec:
 
     def __post_init__(self):
         for name in ("n_sites", "l_max"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise InvalidSpecError(f"{name} must be an integer, got {value!r}")
+            check_integer(name, getattr(self, name))
         if isinstance(self.kappa, bool) or not (isinstance(self.kappa, numbers.Real)
                                                 and math.isfinite(self.kappa)):
             raise InvalidSpecError(f"kappa must be a finite number, got {self.kappa!r}")
@@ -340,22 +347,24 @@ def _dot_table(l_max: int, n_sites: int):
     return arrays
 
 
-def _apply_dot(basis: Basis, i: int, j: int):
-    """(row, col, value) entries of n_i . n_j on basis.
+def direction_dots(basis: Basis, pairs):
+    """Yield the (row, col, value) entries of n_i . n_j on basis per (i, j) in pairs.
 
-    One gather collects every state's table entries and one locate finds the
-    target codes; a basis not closed under n_i . n_j is refused.
+    n_i . n_j = n_z n_z + (n_+ n_- + n_- n_+) / 2, n_i . n_i on one site if i == j.
+    A pair's entries are one gather of _dot_table and one locate of the target
+    codes, which refuses a basis not closed under n_i . n_j; no (row, col) repeats.
     """
-    sites = (i,) if i == j else (i, j)
     states = basis.states
-    indptr, shift, value = _dot_table(basis.spec.l_max, len(sites))
-    local = states[i] if i == j else states[i] * basis.spec.site_dim + states[j]
-    start, counts = indptr[local], indptr[local + 1] - indptr[local]
-    col = np.repeat(np.arange(len(basis.codes)), counts)
-    entry = np.arange(len(col)) + (start - np.cumsum(counts) + counts)[col]
-    target = basis.codes[col] + (shift @ basis.powers[list(sites)])[entry]
-    row = basis.locate(target, "the basis is not closed under n_i . n_j; pass a sector_basis")
-    return row, col, value[entry]
+    for i, j in pairs:
+        sites = (i,) if i == j else (i, j)
+        indptr, shift, value = _dot_table(basis.spec.l_max, len(sites))
+        local = states[i] if i == j else states[i] * basis.spec.site_dim + states[j]
+        start, counts = indptr[local], indptr[local + 1] - indptr[local]
+        col = np.repeat(np.arange(len(basis.codes)), counts)
+        entry = np.arange(len(col)) + (start - np.cumsum(counts) + counts)[col]
+        target = basis.codes[col] + (shift @ basis.powers[list(sites)])[entry]
+        row = basis.locate(target, "the basis is not closed under n_i . n_j; pass a sector_basis")
+        yield row, col, value[entry]
 
 
 def _operator(diagonal, entries=()) -> SparseOperator:
@@ -368,16 +377,9 @@ def _operator(diagonal, entries=()) -> SparseOperator:
     return SparseOperator(dimension=len(diagonal), matrix=matrix)
 
 
-def direction_dots(basis: Basis, pairs):
-    """Yield n_i . n_j = n_z n_z + (n_+ n_- + n_- n_+) / 2 on basis per (i, j)."""
-    for i, j in pairs:
-        yield _operator(np.zeros(len(basis.codes)), [_apply_dot(basis, i, j)]).matrix
-
-
 def _bonds(basis: Basis, scale: float) -> list:
     """scale * n_i . n_j entries of every bond; none is diagonal."""
-    return [(row, col, scale * value) for row, col, value in
-            (_apply_dot(basis, i, j) for i, j in basis.spec.bonds)]
+    return [(row, col, scale * v) for row, col, v in direction_dots(basis, basis.spec.bonds)]
 
 
 def _site_sum(basis: Basis, value) -> np.ndarray:

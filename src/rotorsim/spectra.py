@@ -13,6 +13,8 @@ spectrum takes a chemical potential mu_tilde: on sector M the term
 sector M onto -M, which therefore has the same levels. ground_state solves
 only the (R+, P+) block of sector 0 (lattice.even_block), about a quarter of
 it; mass_gap needs a level of every block, so it solves the whole sector once.
+correlation and correlation_profile read each ground-state <n_i . n_j> off the
+entries of lattice.direction_dots as sum vec[row] * value * vec[col], no operator built.
 """
 
 import math
@@ -24,8 +26,8 @@ import scipy.linalg
 import scipy.sparse.linalg as spla
 
 from .lattice import (DYNAMICS_DIM_CAP, ChainSpec, DimensionCapError, InvalidSpecError,
-                      SparseOperator, build_hamiltonian, direction_dots, env_cap,
-                      even_block, raising_operator, sector_basis)
+                      SparseOperator, build_hamiltonian, check_integer, direction_dots,
+                      env_cap, even_block, raising_operator, sector_basis)
 
 __all__ = [
     "DENSE_CUTOFF",
@@ -122,6 +124,7 @@ def lowest_eigenpairs(op: SparseOperator, k: int) -> SpectrumResult:
         raise InvalidSpecError(f"{ITERATION_CAP_ENV} must be a positive integer up to "
                                f"{2**31 - 1}, got {str(max_iter)!r}")
     dim = op.dimension
+    check_integer("k", k)
     if not 1 <= k <= dim:
         raise ValueError(f"need 1 <= k <= dimension, got k={k}, dimension={dim}")
     if k * dim > DYNAMICS_DIM_CAP**2:
@@ -201,6 +204,7 @@ def spectrum(spec: ChainSpec, k: int, mu_tilde: float = 0.0) -> SpectrumResult:
     if isinstance(mu_tilde, bool) or not (isinstance(mu_tilde, numbers.Real)
                                           and math.isfinite(mu_tilde)):
         raise InvalidSpecError(f"mu_tilde must be a finite number, got {mu_tilde!r}")
+    check_integer("k", k)
     if k < 1:
         raise ValueError(f"need at least one level, got k={k}")
     _check_charge_term(spec, mu_tilde)
@@ -320,13 +324,19 @@ def charge_scan(spec: ChainSpec, mu_grid) -> ChargeScan:
     )
 
 
+def _ground_dots(spec: ChainSpec, pairs) -> np.ndarray:
+    """<n_i . n_j> in the ground state of H per (i, j), read off direction_dots' entries."""
+    _, basis, vec = ground_state(spec)
+    return np.array([vec[row] @ (v * vec[col]) for row, col, v in direction_dots(basis, pairs)])
+
+
 def correlation(spec: ChainSpec, i: int, j: int) -> float:
-    """<n_i . n_j> in the ground state of H."""
+    """<n_i . n_j> in the ground state of H; a bool or non-integral i or j is refused."""
+    check_integer("i", i)
+    check_integer("j", j)
     if not (0 <= i < spec.n_sites and 0 <= j < spec.n_sites):
         raise ValueError(f"site indices out of range: ({i}, {j})")
-    _, basis, vec = ground_state(spec)
-    (op,) = direction_dots(basis, [(i, j)])
-    return float(np.vdot(vec, op @ vec))
+    return float(_ground_dots(spec, [(i, j)])[0])
 
 
 def correlation_profile(spec: ChainSpec) -> CorrelationProfile:
@@ -339,18 +349,11 @@ def correlation_profile(spec: ChainSpec) -> CorrelationProfile:
     if spec.n_sites < 4 or spec.boundary != "open":
         raise ValueError("correlation_profile needs an open chain of >= 4 sites")
     center = (spec.n_sites - 1) // 2
-    _, basis, vec = ground_state(spec)
     distances = np.arange(0, spec.n_sites - center)
-    ops = direction_dots(basis, [(center, center + d) for d in distances])
-    values = np.array([float(np.vdot(vec, op @ vec)) for op in ops])
+    values = _ground_dots(spec, [(center, center + d) for d in distances])
 
     fitted_xi, quality = _fit_exponential(distances[1:], values[1:])
-    return CorrelationProfile(
-        distances=distances,
-        values=values,
-        fitted_xi=fitted_xi,
-        fit_quality=quality,
-    )
+    return CorrelationProfile(distances, values, fitted_xi, quality)
 
 
 def _fit_exponential(distances, values):

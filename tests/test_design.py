@@ -387,6 +387,24 @@ class TestScan:
         with pytest.raises(DesignError):
             scan(micro, Environment(), "gamma_m", 1e-6, 2e-6, 1)
 
+    @pytest.mark.parametrize("steps", [2.5, True])
+    def test_rejects_non_integral_steps(self, micro, steps):
+        with pytest.raises(DesignError, match=f"^steps: need an integer, got {steps!r}$") as err:
+            scan(micro, Environment(), "gamma_m", 1e-6, 2e-6, steps)
+        assert err.value.field_name == "steps"
+
+    def test_rejects_a_bool_end(self, micro):
+        # False would scan the temperature from 0
+        with pytest.raises(DesignError, match="^start: need a real number, got False$"):
+            scan(micro, Environment(), "temperature_K", False, 1e-5, 3)
+        with pytest.raises(DesignError, match="^stop: need a real number, got True$"):
+            scan(micro, Environment(), "temperature_K", 0.0, True, 3)
+
+    def test_accepts_numpy_numbers(self, micro):
+        rows = scan(micro, Environment(), "gamma_m", np.float64(1e-6), 2e-6, np.int64(3))
+        assert rows.columns[0].tolist() == scan(micro, Environment(), "gamma_m",
+                                                1e-6, 2e-6, 3).columns[0].tolist()
+
 
 def oracle_verdict(ratio, pass_at, warn_at, larger_is_better=True):
     """pass, warn or fail by the public thresholds; a NaN ratio fails."""

@@ -444,8 +444,11 @@ class TestSectorBlocksAgainstFullSpaceOracle:
         for pair, full in zip(pairs, oracle_direction_dots(spec, pairs)):
             full = SparseOperator(spec.dimension, full)
             for m, basis, indices in sectors:
-                (block,) = direction_dots(basis, [pair])
-                assert_same_csr(SparseOperator(len(basis.codes), block), full.restrict(indices))
+                ((row, col, value),) = direction_dots(basis, [pair])
+                n = len(basis.codes)
+                assert len(np.unique(row * n + col)) == len(row)  # no (row, col) repeats
+                block = sp.csr_matrix((value, (row, col)), shape=(n, n))
+                assert_same_csr(SparseOperator(n, block), full.restrict(indices))
 
     @pytest.mark.parametrize("spec, mu_tilde", SOLVED_SPECS, ids=SOLVED_IDS)
     def test_spectrum_solves_the_hamiltonian_blocks_once(self, spec, mu_tilde, monkeypatch):

@@ -28,6 +28,7 @@ from conftest import (
     full_ground_state,
     oracle_casimir,
     oracle_charge,
+    oracle_direction_dots,
     oracle_grand_canonical,
     oracle_hamiltonian,
     oracle_interaction,
@@ -610,6 +611,61 @@ class TestCorrelation:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             correlation(ChainSpec(2, 1), 0, 2)
+
+
+# open 3x1, 4x1, 3x2 and periodic 4x1, 5x1, each at two couplings
+ORACLE_CORRELATION_SPECS = [ChainSpec(n, l, kappa=kappa, boundary=boundary)
+                            for n, l, boundary in [(3, 1, "open"), (4, 1, "open"), (3, 2, "open"),
+                                                   (4, 1, "periodic"), (5, 1, "periodic")]
+                            for kappa in (0.5, 1.349)]
+
+
+class TestCorrelationAgainstFullSpaceOracle:
+    """correlation against a computation that shares neither ground_state nor direction_dots."""
+
+    @pytest.mark.parametrize("spec", ORACLE_CORRELATION_SPECS, ids=repr)
+    def test_every_pair(self, spec):
+        _, vecs = np.linalg.eigh(oracle_hamiltonian(spec).matrix.toarray())
+        psi = vecs[:, 0]
+        pairs = [(i, j) for i in range(spec.n_sites) for j in range(spec.n_sites)]
+        for (i, j), dot in zip(pairs, oracle_direction_dots(spec, pairs)):
+            assert abs(correlation(spec, i, j) - psi @ (dot @ psi)) <= 1e-10, (i, j)
+
+    @pytest.mark.parametrize("spec", [ChainSpec(4, 1, kappa=1.349), ChainSpec(7, 1, kappa=1.0),
+                                      ChainSpec(5, 2, kappa=0.5)], ids=repr)
+    def test_profile_reads_the_same_values(self, spec):
+        profile = correlation_profile(spec)
+        center = (spec.n_sites - 1) // 2
+        for d, value in zip(profile.distances, profile.values):
+            assert value == correlation(spec, center, center + d)
+
+
+class TestIntegerArguments:
+    """A bool or a non-integral count or index is refused with an error naming it."""
+
+    @pytest.mark.parametrize("i, j, name, value", [
+        (True, 2, "i", True), (0.0, 2, "i", 0.0), (0, 2.0, "j", 2.0)])
+    def test_correlation_sites(self, i, j, name, value):
+        with pytest.raises(InvalidSpecError, match=f"^{name} must be an integer, got {value!r}$"):
+            correlation(ChainSpec(3, 1, kappa=1.0), i, j)
+
+    @pytest.mark.parametrize("k", [2.5, True])
+    def test_spectrum_levels(self, k):
+        with pytest.raises(InvalidSpecError, match=f"^k must be an integer, got {k!r}$"):
+            spectrum(ChainSpec(2, 1), k=k)
+
+    def test_lowest_eigenpairs_levels(self):
+        with pytest.raises(InvalidSpecError, match="^k must be an integer, got 1.5$"):
+            lowest_eigenpairs(full_hamiltonian(ChainSpec(2, 1)), 1.5)
+
+    def test_numpy_integers_are_accepted(self):
+        spec = ChainSpec(3, 1, kappa=1.0)
+        assert correlation(spec, np.int64(0), np.int32(2)) == correlation(spec, 0, 2)
+        assert np.array_equal(spectrum(spec, k=np.int64(3)).eigenvalues,
+                              spectrum(spec, k=3).eigenvalues)
+        op = full_hamiltonian(ChainSpec(2, 1))
+        assert np.array_equal(lowest_eigenpairs(op, np.int16(2)).eigenvalues,
+                              lowest_eigenpairs(op, 2).eigenvalues)
 
 
 class TestCorrelationProfile:
