@@ -17,11 +17,23 @@ digit and the code is the state's full-space index. A Basis holds the spec
 and ascending codes; it decodes them into site states once, on first use,
 and locate is the one search of codes, refusing a code outside the basis.
 [H, Q] = 0, so each operator is built on one total-M sector's Basis
-(sector_basis), never on the full space. n_i . n_j has one form on a Basis,
+(sector_basis), never on the full space. n_i . n_j has one form on such a Basis,
 its (row, col, value) entries (direction_dots): the bonds of H and of
 build_interaction and the ground-state correlations of rotorsim.spectra
 all read them. ChainSpec's dimension cap still counts d^N, though nothing
 in the package allocates a d^N array any more.
+
+H also commutes with every component of the total angular momentum L, so it
+is block-diagonal in total L, and each multiplet is solved once in a basis
+that couples the sites one at a time (Edmonds, Angular Momentum in Quantum
+Mechanics, ch. 6-7). A coupling path (l_1 .. l_N; L_1 .. L_N), with L_k in
+L_(k-1) x l_k and L_N = L, is stored as the product-state code with
+m_k = L_k - L_(k-1): sector_basis(spec, L, coupled=True) enumerates exactly
+these codes, Basis.coupled marks them, and build_hamiltonian and
+build_interaction read their bonds as recoupling elements (6j symbols,
+computed exactly in integers) cached per local key met. Sites are coupled in
+coupling_order: in turn on an open chain, folded (0, N-1, 1, N-2, ...) on a
+periodic one, so every bond spans at most two coupling positions.
 
 Two more symmetries commute with H: the pi rotation about y,
 R = exp(i pi L_y), which maps each site's |l, m> to (-1)^(l-m) |l, -m>, and
@@ -60,6 +72,7 @@ __all__ = [
     "site_index",
     "direction_matrices",
     "sector_basis",
+    "coupling_order",
     "even_block",
     "raising_operator",
     "build_hamiltonian",
@@ -240,6 +253,7 @@ class Basis:
 
     spec: ChainSpec
     codes: np.ndarray
+    coupled: bool = False
 
     @functools.cached_property
     def powers(self) -> np.ndarray:
@@ -259,20 +273,31 @@ class Basis:
         return positions
 
 
-def sector_basis(spec: ChainSpec, m: int) -> Basis:
-    """The Basis of the product states with total M = m.
+def sector_basis(spec: ChainSpec, m: int, coupled: bool = False) -> Basis:
+    """The Basis of the product states with total M = m, or of the total-L = m block.
 
     Built site by site from site 0; a prefix is dropped once the sites
-    still to come can no longer bring its partial M to m.
+    still to come can no longer bring its partial M to m. With coupled, a
+    code is a coupling path instead (module docstring): position k holds l_k
+    and m_k = L_k - L_(k-1), and the one more prune L_k >= |L_(k-1) - l_k|
+    keeps the paths that couple to total L = m.
     """
-    site_m = np.array([mm for _, mm in site_basis(spec.l_max)])
+    site_l, site_m = np.array(site_basis(spec.l_max)).T
     codes, partial = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
     for remaining in range(spec.n_sites - 1, -1, -1):
-        codes = (codes[:, None] * spec.site_dim + np.arange(spec.site_dim)).ravel()
-        partial = (partial[:, None] + site_m).ravel()
-        keep = np.abs(m - partial) <= remaining * spec.l_max
-        codes, partial = codes[keep], partial[keep]
-    return Basis(spec, codes)
+        step = partial[:, None] + site_m
+        keep = np.abs(m - step) <= remaining * spec.l_max
+        if coupled:  # L_k >= L_(k-1) - l_k holds already, as |m_k| <= l_k
+            keep &= step >= site_l - partial[:, None]
+        codes = (codes[:, None] * spec.site_dim + np.arange(spec.site_dim))[keep]
+        partial = step[keep]
+    return Basis(spec, codes, coupled)
+
+
+def _check_product(basis: Basis, name: str):
+    """Refuse a coupled basis (ValueError) in name, which reads codes as product states."""
+    if basis.coupled:
+        raise ValueError(f"{name} reads product states; the basis is a coupled block")
 
 
 def sector_decompose(spec: ChainSpec) -> dict:
@@ -286,8 +311,9 @@ def raising_operator(basis: Basis) -> sp.csr_matrix:
 
     L_i^+ adds d^(N-1-i) to a code with coefficient sqrt(l(l+1) - m(m+1)); the
     raised codes are located in sector 1, which is never decoded, and a code
-    raised out of it is refused.
+    raised out of it is refused, and so is a coupled basis.
     """
+    _check_product(basis, "raising_operator")
     states = basis.states
     coefficient = np.sqrt([l * (l + 1.0) - m * (m + 1.0) for l, m in site_basis(basis.spec.l_max)])
     site, col = np.nonzero(coefficient[states])
@@ -304,8 +330,10 @@ def even_block(basis: Basis) -> sp.csc_matrix:
     Column j is (1 + R)(1 + P)/4 applied to the smallest code of one orbit
     under {1, R, P, RP}, normalized; orbits it annihilates are dropped, so the
     entries are exactly +-1, +-1/sqrt(2) or +-1/2. R maps sector M to -M, so
-    any basis but the M = 0 sector is refused as not closed under R.
+    any basis but the M = 0 sector is refused as not closed under R, and a
+    coupled basis as such.
     """
+    _check_product(basis, "even_block")
     site_states = site_basis(basis.spec.l_max)
     flip = np.array([site_index(l, -m) for l, m in site_states])
     odd = np.array([(l - m) % 2 for l, m in site_states])
@@ -347,24 +375,187 @@ def _dot_table(l_max: int, n_sites: int):
     return arrays
 
 
+def _expand(start, counts):
+    """(col, entry): table entries start[col] .. start[col] + counts[col] - 1 of each state col."""
+    col = np.repeat(np.arange(len(counts)), counts)
+    return col, np.arange(len(col)) + (start - np.cumsum(counts) + counts)[col]
+
+
 def direction_dots(basis: Basis, pairs):
     """Yield the (row, col, value) entries of n_i . n_j on basis per (i, j) in pairs.
 
     n_i . n_j = n_z n_z + (n_+ n_- + n_- n_+) / 2, n_i . n_i on one site if i == j.
     A pair's entries are one gather of _dot_table and one locate of the target
     codes, which refuses a basis not closed under n_i . n_j; no (row, col) repeats.
+    A site index outside 0 .. N - 1 raises ValueError naming the pair, and a
+    coupled basis ValueError.
     """
+    _check_product(basis, "direction_dots")
     states = basis.states
     for i, j in pairs:
+        if not (0 <= i < basis.spec.n_sites and 0 <= j < basis.spec.n_sites):
+            raise ValueError(f"site pair ({i}, {j}) out of range for {basis.spec.n_sites} sites")
         sites = (i,) if i == j else (i, j)
         indptr, shift, value = _dot_table(basis.spec.l_max, len(sites))
         local = states[i] if i == j else states[i] * basis.spec.site_dim + states[j]
-        start, counts = indptr[local], indptr[local + 1] - indptr[local]
-        col = np.repeat(np.arange(len(basis.codes)), counts)
-        entry = np.arange(len(col)) + (start - np.cumsum(counts) + counts)[col]
+        col, entry = _expand(indptr[local], indptr[local + 1] - indptr[local])
         target = basis.codes[col] + (shift @ basis.powers[list(sites)])[entry]
         row = basis.locate(target, "the basis is not closed under n_i . n_j; pass a sector_basis")
         yield row, col, value[entry]
+
+
+def coupling_order(spec: ChainSpec) -> list:
+    """The site at each coupling position of a coupled basis.
+
+    Sites 0 .. N - 1 in turn on an open chain; on a periodic chain the folded
+    order 0, N - 1, 1, N - 2, ..., in which every bond, the wrap-around bond
+    included, joins positions at most two apart.
+    """
+    n = spec.n_sites
+    if spec.boundary == "open":
+        return list(range(n))
+    return [k // 2 if k % 2 == 0 else n - 1 - k // 2 for k in range(n)]
+
+
+@functools.cache
+def _six_j(a, b, c, d, e, f) -> float:
+    """The 6j symbol {a b c; d e f} of integer arguments by Racah's formula, exact until its root.
+
+    Python integers keep the alternating sum exact where float factorials
+    would cancel or overflow; 0.0 when a triad breaks the triangle rule.
+    """
+    triads = ((a, b, c), (a, e, f), (d, b, f), (d, e, c))
+    if not all(_triangle(*triad) for triad in triads):
+        return 0.0
+    alphas, betas = [sum(triad) for triad in triads], (a + b + d + e, b + c + e + f, c + a + f + d)
+    low, high = max(alphas), min(betas)
+    # every term's denominator divides common, so each quotient is exact
+    common = (math.prod(math.factorial(high - x) for x in alphas)
+              * math.prod(math.factorial(y - low) for y in betas))
+    total = sum((-1) ** t * math.factorial(t + 1) * common
+                // (math.prod(math.factorial(t - x) for x in alphas)
+                    * math.prod(math.factorial(y - t) for y in betas))
+                for t in range(low, high + 1))
+    # the triangle coefficients Delta^2 of the four triads, as a ratio of integers
+    squares = math.prod(math.factorial(x + y - z) * math.factorial(x - y + z)
+                        * math.factorial(y + z - x) for x, y, z in triads)
+    scale = math.prod(math.factorial(x + y + z + 1) for x, y, z in triads)
+    # int / int rounds correctly, so the square is exact until this one rounding
+    return (-1.0 if total < 0 else 1.0) * math.sqrt(total * total * squares / (common * common * scale))
+
+
+def _triangle(a, b, c) -> bool:
+    return abs(a - b) <= c <= a + b
+
+
+def _reduced_direction(l_to: int, l_from: int) -> float:
+    """<l_to || C^1 || l_from> in Edmonds' convention: sqrt(l + 1) up, -sqrt(l) down."""
+    return math.sqrt(l_from + 1) if l_to == l_from + 1 else -math.sqrt(l_from)
+
+
+def _bond_element(above, lm, big_l, path, new) -> float:
+    """<new| C_p . C_q |path> with both paths (l_p, L_p, L_(p+1), l_q) below L_(p-1) = above.
+
+    Adjacent positions (lm None, L_(p+1) = L_p): Edmonds 7.1.8, then 7.1.7
+    for C_p inside (L_(p-1) l_p) L_p. Positions two apart, around l_(p+1) =
+    lm: 7.1.8, 7.1.6 and 7.1.7. L_q = big_l is kept.
+    """
+    (l1, j1, j2, l2), (n1, k1, k2, n2) = path, new
+    value = ((-1) ** (j2 + n2 + big_l) * _six_j(big_l, n2, k2, 1, j2, l2)
+             * (-1) ** (above + l1 + k1 + 1) * math.sqrt((2 * j1 + 1) * (2 * k1 + 1))
+             * _six_j(n1, k1, above, j1, l1, 1)
+             * _reduced_direction(n1, l1) * _reduced_direction(n2, l2))
+    if lm is not None:
+        value *= ((-1) ** (k1 + lm + j2 + 1) * math.sqrt((2 * j2 + 1) * (2 * k2 + 1))
+                  * _six_j(k1, k2, lm, j2, j1, 1))
+    return value
+
+
+def _recoupled(l_max: int, span: int, key: int) -> list:
+    """(local code change, value) of every entry of C_p . C_(p+span) from one key.
+
+    key is L_(p-1) (the coupled momentum before position p) over the
+    position digits p .. p + span. Each element is evaluated from the path
+    with the smaller local code, so H on a block is exactly symmetric.
+    """
+    d, states = (l_max + 1) ** 2, site_basis(l_max)
+    digits = [key // d ** (span - k) % d for k in range(span + 1)]
+    above, local = key // d ** (span + 1), key % d ** (span + 1)
+    (l1, m1), (l2, m2) = states[digits[0]], states[digits[-1]]
+    big_l = above + sum(states[s][1] for s in digits)
+    lm = states[digits[1]][0] if span == 2 else None
+    path = (l1, above + m1, big_l - m2, l2)
+    entries = []
+    for n1 in (l1 - 1, l1 + 1):
+        for n2 in (l2 - 1, l2 + 1):
+            for k1 in range(path[1] - 1, path[1] + 2):
+                for k2 in range(path[2] - 1, path[2] + 2) if span == 2 else (k1,):
+                    if not (0 <= n1 <= l_max and 0 <= n2 <= l_max and _triangle(above, n1, k1)
+                            and _triangle(k2, n2, big_l) and (span == 1 or _triangle(k1, lm, k2))):
+                        continue
+                    new = [site_index(n1, k1 - above), site_index(n2, big_l - k2)]
+                    if span == 2:
+                        new.insert(1, site_index(lm, k2 - k1))
+                    change = sum(n * d ** (span - k) for k, n in enumerate(new)) - local
+                    ends = sorted([(local, path), (local + change, (n1, k1, k2, n2))])
+                    value = _bond_element(above, lm, big_l, ends[0][1], ends[1][1])
+                    if value != 0.0:
+                        entries.append((change, value))
+    return entries
+
+
+# (l_max, span) -> {key: its _recoupled entries}, for every key met so far
+_recoupling_entries = {}
+# (l_max, span) -> the same entries as arrays: (keys, indptr, change, value)
+_recoupling_arrays = {}
+
+
+def _recoupling_table(l_max: int, span: int, keys: np.ndarray):
+    """(row of each key, indptr, change, value) of C_p . C_(p+span); keys not met yet are added.
+
+    Entries indptr[row]:indptr[row + 1] belong to key row; change is the code
+    change of positions p .. p + span, read as one number with digits base d.
+    """
+    table = _recoupling_arrays.get((l_max, span))
+    if table is not None:
+        rows = np.searchsorted(table[0], keys)
+        if np.array_equal(table[0].take(rows, mode="clip"), keys):
+            return rows, *table[1:]
+    known = _recoupling_entries.setdefault((l_max, span), {})
+    for key in np.unique(keys).tolist():
+        if key not in known:
+            known[key] = _recoupled(l_max, span, key)
+    ordered = sorted(known.items())
+    entries = [entry for _, key_entries in ordered for entry in key_entries]
+    _recoupling_arrays[(l_max, span)] = (
+        np.array([key for key, _ in ordered], dtype=np.int64),
+        np.cumsum([0] + [len(key_entries) for _, key_entries in ordered]),
+        np.array([change for change, _ in entries], dtype=np.int64),
+        np.array([value for _, value in entries], dtype=float))
+    return _recoupling_table(l_max, span, keys)
+
+
+def _coupled_dots(basis: Basis):
+    """Yield the (row, col, value) entries of n_i . n_j on a coupled basis per bond (i, j).
+
+    A bond joins coupling positions p < q = p + 1 or p + 2 (coupling_order);
+    its key per state is L_(p-1) over the digits of positions p .. q, one
+    gather of _recoupling_table then gives every entry.
+    """
+    spec, states, d = basis.spec, basis.states, basis.spec.site_dim
+    site_m = np.array([m for _, m in site_basis(spec.l_max)])
+    above = np.vstack([np.zeros(len(basis.codes), dtype=np.int64),
+                       np.cumsum(site_m[states], axis=0)[:-1]])
+    position = np.argsort(coupling_order(spec))
+    for i, j in spec.bonds:
+        p, q = sorted((position[i], position[j]))
+        keys = above[p]
+        for k in range(p, q + 1):
+            keys = keys * d + states[k]
+        rows, indptr, change, value = _recoupling_table(spec.l_max, q - p, keys)
+        col, entry = _expand(indptr[rows], indptr[rows + 1] - indptr[rows])
+        target = basis.codes[col] + change[entry] * basis.powers[q]
+        yield basis.locate(target, "the coupled basis is not a total-L block"), col, value[entry]
 
 
 def _operator(diagonal, entries=()) -> SparseOperator:
@@ -379,7 +570,8 @@ def _operator(diagonal, entries=()) -> SparseOperator:
 
 def _bonds(basis: Basis, scale: float) -> list:
     """scale * n_i . n_j entries of every bond; none is diagonal."""
-    return [(row, col, scale * v) for row, col, v in direction_dots(basis, basis.spec.bonds)]
+    dots = _coupled_dots(basis) if basis.coupled else direction_dots(basis, basis.spec.bonds)
+    return [(row, col, scale * v) for row, col, v in dots]
 
 
 def _site_sum(basis: Basis, value) -> np.ndarray:

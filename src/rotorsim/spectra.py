@@ -3,18 +3,22 @@
 lowest_eigenpairs solves H on each sector or block (mass_gap's L_+ Gram matrix
 and rotorsim.dynamics' dense M = 0 matrices go to np.linalg directly): it refuses
 k * dimension above DYNAMICS_DIM_CAP^2 before it allocates, then solves densely up
-to DENSE_CUTOFF (the k lowest pairs from LAPACK dsyevr; the oracle for the paths
-above it; the crossover is frozen so the ``method`` label is reproducible), off the
-diagonal, or by Lanczos.
+to DENSE_CUTOFF states, LOWEST_DENSE_CUTOFF for k = 1 (the k lowest pairs from
+LAPACK dsyevr; the oracle for the paths above it; the crossovers are frozen so
+the ``method`` label is reproducible), off the diagonal, or by Lanczos.
 
-Every solver works on H alone, one total-M sector at a time, and only
-spectrum takes a chemical potential mu_tilde: on sector M the term
--mu_tilde Q is the constant -mu_tilde M, and the pi rotation about x maps
-sector M onto -M, which therefore has the same levels. ground_state solves
-only the (R+, P+) block of sector 0 (lattice.even_block), about a quarter of
-it; mass_gap needs a level of every block, so it solves the whole sector once.
-correlation and correlation_profile read each ground-state <n_i . n_j> off the
-entries of lattice.direction_dots as sum vec[row] * value * vec[col], no operator built.
+Every solver works on H alone, and only spectrum takes a chemical potential
+mu_tilde: on sector M the term -mu_tilde Q is the constant -mu_tilde M, and the
+pi rotation about x maps sector M onto -M, which therefore has the same levels.
+spectrum solves one total-M sector at a time. charge_scan solves the total-L
+blocks instead, each built in its coupled basis (lattice.sector_basis with
+coupled): sector M holds one member of every multiplet with L >= M, so its
+lowest level is E_M = min over L >= M of the lowest block level E_0(L).
+ground_state solves only the (R+, P+) block of sector 0 (lattice.even_block),
+about a quarter of it; mass_gap needs a level of every block, so it solves the
+whole sector once. correlation and correlation_profile read each ground-state
+<n_i . n_j> off the entries of lattice.direction_dots as
+sum vec[row] * value * vec[col], no operator built.
 """
 
 import math
@@ -31,6 +35,7 @@ from .lattice import (DYNAMICS_DIM_CAP, ChainSpec, DimensionCapError, InvalidSpe
 
 __all__ = [
     "DENSE_CUTOFF",
+    "LOWEST_DENSE_CUTOFF",
     "RESIDUAL_TOL",
     "DEGENERACY_TOL",
     "NonConvergenceError",
@@ -47,9 +52,12 @@ __all__ = [
 ]
 
 DENSE_CUTOFF = 2048
+# a k = 1 solve goes to Lanczos above this many states, the measured crossover
+LOWEST_DENSE_CUTOFF = 256
 RESIDUAL_TOL = 1e-8
 DEGENERACY_TOL = 1e-6
-# spectrum orders levels within TIE_TOL * max(1, |E|) of each other by label
+# spectrum orders levels within TIE_TOL * max(1, |E|) of each other by label, and
+# charge_scan gives such a tie to the smallest charge
 TIE_TOL = 1e-10
 ITERATION_CAP_ENV = "ROTORSIM_MAX_ITER"
 DEFAULT_ITERATION_CAP = 100_000
@@ -109,15 +117,21 @@ def lowest_eigenpairs(op: SparseOperator, k: int) -> SpectrumResult:
     solve. k * dimension above
     DYNAMICS_DIM_CAP^2 (134 MB of floats: a dense matrix or about k Lanczos
     vectors) raises DimensionCapError before anything is allocated. method
-    is "dense" when k = dimension or dimension <= DENSE_CUTOFF: one
-    scipy.linalg.eigh call on the dense matrix takes the k lowest pairs from
-    LAPACK dsyevr (MRRR after tridiagonalization), for any k; above the
-    cutoff "diagonal" when no off-diagonal entry is stored (sorted diagonal,
-    unit vectors: Lanczos from one start vector cannot resolve exactly
-    degenerate levels), else "iterative" (restarted Lanczos, deterministic
-    start vector). A LAPACK error of the dense solve, an ARPACK error,
-    non-convergence included, or a residual norm above RESIDUAL_TOL raises
-    NonConvergenceError.
+    is "dense" when k = dimension or dimension <= DENSE_CUTOFF, or <=
+    LOWEST_DENSE_CUTOFF when k = 1: one scipy.linalg.eigh call on the dense
+    matrix takes the k lowest pairs from LAPACK dsyevr (MRRR after
+    tridiagonalization), for any k; above the cutoff "diagonal" when no
+    off-diagonal entry is stored (sorted diagonal, unit vectors), else
+    "iterative" (restarted Lanczos, deterministic start vector). A LAPACK
+    error of the dense solve, an ARPACK error, non-convergence included, or
+    a residual norm above RESIDUAL_TOL raises NonConvergenceError.
+
+    Lanczos from one start vector finds the lowest level but can skip a copy
+    of an exactly degenerate level above it, and every residual still passes
+    the gate: on the 3432-state M = 0 sector of periodic 7x1 at kappa 1, k = 8
+    returns 14.891458 as its 8th level where dense eigh has 14.868111 twice.
+    So k > 1 stays dense up to DENSE_CUTOFF, and only k = 1 crosses over to
+    Lanczos at LOWEST_DENSE_CUTOFF.
     """
     max_iter = env_cap(ITERATION_CAP_ENV, DEFAULT_ITERATION_CAP)
     if max_iter > 2**31 - 1:  # ARPACK's maxiter is a 32-bit integer; 2^31 wraps negative
@@ -130,7 +144,7 @@ def lowest_eigenpairs(op: SparseOperator, k: int) -> SpectrumResult:
     if k * dim > DYNAMICS_DIM_CAP**2:
         raise DimensionCapError(f"{k} levels of a {dim}-state sector exceed the solve cap "
                                 f"k * dimension <= {DYNAMICS_DIM_CAP}^2")
-    if k == dim or dim <= DENSE_CUTOFF:
+    if k == dim or dim <= (DENSE_CUTOFF if k > 1 else LOWEST_DENSE_CUTOFF):
         method = "dense"
         try:
             vals, vecs = scipy.linalg.eigh(op.matrix.toarray(), subset_by_index=[0, k - 1],
@@ -293,10 +307,17 @@ def charge_scan(spec: ChainSpec, mu_grid) -> ChargeScan:
 
     Q commutes with H, so with E_M the lowest level of sector M >= 0 at
     mu = 0, the ground energy is min_M (E_M - mu M) and the ground charge
-    the smallest M attaining it. critical_mu = min_{M>=1} (E_M - E_0) / M,
-    None when no grid point is charged. A grid whose mu * M overflows at
-    M = N l_max is refused.
+    the smallest M within TIE_TOL * max(1, |E|) of it. Sector M holds one
+    member of each multiplet with L >= M, so E_M = min over L >= M of E_0(L),
+    the lowest level of the total-L block: every block L = 0 .. N l_max is
+    built in its coupled basis (lattice.sector_basis with coupled) and solved
+    for one level. critical_mu = min_{M>=1} (E_M - E_0) / M, None when no grid
+    point is charged. A grid of bools raises InvalidSpecError; one that is not
+    finite, ascending and non-negative, or whose mu * M overflows at
+    M = N l_max, ValueError.
     """
+    if any(isinstance(mu, (bool, np.bool_)) for mu in np.ravel(np.asarray(mu_grid, dtype=object))):
+        raise InvalidSpecError("mu_grid must hold numbers, not bools")
     mu_grid = np.asarray(mu_grid, dtype=float)
     if mu_grid.ndim != 1 or len(mu_grid) < 1:
         raise ValueError("mu_grid must be a non-empty 1-d grid")
@@ -309,9 +330,14 @@ def charge_scan(spec: ChainSpec, mu_grid) -> ChargeScan:
     _check_charge_term(spec, float(mu_grid[-1]))
 
     charges = np.arange(spec.n_sites * spec.l_max + 1)
-    lowest = np.array([_solve_sector(spec, m, 1).eigenvalues[0] for m in charges])
+    lowest = np.array([lowest_eigenpairs(build_hamiltonian(sector_basis(spec, total_l, coupled=True)),
+                                         1).eigenvalues[0] for total_l in charges])
+    lowest = np.minimum.accumulate(lowest[::-1])[::-1]  # E_M = min over L >= M of E_0(L)
     energies = lowest[None, :] - mu_grid[:, None] * charges[None, :]
-    ground = np.argmin(energies, axis=1)
+    ground_energy = energies.min(axis=1)
+    # levels equal in exact arithmetic differ by rounding noise
+    tied = energies <= (ground_energy + TIE_TOL * np.maximum(1.0, np.abs(ground_energy)))[:, None]
+    ground = np.argmax(tied, axis=1)
 
     critical = None
     if np.any(ground >= 1):
@@ -319,7 +345,7 @@ def charge_scan(spec: ChainSpec, mu_grid) -> ChargeScan:
     return ChargeScan(
         mu_values=mu_grid,
         ground_charge=ground,
-        ground_energy=energies.min(axis=1),
+        ground_energy=ground_energy,
         critical_mu=critical,
     )
 

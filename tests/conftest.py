@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.special import sph_harm_y
 
 from rotorsim import Geometry
@@ -252,6 +253,46 @@ def oracle_casimir(spec):
     casimir = lx @ lx + ly @ ly + q @ q
     assert abs(casimir.imag).max() < 1e-12
     return SparseOperator(dimension=spec.dimension, matrix=_oracle_clean(casimir.real))
+
+
+def oracle_total_l_levels(spec):
+    """{L: every level of H's total-L multiplets}, dense, from the M = 0 sector alone.
+
+    H commutes with the Casimir L^2, and each multiplet has one M = 0 member:
+    H restricted to the L(L + 1) eigenspace of L^2 on M = 0 has the levels of
+    the total-L multiplets, each once.
+    """
+    indices = oracle_sectors(spec)[0]
+    h = oracle_hamiltonian(spec).restrict(indices).matrix.toarray()
+    casimir, vecs = np.linalg.eigh(oracle_casimir(spec).restrict(indices).matrix.toarray())
+    spins = (np.sqrt(4.0 * casimir + 1.0) - 1.0) / 2.0
+    assert np.abs(spins - np.round(spins)).max() < 1e-9
+    spins = np.round(spins).astype(int)
+    return {int(total_l): np.linalg.eigvalsh(vecs[:, spins == total_l].T @ h
+                                             @ vecs[:, spins == total_l])
+            for total_l in np.unique(spins)}
+
+
+def oracle_lowest_total_l_level(spec, total_l):
+    """Lowest level of H's total-L multiplets, sparse, from sector M = L.
+
+    On sector M = L, L_- L_+ = L^2 - L(L + 1) is >= 2 (L + 1) on the members
+    of multiplets above L and 0 on the total-L multiplets, so the lowest level
+    of H + lam L_- L_+, with lam above H's Gershgorin bound, is theirs.
+    """
+    sectors = oracle_sectors(spec)
+    h = oracle_hamiltonian(spec).restrict(sectors[total_l]).matrix
+    penalty = sp.csr_matrix(h.shape)
+    if total_l + 1 in sectors:
+        lx, ly = total_transverse_angular_momentum(spec)
+        raising = (lx + 1j * ly)[sectors[total_l + 1]][:, sectors[total_l]]
+        assert abs(raising.imag).max() == 0.0
+        penalty = raising.real.T @ raising.real
+    lam = abs(h).sum(axis=1).max()
+    if h.shape[0] <= 64:
+        return np.linalg.eigvalsh((h + lam * penalty).toarray())[0]
+    v0 = np.random.default_rng(7).standard_normal(h.shape[0])
+    return spla.eigsh(h + lam * penalty, k=1, which="SA", v0=v0)[0][0]
 
 
 def oracle_grand_canonical(spec, mu_tilde):

@@ -21,16 +21,19 @@ from rotorsim.lattice import (
     build_hamiltonian,
     build_interaction,
     build_kinetic,
+    coupling_order,
     direction_dots,
     direction_matrices,
     even_block,
+    raising_operator,
     sector_basis,
     sector_decompose,
     site_basis,
     site_index,
 )
+from rotorsim.lattice import _six_j
 from rotorsim.dynamics import RampSchedule, propagate
-from rotorsim.spectra import correlation_profile, mass_gap, spectrum
+from rotorsim.spectra import correlation_profile, lowest_eigenpairs, mass_gap, spectrum
 
 from conftest import (
     all_codes,
@@ -40,7 +43,9 @@ from conftest import (
     oracle_hamiltonian,
     oracle_interaction,
     oracle_kinetic,
+    oracle_lowest_total_l_level,
     oracle_sectors,
+    oracle_total_l_levels,
     quadrature_direction_element,
     total_transverse_angular_momentum,
 )
@@ -609,3 +614,109 @@ class TestBasis:
         decoded = record_decodes(monkeypatch)
         run(spec)
         assert [list(basis.codes) for basis in decoded] == [list(sector_basis(spec, 0).codes)]
+
+
+class TestSixJ:
+    """The exact 6j symbols behind the total-L blocks."""
+
+    @pytest.mark.parametrize("a, b, c", [
+        (a, b, c) for a in range(5) for b in range(5) for c in range(abs(a - b), a + b + 1)
+    ] + [(60, 70, 80), (3, 85, 84)])
+    def test_closed_form_with_a_zero(self, a, b, c):
+        # 6j of arguments this large run past 170!, where float factorials overflow
+        expected = (-1) ** (a + b + c) / math.sqrt((2 * b + 1) * (2 * c + 1))
+        assert _six_j(a, b, c, 0, c, b) == pytest.approx(expected, rel=1e-15)
+
+    @pytest.mark.parametrize("a, b, c, d", [(1, 1, 1, 1), (2, 1, 2, 3), (3, 2, 1, 2), (4, 3, 2, 3)])
+    def test_orthogonality(self, a, b, c, d):
+        # sum_x (2x + 1)(2f + 1) {a b x; c d f}{a b x; c d f'} = delta_ff'
+        for f in range(8):
+            for g in range(8):
+                total = math.fsum((2 * x + 1) * (2 * f + 1) * _six_j(a, b, x, c, d, f)
+                                  * _six_j(a, b, x, c, d, g) for x in range(12))
+                triads = abs(a - d) <= f <= a + d and abs(b - c) <= f <= b + c
+                assert total == pytest.approx(float(f == g and triads), abs=1e-14)
+
+    def test_broken_triangle_is_zero(self):
+        assert _six_j(1, 1, 3, 1, 1, 1) == 0.0
+        assert _six_j(0, 1, 1, 2, 0, 0) == 0.0
+
+
+TOTAL_L_SPECS = [ChainSpec(n, 1) for n in range(1, 7)] + [ChainSpec(n, 2) for n in (2, 3, 4)] + [
+    ChainSpec(n, 3) for n in (2, 3)]
+TOTAL_L_SPECS += [replace(spec, boundary="periodic") for spec in TOTAL_L_SPECS
+                  if spec.n_sites >= 3]
+
+
+def total_l_block(spec, total_l):
+    return build_hamiltonian(sector_basis(spec, total_l, coupled=True)).matrix.toarray()
+
+
+class TestTotalLBlocks:
+    """H on each total-L block, built in the coupled basis, against the Kronecker oracle."""
+
+    @pytest.mark.parametrize("spec", TOTAL_L_SPECS, ids=spec_id)
+    def test_coupled_basis_is_the_pruned_sector(self, spec):
+        site_l, site_m = np.array(site_basis(spec.l_max)).T
+        for total_l in range(spec.n_sites * spec.l_max + 1):
+            sector = sector_basis(spec, total_l)
+            partial = np.cumsum(site_m[sector.states], axis=0)
+            above = np.vstack([np.zeros_like(partial[:1]), partial[:-1]])
+            paths = np.all(partial >= np.abs(above - site_l[sector.states]), axis=0)
+            block = sector_basis(spec, total_l, coupled=True)
+            assert block.coupled and np.array_equal(block.codes, sector.codes[paths])
+            # one highest-weight state per multiplet of total L
+            above_sector = sector_basis(spec, total_l + 1).codes
+            assert len(block.codes) == len(sector.codes) - len(above_sector)
+
+    @pytest.mark.parametrize("kappa", [0.5, 1.349])
+    @pytest.mark.parametrize("spec", TOTAL_L_SPECS, ids=spec_id)
+    def test_block_levels_are_the_casimir_projected_sector_0_levels(self, spec, kappa):
+        spec = replace(spec, kappa=kappa)
+        oracle = oracle_total_l_levels(spec)
+        assert sorted(oracle) == list(range(spec.n_sites * spec.l_max + 1))
+        for total_l, levels in oracle.items():
+            block = total_l_block(spec, total_l)
+            assert np.array_equal(block, block.T)  # each entry evaluated once per pair
+            got = np.linalg.eigvalsh(block)
+            assert len(got) == len(levels)
+            assert np.abs(got - levels).max() <= 1e-12 * max(1.0, np.abs(levels).max())
+
+    @pytest.mark.parametrize("boundary", ["open", "periodic"])
+    @pytest.mark.parametrize("n_sites", [7, 8])
+    def test_lowest_block_levels_of_long_chains(self, n_sites, boundary):
+        spec = ChainSpec(n_sites, 1, kappa=1.349, boundary=boundary)
+        for total_l in range(n_sites + 1):
+            block = build_hamiltonian(sector_basis(spec, total_l, coupled=True))
+            lowest = lowest_eigenpairs(block, 1).eigenvalues[0]
+            assert lowest == pytest.approx(oracle_lowest_total_l_level(spec, total_l), abs=1e-10)
+
+    def test_kappa_zero_block_is_diagonal(self):
+        block = total_l_block(ChainSpec(4, 2, kappa=0.0, boundary="periodic"), 2)
+        assert np.array_equal(block, np.diag(np.diag(block)))
+
+    @pytest.mark.parametrize("n_sites", range(3, 10))
+    def test_folded_order_puts_every_periodic_bond_within_two_positions(self, n_sites):
+        spec = ChainSpec(n_sites, 1, boundary="periodic")
+        order = coupling_order(spec)
+        assert sorted(order) == list(range(n_sites)) and order[:2] == [0, n_sites - 1]
+        assert all(abs(order.index(i) - order.index(j)) <= 2 for i, j in spec.bonds)
+        assert coupling_order(replace(spec, boundary="open")) == list(range(n_sites))
+
+    @pytest.mark.parametrize("name, read", [
+        ("direction_dots", lambda basis: next(direction_dots(basis, [(0, 1)]))),
+        ("raising_operator", raising_operator),
+        ("even_block", even_block),
+    ])
+    def test_product_state_readers_refuse_a_coupled_basis(self, name, read):
+        # raising_operator read the coupled L = 0 codes of 4x1 as product states: 56 x 14
+        with pytest.raises(ValueError, match=f"{name} reads product states"):
+            read(sector_basis(ChainSpec(4, 1), 0, coupled=True))
+
+
+class TestDirectionDotsSites:
+    @pytest.mark.parametrize("pair", [(0, 5), (3, 0), (-1, 1), (0, -3)])
+    def test_out_of_range_pair_is_refused_and_named(self, pair):
+        basis = sector_basis(ChainSpec(3, 1), 0)
+        with pytest.raises(ValueError, match=re.escape(f"site pair {pair} out of range")):
+            next(direction_dots(basis, [pair]))

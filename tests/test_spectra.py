@@ -124,6 +124,18 @@ class TestLowestEigenpairs:
         assert np.array_equal(res.eigenvectors.T @ res.eigenvectors, np.eye(8))
         assert res.residual_norms.max() == 0.0
 
+    def test_lowest_level_of_a_degenerate_block_above_256_states_by_lanczos(self):
+        # the L = 0 block of periodic 7x1 has 429 states and exactly degenerate levels
+        # (momenta +-p); k = 1 goes to Lanczos above 256 states and never misses the lowest
+        block = build_hamiltonian(sector_basis(ChainSpec(7, 1, kappa=1.0, boundary="periodic"),
+                                               0, coupled=True))
+        dense = np.linalg.eigvalsh(block.matrix.toarray())
+        assert block.dimension == 429 and np.min(np.diff(dense[:4])) < 1e-12
+        res = lowest_eigenpairs(block, 1)
+        assert res.method == "iterative"
+        assert res.eigenvalues[0] == pytest.approx(dense[0], abs=1e-12)
+        assert lowest_eigenpairs(block, 2).method == "dense"  # k > 1 keeps DENSE_CUTOFF
+
     def test_rejects_bad_k(self):
         op = full_hamiltonian(ChainSpec(1, 1))
         with pytest.raises(ValueError):
@@ -558,16 +570,45 @@ class TestChargeScan:
         assert grid[first - 1] < result.critical_mu <= grid[first]
 
     def test_builds_hamiltonian_once(self, monkeypatch):
-        # once per sector M = 0..3, never per grid point
+        # once per total-L block L = 0..3, never per grid point nor per sector
         spec = ChainSpec(3, 1, kappa=1.0)
         calls = []
 
         def counted(basis, _build=rotorsim.spectra.build_hamiltonian):
-            calls.append(list(basis.codes))
+            calls.append((basis.coupled, list(basis.codes)))
             return _build(basis)
         monkeypatch.setattr(rotorsim.spectra, "build_hamiltonian", counted)
         charge_scan(spec, np.linspace(0.0, 4.0, 9))
-        assert calls == [list(sector_basis(spec, m).codes) for m in range(4)]
+        assert calls == [(True, list(sector_basis(spec, total_l, coupled=True).codes))
+                         for total_l in range(4)]
+
+    @pytest.mark.parametrize("spec", [
+        ChainSpec(n, l, kappa=1.349, boundary="periodic") for n, l in ((3, 1), (4, 1), (5, 1),
+                                                                     (3, 2), (4, 2), (3, 3))
+    ] + [ChainSpec(n, l, kappa=0.0, boundary=b) for n, l, b in ((1, 1, "open"), (4, 1, "open"),
+                                                               (2, 2, "open"), (3, 2, "periodic"))],
+        ids=lambda spec: f"{spec.n_sites}x{spec.l_max}-{spec.boundary}-{spec.kappa}")
+    def test_matches_the_per_sector_dense_oracle(self, spec):
+        # E_M from a dense solve of every sector; at kappa = 0 every grid point mu = 2
+        # is an exact crossing of all M <= N, and the smallest M takes it
+        grid = np.linspace(0.0, 4.0, 17)
+        result = charge_scan(spec, grid)
+        lowest = np.array([sector_minimum(spec, m)
+                           for m in range(spec.n_sites * spec.l_max + 1)])
+        energies = lowest[None, :] - grid[:, None] * np.arange(len(lowest))
+        expected = energies.min(axis=1)
+        assert np.abs(result.ground_energy - expected).max() < 1e-10
+        assert np.array_equal(result.ground_charge,
+                              np.argmax(energies <= expected[:, None] + 1e-9, axis=1))
+        critical = np.min((lowest[1:] - lowest[0]) / np.arange(1, len(lowest)))
+        assert result.critical_mu == pytest.approx(critical, abs=1e-10)
+
+    @pytest.mark.parametrize("grid", [[False, True], np.array([False, True]), [0.0, True],
+                                      [np.bool_(False)]])
+    def test_rejects_a_bool_grid(self, grid):
+        # as spectrum refuses a bool mu_tilde; [False, True] would scan mu = 0 and 1
+        with pytest.raises(InvalidSpecError, match="bools"):
+            charge_scan(ChainSpec(2, 1, kappa=1.0), grid)
 
     @pytest.mark.parametrize("grid", [[0.0, np.nan], [0.0, np.inf], [np.nan]])
     def test_rejects_non_finite_grid(self, grid):
