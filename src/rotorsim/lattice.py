@@ -249,6 +249,8 @@ class Basis:
     Any code array closed under the operator will do, the whole space
     np.arange(spec.dimension) included. states, the site-state decode, is
     computed on first use, so a basis that is only searched is never decoded.
+    coupled marks codes that are coupling paths of a total-L block
+    (sector_basis with coupled), not product states.
     """
 
     spec: ChainSpec
