@@ -33,7 +33,8 @@ these codes, Basis.coupled marks them, and build_hamiltonian and
 build_interaction read their bonds as recoupling elements (6j symbols,
 computed exactly in integers) cached per local key met. Sites are coupled in
 coupling_order: in turn on an open chain, folded (0, N-1, 1, N-2, ...) on a
-periodic one, so every bond spans at most two coupling positions.
+periodic one, so every bond spans at most two coupling positions. Every level
+of H that rotorsim.spectra reports is solved on these blocks.
 
 Two more symmetries commute with H: the pi rotation about y,
 R = exp(i pi L_y), which maps each site's |l, m> to (-1)^(l-m) |l, -m>, and
@@ -282,8 +283,12 @@ def sector_basis(spec: ChainSpec, m: int, coupled: bool = False) -> Basis:
     still to come can no longer bring its partial M to m. With coupled, a
     code is a coupling path instead (module docstring): position k holds l_k
     and m_k = L_k - L_(k-1), and the one more prune L_k >= |L_(k-1) - l_k|
-    keeps the paths that couple to total L = m.
+    keeps the paths that couple to total L = m. A bool or non-integral m
+    raises InvalidSpecError, and so does a negative L.
     """
+    check_integer("m", m)
+    if coupled and m < 0:
+        raise InvalidSpecError(f"total L must be >= 0, got {m}")
     site_l, site_m = np.array(site_basis(spec.l_max)).T
     codes, partial = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
     for remaining in range(spec.n_sites - 1, -1, -1):
@@ -313,7 +318,8 @@ def raising_operator(basis: Basis) -> sp.csr_matrix:
 
     L_i^+ adds d^(N-1-i) to a code with coefficient sqrt(l(l+1) - m(m+1)); the
     raised codes are located in sector 1, which is never decoded, and a code
-    raised out of it is refused, and so is a coupled basis.
+    raised out of it is refused, and so is a coupled basis. Only the ramp
+    (rotorsim.dynamics) uses it, to find the singlets of the (R+, P+) block.
     """
     _check_product(basis, "raising_operator")
     states = basis.states

@@ -1,24 +1,12 @@
 """Eigensolvers and ground-state observables for the rotor chain.
 
-lowest_eigenpairs solves H on each sector or block (mass_gap's L_+ Gram matrix
-and rotorsim.dynamics' dense M = 0 matrices go to np.linalg directly): it refuses
-k * dimension above DYNAMICS_DIM_CAP^2 before it allocates, then solves densely up
-to DENSE_CUTOFF states, LOWEST_DENSE_CUTOFF for k = 1 (the k lowest pairs from
-LAPACK dsyevr; the oracle for the paths above it; the crossovers are frozen so
-the ``method`` label is reproducible), off the diagonal, or by Lanczos.
-
-Every solver works on H alone, and only spectrum takes a chemical potential
-mu_tilde: on sector M the term -mu_tilde Q is the constant -mu_tilde M, and the
-pi rotation about x maps sector M onto -M, which therefore has the same levels.
-spectrum solves one total-M sector at a time. charge_scan solves the total-L
-blocks instead, each built in its coupled basis (lattice.sector_basis with
-coupled): sector M holds one member of every multiplet with L >= M, so its
-lowest level is E_M = min over L >= M of the lowest block level E_0(L).
-ground_state solves only the (R+, P+) block of sector 0 (lattice.even_block),
-about a quarter of it; mass_gap needs a level of every block, so it solves the
-whole sector once. correlation and correlation_profile read each ground-state
-<n_i . n_j> off the entries of lattice.direction_dots as
-sum vec[row] * value * vec[col], no operator built.
+Every solver works on H alone through lowest_eigenpairs; only spectrum takes
+a chemical potential mu_tilde, whose -mu_tilde Q is -mu_tilde M on sector M. H
+commutes with the total angular momentum L, so spectrum, mass_gap and
+charge_scan solve its total-L blocks (_block): a block holds each multiplet
+once, and its level stands for 2L + 1 states, one per M = -L .. L.
+ground_state solves the (R+, P+) block of sector 0 (lattice.even_block), and
+the correlations read <n_i . n_j> off the entries of lattice.direction_dots.
 """
 
 import math
@@ -31,11 +19,10 @@ import scipy.sparse.linalg as spla
 
 from .lattice import (DYNAMICS_DIM_CAP, ChainSpec, DimensionCapError, InvalidSpecError,
                       SparseOperator, build_hamiltonian, check_integer, direction_dots,
-                      env_cap, even_block, raising_operator, sector_basis)
+                      env_cap, even_block, sector_basis)
 
 __all__ = [
     "DENSE_CUTOFF",
-    "LOWEST_DENSE_CUTOFF",
     "RESIDUAL_TOL",
     "DEGENERACY_TOL",
     "NonConvergenceError",
@@ -51,9 +38,8 @@ __all__ = [
     "correlation_profile",
 ]
 
-DENSE_CUTOFF = 2048
-# a k = 1 solve goes to Lanczos above this many states, the measured crossover
-LOWEST_DENSE_CUTOFF = 256
+# a solve goes to Lanczos above this many states, for every k: the measured crossover
+DENSE_CUTOFF = 256
 RESIDUAL_TOL = 1e-8
 DEGENERACY_TOL = 1e-6
 # spectrum orders levels within TIE_TOL * max(1, |E|) of each other by label, and
@@ -109,29 +95,51 @@ def _start_vector(dim: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def _lanczos(matrix, k: int, max_iter: int):
+    """The k lowest pairs of a sparse matrix or LinearOperator by restarted Lanczos, ascending."""
+    dim = matrix.shape[0]
+    try:
+        vals, vecs = spla.eigsh(matrix, k=k, which="SA", tol=0, v0=_start_vector(dim),
+                                maxiter=max_iter)
+    except spla.ArpackError as exc:  # ArpackNoConvergence included
+        raise NonConvergenceError(f"Lanczos did not converge for k={k}, dim={dim}: {exc}") from exc
+    order = np.argsort(vals)
+    return vals[order], vecs[:, order]
+
+
+def _gated_residuals(op: SparseOperator, method: str, vals, vecs) -> np.ndarray:
+    """|op v - E v| of each pair (E, column v); NonConvergenceError if one exceeds RESIDUAL_TOL."""
+    # entries near the float limit overflow here; an inf or NaN residual fails the gate
+    with np.errstate(over="ignore", invalid="ignore"):
+        residuals = np.array([np.linalg.norm(op.matrix @ vecs[:, i] - vals[i] * vecs[:, i])
+                              for i in range(len(vals))])
+    # written so that a NaN residual fails the gate too
+    if not np.all(residuals <= RESIDUAL_TOL):
+        raise NonConvergenceError(f"{method} eigenpair residual {residuals.max():.3g} exceeds "
+                                  f"RESIDUAL_TOL = {RESIDUAL_TOL:g} for k={len(vals)}, "
+                                  f"dim={op.dimension}")
+    return residuals
+
+
 def lowest_eigenpairs(op: SparseOperator, k: int) -> SpectrumResult:
     """k lowest eigenpairs of a Hermitian operator, 1 <= k <= dimension.
 
-    The iteration cap ROTORSIM_MAX_ITER is read (lattice.env_cap) first, so
-    a malformed value, or one above ARPACK's 2^31 - 1, is refused on every
-    solve. k * dimension above
-    DYNAMICS_DIM_CAP^2 (134 MB of floats: a dense matrix or about k Lanczos
-    vectors) raises DimensionCapError before anything is allocated. method
-    is "dense" when k = dimension or dimension <= DENSE_CUTOFF, or <=
-    LOWEST_DENSE_CUTOFF when k = 1: one scipy.linalg.eigh call on the dense
-    matrix takes the k lowest pairs from LAPACK dsyevr (MRRR after
-    tridiagonalization), for any k; above the cutoff "diagonal" when no
-    off-diagonal entry is stored (sorted diagonal, unit vectors), else
-    "iterative" (restarted Lanczos, deterministic start vector). A LAPACK
-    error of the dense solve, an ARPACK error, non-convergence included, or
-    a residual norm above RESIDUAL_TOL raises NonConvergenceError.
+    ROTORSIM_MAX_ITER is read first and refused above ARPACK's 2^31 - 1; k *
+    dimension above DYNAMICS_DIM_CAP^2 raises DimensionCapError before anything
+    is allocated. method is "dense" when k = dimension or dimension <=
+    DENSE_CUTOFF (the k lowest pairs from LAPACK dsyevr), "diagonal" when no
+    off-diagonal entry is stored, else "iterative" (restarted Lanczos from a
+    fixed start vector). A LAPACK or ARPACK error, a residual above
+    RESIDUAL_TOL or a deflation shift that overflows raises NonConvergenceError.
 
-    Lanczos from one start vector finds the lowest level but can skip a copy
-    of an exactly degenerate level above it, and every residual still passes
-    the gate: on the 3432-state M = 0 sector of periodic 7x1 at kappa 1, k = 8
-    returns 14.891458 as its 8th level where dense eigh has 14.868111 twice.
-    So k > 1 stays dense up to DENSE_CUTOFF, and only k = 1 crosses over to
-    Lanczos at LOWEST_DENSE_CUTOFF.
+    Lanczos can skip a copy of an exactly degenerate level while every residual
+    passes the gate, so an iterative solve with k > 1 is checked by deflation
+    (Parlett, The Symmetric Eigenvalue Problem, ch. 13): one k = 1 Lanczos from
+    the same start vector on H + s V V^T, V the found vectors, s twice H's
+    largest absolute row sum. A level more than DEGENERACY_TOL below the k-th is
+    added, the k lowest kept, and the check runs again, each round under the
+    iteration cap and the residual gate. The check is one more start vector,
+    orthogonal to the found space, not a proof.
     """
     max_iter = env_cap(ITERATION_CAP_ENV, DEFAULT_ITERATION_CAP)
     if max_iter > 2**31 - 1:  # ARPACK's maxiter is a 32-bit integer; 2^31 wraps negative
@@ -142,9 +150,9 @@ def lowest_eigenpairs(op: SparseOperator, k: int) -> SpectrumResult:
     if not 1 <= k <= dim:
         raise ValueError(f"need 1 <= k <= dimension, got k={k}, dimension={dim}")
     if k * dim > DYNAMICS_DIM_CAP**2:
-        raise DimensionCapError(f"{k} levels of a {dim}-state sector exceed the solve cap "
+        raise DimensionCapError(f"{k} levels of a {dim}-state operator exceed the solve cap "
                                 f"k * dimension <= {DYNAMICS_DIM_CAP}^2")
-    if k == dim or dim <= (DENSE_CUTOFF if k > 1 else LOWEST_DENSE_CUTOFF):
+    if k == dim or dim <= DENSE_CUTOFF:
         method = "dense"
         try:
             vals, vecs = scipy.linalg.eigh(op.matrix.toarray(), subset_by_index=[0, k - 1],
@@ -161,41 +169,32 @@ def lowest_eigenpairs(op: SparseOperator, k: int) -> SpectrumResult:
         vecs[order, np.arange(k)] = 1.0
     else:
         method = "iterative"
-        try:
-            vals, vecs = spla.eigsh(op.matrix, k=k, which="SA", tol=0, v0=_start_vector(dim),
-                                    maxiter=max_iter)
-        except spla.ArpackError as exc:  # ArpackNoConvergence included
-            raise NonConvergenceError(
-                f"Lanczos did not converge for k={k}, dim={dim}: {exc}"
-            ) from exc
-        order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
+        vals, vecs = _lanczos(op.matrix, k, max_iter)
+    residuals = _gated_residuals(op, method, vals, vecs)
 
-    # entries near the float limit overflow here; an inf or NaN residual fails the gate
-    with np.errstate(over="ignore", invalid="ignore"):
-        residuals = np.array([
-            np.linalg.norm(op.matrix @ vecs[:, i] - vals[i] * vecs[:, i])
-            for i in range(k)
-        ])
-    # written so that a NaN residual fails the gate too
-    if not np.all(residuals <= RESIDUAL_TOL):
-        raise NonConvergenceError(
-            f"{method} eigenpair residual {residuals.max():.3g} exceeds "
-            f"RESIDUAL_TOL = {RESIDUAL_TOL:g} for k={k}, dim={dim}"
-        )
-    return SpectrumResult(
-        method=method,
-        eigenvalues=np.asarray(vals, dtype=float),
-        sector_labels=None,
-        residual_norms=residuals,
-        eigenvectors=vecs,
-    )
+    if method == "iterative" and k > 1:
+        with np.errstate(over="ignore"):
+            shift = 2.0 * abs(op.matrix).sum(axis=1).max()
+        if not math.isfinite(shift):
+            raise NonConvergenceError(f"the deflation shift of a {dim}-state operator overflows")
+        while True:
+            deflated = spla.LinearOperator(
+                (dim, dim), matvec=lambda x: op.matrix @ x + shift * (vecs @ (vecs.T @ x)),
+                dtype=float)
+            val, vec = _lanczos(deflated, 1, max_iter)
+            residual = _gated_residuals(op, method, val, vec)
+            if not val[0] < vals[-1] - DEGENERACY_TOL:
+                break
+            order = np.argsort(np.append(vals, val), kind="stable")[:k]
+            vals, vecs = np.append(vals, val)[order], np.hstack([vecs, vec])[:, order]
+            residuals = np.append(residuals, residual)[order]
+    return SpectrumResult(method=method, eigenvalues=np.asarray(vals, dtype=float),
+                          sector_labels=None, residual_norms=residuals, eigenvectors=vecs)
 
 
-def _solve_sector(spec: ChainSpec, m: int, k: int) -> SpectrumResult:
-    """The lowest min(k, dimension) levels of H on sector M = m."""
-    basis = sector_basis(spec, m)
-    return lowest_eigenpairs(build_hamiltonian(basis), min(k, len(basis.codes)))
+def _block(spec: ChainSpec, total_l: int) -> SparseOperator:
+    """H on the total-L block, in its coupled basis (lattice.sector_basis with coupled)."""
+    return build_hamiltonian(sector_basis(spec, total_l, coupled=True))
 
 
 def _check_charge_term(spec: ChainSpec, mu: float):
@@ -208,12 +207,11 @@ def spectrum(spec: ChainSpec, k: int, mu_tilde: float = 0.0) -> SpectrumResult:
     """k lowest levels of H - mu_tilde Q with their total-M labels; no vectors.
 
     A non-finite mu_tilde raises InvalidSpecError, and one whose |mu_tilde| N l_max
-    overflows ValueError, as in charge_scan. H is solved once on each sector
-    M = 0 .. N l_max; a level E enters as E - mu_tilde M with label M and, for
-    M > 0, as E + mu_tilde M with label -M. Levels sort by (energy, label); a run
-    of consecutive levels within TIE_TOL * max(1, |E|) of its first level E
-    counts as one energy. method is "dense" only if every sector was solved
-    densely, "iterative" if Lanczos ran on any, and "diagonal" otherwise.
+    overflows ValueError. Each block L = 0 .. N l_max is solved for min(k, its
+    dimension) levels; a level E enters once per label M = -L .. L, as
+    E - mu_tilde M. Levels sort by (energy, label); a run within TIE_TOL *
+    max(1, |E|) of its first level E, which ties multiplets, counts as one
+    energy. method names the slowest solver that ran: iterative, diagonal, dense.
     """
     if isinstance(mu_tilde, bool) or not (isinstance(mu_tilde, numbers.Real)
                                           and math.isfinite(mu_tilde)):
@@ -224,29 +222,25 @@ def spectrum(spec: ChainSpec, k: int, mu_tilde: float = 0.0) -> SpectrumResult:
     _check_charge_term(spec, mu_tilde)
     levels = []  # (energy, M, residual)
     methods = set()
-    for m in range(spec.n_sites * spec.l_max + 1):
-        res = _solve_sector(spec, m, k)
+    for total_l in range(spec.n_sites * spec.l_max + 1):
+        block = _block(spec, total_l)
+        res = lowest_eigenpairs(block, min(k, block.dimension))
         methods.add(res.method)
         levels += [(e - mu_tilde * label, label, r)
                    for e, r in zip(res.eigenvalues, res.residual_norms)
-                   for label in ((m, -m) if m else (0,))]
+                   for label in range(-total_l, total_l + 1)]
     levels.sort(key=lambda item: item[:2])
-    # levels equal in exact arithmetic differ by rounding noise across sectors
-    groups = []
-    for level in levels:
-        first = groups[-1][0][0] if groups else None
-        if first is not None and abs(level[0] - first) <= TIE_TOL * max(1.0, abs(first)):
-            groups[-1].append(level)
-        else:
-            groups.append([level])
-    levels = [level for group in groups for level in sorted(group, key=lambda item: item[1])][:k]
-    return SpectrumResult(
-        method=max(methods, key=("dense", "diagonal", "iterative").index),
-        eigenvalues=np.array([e for e, _, _ in levels]),
-        sector_labels=np.array([m for _, m, _ in levels]),
-        residual_norms=np.array([r for _, _, r in levels]),
-        eigenvectors=None,
-    )
+    # levels equal in exact arithmetic differ by rounding noise across blocks: a run
+    # of ties is keyed by its first energy and ordered by label
+    runs = [levels[0][0]]
+    for energy, _, _ in levels[1:]:
+        tied = abs(energy - runs[-1]) <= TIE_TOL * max(1.0, abs(runs[-1]))
+        runs.append(runs[-1] if tied else energy)
+    order = sorted(range(len(levels)), key=lambda i: (runs[i], levels[i][1]))[:k]
+    energies, labels, residuals = (np.array(column) for column in zip(*(levels[i] for i in order)))
+    return SpectrumResult(method=max(methods, key=("dense", "diagonal", "iterative").index),
+                          eigenvalues=energies, sector_labels=labels, residual_norms=residuals,
+                          eigenvectors=None)
 
 
 def ground_state(spec: ChainSpec):
@@ -271,35 +265,40 @@ def ground_state(spec: ChainSpec):
 
 
 def mass_gap(spec: ChainSpec):
-    """(E1 - E0, degeneracy of E1) of H, solved on the M = 0 sector alone.
+    """(E1 - E0, degeneracy of E1) of H, solved on its total-L blocks.
 
-    Each SU(2) multiplet has exactly one M = 0 member, so E0 and E1 are the
-    lowest distinct levels of sector 0, solved for k = 3, 6, 12, ... levels
-    until one lies clearly above E1. On M = 0, L^2 = L_- L_+: with W = L_+ V
-    (raising_operator) over the vectors V within DEGENERACY_TOL of E1, W^T W
-    has eigenvalues L(L + 1), one per E1 multiplet, exactly degenerate ones
-    included, and the degeneracy is the sum of 2L + 1. An L that is not an
-    integer within DEGENERACY_TOL raises NonConvergenceError.
+    E1 is the lowest level more than DEGENERACY_TOL above E0. Block L = 0 is
+    solved for 2 levels, then L = 1, 2, ... for 1 each, up to the first block
+    whose lowest level lies DEGENERACY_TOL or more above the E1 candidate; that
+    no later block holds E1 is checked on the oracle grid, not proven. Each
+    solved block is solved again, k doubled, until a level lies that far above
+    E1, and each of its copies of E1 counts 2L + 1 states.
     """
-    basis = sector_basis(spec, 0)
-    h0 = build_hamiltonian(basis)
-    # the ground level, one member of the E1 multiplet and a level above it
-    k = 3
-    while True:
-        res = lowest_eigenpairs(h0, min(k, h0.dimension))
-        vals = res.eigenvalues
-        above = vals[vals > vals[0] + DEGENERACY_TOL]
-        if (len(above) and vals[-1] - above[0] >= DEGENERACY_TOL) or len(vals) == h0.dimension:
+    blocks, levels = {}, {}  # per solved L: H on the block, its levels
+
+    def e0_e1():
+        e0 = min(vals[0] for vals in levels.values())
+        return e0, min((e for vals in levels.values() for e in vals if e > e0 + DEGENERACY_TOL),
+                       default=math.inf)
+
+    for total_l in range(spec.n_sites * spec.l_max + 1):
+        block = _block(spec, total_l)
+        vals = lowest_eigenpairs(block, min(2 if total_l == 0 else 1, block.dimension)).eigenvalues
+        if total_l and vals[0] >= e0_e1()[1] + DEGENERACY_TOL:
             break
-        k *= 2
-    # `above` is never empty: H's diagonal on sector 0 holds sum_i L_i^2 = 0 and 2
-    # (plus the same bond constant), so its levels span at least 2
-    e0, e1 = vals[0], above[0]
-    w = raising_operator(basis) @ res.eigenvectors[:, np.abs(vals - e1) < DEGENERACY_TOL]
-    spins = (np.sqrt(4.0 * np.linalg.eigvalsh(w.T @ w) + 1.0) - 1.0) / 2.0
-    if not np.all(np.abs(spins - np.round(spins)) <= DEGENERACY_TOL):
-        raise NonConvergenceError(f"the E1 vectors of sector 0 have non-integral L = {spins}")
-    return float(e1 - e0), int(np.sum(2 * np.round(spins) + 1))
+        blocks[total_l], levels[total_l] = block, vals
+    for total_l, block in blocks.items():
+        # E1 only falls as levels are added, so a block once past it stays past it
+        while (levels[total_l][-1] < e0_e1()[1] + DEGENERACY_TOL
+               and len(levels[total_l]) < block.dimension):
+            k = min(2 * len(levels[total_l]), block.dimension)
+            levels[total_l] = lowest_eigenpairs(block, k).eigenvalues
+    # E1 is finite: H's levels span its diagonal, whose sum_i L_i^2 takes 0 and 2
+    # over the same bond constant, and with every block whole every level is solved
+    e0, e1 = e0_e1()
+    degeneracy = sum((2 * total_l + 1) * np.count_nonzero(np.abs(vals - e1) < DEGENERACY_TOL)
+                     for total_l, vals in levels.items())
+    return float(e1 - e0), int(degeneracy)
 
 
 def charge_scan(spec: ChainSpec, mu_grid) -> ChargeScan:
@@ -309,9 +308,7 @@ def charge_scan(spec: ChainSpec, mu_grid) -> ChargeScan:
     mu = 0, the ground energy is min_M (E_M - mu M) and the ground charge
     the smallest M within TIE_TOL * max(1, |E|) of it. Sector M holds one
     member of each multiplet with L >= M, so E_M = min over L >= M of E_0(L),
-    the lowest level of the total-L block: every block L = 0 .. N l_max is
-    built in its coupled basis (lattice.sector_basis with coupled) and solved
-    for one level. critical_mu = min_{M>=1} (E_M - E_0) / M, None when no grid
+    the lowest level of block L (_block), each solved for one level. critical_mu = min_{M>=1} (E_M - E_0) / M, None when no grid
     point is charged. A grid of bools raises InvalidSpecError; one that is not
     finite, ascending and non-negative, or whose mu * M overflows at
     M = N l_max, ValueError.
@@ -330,8 +327,8 @@ def charge_scan(spec: ChainSpec, mu_grid) -> ChargeScan:
     _check_charge_term(spec, float(mu_grid[-1]))
 
     charges = np.arange(spec.n_sites * spec.l_max + 1)
-    lowest = np.array([lowest_eigenpairs(build_hamiltonian(sector_basis(spec, total_l, coupled=True)),
-                                         1).eigenvalues[0] for total_l in charges])
+    lowest = np.array([lowest_eigenpairs(_block(spec, total_l), 1).eigenvalues[0]
+                       for total_l in charges])
     lowest = np.minimum.accumulate(lowest[::-1])[::-1]  # E_M = min over L >= M of E_0(L)
     energies = lowest[None, :] - mu_grid[:, None] * charges[None, :]
     ground_energy = energies.min(axis=1)

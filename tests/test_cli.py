@@ -386,7 +386,8 @@ class TestCapsAndExtremeInput:
 
     @pytest.mark.parametrize("variable, argv", [
         ("ROTORSIM_DIM_CAP", ["sim", "gap", "--sites", "2", "--lmax", "1"]),
-        # sector 0 of 8x1 is above DENSE_CUTOFF, so Lanczos reads the iteration cap
+        # the 1430-state L = 0 block of 8x1 is above DENSE_CUTOFF, so Lanczos reads the
+        # iteration cap
         ("ROTORSIM_MAX_ITER", ["sim", "gap", "--sites", "8", "--lmax", "1", "--kappa", "1"]),
         # a dense solve reads it too
         ("ROTORSIM_MAX_ITER", ["sim", "gap", "--sites", "2", "--lmax", "1"]),
@@ -561,7 +562,7 @@ class TestCapsAndExtremeInput:
         assert "mu * M overflows: mu up to 6e+307 at charge 3" in err
 
     @pytest.mark.parametrize("command, sites", [
-        ("gap", "8"),  # sector 0 above DENSE_CUTOFF: Lanczos
+        ("gap", "8"),  # L = 0 block above DENSE_CUTOFF: Lanczos
         ("gap", "2"),  # dense eigh
         ("correlation", "8"), ("spectrum", "7")])
     def test_overflowing_kappa_exit_2(self, tmp_path, capsys, command, sites):
@@ -583,15 +584,16 @@ class TestCapsAndExtremeInput:
         assert message in err and err.count("\n") == 1
 
     def test_spectrum_solve_cap_exit_5(self, tmp_path, capsys, monkeypatch):
-        # k = 50000 would densify the 48620-state M = 0 block of 9x1 (18.9 GB);
-        # the cap refuses it before any eigensolver runs
+        # k = 50000 asks every level of the 4862-state L = 0 block of 9x1, its first
+        # solve (189 MB dense); the cap refuses it before any eigensolver runs
         def unreachable(*args, **kwargs):
             raise AssertionError("an eigensolver ran before the solve cap was checked")
         monkeypatch.setattr("numpy.linalg.eigh", unreachable)
+        monkeypatch.setattr("scipy.linalg.eigh", unreachable)
         monkeypatch.setattr("scipy.sparse.linalg.eigsh", unreachable)
         err = assert_refused(["sim", "spectrum", "--sites", "9", "--lmax", "1", "--k", "50000",
                               "--out", tmp_path / "out"], capsys, 5)
-        assert "48620-state sector" in err
+        assert "4862 levels of a 4862-state operator" in err
 
     @pytest.mark.parametrize("k", ["0", "-1"])
     def test_spectrum_without_levels_exit_2(self, tmp_path, capsys, k):

@@ -341,6 +341,16 @@ class TestSectors:
         off_block = h[labels[:, None] != labels[None, :]]
         assert abs(off_block).max() == 0.0
 
+    @pytest.mark.parametrize("m, coupled, message", [
+        (1.5, False, "m must be an integer, got 1.5"),
+        (True, True, "m must be an integer, got True"),
+        (-1, True, "total L must be >= 0, got -1"),
+    ])
+    def test_refuses_a_bad_m_or_total_l(self, m, coupled, message):
+        # these read as an empty basis, the L = 1 block and an empty basis before
+        with pytest.raises(InvalidSpecError, match=f"^{re.escape(message)}$"):
+            sector_basis(ChainSpec(3, 1), m, coupled=coupled)
+
 
 
 
@@ -466,10 +476,15 @@ class TestSectorBlocksAgainstFullSpaceOracle:
             return _solve(block, k)
         monkeypatch.setattr(rotorsim.spectra, "lowest_eigenpairs", recording)
         rotorsim.spectra.spectrum(spec, k=3, mu_tilde=mu_tilde)
-        full, sectors = oracle_hamiltonian(spec), oracle_sectors(spec)
+        # one solve per total-L block L = 0 .. N l_max, whose levels are the
+        # Casimir-projected levels of the Kronecker-built H
+        oracle = oracle_total_l_levels(spec)
         assert len(solved) == spec.n_sites * spec.l_max + 1
-        for m, block in enumerate(solved):
-            assert_same_csr(block, full.restrict(sectors[m]))
+        for total_l, block in enumerate(solved):
+            assert_same_csr(block, build_hamiltonian(sector_basis(spec, total_l, coupled=True)))
+            levels = np.linalg.eigvalsh(block.matrix.toarray())
+            assert np.abs(levels - oracle[total_l]).max() <= 1e-12 * max(
+                1.0, np.abs(oracle[total_l]).max())
 
     @pytest.mark.parametrize("spec, mu_tilde", SOLVED_SPECS, ids=SOLVED_IDS)
     def test_spectrum_levels_are_grand_canonical_levels(self, spec, mu_tilde):
@@ -602,18 +617,22 @@ def record_decodes(monkeypatch):
 
 
 class TestBasis:
-    @pytest.mark.parametrize("run", [
-        mass_gap,
-        correlation_profile,
-        lambda spec: propagate(spec, RampSchedule(1.0, 1.5, duration=0.5), dt=0.1),
+    @pytest.mark.parametrize("run, total_ls", [
+        (mass_gap, range(3)),
+        (correlation_profile, None),
+        (lambda spec: propagate(spec, RampSchedule(1.0, 1.5, duration=0.5), dt=0.1), None),
     ], ids=["mass_gap", "correlation_profile", "propagate"])
-    def test_one_decode_per_call(self, run, monkeypatch):
+    def test_one_decode_per_call(self, run, total_ls, monkeypatch):
         # H, K, B, L_+, n_i . n_j and even_block share one M = 0 basis; L_+
-        # locates its targets in sector 1 without decoding that sector
+        # locates its targets in sector 1 without decoding that sector. mass_gap
+        # decodes each total-L block it builds once (L = 2 lies above E1)
         spec = ChainSpec(4, 1, kappa=1.0)
         decoded = record_decodes(monkeypatch)
         run(spec)
-        assert [list(basis.codes) for basis in decoded] == [list(sector_basis(spec, 0).codes)]
+        expected = ([sector_basis(spec, 0)] if total_ls is None
+                    else [sector_basis(spec, total_l, coupled=True) for total_l in total_ls])
+        assert ([(basis.coupled, list(basis.codes)) for basis in decoded]
+                == [(basis.coupled, list(basis.codes)) for basis in expected])
 
 
 class TestSixJ:

@@ -5,10 +5,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
 
 import rotorsim.spectra
 from rotorsim.lattice import (Basis, ChainSpec, DimensionCapError, InvalidSpecError,
-                              build_hamiltonian, raising_operator, sector_basis)
+                              SparseOperator, build_hamiltonian, raising_operator, sector_basis)
 from rotorsim.spectra import (
     DEGENERACY_TOL,
     RESIDUAL_TOL,
@@ -61,6 +63,40 @@ def dense_gap(spec):
     return e1 - levels[0], int(np.sum(np.abs(levels - e1) < DEGENERACY_TOL))
 
 
+def block_gap(spec):
+    """Oracle: gap and degeneracy read off every total-L block, Lanczos on those above 1100 states.
+
+    The blocks are the library's (tested against the Casimir projection of the
+    Kronecker-built H); the levels come from numpy (the sorted diagonal at
+    kappa = 0), or from scipy's Lanczos with its own start vector, independent
+    of lowest_eigenpairs.
+    """
+    levels = {}
+    for total_l in range(spec.n_sites * spec.l_max + 1):
+        block = rotorsim.spectra._block(spec, total_l).matrix
+        if spec.kappa == 0.0:
+            levels[total_l] = np.sort(block.diagonal())
+        elif block.shape[0] <= 1100:
+            levels[total_l] = np.linalg.eigvalsh(block.toarray())
+        else:
+            v0 = np.random.default_rng(7).standard_normal(block.shape[0])
+            levels[total_l] = np.sort(scipy.sparse.linalg.eigsh(block, k=6, which="SA",
+                                                                v0=v0)[0])
+    e0 = min(vals[0] for vals in levels.values())
+    e1 = min(e for vals in levels.values() for e in vals if e > e0 + DEGENERACY_TOL)
+    for total_l, vals in levels.items():  # Lanczos solved far enough past E1
+        assert len(vals) == rotorsim.spectra._block(spec, total_l).dimension or vals[-1] > e1 + 0.1
+    return e1 - e0, sum((2 * total_l + 1) * int(np.sum(np.abs(vals - e1) < DEGENERACY_TOL))
+                        for total_l, vals in levels.items())
+
+
+# 1-8x1, 2-4x2 and 2-3x3, open and periodic
+MASS_GAP_GRID = [ChainSpec(n, l_max, boundary=boundary)
+                 for l_max, sizes in ((1, range(1, 9)), (2, range(2, 5)), (3, (2, 3)))
+                 for n in sizes for boundary in ("open", "periodic")
+                 if boundary == "open" or n >= 3]
+
+
 def sector0_casimir(spec):
     """Independent oracle: the Kronecker-built total L^2 on the M = 0 sector, dense."""
     return oracle_casimir(spec).restrict(oracle_sectors(spec)[0]).matrix.toarray()
@@ -97,11 +133,11 @@ class TestLowestEigenpairs:
     def test_dense_and_iterative_agree_dim_1024(self, monkeypatch):
         op = full_hamiltonian(ChainSpec(5, 1, kappa=0.7))
         assert op.dimension == 1024
-        dense = lowest_eigenpairs(op, k=5)
-        assert dense.method == "dense"
-        monkeypatch.setattr(rotorsim.spectra, "DENSE_CUTOFF", 8)
         iterative = lowest_eigenpairs(op, k=5)
         assert iterative.method == "iterative"
+        monkeypatch.setattr(rotorsim.spectra, "DENSE_CUTOFF", 1024)
+        dense = lowest_eigenpairs(op, k=5)
+        assert dense.method == "dense"
         assert np.abs(dense.eigenvalues - iterative.eigenvalues).max() < 1e-8
 
     def test_residual_norms(self):
@@ -124,17 +160,58 @@ class TestLowestEigenpairs:
         assert np.array_equal(res.eigenvectors.T @ res.eigenvectors, np.eye(8))
         assert res.residual_norms.max() == 0.0
 
-    def test_lowest_level_of_a_degenerate_block_above_256_states_by_lanczos(self):
+    def test_lowest_levels_of_a_degenerate_block_above_256_states_by_lanczos(self):
         # the L = 0 block of periodic 7x1 has 429 states and exactly degenerate levels
-        # (momenta +-p); k = 1 goes to Lanczos above 256 states and never misses the lowest
+        # (momenta +-p); every k goes to Lanczos above 256 states, and the
+        # deflation check finds each copy
         block = build_hamiltonian(sector_basis(ChainSpec(7, 1, kappa=1.0, boundary="periodic"),
                                                0, coupled=True))
         dense = np.linalg.eigvalsh(block.matrix.toarray())
         assert block.dimension == 429 and np.min(np.diff(dense[:4])) < 1e-12
-        res = lowest_eigenpairs(block, 1)
-        assert res.method == "iterative"
-        assert res.eigenvalues[0] == pytest.approx(dense[0], abs=1e-12)
-        assert lowest_eigenpairs(block, 2).method == "dense"  # k > 1 keeps DENSE_CUTOFF
+        for k in (1, 2, 3, 4):
+            res = lowest_eigenpairs(block, k)
+            assert res.method == "iterative"
+            assert np.abs(res.eigenvalues - dense[:k]).max() <= 1e-12
+
+    def test_skipped_copy_of_a_degenerate_level_is_found(self):
+        # one Lanczos run for k = 8 on this 3432-state sector returns 14.891458 as
+        # its 8th level; the deflated run finds the second copy of 14.868111
+        op = build_hamiltonian(sector_basis(ChainSpec(7, 1, kappa=1.0, boundary="periodic"), 0))
+        res = lowest_eigenpairs(op, 8)
+        assert op.dimension == 3432 and res.method == "iterative"
+        assert res.eigenvalues[-2:] == pytest.approx([14.868111, 14.868111], abs=1e-6)
+        assert res.eigenvalues[-1] - res.eigenvalues[-2] < 1e-10
+        assert np.all(res.residual_norms <= RESIDUAL_TOL)
+        assert abs(res.eigenvectors.T @ res.eigenvectors - np.eye(8)).max() < 1e-10
+
+    @pytest.mark.parametrize("spec", [
+        ChainSpec(n, l, kappa=1.349, boundary="periodic")
+        for n, l in ((3, 1), (4, 1), (5, 1), (6, 1), (7, 1), (3, 2), (4, 2), (3, 3))
+    ], ids=lambda spec: f"{spec.n_sites}x{spec.l_max}")
+    def test_lanczos_levels_match_dense_on_periodic_blocks(self, spec, monkeypatch):
+        # periodic chains hold exactly degenerate pairs (momenta +-p) in every block
+        monkeypatch.setattr(rotorsim.spectra, "DENSE_CUTOFF", 4)
+        for total_l in range(3):
+            block = build_hamiltonian(sector_basis(spec, total_l, coupled=True))
+            dense = np.linalg.eigvalsh(block.matrix.toarray())
+            for k in (8, 16, 24, 40):
+                if k >= block.dimension:
+                    continue
+                res = lowest_eigenpairs(block, k)
+                assert res.method == "iterative"
+                assert np.abs(res.eigenvalues - dense[:k]).max() <= 1e-9 * max(1.0, abs(dense[k]))
+
+    def test_deflation_shift_that_overflows_is_refused(self, monkeypatch):
+        # a row sum past the float range would turn H + s V V^T into inf and NaN;
+        # the residual gate is bypassed here so that the check is reached
+        n = 300
+        matrix = scipy.sparse.diags([-np.ones(n - 1), np.arange(n, dtype=float), -np.ones(n - 1)],
+                                    [-1, 0, 1], format="lil")
+        matrix[n - 1, n - 1] = matrix[n - 1, 0] = matrix[0, n - 1] = 1e308
+        monkeypatch.setattr(rotorsim.spectra, "_gated_residuals",
+                            lambda op, method, vals, vecs: np.zeros(len(vals)))
+        with pytest.raises(NonConvergenceError, match="deflation shift of a 300-state operator"):
+            lowest_eigenpairs(SparseOperator(n, scipy.sparse.csr_matrix(matrix)), 2)
 
     def test_rejects_bad_k(self):
         op = full_hamiltonian(ChainSpec(1, 1))
@@ -193,6 +270,8 @@ class TestDenseSubset:
                                       ChainSpec(4, 2, kappa=1.0, boundary="periodic")],
                              ids=["3x2", "4x2-free", "4x2-periodic"])
     def test_mass_gap_solves(self, spec, monkeypatch):
+        # every block of these chains is dense below a cutoff of 2048 states
+        monkeypatch.setattr(rotorsim.spectra, "DENSE_CUTOFF", 2048)
         solved = []
 
         def recording(op, k, _solve=rotorsim.spectra.lowest_eigenpairs):
@@ -200,8 +279,8 @@ class TestDenseSubset:
             return solved[-1][2]
         monkeypatch.setattr(rotorsim.spectra, "lowest_eigenpairs", recording)
         mass_gap(spec)
-        # the free 4x2 chain doubles its window from k = 3 on
-        assert len(solved) >= 1 + (spec.kappa == 0.0)
+        # the blocks L = 0 .. 2 at least; the free 4x2 chain doubles k on its E1 block
+        assert len(solved) >= 3 + (spec.kappa == 0.0)
         for op, k, res in solved:
             assert_first_k_of_full(op, k, res)
 
@@ -234,13 +313,13 @@ class TestSpectrum:
                     for l_max in (1, 2, 3)]
         assert energies[0] >= energies[1] >= energies[2]
 
-    @pytest.mark.parametrize("n_sites, method", [(6, "dense"), (7, "iterative")])
+    @pytest.mark.parametrize("n_sites, method", [(5, "dense"), (6, "iterative")])
     def test_method_label_says_what_ran(self, n_sites, method):
-        # 6x1 has dimension 4096 but no sector above 924 states
+        # 5x1 has no total-L block above 90 states, 6x1 one of 297 and one of 275
         assert spectrum(ChainSpec(n_sites, 1, kappa=0.5), k=2).method == method
 
     def test_method_label_of_diagonal_sectors(self):
-        # at kappa = 0 the 7x1 sectors above DENSE_CUTOFF are read off the diagonal
+        # at kappa = 0 the 7x1 blocks above DENSE_CUTOFF are read off the diagonal
         assert spectrum(ChainSpec(7, 1, kappa=0.0), k=2).method == "diagonal"
 
     @pytest.mark.parametrize("k", [0, -1])
@@ -271,19 +350,39 @@ class TestSpectrum:
         assert spectrum(ChainSpec(2, 1, kappa=0.0), k=1, mu_tilde=-2.0).sector_labels[0] == -2
 
     def test_rounding_noise_ties_are_ordered_by_label(self):
-        # 4.8 five times: the three E = 8.8 levels of M = 2 and the two E = 6.8
-        # levels of M = 1, shifted by -2M; the computed values differ by ~1e-15
+        # 4.8 five times: the M = 2 members of three E = 8.8 multiplets and the
+        # M = 1 members of two E = 6.8 ones, shifted by -2M; the computed values
+        # differ by ~1e-15 between blocks
         spec, mu = ChainSpec(3, 1, kappa=0.7), 2.0
         res = spectrum(spec, k=20, mu_tilde=mu)
         tied = np.abs(res.eigenvalues - 4.8) < 1e-10
         assert list(res.sector_labels[tied]) == [1, 1, 2, 2, 2]
-        # the levels themselves are the sector solves' levels, bit for bit
+        # the levels themselves are the block solves' levels, bit for bit
         levels = []
-        for m in range(spec.n_sites * spec.l_max + 1):
+        for total_l in range(spec.n_sites * spec.l_max + 1):
+            block = rotorsim.spectra._block(spec, total_l)
             levels += [(e - mu * label, label)
-                       for e in rotorsim.spectra._solve_sector(spec, m, 20).eigenvalues
-                       for label in ((m, -m) if m else (0,))]
+                       for e in lowest_eigenpairs(block, min(20, block.dimension)).eigenvalues
+                       for label in range(-total_l, total_l + 1)]
         assert sorted(zip(res.eigenvalues, res.sector_labels)) == sorted(levels)[:20]
+
+    @pytest.mark.parametrize("spec", [ChainSpec(3, 2, kappa=0.7), ChainSpec(4, 1, kappa=1.349,
+                                                                             boundary="periodic"),
+                                      ChainSpec(6, 1, kappa=1.0)],
+                             ids=["3x2", "4x1-periodic", "6x1"])
+    def test_members_of_a_multiplet_are_equal_bit_for_bit(self, spec):
+        # a level of block L enters once per M = -L .. L: grouped by exact value,
+        # every group holds as many members at M as at -M, and no fewer at M than
+        # at M + 1 (each multiplet fills -L .. L); a member off by one rounding
+        # step would split its multiplet's group
+        k = 60
+        res = spectrum(spec, k=k)
+        whole = res.eigenvalues < res.eigenvalues[-1]  # the last energy may be cut by k
+        for energy in np.unique(res.eigenvalues[whole]):
+            labels = res.sector_labels[res.eigenvalues == energy]
+            counts = [np.count_nonzero(labels == m) for m in range(-labels.max(), labels.max() + 1)]
+            assert counts == counts[::-1], (energy, labels)
+            assert counts[len(counts) // 2:] == sorted(counts[len(counts) // 2:], reverse=True)
 
     def test_global_ground_equals_sector_minimum(self):
         spec = ChainSpec(3, 1, kappa=0.9)
@@ -309,13 +408,15 @@ class TestGroundState:
             label, abs=1e-10)
 
     def test_solve_cap_bounds_k_times_dimension(self, monkeypatch):
-        # 8^2 = 64 stored values: the 70-state M = 0 block of 4x1 is refused
-        # for k = 1, the 56-state M = 1 block admitted
-        monkeypatch.setattr(rotorsim.spectra, "DYNAMICS_DIM_CAP", 8)
+        # 4^2 = 16 stored values: the 28-state L = 1 block of 4x1 is refused
+        # for k = 1, the 14-state L = 0 block admitted, but not for k = 2
+        monkeypatch.setattr(rotorsim.spectra, "DYNAMICS_DIM_CAP", 4)
         spec = ChainSpec(4, 1, kappa=1.0)
-        with pytest.raises(DimensionCapError, match=r"solve cap k \* dimension <= 8\^2"):
-            rotorsim.spectra._solve_sector(spec, 0, 1)
-        block = build_hamiltonian(sector_basis(spec, 1))
+        with pytest.raises(DimensionCapError, match=r"^1 levels of a 28-state operator exceed "
+                                                    r"the solve cap k \* dimension <= 4\^2$"):
+            spectrum(spec, 1)
+        block = rotorsim.spectra._block(spec, 0)
+        assert block.dimension == 14
         assert lowest_eigenpairs(block, 1).eigenvalues.shape == (1,)
         with pytest.raises(DimensionCapError):
             lowest_eigenpairs(block, 2)
@@ -422,6 +523,19 @@ class TestMassGap:
         assert gap == pytest.approx(oracle_gap, abs=1e-10)
         assert degeneracy == oracle_degeneracy
 
+    @pytest.mark.parametrize("kappa", [0.0, 0.5, 1.349])
+    @pytest.mark.parametrize("spec", MASS_GAP_GRID,
+                             ids=lambda s: f"{s.n_sites}x{s.l_max}-{s.boundary}")
+    def test_matches_the_oracles_on_the_grid(self, spec, kappa):
+        # the stop above E1 is checked here: the oracles solve every sector or block
+        spec = replace(spec, kappa=kappa)
+        gap, degeneracy = mass_gap(spec)
+        oracle = dense_gap(spec) if spec.site_dim**spec.n_sites <= 6561 else block_gap(spec)
+        assert gap == pytest.approx(oracle[0], abs=1e-10)
+        assert degeneracy == oracle[1]
+        if kappa == 0.0:
+            assert (gap, degeneracy) == (2.0, 3 * spec.n_sites)
+
     @pytest.mark.parametrize("spec", [
         ChainSpec(4, 1, kappa=0.7, boundary="periodic"),
         ChainSpec(3, 2, kappa=1.3),
@@ -463,47 +577,47 @@ class TestMassGap:
             raising_operator(sector_basis(spec, m))
 
     @pytest.mark.parametrize("spec, degeneracy, solves", [
-        # at kappa = 0 the sector-0 window doubles (k = 3, 6) on one build of H
-        (ChainSpec(4, 1, kappa=0.0), 12, [(70, 3), (70, 6)]),
-        (ChainSpec(8, 1, kappa=1.0), 3, [(12870, 3)]),
+        # L = 2 lies above E1 = 2 and stops the scan; at kappa = 0 k doubles on
+        # the L = 1 block until a level lies above its 4 copies of E1
+        (ChainSpec(4, 1, kappa=0.0), 12, [(14, 2), (28, 1), (20, 1), (28, 2), (28, 4), (28, 8)]),
+        (ChainSpec(8, 1, kappa=1.0), 3, [(1430, 2), (3432, 1), (3640, 1), (3432, 2)]),
     ])
-    def test_builds_and_solves_sector_0_only(self, spec, degeneracy, solves, monkeypatch):
+    def test_builds_each_block_once_and_stops_above_e1(self, spec, degeneracy, solves,
+                                                        monkeypatch):
         built = []
 
         def counted(basis, _build=rotorsim.spectra.build_hamiltonian):
-            built.append(list(basis.codes))
+            built.append((basis.coupled, list(basis.codes)))
             return _build(basis)
         monkeypatch.setattr(rotorsim.spectra, "build_hamiltonian", counted)
         solved = record_solves(monkeypatch)
         assert mass_gap(spec)[1] == degeneracy
-        assert built == [list(sector_basis(spec, 0).codes)]
+        assert built == [(True, list(sector_basis(spec, total_l, coupled=True).codes))
+                         for total_l in range(3)]
         assert solved == solves
 
-    def test_mixed_e1_vector_is_refused(self, monkeypatch):
-        # a normalized mix of the singlet E0 and triplet E1 vectors has
-        # <L^2> = 1, i.e. no integral L: the degeneracy must not be read off it
+    def test_reads_levels_not_vectors(self, monkeypatch):
+        # a normalized mix of the singlet E0 and triplet E1 vectors in every solve
+        # leaves the gap and the degeneracy as they were: only levels are read
+        spec = ChainSpec(3, 1, kappa=1.0)
+        expected = mass_gap(spec)
+
         def mixing(op, k, _solve=rotorsim.spectra.lowest_eigenpairs):
             res = _solve(op, k)
-            vecs = res.eigenvectors
-            vecs[:, 1] = (vecs[:, 0] + vecs[:, 1]) / math.sqrt(2.0)
+            res.eigenvectors[:, -1] = (res.eigenvectors[:, 0] + res.eigenvectors[:, -1]) / 2.0
             return res
         monkeypatch.setattr(rotorsim.spectra, "lowest_eigenpairs", mixing)
-        with pytest.raises(NonConvergenceError, match="non-integral L"):
-            mass_gap(ChainSpec(3, 1, kappa=1.0))
+        assert mass_gap(spec) == expected
 
     def test_degeneracy_counts_2l_plus_1_members_per_multiplet(self, monkeypatch):
-        # every E1 multiplet of the chain is a triplet, so here the two E1 vectors
-        # of sector 0 (2x2 at kappa = 0) are swapped for two L = 2 vectors of the
-        # Kronecker-built L^2: they must count as 2 * 5 members, not 2 * 3
-        spec = ChainSpec(2, 2, kappa=0.0)
-        values, v = np.linalg.eigh(sector0_casimir(spec))
-        quintets = v[:, np.abs(values - 6.0) < 1e-9][:, :2]
+        # every E1 multiplet of the chain is a triplet, so here the blocks L = 1
+        # and L = 2 of 2x1 at kappa = 0 trade places: E1 = 2 then lies twice in
+        # the block read as L = 2 and must count as 2 * 5 members, not 2 * 3
+        spec = ChainSpec(2, 1, kappa=0.0)
 
-        def swapping(op, k, _solve=rotorsim.spectra.lowest_eigenpairs):
-            res = _solve(op, k)
-            res.eigenvectors[:, 1:3] = quintets
-            return res
-        monkeypatch.setattr(rotorsim.spectra, "lowest_eigenpairs", swapping)
+        def swapped(spec, total_l, _block=rotorsim.spectra._block):
+            return _block(spec, {1: 2, 2: 1}.get(total_l, total_l))
+        monkeypatch.setattr(rotorsim.spectra, "_block", swapped)
         assert mass_gap(spec) == (2.0, 10)
 
     @pytest.mark.parametrize("spec, hopping", [
