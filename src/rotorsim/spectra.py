@@ -308,10 +308,10 @@ def charge_scan(spec: ChainSpec, mu_grid) -> ChargeScan:
     mu = 0, the ground energy is min_M (E_M - mu M) and the ground charge
     the smallest M within TIE_TOL * max(1, |E|) of it. Sector M holds one
     member of each multiplet with L >= M, so E_M = min over L >= M of E_0(L),
-    the lowest level of block L (_block), each solved for one level. critical_mu = min_{M>=1} (E_M - E_0) / M, None when no grid
-    point is charged. A grid of bools raises InvalidSpecError; one that is not
-    finite, ascending and non-negative, or whose mu * M overflows at
-    M = N l_max, ValueError.
+    the lowest level of block L (_block). critical_mu = min_{M>=1} (E_M - E_0)
+    / M, None when no grid point is charged. A grid of bools raises
+    InvalidSpecError; one that is not finite, ascending and non-negative, or
+    whose mu * M overflows at M = N l_max, ValueError.
     """
     if any(isinstance(mu, (bool, np.bool_)) for mu in np.ravel(np.asarray(mu_grid, dtype=object))):
         raise InvalidSpecError("mu_grid must hold numbers, not bools")
