@@ -38,8 +38,12 @@ __all__ = [
     "correlation_profile",
 ]
 
-# a solve goes to Lanczos above this many states, for every k: the measured crossover
-DENSE_CUTOFF = 256
+# a solve goes to Lanczos above this many states, for every k. On total-L blocks
+# of 154-1044 states (2 cores, one BLAS thread) dense eigh stayed faster up to
+# about 256 states at k = 1, 400 at k = 2, 512 at k = 8 and 640 at k = 40
+# (Lanczos timed with its deflation check); of one value, 384 kept the summed
+# solve time of each k within 18% of always taking the faster solver
+DENSE_CUTOFF = 384
 RESIDUAL_TOL = 1e-8
 DEGENERACY_TOL = 1e-6
 # spectrum orders levels within TIE_TOL * max(1, |E|) of each other by label, and

@@ -160,9 +160,9 @@ class TestLowestEigenpairs:
         assert np.array_equal(res.eigenvectors.T @ res.eigenvectors, np.eye(8))
         assert res.residual_norms.max() == 0.0
 
-    def test_lowest_levels_of_a_degenerate_block_above_256_states_by_lanczos(self):
+    def test_lowest_levels_of_a_degenerate_block_above_the_cutoff_by_lanczos(self):
         # the L = 0 block of periodic 7x1 has 429 states and exactly degenerate levels
-        # (momenta +-p); every k goes to Lanczos above 256 states, and the
+        # (momenta +-p); every k goes to Lanczos above DENSE_CUTOFF, and the
         # deflation check finds each copy
         block = build_hamiltonian(sector_basis(ChainSpec(7, 1, kappa=1.0, boundary="periodic"),
                                                0, coupled=True))
@@ -208,6 +208,7 @@ class TestLowestEigenpairs:
         matrix = scipy.sparse.diags([-np.ones(n - 1), np.arange(n, dtype=float), -np.ones(n - 1)],
                                     [-1, 0, 1], format="lil")
         matrix[n - 1, n - 1] = matrix[n - 1, 0] = matrix[0, n - 1] = 1e308
+        monkeypatch.setattr(rotorsim.spectra, "DENSE_CUTOFF", 4)
         monkeypatch.setattr(rotorsim.spectra, "_gated_residuals",
                             lambda op, method, vals, vecs: np.zeros(len(vals)))
         with pytest.raises(NonConvergenceError, match="deflation shift of a 300-state operator"):
@@ -313,9 +314,9 @@ class TestSpectrum:
                     for l_max in (1, 2, 3)]
         assert energies[0] >= energies[1] >= energies[2]
 
-    @pytest.mark.parametrize("n_sites, method", [(5, "dense"), (6, "iterative")])
+    @pytest.mark.parametrize("n_sites, method", [(6, "dense"), (7, "iterative")])
     def test_method_label_says_what_ran(self, n_sites, method):
-        # 5x1 has no total-L block above 90 states, 6x1 one of 297 and one of 275
+        # 6x1 has no total-L block above 297 states, 7x1 four of 429 to 1001
         assert spectrum(ChainSpec(n_sites, 1, kappa=0.5), k=2).method == method
 
     def test_method_label_of_diagonal_sectors(self):
@@ -595,19 +596,6 @@ class TestMassGap:
         assert built == [(True, list(sector_basis(spec, total_l, coupled=True).codes))
                          for total_l in range(3)]
         assert solved == solves
-
-    def test_reads_levels_not_vectors(self, monkeypatch):
-        # a normalized mix of the singlet E0 and triplet E1 vectors in every solve
-        # leaves the gap and the degeneracy as they were: only levels are read
-        spec = ChainSpec(3, 1, kappa=1.0)
-        expected = mass_gap(spec)
-
-        def mixing(op, k, _solve=rotorsim.spectra.lowest_eigenpairs):
-            res = _solve(op, k)
-            res.eigenvectors[:, -1] = (res.eigenvectors[:, 0] + res.eigenvectors[:, -1]) / 2.0
-            return res
-        monkeypatch.setattr(rotorsim.spectra, "lowest_eigenpairs", mixing)
-        assert mass_gap(spec) == expected
 
     def test_degeneracy_counts_2l_plus_1_members_per_multiplet(self, monkeypatch):
         # every E1 multiplet of the chain is a triplet, so here the blocks L = 1
