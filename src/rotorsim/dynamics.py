@@ -4,12 +4,11 @@ Time is measured in units of hbar/E0. The Hamiltonian along the ramp is
 H(t) = sum_i L_i^2 + kappa(t) * B with B the bond operator, so only a
 single scalar varies and dH/dt = kappa'(t) * B.
 
-H(t) conserves total M and L^2 and commutes with the pi rotation R and the
-site reflection P (see rotorsim.lattice), and the ramp starts in the M = 0
-ground state, a singlet in the (R+, P+) block of that sector. K and B are
-dense on the M = 0 sector, whose size DYNAMICS_DIM_CAP bounds, in _ramp_setup
-alone, and the time steps run on the singlets of its (R+, P+) block (3 states
-on 3x1 and 2x2, 76 of 924 on 6x1). DYNAMICS_STEP_CAP bounds the step count.
+H(t) commutes with the total angular momentum and the site reflection P, and
+the ramp starts in the ground state, a singlet with P = +1: the time steps run
+on the P+ part of the coupled L = 0 block (3 states on 3x1 and 2x2, 76 on
+6x1). DYNAMICS_DIM_CAP bounds the M = 0 sector, on which _ramp_setup alone
+holds K and B dense, and DYNAMICS_STEP_CAP the step count.
 
 kappa(t) is a known schedule, so each fixed-dt pass diagonalizes its H(t)
 ahead of the state loop in stacked eigh chunks that double up to a byte
@@ -26,7 +25,7 @@ import numpy as np
 from .constants import CODATA2018
 from .design import Geometry, rotational_quantum
 from .lattice import (DYNAMICS_DIM_CAP, ChainSpec, DimensionCapError, build_interaction,
-                      build_kinetic, even_block, raising_operator, sector_basis)
+                      build_kinetic, reflection, sector_basis)
 
 __all__ = [
     "DYNAMICS_DIM_CAP",
@@ -48,7 +47,7 @@ DEGENERATE_GAP = 1e-9
 # rate * B|psi0> is squared inside the norm of the adiabatic matrix element
 RATE_NORM_LIMIT = math.sqrt(sys.float_info.max)
 # bytes of float64 matrices in one stacked eigh of the time steps: chunks of
-# up to 303 steps on the 3-singlet blocks of 3x1 and 2x2, 1 step from 37 states up
+# up to 303 steps on the 3-state blocks of 3x1 and 2x2, 1 step from 37 states up
 _CHUNK_BYTES = 64 * 1024
 
 
@@ -132,37 +131,37 @@ def _check_rate(schedule, bond):
 
 
 def _ramp_setup(spec, schedule):
-    """(K, B) on the singlet block, the end states there and the adiabatic ratio.
+    """(K, B) on the ramp's block, the end states there and the adiabatic ratio.
 
-    The one holder of K and B dense on the M = 0 sector, built after its
-    size is checked against DYNAMICS_DIM_CAP; _check_rate runs on B. The
-    singlet block is V S, V = even_block: at M = 0, W^T W with W = L_+ V is
-    L^2 on the (R+, P+) block, with eigenvalues l(l + 1) at even l, and S
-    holds its eigenvectors below 1. An end state (the sector's ground state
-    at kappa_start or kappa_end) whose projection's norm is off 1 by more
-    than 1e-12 is refused (ValueError). The ratio is adiabatic_ratio of K and
-    B, NaN at a degenerate gap.
+    The one holder of K and B dense on the M = 0 sector, built after its size
+    is checked against DYNAMICS_DIM_CAP, for _check_rate, the end-state guard
+    and adiabatic_ratio (NaN at a degenerate gap). The block is the P+ part of
+    the L = 0 block, spanned by P's +1 eigenvectors S ordered so that S^T K S
+    is diagonal and ascending, which speeds the small step solves. An end state
+    (the block's ground state at kappa_start or kappa_end) whose level is off
+    the sector's lowest by more than 1e-9 * max(1, |E|) is refused (ValueError).
     """
-    basis = sector_basis(spec, 0)
-    if len(basis.codes) > DYNAMICS_DIM_CAP:
-        raise DimensionCapError(f"M = 0 sector dimension {len(basis.codes)} exceeds the "
+    sector = sector_basis(spec, 0)
+    if len(sector.codes) > DYNAMICS_DIM_CAP:
+        raise DimensionCapError(f"M = 0 sector dimension {len(sector.codes)} exceeds the "
                                 f"dynamics cap {DYNAMICS_DIM_CAP}")
-    kinetic = build_kinetic(basis).matrix.toarray()
-    bond = build_interaction(basis).matrix.toarray()
+    kinetic = build_kinetic(sector).matrix.toarray()
+    bond = build_interaction(sector).matrix.toarray()
     _check_rate(schedule, bond)
-    v = even_block(basis)
-    w = raising_operator(basis) @ v
-    vals, vecs = np.linalg.eigh((w.T @ w).toarray())
-    s = vecs[:, vals < 1.0]
+    block = sector_basis(spec, 0, coupled=True)
+    vals, vecs = np.linalg.eigh(reflection(block).toarray())
+    s = vecs[:, vals > 0]
+    s = s @ np.linalg.eigh(s.T @ (build_kinetic(block).matrix @ s))[1]  # K commutes with P
+    k_block, b_block = (s.T @ (build(block).matrix @ s) for build in (build_kinetic,
+                                                                       build_interaction))
     ends = []
     for kappa in (schedule.kappa_start, schedule.kappa_end):
-        ground = s.T @ (v.T @ np.linalg.eigh(kinetic + kappa * bond)[1][:, 0])
-        if abs(np.linalg.norm(ground) - 1.0) > 1e-12:
+        levels, states = np.linalg.eigh(k_block + kappa * b_block)
+        lowest = np.linalg.eigvalsh(kinetic + kappa * bond)[0]
+        if abs(levels[0] - lowest) > 1e-9 * max(1.0, abs(lowest)):
             raise ValueError(f"the M = 0 ground state at kappa = {kappa:.9g} is not in the "
-                             "(R+, P+) block's singlets")
-        ends.append(ground)
-    # K and B are symmetric, so (V^T K)^T = K V
-    k_block, b_block = (s.T @ (v.T @ (v.T @ part).T) @ s for part in (kinetic, bond))
+                             "P+ part of the L = 0 block")
+        ends.append(states[:, 0])
     try:
         max_ratio = adiabatic_ratio(schedule, kinetic, bond)
     except ValueError:
@@ -211,8 +210,8 @@ def propagate(spec: ChainSpec, schedule: RampSchedule, dt: float,
               record_trace: bool = False) -> EvolutionResult:
     """Evolve from the ground state at kappa_start through the ramp.
 
-    Every step and trace row runs on the singlet block of _ramp_setup, which
-    refuses an end state with weight outside it (ValueError). Fixed-step
+    Every step and trace row runs on the block of _ramp_setup, which refuses
+    an end state off the M = 0 sector's lowest level (ValueError). Fixed-step
     unitary stepping with an embedded half-step error estimate; if a step's
     full/half discrepancy exceeds STEP_ERROR_TOL the step size is halved
     (globally, to stay deterministic) and the run restarts, unless the step

@@ -16,12 +16,10 @@ d = (l_max + 1)^2 and site state s_i = l^2 + l + m: site 0 is the slowest
 digit and the code is the state's full-space index. A Basis holds the spec
 and ascending codes; it decodes them into site states once, on first use,
 and locate is the one search of codes, refusing a code outside the basis.
-[H, Q] = 0, so each operator is built on one total-M sector's Basis
-(sector_basis), never on the full space. n_i . n_j has one form on such a Basis,
-its (row, col, value) entries (direction_dots): the bonds of H and of
-build_interaction and the ground-state correlations of rotorsim.spectra
-all read them. ChainSpec's dimension cap still counts d^N, though nothing
-in the package allocates a d^N array any more.
+[H, Q] = 0, so an operator is built on one total-M sector's Basis
+(sector_basis), never on the full space; its bonds read the (row, col, value)
+entries of n_i . n_j (direction_dots). ChainSpec's dimension cap still counts
+d^N, though nothing in the package allocates a d^N array any more.
 
 H also commutes with every component of the total angular momentum L, so it
 is block-diagonal in total L, and each multiplet is solved once in a basis
@@ -29,19 +27,13 @@ that couples the sites one at a time (Edmonds, Angular Momentum in Quantum
 Mechanics, ch. 6-7). A coupling path (l_1 .. l_N; L_1 .. L_N), with L_k in
 L_(k-1) x l_k and L_N = L, is stored as the product-state code with
 m_k = L_k - L_(k-1): sector_basis(spec, L, coupled=True) enumerates exactly
-these codes, Basis.coupled marks them, and build_hamiltonian and
-build_interaction read their bonds as recoupling elements (6j symbols,
-computed exactly in integers) cached per local key met. Sites are coupled in
-coupling_order: in turn on an open chain, folded (0, N-1, 1, N-2, ...) on a
-periodic one, so every bond spans at most two coupling positions. Every level
-of H that rotorsim.spectra reports is solved on these blocks.
-
-Two more symmetries commute with H: the pi rotation about y,
-R = exp(i pi L_y), which maps each site's |l, m> to (-1)^(l-m) |l, -m>, and
-the site reflection P: i -> N-1-i, for open and periodic chains alike. Both
-map the M = 0 sector onto itself, and even_block spans their joint +1
-eigenspace (R+, P+) there, which holds the ground state and the whole ramp:
-spectra.ground_state solves H on it, rotorsim.dynamics propagates in it.
+these codes, Basis.coupled marks them, and their bonds (coupled_dots) are
+recoupling elements (6j symbols, exact in integers) cached per local key met.
+Sites are coupled in coupling_order: in turn on an open chain, folded (0, N-1,
+1, N-2, ...) on a periodic one, so every bond spans at most two positions. A
+swap of two adjacent positions recouples one L_k, from the same kind of table;
+swaps bring two sites together for n_i . n_j, and the site reflection is a
+product of them. rotorsim.spectra and rotorsim.dynamics solve these blocks.
 
 No solver calls sector_decompose, build_charge, build_grand_canonical or
 SparseOperator.restrict, and the package does not export them. They stay
@@ -74,8 +66,9 @@ __all__ = [
     "direction_matrices",
     "sector_basis",
     "coupling_order",
-    "even_block",
-    "raising_operator",
+    "coupled_dots",
+    "swap",
+    "reflection",
     "build_hamiltonian",
     "direction_dots",
     "build_kinetic",
@@ -85,9 +78,9 @@ __all__ = [
 DIM_CAP_ENV = "ROTORSIM_DIM_CAP"
 DEFAULT_DIM_CAP = 2**21
 # M = 0 sector states of a ramp (rotorsim.dynamics); its set-up alone (_ramp_setup)
-# holds K and B dense on the whole sector, 134 MB each at the cap, for the end
-# states and the adiabatic ratio and to project them onto its (R+, P+) block. Its
-# square also bounds k * dimension of every eigensolve (rotorsim.spectra.lowest_eigenpairs).
+# holds K and B dense on the whole sector, 134 MB each at the cap, for the rate
+# check, the end-state guard and the adiabatic ratio. Its square also bounds
+# k * dimension of every eigensolve (rotorsim.spectra.lowest_eigenpairs).
 DYNAMICS_DIM_CAP = 4096
 
 
@@ -301,64 +294,10 @@ def sector_basis(spec: ChainSpec, m: int, coupled: bool = False) -> Basis:
     return Basis(spec, codes, coupled)
 
 
-def _check_product(basis: Basis, name: str):
-    """Refuse a coupled basis (ValueError) in name, which reads codes as product states."""
-    if basis.coupled:
-        raise ValueError(f"{name} reads product states; the basis is a coupled block")
-
-
 def sector_decompose(spec: ChainSpec) -> dict:
     """sector_basis of every total M, from -N l_max to N l_max."""
     max_m = spec.n_sites * spec.l_max
     return {m: sector_basis(spec, m) for m in range(-max_m, max_m + 1)}
-
-
-def raising_operator(basis: Basis) -> sp.csr_matrix:
-    """L_+ = sum_i L_i^+ from the M = 0 sector_basis onto sector_basis(spec, 1).
-
-    L_i^+ adds d^(N-1-i) to a code with coefficient sqrt(l(l+1) - m(m+1)); the
-    raised codes are located in sector 1, which is never decoded, and a code
-    raised out of it is refused, and so is a coupled basis. Only the ramp
-    (rotorsim.dynamics) uses it, to find the singlets of the (R+, P+) block.
-    """
-    _check_product(basis, "raising_operator")
-    states = basis.states
-    coefficient = np.sqrt([l * (l + 1.0) - m * (m + 1.0) for l, m in site_basis(basis.spec.l_max)])
-    site, col = np.nonzero(coefficient[states])
-    target = sector_basis(basis.spec, 1)
-    row = target.locate(basis.codes[col] + basis.powers[site],
-                        "L_+ takes the basis out of sector 1; pass the M = 0 sector_basis")
-    return sp.csr_matrix((coefficient[states[site, col]], (row, col)),
-                         (len(target.codes), len(basis.codes)))
-
-
-def even_block(basis: Basis) -> sp.csc_matrix:
-    """Isometry V (len(codes) x b) onto the (R+, P+) block of the M = 0 sector_basis.
-
-    Column j is (1 + R)(1 + P)/4 applied to the smallest code of one orbit
-    under {1, R, P, RP}, normalized; orbits it annihilates are dropped, so the
-    entries are exactly +-1, +-1/sqrt(2) or +-1/2. R maps sector M to -M, so
-    any basis but the M = 0 sector is refused as not closed under R, and a
-    coupled basis as such.
-    """
-    _check_product(basis, "even_block")
-    site_states = site_basis(basis.spec.l_max)
-    flip = np.array([site_index(l, -m) for l, m in site_states])
-    odd = np.array([(l - m) % 2 for l, m in site_states])
-    states, powers = basis.states, basis.powers
-    flipped = flip[states]
-    images = np.stack([powers @ flipped, powers @ states[::-1], powers @ flipped[::-1]])
-    index = basis.locate(images, "the basis is not closed under R and P; "
-                                 "pass the M = 0 sector_basis")
-    # R, P and RP are involutions: an orbit's smallest position is its representative
-    rep = np.flatnonzero(np.arange(len(basis.codes)) <= index.min(axis=0))
-    sign = 1.0 - 2.0 * (odd[states].sum(axis=0)[rep] % 2)  # R and RP; P has none
-    rows = np.concatenate([rep, *index[:, rep]])
-    values = np.concatenate([np.ones(len(rep)), sign, np.ones(len(rep)), sign])
-    cols = np.tile(np.arange(len(rep)), 4)
-    block = sp.csc_matrix((values, (rows, cols)), shape=(len(basis.codes), len(rep)))
-    norms = np.sqrt(np.asarray(block.multiply(block).sum(axis=0)).ravel())
-    return sp.csc_matrix(block[:, norms > 0] @ sp.diags(1.0 / norms[norms > 0]))
 
 
 @functools.cache
@@ -398,7 +337,8 @@ def direction_dots(basis: Basis, pairs):
     A site index outside 0 .. N - 1 raises ValueError naming the pair, and a
     coupled basis ValueError.
     """
-    _check_product(basis, "direction_dots")
+    if basis.coupled:
+        raise ValueError("direction_dots reads product states; the basis is a coupled block")
     states = basis.states
     for i, j in pairs:
         if not (0 <= i < basis.spec.n_sites and 0 <= j < basis.spec.n_sites):
@@ -512,58 +452,109 @@ def _recoupled(l_max: int, span: int, key: int) -> list:
     return entries
 
 
-# (l_max, span) -> {key: its _recoupled entries}, for every key met so far
+def _swapped(l_max: int, key: int) -> list:
+    """(local code change, value) of every entry of the swap of positions p, p + 1 from one key.
+
+    The key is a span-1 bond's (_recoupled). Sites l_1 at p and l_2 at p + 1
+    trade places and L_p recouples to L_p' by the symmetric (-1)^(l_1 + l_2 +
+    L_p + L_p') sqrt((2 L_p + 1)(2 L_p' + 1)) {L_(p-1) l_1 L_p; L_(p+1) l_2 L_p'}.
+    """
+    d, states = (l_max + 1) ** 2, site_basis(l_max)
+    above, local = key // d**2, key % d**2
+    (l1, m1), (l2, m2) = states[local // d], states[local % d]
+    big_l, total = above + m1, above + m1 + m2
+    entries = []
+    for new_l in range(abs(above - l2), above + l2 + 1):
+        value = ((-1) ** (l1 + l2 + big_l + new_l) * math.sqrt((2 * big_l + 1) * (2 * new_l + 1))
+                 * _six_j(above, l1, big_l, total, l2, new_l))
+        if value != 0.0:  # 0 when l_1 does not couple L_p' to L_(p+1)
+            change = site_index(l2, new_l - above) * d + site_index(l1, total - new_l) - local
+            entries.append((change, value))
+    return entries
+
+
+# (l_max, kind) -> {key: its entries}, for every key met so far; kind is a bond's
+# span 1 or 2 (_recoupled) or "swap" (_swapped)
 _recoupling_entries = {}
-# (l_max, span) -> the same entries as arrays: (keys, indptr, change, value)
+# (l_max, kind) -> the same entries as arrays: (keys, indptr, change, value)
 _recoupling_arrays = {}
 
 
-def _recoupling_table(l_max: int, span: int, keys: np.ndarray):
-    """(row of each key, indptr, change, value) of C_p . C_(p+span); keys not met yet are added.
+def _recoupling_table(l_max: int, kind, keys: np.ndarray):
+    """(row of each key, indptr, change, value) of a table kind; keys not met yet are added.
 
     Entries indptr[row]:indptr[row + 1] belong to key row; change is the code
-    change of positions p .. p + span, read as one number with digits base d.
+    change of the positions the key reads, as one number with digits base d.
     """
-    table = _recoupling_arrays.get((l_max, span))
+    table = _recoupling_arrays.get((l_max, kind))
     if table is not None:
         rows = np.searchsorted(table[0], keys)
         if np.array_equal(table[0].take(rows, mode="clip"), keys):
             return rows, *table[1:]
-    known = _recoupling_entries.setdefault((l_max, span), {})
+    known = _recoupling_entries.setdefault((l_max, kind), {})
     for key in np.unique(keys).tolist():
         if key not in known:
-            known[key] = _recoupled(l_max, span, key)
+            known[key] = _swapped(l_max, key) if kind == "swap" else _recoupled(l_max, kind, key)
     ordered = sorted(known.items())
     entries = [entry for _, key_entries in ordered for entry in key_entries]
-    _recoupling_arrays[(l_max, span)] = (
+    _recoupling_arrays[(l_max, kind)] = (
         np.array([key for key, _ in ordered], dtype=np.int64),
         np.cumsum([0] + [len(key_entries) for _, key_entries in ordered]),
         np.array([change for change, _ in entries], dtype=np.int64),
         np.array([value for _, value in entries], dtype=float))
-    return _recoupling_table(l_max, span, keys)
+    return _recoupling_table(l_max, kind, keys)
 
 
-def _coupled_dots(basis: Basis):
-    """Yield the (row, col, value) entries of n_i . n_j on a coupled basis per bond (i, j).
+def _recoupling(basis: Basis, kind, p: int):
+    """(row, col, value) entries of table kind at positions p .. p + span of a coupled basis.
 
-    A bond joins coupling positions p < q = p + 1 or p + 2 (coupling_order);
-    its key per state is L_(p-1) over the digits of positions p .. q, one
-    gather of _recoupling_table then gives every entry.
+    A state's key is L_(p-1) over the digits of those positions. A product-state
+    basis or positions past the chain raise ValueError.
     """
     spec, states, d = basis.spec, basis.states, basis.spec.site_dim
+    last = p + (1 if kind == "swap" else kind)
+    if not (basis.coupled and 0 <= p < last < spec.n_sites):
+        raise ValueError(f"positions {p} .. {last} need a coupled basis of over {last} sites")
     site_m = np.array([m for _, m in site_basis(spec.l_max)])
-    above = np.vstack([np.zeros(len(basis.codes), dtype=np.int64),
-                       np.cumsum(site_m[states], axis=0)[:-1]])
-    position = np.argsort(coupling_order(spec))
-    for i, j in spec.bonds:
-        p, q = sorted((position[i], position[j]))
-        keys = above[p]
-        for k in range(p, q + 1):
-            keys = keys * d + states[k]
-        rows, indptr, change, value = _recoupling_table(spec.l_max, q - p, keys)
-        col, entry = _expand(indptr[rows], indptr[rows + 1] - indptr[rows])
-        target = basis.codes[col] + change[entry] * basis.powers[q]
-        yield basis.locate(target, "the coupled basis is not a total-L block"), col, value[entry]
+    keys = site_m[states[:p]].sum(axis=0)
+    for k in range(p, last + 1):
+        keys = keys * d + states[k]
+    rows, indptr, change, value = _recoupling_table(spec.l_max, kind, keys)
+    col, entry = _expand(indptr[rows], indptr[rows + 1] - indptr[rows])
+    target = basis.codes[col] + change[entry] * basis.powers[last]
+    return basis.locate(target, "the coupled basis is not a total-L block"), col, value[entry]
+
+
+def coupled_dots(basis: Basis, p: int, q: int):
+    """(row, col, value) entries of n . n at coupling positions p <= q <= p + 2.
+
+    At p = q it is diagonal, one value per l: its l -> l +- 2 parts cancel.
+    """
+    if p != q:
+        return _recoupling(basis, q - p, p)
+    nz, npl, nmi = direction_matrices(basis.spec.l_max)
+    site = (nz @ nz + 0.5 * (npl @ nmi) + 0.5 * (nmi @ npl)).diagonal()
+    rows = np.arange(len(basis.codes))
+    return rows, rows, site[basis.states[p]]
+
+
+def swap(basis: Basis, k: int) -> sp.csr_matrix:
+    """The exchange of the sites at coupling positions k and k + 1: orthogonal, symmetric."""
+    row, col, value = _recoupling(basis, "swap", k)
+    return sp.csr_matrix((value, (row, col)), shape=(len(basis.codes), len(basis.codes)))
+
+
+def reflection(basis: Basis) -> sp.csr_matrix:
+    """The site reflection i -> N - 1 - i on a coupled basis, a product of swaps.
+
+    The bubble reversal on an open chain; the folded order of a periodic one
+    holds sites t and N - 1 - t at positions 2t and 2t + 1, one swap each.
+    """
+    n = basis.spec.n_sites
+    steps = ([k for top in range(n - 1, 0, -1) for k in range(top)]
+             if basis.spec.boundary == "open" else range(0, n - 1, 2))
+    return functools.reduce(lambda product, k: swap(basis, k) @ product, steps,
+                            sp.identity(len(basis.codes), format="csr"))
 
 
 def _operator(diagonal, entries=()) -> SparseOperator:
@@ -578,7 +569,9 @@ def _operator(diagonal, entries=()) -> SparseOperator:
 
 def _bonds(basis: Basis, scale: float) -> list:
     """scale * n_i . n_j entries of every bond; none is diagonal."""
-    dots = _coupled_dots(basis) if basis.coupled else direction_dots(basis, basis.spec.bonds)
+    position = np.argsort(coupling_order(basis.spec))
+    dots = ([coupled_dots(basis, *sorted((position[i], position[j]))) for i, j in basis.spec.bonds]
+            if basis.coupled else direction_dots(basis, basis.spec.bonds))
     return [(row, col, scale * v) for row, col, v in dots]
 
 

@@ -5,8 +5,9 @@ a chemical potential mu_tilde, whose -mu_tilde Q is -mu_tilde M on sector M. H
 commutes with the total angular momentum L, so spectrum, mass_gap and
 charge_scan solve its total-L blocks (_block): a block holds each multiplet
 once, and its level stands for 2L + 1 states, one per M = -L .. L.
-ground_state solves the (R+, P+) block of sector 0 (lattice.even_block), and
-the correlations read <n_i . n_j> off the entries of lattice.direction_dots.
+ground_state solves the L = 0 block, and the correlations read <n_i . n_j>
+there off lattice.coupled_dots, after swaps (lattice.swap) that bring site i
+next to site j.
 """
 
 import math
@@ -18,8 +19,8 @@ import scipy.linalg
 import scipy.sparse.linalg as spla
 
 from .lattice import (DYNAMICS_DIM_CAP, ChainSpec, DimensionCapError, InvalidSpecError,
-                      SparseOperator, build_hamiltonian, check_integer, direction_dots,
-                      env_cap, even_block, sector_basis)
+                      SparseOperator, build_hamiltonian, check_integer, coupled_dots,
+                      coupling_order, env_cap, sector_basis, swap)
 
 __all__ = [
     "DENSE_CUTOFF",
@@ -248,24 +249,16 @@ def spectrum(spec: ChainSpec, k: int, mu_tilde: float = 0.0) -> SpectrumResult:
 
 
 def ground_state(spec: ChainSpec):
-    """Ground state of H as (energy, basis, sector vector).
+    """Ground state of H as (energy, basis, vector), basis = sector_basis(spec, 0, coupled=True).
 
-    The state lies in the M = 0 sector: basis is its sector_basis and the
-    vector its components there. H is solved on the (R+, P+) block
-    V = even_block of that sector alone, as V^T H V, with V u embedded back:
-    the ground state is an SU(2) singlet, whose M = 0 state has
-    R = (-1)^L = +1. That it is also P+ was checked against the dense
-    sector-0 minimum for l_max 1-3, open and periodic chains, kappa 0 to
-    1000 (tests/test_spectra.py), not proven. The ground state of
-    H - mu_tilde Q is H's lowest level on the sector M that
-    spectrum(spec, 1, mu_tilde) labels.
+    That H's lowest level is a singlet was checked against the dense M = 0
+    minimum for l_max 1-3, open and periodic, kappa 0 to 1000
+    (tests/test_spectra.py), not proven. The ground state of H - mu_tilde Q
+    is H's lowest level on the sector M that spectrum(spec, 1, mu_tilde) labels.
     """
-    basis = sector_basis(spec, 0)
-    v = even_block(basis)
-    block = v.T @ build_hamiltonian(basis).matrix @ v  # V^T is CSR, so is the product
-    res = lowest_eigenpairs(SparseOperator(dimension=block.shape[0], matrix=block), 1)
-    # v @ u is a new contiguous vector, unlike a column of the eigenvectors
-    return float(res.eigenvalues[0]), basis, v @ res.eigenvectors[:, 0]
+    basis = sector_basis(spec, 0, coupled=True)
+    res = lowest_eigenpairs(build_hamiltonian(basis), 1)
+    return float(res.eigenvalues[0]), basis, res.eigenvectors[:, 0]
 
 
 def mass_gap(spec: ChainSpec):
@@ -352,9 +345,23 @@ def charge_scan(spec: ChainSpec, mu_grid) -> ChargeScan:
 
 
 def _ground_dots(spec: ChainSpec, pairs) -> np.ndarray:
-    """<n_i . n_j> in the ground state of H per (i, j), read off direction_dots' entries."""
+    """<n_i . n_j> in the ground state of H per (i, j), on its L = 0 block.
+
+    Swaps move the site at the lower coupling position p next to the other, at
+    q, for coupled_dots; a later pair with the same p and a larger q goes on.
+    """
     _, basis, vec = ground_state(spec)
-    return np.array([vec[row] @ (v * vec[col]) for row, col, v in direction_dots(basis, pairs)])
+    position = np.argsort(coupling_order(spec))
+    values, moved = [], {}  # lower position -> (where its site is, the swapped vector)
+    for i, j in pairs:
+        p, q = sorted((position[i], position[j]))
+        at, state = moved[p] if moved.get(p, (q,))[0] < q else (p, vec)
+        while at < q - 1:
+            state, at = swap(basis, at) @ state, at + 1
+        moved[p] = (at, state)
+        row, col, value = coupled_dots(basis, at, q)
+        values.append(state[row] @ (value * state[col]))
+    return np.array(values)
 
 
 def correlation(spec: ChainSpec, i: int, j: int) -> float:

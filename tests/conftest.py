@@ -1,4 +1,5 @@
 import csv
+import functools
 import io
 import json
 import math
@@ -11,7 +12,8 @@ from scipy.special import sph_harm_y
 
 from rotorsim import Geometry
 from rotorsim.dynamics import STEP_ERROR_TOL, EvolutionResult, _ramp_setup, _step_count
-from rotorsim.lattice import SparseOperator, direction_matrices, site_basis, site_index
+from rotorsim.lattice import (SparseOperator, coupling_order, direction_matrices, sector_basis,
+                              site_basis, site_index)
 from rotorsim.spectra import ground_state
 
 MICRO = dict(
@@ -322,12 +324,101 @@ def all_codes(spec):
     return np.arange(spec.dimension, dtype=np.int64)
 
 
+@functools.cache
+def oracle_clebsch_gordan(j1, m1, j2, m2, j, m):
+    """<j1 m1; j2 m2 | j m> of integer arguments by Racah's closed form, in floats."""
+    if (m1 + m2 != m or not abs(j1 - j2) <= j <= j1 + j2
+            or abs(m1) > j1 or abs(m2) > j2 or abs(m) > j):
+        return 0.0
+    f = math.factorial
+    scale = math.sqrt((2 * j + 1) * f(j + j1 - j2) * f(j - j1 + j2) * f(j1 + j2 - j)
+                      * f(j + m) * f(j - m) * f(j1 - m1) * f(j1 + m1) * f(j2 - m2) * f(j2 + m2)
+                      / f(j1 + j2 + j + 1))
+    low, high = max(0, j2 - j - m1, j1 - j + m2), min(j1 + j2 - j, j1 - m1, j2 + m2)
+    return scale * math.fsum((-1) ** k / (f(k) * f(j1 + j2 - j - k) * f(j1 - m1 - k)
+                                          * f(j2 + m2 - k) * f(j - j2 + m1 + k)
+                                          * f(j - j1 - m2 + k)) for k in range(low, high + 1))
+
+
+def oracle_coupled_isometry(basis):
+    """Sparse isometry (product space x block) of a coupled basis, by Clebsch-Gordan products.
+
+    Column c is the M = L member of its coupling path (l_k; L_k), the sites
+    coupled in coupling_order: the amplitude of a product state with site
+    projections m is prod_k <L_(k-1) M_(k-1); l_k m_k | L_k M_k>. It shares
+    no recoupling element or 6j symbol with rotorsim.lattice.
+    """
+    spec, d = basis.spec, basis.spec.site_dim
+    place = [d ** (spec.n_sites - 1 - site) for site in coupling_order(spec)]
+    rows, cols, values = [], [], []
+    for col, digits in enumerate(basis.states.T.tolist()):
+        ls = [site_basis(spec.l_max)[s][0] for s in digits]
+        couplings = np.cumsum([site_basis(spec.l_max)[s][1] for s in digits]).tolist()
+        terms = [(0, 0, 1.0)]  # (partial code, partial M, amplitude)
+        for l, big, above, weight in zip(ls, couplings, [0] + couplings, place):
+            terms = [(code + site_index(l, m) * weight, total + m,
+                      amplitude * oracle_clebsch_gordan(above, total, l, m, big, total + m))
+                     for code, total, amplitude in terms for m in range(-l, l + 1)]
+            terms = [term for term in terms if term[2] != 0.0]
+        for code, total, amplitude in terms:
+            if total == couplings[-1]:
+                rows.append(code)
+                cols.append(col)
+                values.append(amplitude)
+    return sp.csr_matrix((values, (rows, cols)), shape=(spec.dimension, len(basis.codes)))
+
+
 def full_ground_state(spec):
-    """ground_state's (energy, vector) with the sector vector embedded in the whole space."""
-    energy, basis, sector_vector = ground_state(spec)
-    vec = np.zeros(len(all_codes(spec)))
-    vec[np.searchsorted(all_codes(spec), basis.codes)] = sector_vector
-    return energy, vec
+    """ground_state's (energy, vector) with the L = 0 block vector embedded in the whole space."""
+    energy, basis, block_vector = ground_state(spec)
+    return energy, oracle_coupled_isometry(basis) @ block_vector
+
+
+# --- (R+, P+) oracle ---------------------------------------------------------
+# The product-basis reduction the ramp's block replaced: R = exp(i pi L_y)
+# and the site reflection P on the M = 0 sector, and L_+ out of it.
+
+def raising_operator(basis):
+    """L_+ = sum_i L_i^+ from the M = 0 sector_basis onto sector_basis(spec, 1).
+
+    L_i^+ adds d^(N-1-i) to a code with coefficient sqrt(l(l+1) - m(m+1)); the
+    raised codes are located in sector 1, and a code raised out of it is refused.
+    """
+    states = basis.states
+    coefficient = np.sqrt([l * (l + 1.0) - m * (m + 1.0) for l, m in site_basis(basis.spec.l_max)])
+    site, col = np.nonzero(coefficient[states])
+    target = sector_basis(basis.spec, 1)
+    row = target.locate(basis.codes[col] + basis.powers[site],
+                        "L_+ takes the basis out of sector 1; pass the M = 0 sector_basis")
+    return sp.csr_matrix((coefficient[states[site, col]], (row, col)),
+                         (len(target.codes), len(basis.codes)))
+
+
+def even_block(basis):
+    """Isometry V (len(codes) x b) onto the (R+, P+) block of the M = 0 sector_basis.
+
+    Column j is (1 + R)(1 + P)/4 applied to the smallest code of one orbit
+    under {1, R, P, RP}, normalized; orbits it annihilates are dropped, so the
+    entries are exactly +-1, +-1/sqrt(2) or +-1/2. R maps sector M to -M, so
+    any basis but the M = 0 sector is refused as not closed under R.
+    """
+    site_states = site_basis(basis.spec.l_max)
+    flip = np.array([site_index(l, -m) for l, m in site_states])
+    odd = np.array([(l - m) % 2 for l, m in site_states])
+    states, powers = basis.states, basis.powers
+    flipped = flip[states]
+    images = np.stack([powers @ flipped, powers @ states[::-1], powers @ flipped[::-1]])
+    index = basis.locate(images, "the basis is not closed under R and P; "
+                                 "pass the M = 0 sector_basis")
+    # R, P and RP are involutions: an orbit's smallest position is its representative
+    rep = np.flatnonzero(np.arange(len(basis.codes)) <= index.min(axis=0))
+    sign = 1.0 - 2.0 * (odd[states].sum(axis=0)[rep] % 2)  # R and RP; P has none
+    rows = np.concatenate([rep, *index[:, rep]])
+    values = np.concatenate([np.ones(len(rep)), sign, np.ones(len(rep)), sign])
+    cols = np.tile(np.arange(len(rep)), 4)
+    block = sp.csc_matrix((values, (rows, cols)), shape=(len(basis.codes), len(rep)))
+    norms = np.sqrt(np.asarray(block.multiply(block).sum(axis=0)).ravel())
+    return sp.csc_matrix(block[:, norms > 0] @ sp.diags(1.0 / norms[norms > 0]))
 
 
 def oracle_step(kinetic, bond, schedule, psi, t, dt):
@@ -341,7 +432,7 @@ def oracle_step(kinetic, bond, schedule, psi, t, dt):
 def oracle_propagate(spec, schedule, dt, record_trace=False, trace_stride=50):
     """propagate with one eigh per step and sub-step, solved as the state loop reaches it.
 
-    The setup (singlet block, end states, adiabatic ratio) is the library's
+    The setup (the block, end states, adiabatic ratio) is the library's
     (_ramp_setup); the step loop is the sequential one, with trace rows every
     trace_stride-th step and the last. Returns the EvolutionResult and the
     (n_steps, step) of every rejected pass.

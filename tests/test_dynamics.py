@@ -3,7 +3,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 import rotorsim.dynamics
 from rotorsim.cli import main
@@ -16,9 +15,9 @@ from rotorsim.dynamics import (
     propagate,
 )
 from rotorsim.lattice import (Basis, ChainSpec, DimensionCapError, build_interaction,
-                              build_kinetic, even_block, raising_operator, sector_basis)
+                              build_kinetic, reflection, sector_basis)
 
-from conftest import all_codes, oracle_propagate
+from conftest import all_codes, even_block, oracle_propagate, raising_operator
 
 
 TWO_SITE = ChainSpec(2, 1, kappa=0.0)
@@ -306,9 +305,10 @@ class TestStackedSolves:
         self.assert_matches(result, oracle)
 
     def test_trace_rows_are_solved_only_for_accepted_steps(self, monkeypatch):
-        # the 3x3 matrices outside the stacked steps are the trace rows' alone; the
-        # dt = 0.0125 pass fails at step 23, inside the chunk of steps 15-30, so its
-        # rows at steps 0, 7 and 14 are solved and those at 21 and 28 are not
+        # the 3x3 matrices outside the stacked steps are the trace rows' and the
+        # set-up's three (the order by K and the two end states); the dt = 0.0125
+        # pass fails at step 23, inside the chunk of steps 15-30, so its rows at
+        # steps 0, 7 and 14 are solved and those at 21 and 28 are not
         solved = []
 
         def recording(matrix, eigh=np.linalg.eigh):
@@ -319,12 +319,12 @@ class TestStackedSolves:
         monkeypatch.setattr(rotorsim.dynamics, "TRACE_STRIDE", 7)
         result = propagate(ChainSpec(3, 1), self.SMOOTH, dt=0.05, record_trace=True)
         assert len(result.trace) == len(range(0, 1600, 7)) + 1  # and the last step
-        assert sum(solved) == len(result.trace) + 3
+        assert sum(solved) == len(result.trace) + 3 + 3
 
     def test_chunks_double_up_to_the_byte_budget(self, monkeypatch):
         stacks = record_step_stacks(monkeypatch)
         result = propagate(ChainSpec(3, 1), self.LINEAR, dt=0.05)
-        limit = rotorsim.dynamics._CHUNK_BYTES // (3 * 8 * 3 * 3)  # the 3-singlet block
+        limit = rotorsim.dynamics._CHUNK_BYTES // (3 * 8 * 3 * 3)  # the 3-state block
         sizes = [shape[0] for shape in stacks]
         # three passes rejected at step 0, then 1600 accepted steps
         assert limit == 303
@@ -346,10 +346,10 @@ class TestStackedSolves:
         monkeypatch.setattr(RampSchedule, "kappa", recording)
         result = propagate(ChainSpec(3, 1), self.LINEAR, dt=0.05, record_trace=True)
         assert result.step_count == 1600
-        assert 0 < max(sizes) <= 3 * 303  # (full, half, half) of the 3-singlet chunk limit
+        assert 0 < max(sizes) <= 3 * 303  # (full, half, half) of the 3-state chunk limit
 
     def test_large_block_steps_one_at_a_time(self, monkeypatch):
-        # the 76-singlet block of 6x1: one step's three matrices pass the budget
+        # the 76-state block of 6x1: one step's three matrices pass the budget
         stacks = record_step_stacks(monkeypatch)
         schedule = RampSchedule(0.0, 0.5, duration=0.2)
         result = propagate(ChainSpec(6, 1), schedule, dt=0.05)
@@ -359,14 +359,14 @@ class TestStackedSolves:
         self.assert_matches(result, oracle)
 
     def test_long_ramp_keeps_its_norm(self):
-        # 6400 accepted steps of one composed matrix each on the 10-singlet block
+        # 6400 accepted steps of one composed matrix each on the 10-state block
         result = propagate(ChainSpec(4, 1), RampSchedule(0.0, 0.5, duration=40.0), dt=0.05)
         assert result.step_count == 6400
         assert result.norm_drift <= 1e-12
 
 
-class TestEvenBlockStepping:
-    """Every step runs on the singlets of the (R+, P+) block of the M = 0 sector."""
+class TestBlockStepping:
+    """Every step runs on the P+ part of the L = 0 block."""
 
     @pytest.mark.parametrize("spec, size", [(ChainSpec(3, 1), 3), (ChainSpec(2, 2), 3)])
     def test_steps_run_on_the_block(self, spec, size, monkeypatch):
@@ -375,11 +375,11 @@ class TestEvenBlockStepping:
         assert {shape[-2:] for shape in stacks} == {(size, size)}
 
     def test_start_state_outside_the_block_is_refused(self, monkeypatch, tmp_path, capsys):
-        # an isometry without the first code, the all-l = 0 ground state at kappa = 0
-        def leaving(basis):
-            return sp.identity(len(basis.codes), format="csc")[:, 1:7]
-        monkeypatch.setattr(rotorsim.dynamics, "even_block", leaving)
-        with pytest.raises(ValueError, match=r"not in the \(R\+, P\+\) block"):
+        # the L = 2 block in place of L = 0: its lowest level at kappa = 0 is 6, not 0
+        def total_l_2(spec, m, coupled=False):
+            return sector_basis(spec, 2 if coupled else m, coupled)
+        monkeypatch.setattr(rotorsim.dynamics, "sector_basis", total_l_2)
+        with pytest.raises(ValueError, match=r"at kappa = 0 is not in the P\+ part of the L = 0"):
             propagate(ChainSpec(3, 1), RampSchedule(0.0, 0.6, duration=0.5), dt=0.1)
         out = tmp_path / "out"
         code = main(["sim", "ramp", "--sites", "3", "--lmax", "1", "--duration", "0.5",
@@ -390,16 +390,16 @@ class TestEvenBlockStepping:
         assert captured.out == ""
         assert not out.exists() or not any(out.iterdir())
 
-    def test_end_state_outside_the_singlets_is_refused(self, monkeypatch):
-        # with L_+ = 2, W^T W = 4 on the block and no state counts as a singlet
-        monkeypatch.setattr(rotorsim.dynamics, "raising_operator",
-                            lambda basis: 2.0 * sp.identity(len(basis.codes), format="csr"))
-        with pytest.raises(ValueError, match=r"\(R\+, P\+\) block's singlets"):
-            propagate(ChainSpec(3, 1), RampSchedule(0.0, 0.6, duration=0.5), dt=0.1)
+    def test_block_without_the_ground_state_is_refused(self, monkeypatch):
+        # -P keeps the P- part, which misses the all-l = 0 ground state at kappa = 0.2
+        monkeypatch.setattr(rotorsim.dynamics, "reflection", lambda basis: -reflection(basis))
+        with pytest.raises(ValueError, match=r"at kappa = 0.2 is not in the P\+ part"):
+            propagate(ChainSpec(4, 1, kappa=0.2), RampSchedule(0.2, 0.6, duration=0.5), dt=0.1)
 
 
 class TestSingletBlock:
-    """The singlet block is the null space of W = L_+ V on the (R+, P+) block V."""
+    """The ramp's block against the oracle, the singlets of the (R+, P+) block V of sector 0:
+    the null space of W = L_+ V."""
 
     SINGLETS = [(ChainSpec(3, 1), 3), (ChainSpec(2, 2), 3), (ChainSpec(4, 1), 10),
                 (ChainSpec(3, 2), 9)]
@@ -422,6 +422,25 @@ class TestSingletBlock:
         assert np.count_nonzero(vals < 1.0) == count
         assert np.abs(vals[:count]).max() <= 1e-9
         assert vals[count] >= 6.0 - 1e-9
+
+    @pytest.mark.parametrize("spec, count", SINGLETS)
+    def test_block_has_the_singlet_levels(self, spec, count):
+        # K + kappa B on the P+ part of the L = 0 block has the levels of the
+        # oracle's singlets of the (R+, P+) block; K is diagonal there, ascending
+        basis = sector_basis(spec, 0)
+        v = even_block(basis)
+        w = raising_operator(basis) @ v
+        vals, vecs = np.linalg.eigh((w.T @ w).toarray())
+        singlets = v @ vecs[:, vals < 1.0]
+        kinetic, bond = (build(basis).matrix.toarray() for build in (build_kinetic,
+                                                                    build_interaction))
+        k_block, b_block, _, _, _ = _ramp_setup(spec, RampSchedule(0.0, 0.5, duration=1.0))
+        assert np.abs(k_block - np.diag(np.diag(k_block))).max() <= 1e-12
+        assert np.all(np.diff(np.diag(k_block)) >= -1e-12)
+        for kappa in (0.0, 0.5, 1.349):
+            oracle = np.linalg.eigvalsh(singlets.T @ (kinetic + kappa * bond) @ singlets)
+            levels = np.linalg.eigvalsh(k_block + kappa * b_block)
+            assert np.abs(levels - oracle).max() <= 1e-12 * max(1.0, np.abs(oracle).max())
 
 
 class TestAdiabaticRatio:

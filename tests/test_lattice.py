@@ -24,12 +24,12 @@ from rotorsim.lattice import (
     coupling_order,
     direction_dots,
     direction_matrices,
-    even_block,
-    raising_operator,
+    reflection,
     sector_basis,
     sector_decompose,
     site_basis,
     site_index,
+    swap,
 )
 from rotorsim.lattice import _six_j
 from rotorsim.dynamics import RampSchedule, propagate
@@ -37,6 +37,8 @@ from rotorsim.spectra import correlation_profile, lowest_eigenpairs, mass_gap, s
 
 from conftest import (
     all_codes,
+    even_block,
+    oracle_coupled_isometry,
     oracle_charge,
     oracle_direction_dots,
     oracle_grand_canonical,
@@ -536,7 +538,7 @@ def oracle_rotation_and_reflection(spec, codes):
 
 
 class TestEvenBlock:
-    """The (R+, P+) block of the M = 0 sector that the ramp is propagated in."""
+    """The (R+, P+) block of the M = 0 sector: the oracle of the ramp's block (test_dynamics)."""
 
     @pytest.mark.parametrize("spec", EVEN_BLOCK_SPECS, ids=spec_id)
     def test_sizes(self, spec):
@@ -587,13 +589,6 @@ class TestEvenBlock:
         for level in np.linalg.eigvalsh(block):
             assert np.abs(oracle - level).min() < 1e-10
 
-    @pytest.mark.parametrize("spec", EVEN_BLOCK_SPECS, ids=spec_id)
-    def test_refuses_other_sectors(self, spec):
-        for m in range(1, spec.n_sites * spec.l_max + 1):
-            for sector in (m, -m):
-                with pytest.raises(ValueError, match="M = 0 sector_basis"):
-                    even_block(sector_basis(spec, sector))
-
     @pytest.mark.parametrize("kappa", [0.0, 0.1, 0.5, 1.0, 2.0, 5.0, 20.0])
     @pytest.mark.parametrize("spec", EVEN_BLOCK_SPECS, ids=spec_id)
     def test_sector_ground_state_lies_in_the_block(self, spec, kappa):
@@ -617,20 +612,20 @@ def record_decodes(monkeypatch):
 
 
 class TestBasis:
-    @pytest.mark.parametrize("run, total_ls", [
-        (mass_gap, range(3)),
-        (correlation_profile, None),
-        (lambda spec: propagate(spec, RampSchedule(1.0, 1.5, duration=0.5), dt=0.1), None),
+    @pytest.mark.parametrize("run, expected", [
+        (mass_gap, [(0, True), (1, True), (2, True)]),
+        (correlation_profile, [(0, True)]),
+        (lambda spec: propagate(spec, RampSchedule(1.0, 1.5, duration=0.5), dt=0.1),
+         [(0, False), (0, True)]),
     ], ids=["mass_gap", "correlation_profile", "propagate"])
-    def test_one_decode_per_call(self, run, total_ls, monkeypatch):
-        # H, K, B, L_+, n_i . n_j and even_block share one M = 0 basis; L_+
-        # locates its targets in sector 1 without decoding that sector. mass_gap
+    def test_one_decode_per_call(self, run, expected, monkeypatch):
+        # H, the swaps and n_i . n_j share one L = 0 block; the ramp decodes its
+        # M = 0 sector (dense K and B) and its L = 0 block once each. mass_gap
         # decodes each total-L block it builds once (L = 2 lies above E1)
         spec = ChainSpec(4, 1, kappa=1.0)
         decoded = record_decodes(monkeypatch)
         run(spec)
-        expected = ([sector_basis(spec, 0)] if total_ls is None
-                    else [sector_basis(spec, total_l, coupled=True) for total_l in total_ls])
+        expected = [sector_basis(spec, m, coupled=coupled) for m, coupled in expected]
         assert ([(basis.coupled, list(basis.codes)) for basis in decoded]
                 == [(basis.coupled, list(basis.codes)) for basis in expected])
 
@@ -722,15 +717,39 @@ class TestTotalLBlocks:
         assert all(abs(order.index(i) - order.index(j)) <= 2 for i, j in spec.bonds)
         assert coupling_order(replace(spec, boundary="open")) == list(range(n_sites))
 
-    @pytest.mark.parametrize("name, read", [
-        ("direction_dots", lambda basis: next(direction_dots(basis, [(0, 1)]))),
-        ("raising_operator", raising_operator),
-        ("even_block", even_block),
-    ])
-    def test_product_state_readers_refuse_a_coupled_basis(self, name, read):
-        # raising_operator read the coupled L = 0 codes of 4x1 as product states: 56 x 14
-        with pytest.raises(ValueError, match=f"{name} reads product states"):
-            read(sector_basis(ChainSpec(4, 1), 0, coupled=True))
+    def test_product_state_reader_refuses_a_coupled_basis(self):
+        with pytest.raises(ValueError, match="direction_dots reads product states"):
+            next(direction_dots(sector_basis(ChainSpec(4, 1), 0, coupled=True), [(0, 1)]))
+
+    @pytest.mark.parametrize("spec", TOTAL_L_SPECS, ids=spec_id)
+    def test_swaps_and_reflection_against_the_clebsch_gordan_isometry(self, spec):
+        # every swap is symmetric, orthogonal and its own inverse; their product P
+        # squares to 1, commutes with H and is the site reflection of the product
+        # space, and H is the product-space H, seen through the isometry V
+        spec = replace(spec, kappa=1.349)
+        full = Basis(spec, all_codes(spec))
+        mirrored = full.powers @ full.states[::-1]
+        h_full = oracle_hamiltonian(spec).matrix
+        for total_l in range(spec.n_sites * spec.l_max + 1):
+            basis = sector_basis(spec, total_l, coupled=True)
+            eye = np.eye(len(basis.codes))
+            for k in range(spec.n_sites - 1):
+                s = swap(basis, k).toarray()
+                assert np.array_equal(s, s.T)
+                assert np.abs(s @ s - eye).max() <= 1e-13
+            p, h = reflection(basis).toarray(), dense(build_hamiltonian(basis))
+            assert np.abs(p @ p - eye).max() <= 1e-12
+            assert np.abs(p @ h - h @ p).max() <= 1e-12 * np.abs(h).max()
+            v = oracle_coupled_isometry(basis)
+            assert np.abs((v.T @ v).toarray() - eye).max() <= 1e-13
+            assert np.abs((v.T @ v[mirrored]).toarray() - p).max() <= 1e-12
+            assert np.abs((v.T @ h_full @ v).toarray() - h).max() <= 1e-12 * np.abs(h).max()
+
+    def test_swap_refuses_a_product_basis_and_a_position_past_the_chain(self):
+        spec = ChainSpec(3, 1)
+        for basis, k in ((sector_basis(spec, 0), 0), (sector_basis(spec, 0, coupled=True), 2)):
+            with pytest.raises(ValueError, match=f"positions {k} .. {k + 1} need a coupled basis"):
+                swap(basis, k)
 
 
 class TestDirectionDotsSites:

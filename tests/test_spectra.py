@@ -10,7 +10,7 @@ import scipy.sparse.linalg
 
 import rotorsim.spectra
 from rotorsim.lattice import (Basis, ChainSpec, DimensionCapError, InvalidSpecError,
-                              SparseOperator, build_hamiltonian, raising_operator, sector_basis)
+                              SparseOperator, build_hamiltonian, sector_basis)
 from rotorsim.spectra import (
     DEGENERACY_TOL,
     RESIDUAL_TOL,
@@ -36,6 +36,7 @@ from conftest import (
     oracle_interaction,
     oracle_kinetic,
     oracle_sectors,
+    raising_operator,
     total_transverse_angular_momentum,
 )
 
@@ -436,7 +437,7 @@ class TestGroundState:
             lowest_eigenpairs(block, 1)
 
 
-# l_max 1-3, open and periodic (N >= 3): sector 0 up to 1107 states, its (R+, P+) block up to 302
+# l_max 1-3, open and periodic (N >= 3): sector 0 up to 1107 states, its L = 0 block up to 132
 GROUND_STATE_GRID = [ChainSpec(n, l_max, boundary=boundary)
                      for l_max, sizes in ((1, range(2, 7)), (2, range(2, 5)), (3, (2, 3)))
                      for n in sizes for boundary in ("open", "periodic")
@@ -452,26 +453,30 @@ def oracle_sector0_parts(spec):
 
 
 class TestGroundStateBlock:
-    """ground_state solves the (R+, P+) block of sector 0 alone."""
+    """ground_state solves the L = 0 block alone."""
 
     @pytest.mark.parametrize("kappa", [0.0, 0.01, 1.0, 1.349, 10.0, 1000.0])
     @pytest.mark.parametrize("spec", GROUND_STATE_GRID,
                              ids=lambda s: f"{s.n_sites}x{s.l_max}-{s.boundary}")
     def test_matches_the_dense_sector_0_ground_state(self, spec, kappa):
+        # the energy checks that H's lowest level is a singlet; the vector is embedded
+        # by Clebsch-Gordan products (the sector's ground state is unique on this grid)
         kinetic, bond = oracle_sector0_parts(spec)
         vals, vecs = scipy.linalg.eigh(kinetic + kappa * bond, subset_by_index=[0, 0])
-        energy, basis, vec = ground_state(replace(spec, kappa=kappa))
-        assert np.array_equal(basis.codes, oracle_sectors(spec)[0])
+        spec = replace(spec, kappa=kappa)
+        energy, basis, _ = ground_state(spec)
+        assert np.array_equal(basis.codes, sector_basis(spec, 0, coupled=True).codes)
         assert abs(energy - vals[0]) <= 1e-10 * max(1.0, abs(vals[0]))
+        vec = full_ground_state(spec)[1][oracle_sectors(spec)[0]]
         assert abs(abs(np.vdot(vec, vecs[:, 0])) - 1.0) <= 1e-10
 
     def test_solves_one_block_not_the_sector(self, monkeypatch):
         solved = record_solves(monkeypatch)
         spec = ChainSpec(8, 1, kappa=1.0)
         _, basis, vec = ground_state(spec)
-        # the 12870-state sector 0 is never solved; the vector is embedded back in it
-        assert solved == [(3299, 1)]
-        assert len(basis.codes) == len(vec) == 12870
+        # the 12870-state sector 0 is never solved, nor its 3299-state (R+, P+) block
+        assert solved == [(1430, 1)]
+        assert len(basis.codes) == len(vec) == 1430
         assert abs(np.linalg.norm(vec) - 1.0) <= 1e-12
 
 
@@ -570,12 +575,6 @@ class TestMassGap:
         sectors = oracle_sectors(spec)
         block = (lx + 1j * ly)[np.ix_(sectors[1], sectors[0])].toarray()
         assert abs(raising_operator(sector_basis(spec, 0)).toarray() - block).max() < 1e-14
-
-    @pytest.mark.parametrize("m", [1, -1, 2])
-    def test_raising_operator_refuses_another_sector(self, m):
-        spec = ChainSpec(3, 1)
-        with pytest.raises(ValueError, match="out of sector 1"):
-            raising_operator(sector_basis(spec, m))
 
     @pytest.mark.parametrize("spec, degeneracy, solves", [
         # L = 2 lies above E1 = 2 and stops the scan; at kappa = 0 k doubles on
@@ -756,10 +755,13 @@ class TestCorrelation:
             correlation(ChainSpec(2, 1), 0, 2)
 
 
-# open 3x1, 4x1, 3x2 and periodic 4x1, 5x1, each at two couplings
+# open 1x1, 2x2, 3x1, 4x1, 5x1, 3x2 and periodic 4x1, 5x1, 3x2, each at two couplings:
+# i == j, N <= 2, and a site moved over three positions by swaps
 ORACLE_CORRELATION_SPECS = [ChainSpec(n, l, kappa=kappa, boundary=boundary)
-                            for n, l, boundary in [(3, 1, "open"), (4, 1, "open"), (3, 2, "open"),
-                                                   (4, 1, "periodic"), (5, 1, "periodic")]
+                            for n, l, boundary in [(1, 1, "open"), (2, 2, "open"), (3, 1, "open"),
+                                                   (4, 1, "open"), (5, 1, "open"), (3, 2, "open"),
+                                                   (4, 1, "periodic"), (5, 1, "periodic"),
+                                                   (3, 2, "periodic")]
                             for kappa in (0.5, 1.349)]
 
 
