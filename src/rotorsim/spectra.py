@@ -355,7 +355,7 @@ def _ground_dots(spec: ChainSpec, pairs) -> np.ndarray:
     values, moved = [], {}  # lower position -> (where its site is, the swapped vector)
     for i, j in pairs:
         p, q = sorted((position[i], position[j]))
-        at, state = moved[p] if moved.get(p, (q,))[0] < q else (p, vec)
+        at, state = moved[p] if p in moved and moved[p][0] < q else (p, vec)
         while at < q - 1:
             state, at = swap(basis, at) @ state, at + 1
         moved[p] = (at, state)

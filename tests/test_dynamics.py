@@ -398,8 +398,8 @@ class TestBlockStepping:
 
 
 class TestSingletBlock:
-    """The ramp's block against the oracle, the singlets of the (R+, P+) block V of sector 0:
-    the null space of W = L_+ V."""
+    """The ramp's block against its oracle, the singlets of the (R+, P+) block V of
+    sector 0: the null space of W = L_+ V."""
 
     SINGLETS = [(ChainSpec(3, 1), 3), (ChainSpec(2, 2), 3), (ChainSpec(4, 1), 10),
                 (ChainSpec(3, 2), 9)]

@@ -38,8 +38,8 @@ from rotorsim.spectra import correlation_profile, lowest_eigenpairs, mass_gap, s
 from conftest import (
     all_codes,
     even_block,
-    oracle_coupled_isometry,
     oracle_charge,
+    oracle_coupled_isometry,
     oracle_direction_dots,
     oracle_grand_canonical,
     oracle_hamiltonian,
