@@ -509,12 +509,13 @@ def _recoupling(basis: Basis, kind, p: int):
     """(row, col, value) entries of table kind at positions p .. p + span of a coupled basis.
 
     A state's key is L_(p-1) over the digits of those positions. A product-state
-    basis or positions past the chain raise ValueError.
+    basis, or positions past the chain or spanning more than two, raise ValueError.
     """
     spec, states, d = basis.spec, basis.states, basis.spec.site_dim
     last = p + (1 if kind == "swap" else kind)
-    if not (basis.coupled and 0 <= p < last < spec.n_sites):
-        raise ValueError(f"positions {p} .. {last} need a coupled basis of over {last} sites")
+    if not (basis.coupled and kind in (1, 2, "swap") and 0 <= p < last < spec.n_sites):
+        raise ValueError(f"no bond or swap at positions {p} .. {last} of a coupled basis of "
+                         f"{spec.n_sites} sites")
     site_m = np.array([m for _, m in site_basis(spec.l_max)])
     keys = site_m[states[:p]].sum(axis=0)
     for k in range(p, last + 1):

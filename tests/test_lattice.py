@@ -21,6 +21,7 @@ from rotorsim.lattice import (
     build_hamiltonian,
     build_interaction,
     build_kinetic,
+    coupled_dots,
     coupling_order,
     direction_dots,
     direction_matrices,
@@ -745,11 +746,16 @@ class TestTotalLBlocks:
             assert np.abs((v.T @ v[mirrored]).toarray() - p).max() <= 1e-12
             assert np.abs((v.T @ h_full @ v).toarray() - h).max() <= 1e-12 * np.abs(h).max()
 
-    def test_swap_refuses_a_product_basis_and_a_position_past_the_chain(self):
-        spec = ChainSpec(3, 1)
-        for basis, k in ((sector_basis(spec, 0), 0), (sector_basis(spec, 0, coupled=True), 2)):
-            with pytest.raises(ValueError, match=f"positions {k} .. {k + 1} need a coupled basis"):
-                swap(basis, k)
+    @pytest.mark.parametrize("read, positions", [
+        (lambda: swap(sector_basis(ChainSpec(3, 1), 0), 0), "0 .. 1"),
+        (lambda: swap(sector_basis(ChainSpec(3, 1), 0, coupled=True), 2), "2 .. 3"),
+        (lambda: coupled_dots(sector_basis(ChainSpec(4, 1), 0, coupled=True), 0, 3), "0 .. 3"),
+    ], ids=["product-basis", "past-the-chain", "span-3"])
+    def test_recoupling_refuses_a_product_basis_and_positions_without_a_table(self, read,
+                                                                             positions):
+        with pytest.raises(ValueError, match=f"no bond or swap at positions {positions} of a "
+                                             "coupled basis"):
+            read()
 
 
 class TestDirectionDotsSites:
